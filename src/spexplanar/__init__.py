@@ -14,10 +14,10 @@ from .graphs import (Graph, GraphConstructionError, Graph6Error,
 from .families import (LinearForest, build_linear_forest, join_with_paths,
                        k2_join, extremal_graph, enumerate_lna, count_lna,
                        path_graph, cycle_graph, complete_graph,
-                       complete_bipartite)
+                       complete_bipartite, recognize_hub_join)
 from .spectral import (SpectralResult, SurgeryReport, DisconnectedGraphError,
                        ConvergenceError, spectral_radius,
-                       spectral_radius_any, rayleigh_quotient,
+                       spectral_radius_any, hub_join_radii, rayleigh_quotient,
                        closed_form_rho, certify_strict, surgery_compare,
                        DEFAULT_TOL)
 from .cycles import (CycleRecord, CycleSpectrum, SearchBudgetExceeded,
@@ -28,6 +28,6 @@ from .verify import (IntervalWitness, VerificationReport, ArgmaxSweepResult,
                      verify_lemma1, lemma1_sweep, verify_lemma2,
                      verify_claim33, lemma2_sweep, verify_entry_bounds,
                      entry_bounds_sample, argmax_sweep, admissible_forests,
-                     merge_threshold, reports_to_csv, rerun, resolve_workers)
+                     merge_threshold, reports_to_csv, rerun)
 
 __version__ = "0.1.0"

@@ -240,8 +240,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     a = cfg.args
     if a.what != "argmax":
         raise UsageError(f"unknown sweep {a.what!r}; available: argmax")
-    result = V.argmax_sweep(a.n, a.k, a.parts, a.tol,
-                            workers=a.workers, force=a.force)
+    result = V.argmax_sweep(a.n, a.k, a.parts, a.tol, force=a.force)
     if not a.summary_only:
         sys.stdout.write(result.rows_jsonl())
     print(result.report.to_json())
@@ -335,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--parts", type=int, default=3,
                    help="max number of forest parts (default 3)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (capped by SPEX_THREADS)")
     p.add_argument("--force", action="store_true")
     p.add_argument("--summary-only", action="store_true",
                    help="suppress per-candidate JSONL rows")

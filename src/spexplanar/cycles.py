@@ -14,9 +14,9 @@ is written down directly instead of searched for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .families import LinearForest, k2_join
+from .families import LinearForest, k2_join, recognize_hub_join
 from .graphs import Graph, is_planar
 
 DEFAULT_BUDGET = 10 ** 7
@@ -143,41 +143,14 @@ def _search_anchor(g: Graph, s: int, ell: int,
 
 
 def recognize_hub_forest(g: Graph) -> Optional[tuple[int, int, list[list[int]]]]:
-    """Detect "two universal hubs over a linear forest" structure exactly.
-
-    Returns (hub1, hub2, paths) where each path is its vertex sequence in
-    path order, longest first, or None when the structure is absent. The
-    test is exact: exactly two vertices of degree n-1, and the rest must
-    induce a disjoint union of paths.
-    """
-    n = g.n
-    hubs = [v for v in range(n) if g.degree(v) == n - 1]
-    if len(hubs) != 2 or n < 3:
+    """(hub1, hub2, paths) when g is two adjacent universal hubs over a
+    linear forest (see `families.recognize_hub_join`), else None. Joins
+    without the hub edge are not recognized here: their cycle spectra go
+    through the search."""
+    hub = recognize_hub_join(g)
+    if hub is None or not hub[3]:
         return None
-    hubset = set(hubs)
-    rest = [v for v in range(n) if v not in hubset]
-    nbr = {v: [w for w in g.adj[v] if w not in hubset] for v in rest}
-    if any(len(ws) > 2 for ws in nbr.values()):
-        return None
-    paths: list[list[int]] = []
-    seen: set[int] = set()
-    for v in rest:
-        if v in seen or len(nbr[v]) == 2:
-            continue
-        # endpoint (or isolated vertex): walk to the other end
-        seq = [v]
-        seen.add(v)
-        prev, cur = v, (nbr[v][0] if nbr[v] else None)
-        while cur is not None:
-            seq.append(cur)
-            seen.add(cur)
-            ext = [w for w in nbr[cur] if w != prev]
-            prev, cur = cur, (ext[0] if ext else None)
-        paths.append(seq)
-    if len(seen) != len(rest):
-        return None  # leftover vertices all have degree 2: a cycle, not a path
-    paths.sort(key=lambda p: (-len(p), p[0]))
-    return hubs[0], hubs[1], paths
+    return hub[0], hub[1], hub[2]
 
 
 def hub_forest_cycle(hub1: int, hub2: int, paths: list[list[int]],
@@ -255,27 +228,32 @@ def cycle_spectrum(g: Graph, ell_max: Optional[int] = None,
         ell_max = g.n
     if ell_max > g.n:
         raise ValueError(f"ell_max {ell_max} exceeds vertex count {g.n}")
-    records = []
+    return CycleSpectrum(g.n, ell_max,
+                         tuple(_cycle_records(g, ell_max, budget)))
+
+
+def _cycle_records(g: Graph, ell_max: int,
+                   budget: int) -> Iterator[CycleRecord]:
+    """The records of `cycle_spectrum`, one length at a time, in order."""
     hub = recognize_hub_forest(g)
     for ell in range(3, ell_max + 1):
         if hub is not None:
             cyc = hub_forest_cycle(hub[0], hub[1], hub[2], ell)
             if cyc is not None:
                 validate_cycle(g, cyc)
-                records.append(CycleRecord(ell, "present", tuple(cyc)))
+                yield CycleRecord(ell, "present", tuple(cyc))
             else:
-                records.append(CycleRecord(ell, "absent", None))
+                yield CycleRecord(ell, "absent", None)
             continue
         try:
             cyc = find_cycle(g, ell, budget)
         except SearchBudgetExceeded:
-            records.append(CycleRecord(ell, "budget", None))
+            yield CycleRecord(ell, "budget", None)
             continue
         if cyc is None:
-            records.append(CycleRecord(ell, "absent", None))
+            yield CycleRecord(ell, "absent", None)
         else:
-            records.append(CycleRecord(ell, "present", tuple(cyc)))
-    return CycleSpectrum(g.n, ell_max, tuple(records))
+            yield CycleRecord(ell, "present", tuple(cyc))
 
 
 def in_gnk(g: Graph, k: int,
@@ -285,13 +263,14 @@ def in_gnk(g: Graph, k: int,
     Returns (member, witness): witness is the smallest missing length when
     member is True. Non-planar input is rejected; a budget outcome at any
     length that could still be the witness raises SearchBudgetExceeded.
+    Lengths are settled in order and the walk stops at the first absent
+    or unsettled one.
     """
     if not 0 <= k <= g.n - 3:
         raise ValueError(f"need 0 <= k <= n-3 = {g.n - 3}, got k={k}")
     if not is_planar(g):
         raise ValueError("membership is defined for planar graphs only")
-    spec = cycle_spectrum(g, ell_max=g.n - k, budget=budget)
-    for rec in spec.records:
+    for rec in _cycle_records(g, g.n - k, budget):
         if rec.status == "absent":
             return True, rec.ell
         if rec.status == "budget":

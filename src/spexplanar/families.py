@@ -17,7 +17,7 @@ needs a specific block order (longest path need not come first) uses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, from_edges, is_planar
 
@@ -119,6 +119,54 @@ def k2_join(forest: LinearForest | Sequence[int],
     if g.n <= 200:
         assert is_planar(g), "K2-join of a linear forest must be planar"
     return g
+
+
+def recognize_hub_join(g: Graph
+                       ) -> Optional[tuple[int, int, list[list[int]], bool]]:
+    """Detect "two hubs over a linear forest" structure exactly.
+
+    Returns (hub1, hub2, paths, hub_edge) or None. Each path is its vertex
+    sequence in path order, longest first. With the hub edge the hubs are
+    the only two vertices of degree n-1; without it no vertex has degree
+    n-1 and the hubs are the only two of degree n-2, not adjacent to each
+    other. In both cases the remaining vertices must induce a disjoint
+    union of paths. Small joins whose forest vertices reach the hub degree
+    (K4, K2 + P3, C4) are not told apart and return None.
+    """
+    n = g.n
+    if n < 4 or max(map(len, g.adj)) < n - 2:
+        return None
+    hubs = [v for v, row in enumerate(g.adj) if len(row) == n - 1]
+    hub_edge = True
+    if not hubs:
+        hubs = [v for v, row in enumerate(g.adj) if len(row) == n - 2]
+        hub_edge = False
+    if len(hubs) != 2 or (not hub_edge and g.has_edge(hubs[0], hubs[1])):
+        return None
+    hubset = set(hubs)
+    rest = [v for v in range(n) if v not in hubset]
+    nbr = {v: [w for w in g.adj[v] if w not in hubset] for v in rest}
+    if any(len(ws) > 2 for ws in nbr.values()):
+        return None
+    paths: list[list[int]] = []
+    seen: set[int] = set()
+    for v in rest:
+        if v in seen or len(nbr[v]) == 2:
+            continue
+        # endpoint (or isolated vertex): walk to the other end
+        seq = [v]
+        seen.add(v)
+        prev, cur = v, (nbr[v][0] if nbr[v] else None)
+        while cur is not None:
+            seq.append(cur)
+            seen.add(cur)
+            ext = [w for w in nbr[cur] if w != prev]
+            prev, cur = cur, (ext[0] if ext else None)
+        paths.append(seq)
+    if len(seen) != len(rest):
+        return None  # leftover vertices all have degree 2: a cycle, not a path
+    paths.sort(key=lambda p: (-len(p), p[0]))
+    return hubs[0], hubs[1], paths, hub_edge
 
 
 def extremal_graph(n: int, k: int) -> Graph:

@@ -176,7 +176,11 @@ def from_graph6(text: str) -> Graph:
     raw = text.strip()
     if raw.startswith(">>graph6<<"):
         raw = raw[len(">>graph6<<"):]
-    data = raw.encode("ascii", errors="replace")
+    try:
+        data = raw.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"non-ASCII character {raw[exc.start]!r}",
+                          exc.start) from None
     if not data:
         raise Graph6Error("empty graph6 input", 0)
     for pos, b in enumerate(data):

@@ -1,10 +1,30 @@
 """Spectral radius computation and the comparison rules built on it.
 
-The engine is a shifted power iteration: iterate (A+I)x from the all-ones
-vector and stop once the infinity-norm residual ||Ax - rho x||_inf of the
-max-normalized iterate drops to `tol`. The +I shift costs nothing and makes
-bipartite inputs (where A alone has a -rho eigenvalue of equal modulus)
-converge; the reported rho is always the Rayleigh quotient of A itself.
+`spectral_radius` dispatches between two engines:
+
+* Hub joins K2 + (linear forest), with or without the hub edge, recognized
+  exactly by `families.recognize_hub_join`, take the secular equation of
+  the join. Both hubs carry the same Perron entry (swapping them is an
+  automorphism), so rho is the unique root above 2 of
+
+      f(rho) = rho - e - 2 * sum_j S_{m_j}(rho),   e = 1 iff hubs adjacent,
+
+  where S_m(rho) = 1'(rho I - A(P_m))^{-1} 1 has a closed form in u = 1/t,
+  rho = t + 1/t (Golub, "Some modified matrix eigenvalue problems", SIAM
+  Rev. 15, 1973). Newton's method from the all-singleton lower bound
+  converges monotonically (f is increasing and concave there), and the
+  Perron vector is written down per path block in closed form. The
+  residual ||Ax - rho x||_inf is recomputed from the graph's own edges;
+  above `tol` the call falls back to the power iteration.
+* Everything else takes a shifted power iteration: iterate (A+I)x from the
+  all-ones vector and stop once the infinity-norm residual of the
+  max-normalized iterate drops to `tol`. The +I shift costs nothing and
+  makes bipartite inputs (where A alone has a -rho eigenvalue of equal
+  modulus) converge; the reported rho is the Rayleigh quotient of A itself.
+
+`hub_join_radii` runs the secular engine on part lists directly, in fixed
+batches, with no graph built per forest; it and `spectral_radius` share
+one root finder, so a join gets the same rho bit for bit from either.
 
 All strict comparisons between computed spectral radii go through
 `certify_strict`: a difference only counts as a strict inequality when it
@@ -15,14 +35,20 @@ silently rounded into a conclusion.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .families import join_with_paths, recognize_hub_join
 from .graphs import Graph, induced_subgraph
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 10 ** 6
+BATCH_ROWS = 256      # forests per numpy batch in hub_join_radii
+NEWTON_STOP = 1e-14   # relative Newton step at which the root is taken
 
 
 class DisconnectedGraphError(ValueError):
@@ -41,12 +67,17 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
-    """rho plus its max-normalized Perron vector and convergence data."""
+    """rho plus its max-normalized Perron vector and convergence data.
+
+    `iterations` counts power-iteration steps or, for `solver` "secular",
+    Newton steps on the secular equation.
+    """
 
     rho: float
     vector: np.ndarray
     residual: float
     iterations: int
+    solver: str = "power"
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -61,15 +92,27 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL,
                     max_iterations: int = MAX_ITERATIONS) -> SpectralResult:
     """Largest adjacency eigenvalue of a connected graph, with Perron vector.
 
-    Deterministic: fixed start vector, fixed update, no randomness. Raises
-    DisconnectedGraphError on disconnected input and ConvergenceError if the
-    residual has not reached `tol` within `max_iterations` steps.
+    Deterministic: hub joins take the secular engine, everything else (and
+    any join whose secular residual misses `tol`) the power iteration from
+    a fixed start vector. Raises DisconnectedGraphError on disconnected
+    input and ConvergenceError if the residual has not reached `tol` within
+    `max_iterations` steps.
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
-    if not g.is_connected():
+    hub = recognize_hub_join(g)
+    if hub is not None:
+        res = _hub_join_spectrum(g, hub, tol, max_iterations)
+        if res is not None:
+            return res
+    elif not g.is_connected():
         raise DisconnectedGraphError(
             f"graph with {g.n} vertices is not connected")
+    return _power_iteration(g, tol, max_iterations)
+
+
+def _power_iteration(g: Graph, tol: float,
+                     max_iterations: int) -> SpectralResult:
     a = adjacency_matrix(g)
     x = np.ones(g.n)
     rho = 0.0
@@ -83,6 +126,204 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL,
         y = z + x
         x = y / y.max()
     raise ConvergenceError(max_iterations, resid, tol)
+
+
+# --- the secular engine for hub joins ----------------------------------------
+#
+# A batch is a pair of int arrays (m, cnt) of shape (B, P): one forest per
+# row, its distinct path orders in decreasing order and how many paths have
+# each, zero-padded (a zero count adds nothing). Grouping equal orders
+# keeps the sum over paths short, so its rounding stays far below tol on
+# forests of thousands of paths. Only +, -, *, / and sqrt act on a row,
+# each elementwise, and the columns are summed left to right, so a row's
+# result does not depend on the batch it is computed in.
+
+
+def _part_matrix(forests: Sequence[Sequence[int]]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    groups = [sorted(Counter(parts).items(), reverse=True)
+              for parts in forests]
+    m = np.zeros((len(groups), max(map(len, groups))), dtype=np.int64)
+    cnt = np.zeros_like(m)
+    for row, grp in enumerate(groups):
+        m[row, :len(grp)], cnt[row, :len(grp)] = zip(*grp)
+    return m, cnt
+
+
+def _ipow(base: np.ndarray, expo: np.ndarray) -> np.ndarray:
+    """base ** expo for integer expo >= 0, by repeated squaring."""
+    out = np.ones(np.broadcast_shapes(base.shape, expo.shape))
+    expo = expo.copy()
+    while expo.any():
+        out = np.where(expo & 1, out * base, out)
+        base = base * base
+        expo >>= 1
+    return out
+
+
+def _secular(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray,
+             e: float) -> tuple[np.ndarray, np.ndarray]:
+    """f(rho) and f'(rho) per row, for rho > 2.
+
+    Per path of order m, with D = 1 + u^(m+1) and z = (rho I - A)^{-1} 1:
+    S_m = 1'z = [m - W1] / (rho - 2) and z'z = [m - 2 W1 + W2] / (rho - 2)^2,
+    where W1 = 2(1 - u^m)/((t - 1) D) is sum_i w_i / D and W2 is
+    sum_i w_i^2 / D^2, for w_i = u^i + u^(m+1-i). f' = 1 + 2 sum_j z'z.
+    """
+    r = rho[:, None]
+    t = (r + np.sqrt(r * r - 4.0)) / 2.0
+    u = 1.0 / t
+    um = _ipow(u, m)
+    d = 1.0 + um * u
+    c = 1.0 / (r - 2.0)
+    w1 = 2.0 * (1.0 - um) / ((t - 1.0) * d)
+    w2 = (2.0 * u * u * (1.0 - um * um) / (1.0 - u * u)
+          + 2.0 * m * um * u) / (d * d)
+    s = cnt * (c * (m - w1))
+    q = cnt * (c * c * (m - 2.0 * w1 + w2))
+    s_sum, q_sum = s[:, 0], q[:, 0]
+    for j in range(1, m.shape[1]):
+        s_sum = s_sum + s[:, j]
+        q_sum = q_sum + q[:, j]
+    return rho - e - 2.0 * s_sum, 1.0 + 2.0 * q_sum
+
+
+def _secular_roots(m: np.ndarray, cnt: np.ndarray, e: float,
+                   max_iterations: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, Newton steps, converged) per row.
+
+    Starts from the root for all-singleton parts, (e + sqrt(e^2 + 8M))/2
+    with M the forest order, a lower bound by subgraph monotonicity. f is
+    increasing and concave above 2, so the iterates rise to the root while
+    f < 0: a row is done once f >= 0 (rounding noise at the root) or the
+    step falls below NEWTON_STOP relative. Rows whose start is not above 2
+    (K3, K4 minus an edge) are not converged.
+    """
+    rho = (e + np.sqrt(e * e + 8.0 * (m * cnt).sum(axis=1))) / 2.0
+    steps = np.zeros(len(rho), dtype=np.int64)
+    active = rho > 2.0
+    converged = np.zeros(len(rho), dtype=bool)
+    for _ in range(max_iterations):
+        rows = np.flatnonzero(active)
+        if not len(rows):
+            break
+        f, df = _secular(m[rows], cnt[rows], rho[rows], e)
+        step = f / df
+        rho[rows] = rho[rows] - step
+        steps[rows] += 1
+        done = rows[(step >= 0.0) | (-step <= NEWTON_STOP * rho[rows])]
+        active[done] = False
+        converged[done] = True
+    return rho, steps, converged
+
+
+def _forest_entries(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forest part of the Perron vector with hub entries 1, paths laid out
+    in column order: y_i = 2/(rho-2) (1 - (u^i + u^(m+1-i)) / (1 + u^(m+1)))
+    at position i = 1..m of a path of order m. Every row must have the
+    same forest order L; returns y, i and m, each of shape (B, L)."""
+    span = m * cnt
+    rows, order = len(m), int(span[0].sum())
+    r = rho[:, None]
+    u = 1.0 / ((r + np.sqrt(r * r - 4.0)) / 2.0)
+    pw = u ** np.arange(int(m.max()) + 2)
+    start = (np.cumsum(span, axis=1) - span).ravel()
+    part = np.repeat(m.ravel(), span.ravel()).reshape(rows, order)
+    offset = np.arange(order) - np.repeat(start, span.ravel()).reshape(
+        rows, order)
+    idx = offset % part + 1
+    b = np.arange(rows)[:, None]
+    y = 2.0 / (r - 2.0) * (1.0 - (pw[b, idx] + pw[b, part + 1 - idx])
+                           / (1.0 + pw[b, part + 1]))
+    return y, idx, part
+
+
+def _hub_join_spectrum(g: Graph, hub, tol: float,
+                       max_iterations: int) -> Optional[SpectralResult]:
+    """Secular solve of a recognized hub join; None when it does not
+    converge within `max_iterations` or its residual misses `tol`."""
+    hub1, hub2, paths, hub_edge = hub
+    m, cnt = _part_matrix([[len(p) for p in paths]])
+    rho, steps, converged = _secular_roots(m, cnt, float(hub_edge),
+                                           max_iterations)
+    if not converged[0]:
+        return None
+    y, _, _ = _forest_entries(m, cnt, rho)
+    x = np.empty(g.n)
+    x[[hub1, hub2]] = 1.0
+    # paths come longest first, the order _forest_entries lays them out in
+    x[np.fromiter(chain.from_iterable(paths), np.int64, g.n - 2)] = y[0]
+    x = x / x.max()
+    rho = float(rho[0])
+    resid = _edge_residual(g, x, rho)
+    if resid > tol:
+        return None
+    return SpectralResult(rho, x, resid, int(steps[0]), "secular")
+
+
+def _edge_residual(g: Graph, x: np.ndarray, rho: float) -> float:
+    """||Ax - rho x||_inf from the adjacency lists, in O(n + m).
+
+    Each row is summed pairwise (`reduceat`), as in a dense `A @ x`: a hub
+    row has n - 2 terms, and a sequential sum's rounding would outgrow tol
+    near n = 2000. Every vertex needs a neighbour.
+    """
+    deg = np.fromiter(map(len, g.adj), np.int64, g.n)
+    nbrs = np.fromiter(chain.from_iterable(g.adj), np.int64, int(deg.sum()))
+    ax = np.add.reduceat(x[nbrs], np.cumsum(deg) - deg)
+    return float(np.max(np.abs(ax - rho * x)))
+
+
+def _batch_residuals(y: np.ndarray, idx: np.ndarray, part: np.ndarray,
+                     rho: np.ndarray, e: float) -> np.ndarray:
+    """||Ax - rho x||_inf of each max-normalized join vector, from the
+    join's structure: a forest vertex sees both hubs and its path
+    neighbours, a hub sees the other hub (if adjacent) and the forest."""
+    r = rho[:, None]
+    prev = np.zeros_like(y)
+    prev[:, 1:] = y[:, :-1]
+    nxt = np.zeros_like(y)
+    nxt[:, :-1] = y[:, 1:]
+    ax = 2.0 + np.where(idx > 1, prev, 0.0) + np.where(idx < part, nxt, 0.0)
+    forest = np.abs(ax - r * y).max(axis=1)
+    hubs = np.abs(e + y.sum(axis=1) - rho)
+    return np.maximum(forest, hubs) / np.maximum(1.0, y.max(axis=1))
+
+
+def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
+                   tol: float = DEFAULT_TOL) -> list[tuple[float, float, int]]:
+    """(rho, residual, iterations) of the hub join of each forest.
+
+    All forests must have the same order. Runs the secular engine in
+    batches of BATCH_ROWS forests without building a graph; a forest whose
+    residual misses `tol` is solved by `spectral_radius` on its join.
+    """
+    if len({sum(parts) for parts in forests}) > 1:
+        raise ValueError("hub_join_radii needs forests of a single order")
+    if any(p < 1 for parts in forests for p in parts):
+        raise ValueError("path orders must be >= 1")
+    e = float(hub_edge)
+    out = []
+    for lo in range(0, len(forests), BATCH_ROWS):
+        chunk = forests[lo:lo + BATCH_ROWS]
+        m, cnt = _part_matrix(chunk)
+        rho, steps, converged = _secular_roots(m, cnt, e, MAX_ITERATIONS)
+        resid = np.full(len(chunk), math.inf)
+        if converged.any():
+            y, idx, part = _forest_entries(m[converged], cnt[converged],
+                                           rho[converged])
+            resid[converged] = _batch_residuals(y, idx, part,
+                                                rho[converged], e)
+        for row, parts in enumerate(chunk):
+            if resid[row] <= tol:
+                out.append((float(rho[row]), float(resid[row]),
+                            int(steps[row])))
+            else:
+                res = spectral_radius(join_with_paths(parts, hub_edge), tol)
+                out.append((res.rho, res.residual, res.iterations))
+    return out
 
 
 def spectral_radius_any(g: Graph, tol: float = DEFAULT_TOL) -> float:

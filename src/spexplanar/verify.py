@@ -36,15 +36,14 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .families import LinearForest, enumerate_lna, join_with_paths
+from .families import (LinearForest, _partitions_desc, enumerate_lna,
+                       join_with_paths)
 from .graphs import Graph, from_edges, to_graph6
-from .spectral import (DEFAULT_TOL, certify_strict, rayleigh_quotient,
-                       spectral_radius)
+from .spectral import (DEFAULT_TOL, certify_strict, hub_join_radii,
+                       rayleigh_quotient, spectral_radius)
 
 _WORST = {"certified": 0, "indeterminate": 1, "violated": 2}
 _RANK = ["certified", "indeterminate", "violated"]
@@ -163,20 +162,19 @@ def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
 def lemma1_sweep(n: int, tol: float = DEFAULT_TOL) -> list[VerificationReport]:
     """All-pairs family comparison at order n, one report per (a1, a2).
 
-    Computes rho once per forest, then certifies every (L1, L2) pair in one
-    shot through min-over-smaller-family minus max-over-larger-family: that
-    gap lower-bounds every pairwise margin.
+    Computes rho once per forest (secular engine, no graph built), then
+    certifies every (L1, L2) pair in one shot through
+    min-over-smaller-family minus max-over-larger-family: that gap
+    lower-bounds every pairwise margin.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     a_max = int(_a_limit(n))
     fams = {}
     for a in range(a_max + 1):
-        rows = []
-        for lf in enumerate_lna(n, a):
-            g = join_with_paths(lf.parts, dominating_edge=False)
-            rows.append((spectral_radius(g, tol).rho, lf.parts))
-        fams[a] = rows
+        forests = [lf.parts for lf in enumerate_lna(n, a)]
+        radii = hub_join_radii(forests, hub_edge=False, tol=tol)
+        fams[a] = [(rho, parts) for (rho, _, _), parts in zip(radii, forests)]
     reports = []
     for a1 in range(1, a_max + 1):
         for a2 in range(a1):
@@ -517,52 +515,18 @@ def entry_bounds_sample(count: int, n_lo: int, n_hi: int, seed: int,
 # --- argmax sweep -------------------------------------------------------------
 
 
-def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count for sweeps; the SPEX_THREADS env var caps it."""
-    w = explicit if explicit and explicit > 0 else (os.cpu_count() or 1)
-    cap = os.environ.get("SPEX_THREADS")
-    if cap:
-        try:
-            w = min(w, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, w)
-
-
 def admissible_forests(n: int, k: int, max_parts: int) -> list[tuple[int, ...]]:
     """Forest part lists of order n-2 with <= max_parts parts whose two
     largest parts sum to at most n-k-3 (so the join misses a cycle length
     in [3, n-k]). Deterministic order: by part count, then reverse-lex."""
     out = []
     for t in range(1, max_parts + 1):
-        for parts in _exact_partitions(n - 2, t):
+        for parts in _partitions_desc(n - 2, t, n - 2):
             n1 = parts[0]
             n2 = parts[1] if t > 1 else 0
             if n1 + n2 <= n - k - 3:
                 out.append(tuple(parts))
     return out
-
-
-def _exact_partitions(total: int, t: int, cap: Optional[int] = None):
-    if cap is None:
-        cap = total
-    if t == 0:
-        if total == 0:
-            yield []
-        return
-    if total < t:
-        return
-    hi = min(cap, total - (t - 1))
-    lo = -(-total // t)
-    for p in range(hi, lo - 1, -1):
-        for rest in _exact_partitions(total - p, t - 1, p):
-            yield [p] + rest
-
-
-def _candidate_rho(args: tuple[tuple[int, ...], float]):
-    parts, tol = args
-    r = spectral_radius(join_with_paths(parts, dominating_edge=True), tol)
-    return parts, r.rho, r.residual, r.iterations
 
 
 @dataclass(frozen=True)
@@ -588,15 +552,15 @@ class ArgmaxSweepResult:
 
 
 def argmax_sweep(n: int, k: int, max_parts: int = 3,
-                 tol: float = DEFAULT_TOL, workers: Optional[int] = None,
+                 tol: float = DEFAULT_TOL,
                  force: bool = False) -> ArgmaxSweepResult:
     """Find the admissible forest maximizing rho of its hub join (hub edge
     present), and certify uniqueness of the maximum.
 
     Candidates within the indeterminacy margin of the best are reported as
     ties (holds = "indeterminate") rather than resolved. Rows come back in
-    enumeration order regardless of worker count, so output is
-    deterministic; workers default to the CPU count, capped by SPEX_THREADS.
+    enumeration order. Every candidate is solved by the secular engine on
+    its part list; the only graph built is the argmax join's artifact.
     """
     if max_parts < 3:
         raise ValueError(f"max_parts must be >= 3, got {max_parts}")
@@ -613,14 +577,8 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
     if not cands:
         raise ValueError(f"no admissible forests for n={n}, k={k}, "
                          f"max_parts={max_parts}")
-    nworkers = resolve_workers(workers)
-    jobs = [(parts, tol) for parts in cands]
-    if nworkers > 1 and len(jobs) >= 64:
-        chunk = max(1, len(jobs) // (nworkers * 8))
-        with multiprocessing.get_context("fork").Pool(nworkers) as pool:
-            rows = list(pool.imap(_candidate_rho, jobs, chunksize=chunk))
-    else:
-        rows = [_candidate_rho(job) for job in jobs]
+    rows = [(parts, *solved) for parts, solved
+            in zip(cands, hub_join_radii(cands, hub_edge=True, tol=tol))]
 
     best = max(rows, key=lambda r: r[1])
     margin = 10.0 * (tol + tol)

@@ -104,6 +104,14 @@ def test_rho_rejects_garbage(capsys):
     assert "neither a family string" in err
 
 
+def test_rho_rejects_non_ascii_graph6(capsys):
+    code, out, err = run(capsys, "rho", "A\u00e9")
+    assert code == 2
+    assert out == ""
+    assert "non-ASCII" in err and "byte offset 1" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # --- stdin ----------------------------------------------------------------------
 
 

@@ -191,6 +191,20 @@ def test_in_gnk_rejects_bad_input():
         in_gnk(cycle_graph(6), -1)
 
 
+def test_in_gnk_stops_at_the_first_absent_length(monkeypatch):
+    from spexplanar import cycles
+    searched = []
+    search = cycles.find_cycle
+
+    def counting(g, ell, budget):
+        searched.append(ell)
+        return search(g, ell, budget)
+
+    monkeypatch.setattr(cycles, "find_cycle", counting)
+    assert in_gnk(cycle_graph(60), 0) == (True, 3)
+    assert searched == [3]
+
+
 def test_in_gnk_budget_propagates():
     with pytest.raises(SearchBudgetExceeded):
         in_gnk(cycle_graph(30), 0, budget=1)

@@ -139,6 +139,16 @@ def test_graph6_decode_errors_carry_offsets():
         from_graph6("~??")
 
 
+def test_graph6_rejects_non_ascii():
+    # a replacement '?' would be a valid graph6 byte: reject, don't decode
+    with pytest.raises(Graph6Error, match="non-ASCII") as ei:
+        from_graph6("A\u00e9")
+    assert ei.value.offset == 1
+    with pytest.raises(Graph6Error) as ei:
+        from_graph6(">>graph6<<B\u00e9w")
+    assert ei.value.offset == 1
+
+
 def test_graph6_rejects_extra_bytes():
     with pytest.raises(Graph6Error, match="expected 1 body bytes for n=2"):
         from_graph6("A__")

@@ -1,0 +1,179 @@
+"""The secular engine for hub joins against the dense eigensolver.
+
+`spectral_radius` sends every join `recognize_hub_join` accepts to the
+secular equation and everything else to the power iteration; both must
+agree with LAPACK on rho and on the max-normalized Perron vector, and the
+residual recomputed from the dense adjacency matrix must meet tol.
+"""
+
+import json
+import random
+
+import numpy as np
+import pytest
+
+from spexplanar import (ConvergenceError, argmax_sweep, complete_bipartite,
+                        complete_graph, cycle_graph, enumerate_lna,
+                        from_edges, from_graph6, hub_join_radii,
+                        join_with_paths, path_graph, recognize_hub_join,
+                        spectral_radius, to_graph6)
+from spexplanar import spectral
+from spexplanar.cli import main
+from spexplanar.spectral import adjacency_matrix
+
+import oracles
+
+TOL = 1e-12
+AGREE = 1e-10
+
+
+def assert_matches_dense(g, solver=None):
+    res = spectral_radius(g)
+    if solver is not None:
+        assert res.solver == solver
+    assert abs(res.rho - oracles.dense_rho(g)) <= AGREE
+    assert res.vector.max() == 1.0
+    assert np.max(np.abs(res.vector - oracles.dense_perron(g))) <= AGREE
+    a = adjacency_matrix(g)
+    assert np.max(np.abs(a @ res.vector - res.rho * res.vector)) <= TOL
+    assert res.residual <= TOL
+    return res
+
+
+def forests_up_to_three_parts(total):
+    for a in range(min(3, total)):
+        for lf in enumerate_lna(total + 2, a):
+            yield lf.parts
+
+
+def test_every_join_of_at_most_three_parts():
+    joins = 0
+    for n in range(5, 41):
+        for parts in forests_up_to_three_parts(n - 2):
+            for hub_edge in (True, False):
+                g = join_with_paths(parts, hub_edge)
+                recognized = recognize_hub_join(g) is not None
+                # from n = 7 no forest vertex reaches the hub degree n - 2
+                assert recognized or n < 7, (parts, hub_edge)
+                assert_matches_dense(g, "secular" if recognized else "power")
+                joins += 1
+    assert joins > 3000
+
+
+def test_every_forest_up_to_order_fourteen():
+    for n in range(5, 15):
+        for a in range(n - 2):
+            for lf in enumerate_lna(n, a):
+                for hub_edge in (True, False):
+                    assert_matches_dense(join_with_paths(lf.parts, hub_edge))
+
+
+def test_relabelled_joins_given_as_graph6():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        total = rng.randint(5, 45)
+        parts = []
+        while sum(parts) < total:
+            parts.append(rng.randint(1, total - sum(parts)))
+        rng.shuffle(parts)
+        hub_edge = rng.random() < 0.5
+        base = join_with_paths(parts, hub_edge)
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        g = from_graph6(to_graph6(from_edges(
+            base.n, [(perm[u], perm[v]) for u, v in base.edges()])))
+        res = assert_matches_dense(g, "secular")
+        expected = oracles.dense_perron(base)
+        mapped = res.vector[perm]  # entry of base vertex v sits at perm[v]
+        assert np.max(np.abs(mapped - expected)) <= AGREE
+
+
+@pytest.mark.parametrize("g", [
+    path_graph(3),
+    cycle_graph(4),              # C4 = K_{2,2}: rho = 2
+    complete_graph(3),           # rho = 2
+    complete_graph(4),           # K2 + P2: four vertices of degree n-1
+    join_with_paths([3], True),  # K2 + P3: three vertices of degree n-1
+    join_with_paths([3], False),
+], ids=["P3", "C4", "K3", "K4", "K2+P3", "2K1+P3"])
+def test_unrecognized_small_joins_fall_back(g):
+    assert recognize_hub_join(g) is None
+    assert_matches_dense(g, "power")
+
+
+def test_recognizer_reports_the_hub_edge():
+    hub1, hub2, paths, hub_edge = recognize_hub_join(
+        join_with_paths([2, 3, 1], True))
+    assert (hub1, hub2, hub_edge) == (0, 1, True)
+    assert paths == [[4, 5, 6], [2, 3], [7]]
+    assert recognize_hub_join(complete_bipartite(2, 4))[3] is False
+    assert recognize_hub_join(join_with_paths([2, 2], False))[2] == [
+        [2, 3], [4, 5]]
+    # hubs over a cycle, and a hub pair with a missing spoke
+    assert recognize_hub_join(from_edges(
+        6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)]
+        + [(h, v) for h in (0, 1) for v in range(2, 6)])) is None
+    assert recognize_hub_join(from_edges(
+        7, [(h, v) for h in (0, 1) for v in range(2, 7) if (h, v) != (1, 6)]
+        + [(5, 6)])) is None
+
+
+def test_thousands_of_parts_stay_on_the_secular_path():
+    # equal path orders are summed as one term, so rounding stays below tol
+    m = 2000
+    for parts, hub_edge, rho in [
+            ([1] * m, False, (8 * m) ** 0.5 / 2),           # K_{2,m}
+            ([1] * m, True, (1 + (1 + 8 * m) ** 0.5) / 2)]:
+        res = spectral_radius(join_with_paths(parts, hub_edge))
+        assert res.solver == "secular"
+        assert res.residual <= TOL
+        assert res.rho == pytest.approx(rho, abs=AGREE)
+    res = spectral_radius(join_with_paths([3, 2, 1] * 333, True))
+    assert res.solver == "secular" and res.residual <= TOL
+
+
+def test_residual_miss_falls_back_to_power_iteration(monkeypatch):
+    g = join_with_paths([6, 3, 1], True)
+    monkeypatch.setattr(spectral, "_edge_residual", lambda g, x, rho: 1.0)
+    res = assert_matches_dense(g, "power")
+    assert res.iterations > 10
+
+
+def test_max_iterations_caps_the_root_finder_too():
+    g = join_with_paths([9, 4, 2], True)
+    assert spectral_radius(g).iterations <= 8
+    with pytest.raises(ConvergenceError) as ei:
+        spectral_radius(g, max_iterations=1)
+    assert ei.value.iterations == 1
+
+
+def test_batched_radii_match_single_solves_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(spectral, "BATCH_ROWS", 7)
+    forests = [lf.parts for a in range(4) for lf in enumerate_lna(24, a)]
+    for hub_edge in (True, False):
+        rows = hub_join_radii(forests, hub_edge)
+        assert len(rows) == len(forests)
+        for parts, (rho, resid, steps) in zip(forests, rows):
+            single = spectral_radius(join_with_paths(parts, hub_edge))
+            assert single.solver == "secular"
+            assert rho == single.rho
+            assert steps == single.iterations
+            assert resid <= TOL
+
+
+def test_batched_radii_fall_back_below_the_secular_range():
+    # K4 minus an edge: the all-singleton start (e + sqrt(e^2 + 8M))/2 is 2
+    (rho, resid, _), = hub_join_radii([(2,)], hub_edge=False)
+    assert rho == pytest.approx((1 + 17 ** 0.5) / 2, abs=AGREE)
+    assert resid <= TOL
+    with pytest.raises(ValueError, match="single order"):
+        hub_join_radii([(3, 1), (2,)], hub_edge=True)
+    with pytest.raises(ValueError, match=">= 1"):
+        hub_join_radii([(3, 0)], hub_edge=True)
+
+
+def test_cli_rho_equals_sweep_rho_max_bit_for_bit(capsys):
+    rho_max = argmax_sweep(259, 0, 3).report.margins["rho_max"]
+    assert main(["rho", "k2+[255,1,1]"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["rho"] == rho_max

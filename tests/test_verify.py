@@ -9,9 +9,8 @@ import pytest
 from spexplanar import (admissible_forests, argmax_sweep, enumerate_lna,
                         from_graph6, lemma1_sweep, lemma2_sweep,
                         merge_threshold, recognize_hub_forest, reports_to_csv,
-                        rerun, resolve_workers, spectral_radius,
-                        verify_claim33, verify_entry_bounds, verify_lemma1,
-                        verify_lemma2)
+                        rerun, spectral_radius, verify_claim33,
+                        verify_entry_bounds, verify_lemma1, verify_lemma2)
 from spexplanar.families import join_with_paths
 from spexplanar.verify import entry_bounds_sample
 
@@ -291,16 +290,6 @@ def test_argmax_sweep_preconditions():
         argmax_sweep(30, 0, 3)
     with pytest.raises(ValueError, match="no admissible forests"):
         argmax_sweep(4, 0, 3, force=True)
-
-
-def test_resolve_workers_env_cap(monkeypatch):
-    monkeypatch.setenv("SPEX_THREADS", "2")
-    assert resolve_workers(8) == 2
-    assert resolve_workers(1) == 1
-    monkeypatch.setenv("SPEX_THREADS", "junk")
-    assert resolve_workers(3) == 3
-    monkeypatch.delenv("SPEX_THREADS")
-    assert resolve_workers(5) == 5
 
 
 # --- report plumbing -------------------------------------------------------------
