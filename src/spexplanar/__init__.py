@@ -18,7 +18,7 @@ from .families import (LinearForest, build_linear_forest, join_with_paths,
 from .spectral import (SpectralResult, SurgeryReport, DisconnectedGraphError,
                        ConvergenceError, spectral_radius,
                        spectral_radius_any, hub_join_radii, rayleigh_quotient,
-                       closed_form_rho, certify_strict, surgery_compare,
+                       closed_form_rho, verdict, surgery_compare,
                        DEFAULT_TOL)
 from .cycles import (CycleRecord, CycleSpectrum, SearchBudgetExceeded,
                      find_cycle, validate_cycle, join_cycle_certificate,

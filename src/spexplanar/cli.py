@@ -1,6 +1,6 @@
 """spex: command-line front end.
 
-Subcommands: build, rho, spectrum, member, verify, sweep, selftest.
+Subcommands: build, rho, spectrum, member, verify, sweep.
 Exit codes: 0 success, 1 when any check reports "violated" (or a
 computation refuses the input), 2 for usage errors.
 
@@ -17,10 +17,10 @@ delimited margin table next to it. No plots: CSV is the boundary.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import gridconfig
@@ -34,21 +34,10 @@ from .graphs import (Graph, Graph6Error, from_graph6, parse_edge_list,
 from .spectral import (DEFAULT_TOL, ConvergenceError, DisconnectedGraphError,
                        spectral_radius)
 from . import verify as V
-from . import selftest as _selftest
 
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    tol: float = DEFAULT_TOL
-    budget: int = DEFAULT_BUDGET
-    out_format: str = "json"  # json | csv | text
-    seed: int = 0
-    args: argparse.Namespace = field(default=None, repr=False)
 
 
 _FAMILY_RES = [
@@ -113,8 +102,7 @@ def _write_csv(path: Optional[str], text: str) -> None:
 # --- subcommand handlers -----------------------------------------------------
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    a = cfg.args
+def cmd_build(a: argparse.Namespace) -> int:
     if a.family == "extremal":
         if a.n is None:
             raise UsageError("build extremal needs --n (and optionally --k)")
@@ -134,8 +122,7 @@ def cmd_build(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_rho(cfg: RunConfig) -> int:
-    a = cfg.args
+def cmd_rho(a: argparse.Namespace) -> int:
     g = load_graph(a.graph)
     res = spectral_radius(g, a.tol)
     if a.emit_vector is not None:
@@ -152,8 +139,7 @@ def cmd_rho(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    a = cfg.args
+def cmd_spectrum(a: argparse.Namespace) -> int:
     g = load_graph(a.graph)
     ell_max = a.max if a.max is not None else g.n
     spec = cycle_spectrum(g, ell_max=ell_max, budget=a.budget)
@@ -167,8 +153,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_member(cfg: RunConfig) -> int:
-    a = cfg.args
+def cmd_member(a: argparse.Namespace) -> int:
     g = load_graph(a.graph)
     member, witness = in_gnk(g, a.k, budget=a.budget)
     _emit({"member": member, "witness": witness})
@@ -179,8 +164,7 @@ def _exit_for(reports) -> int:
     return 1 if any(r.holds == "violated" for r in reports) else 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    a = cfg.args
+def cmd_verify(a: argparse.Namespace) -> int:
     reports = []
     witness_lines = []
     if a.n is None and not (a.check == "entry-bounds" and not a.parts):
@@ -236,8 +220,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return _exit_for(reports)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    a = cfg.args
+def cmd_sweep(a: argparse.Namespace) -> int:
     if a.what != "argmax":
         raise UsageError(f"unknown sweep {a.what!r}; available: argmax")
     result = V.argmax_sweep(a.n, a.k, a.parts, a.tol, force=a.force)
@@ -248,14 +231,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return _exit_for([result.report])
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
-    return _selftest.run(verbose=True)
-
-
 # --- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The spex parser, built once per process (parsing never mutates it)."""
     ap = argparse.ArgumentParser(
         prog="spex",
         description="spectral-extremal toolkit: hub-join constructions, "
@@ -341,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_tol(p)
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("selftest", help="run the built-in example checks")
-    p.set_defaults(fn=cmd_selftest)
-
     return ap
 
 
@@ -354,15 +332,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        tol=getattr(args, "tol", DEFAULT_TOL),
-        budget=getattr(args, "budget", DEFAULT_BUDGET),
-        seed=getattr(args, "seed", 0) or 0,
-        args=args,
-    )
     try:
-        return args.fn(cfg)
+        return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -228,14 +228,15 @@ def cycle_spectrum(g: Graph, ell_max: Optional[int] = None,
         ell_max = g.n
     if ell_max > g.n:
         raise ValueError(f"ell_max {ell_max} exceeds vertex count {g.n}")
-    return CycleSpectrum(g.n, ell_max,
-                         tuple(_cycle_records(g, ell_max, budget)))
+    return CycleSpectrum(g.n, ell_max, tuple(
+        _cycle_records(g, ell_max, budget, recognize_hub_forest(g))))
 
 
-def _cycle_records(g: Graph, ell_max: int,
-                   budget: int) -> Iterator[CycleRecord]:
-    """The records of `cycle_spectrum`, one length at a time, in order."""
-    hub = recognize_hub_forest(g)
+def _cycle_records(g: Graph, ell_max: int, budget: int,
+                   hub: Optional[tuple[int, int, list[list[int]]]]
+                   ) -> Iterator[CycleRecord]:
+    """The records of `cycle_spectrum`, one length at a time, in order;
+    `hub` is g's `recognize_hub_forest` result."""
     for ell in range(3, ell_max + 1):
         if hub is not None:
             cyc = hub_forest_cycle(hub[0], hub[1], hub[2], ell)
@@ -264,13 +265,16 @@ def in_gnk(g: Graph, k: int,
     member is True. Non-planar input is rejected; a budget outcome at any
     length that could still be the witness raises SearchBudgetExceeded.
     Lengths are settled in order and the walk stops at the first absent
-    or unsettled one.
+    or unsettled one. A recognized hub join skips the planarity test: it
+    is a spanning subgraph of K2 + P_{n-2}, which is maximal planar.
     """
     if not 0 <= k <= g.n - 3:
         raise ValueError(f"need 0 <= k <= n-3 = {g.n - 3}, got k={k}")
-    if not is_planar(g):
+    hub = recognize_hub_join(g)
+    if hub is None and not is_planar(g):
         raise ValueError("membership is defined for planar graphs only")
-    for rec in _cycle_records(g, g.n - k, budget):
+    forest = hub[:3] if hub is not None and hub[3] else None
+    for rec in _cycle_records(g, g.n - k, budget, forest):
         if rec.status == "absent":
             return True, rec.ell
         if rec.status == "budget":

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, from_edges, is_planar
+from .graphs import Graph, from_edges
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,10 @@ def k2_join(forest: LinearForest | Sequence[int],
     With `dominating_edge` the hubs are adjacent to each other as well, i.e.
     the join with a 1-edge graph on two vertices; without it the hubs are
     only adjacent to the forest (so all-singleton parts give K_{2,m}).
-    The result is planar either way; for orders up to 200 this is asserted.
+    The result is planar either way: a spanning subgraph of K2 + P_{n-2}.
     """
     lf = forest if isinstance(forest, LinearForest) else LinearForest(tuple(forest))
-    g = join_with_paths(lf.parts, dominating_edge)
-    if g.n <= 200:
-        assert is_planar(g), "K2-join of a linear forest must be planar"
-    return g
+    return join_with_paths(lf.parts, dominating_edge)
 
 
 def recognize_hub_join(g: Graph

@@ -1,16 +1,16 @@
-"""Pinned parameter grids for the standard verification runs.
+"""Pinned parameter grids, under a version tag.
 
-Sweep defaults live here, under a version tag, so a report produced by
-`spex verify ...` or `spex sweep ...` with no explicit parameters is
-reproducible from the package version alone. Bump GRID_VERSION whenever a
-value changes.
+Who reads each constant:
+
+* LEMMA2_SWEEP, ARGMAX_SWEEP: the acceptance tests (`tests/test_acceptance.py`)
+  run the lemma2 and argmax sweeps at these points.
+* ENTRY_BOUNDS_SAMPLE: `spex verify entry-bounds` with no --parts takes its
+  sample defaults from here, and so do the acceptance tests.
+* GRID_VERSION: nothing reads it yet; it is kept so that reports can
+  record which grids produced them. Bump it whenever a value changes.
 """
 
 GRID_VERSION = 1
-
-# all-pairs family ordering runs at these orders (a ranges over every value
-# admitted by the sqrt(2n-4)/4 cap at each order)
-LEMMA1_SWEEP_ORDERS = (40, 60, 80)
 
 # merge + interval sweep: every split of n-2 into n1 >= n2 >= k+2
 LEMMA2_SWEEP = {"n": 300, "k": 0}

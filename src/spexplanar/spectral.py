@@ -26,10 +26,11 @@
 batches, with no graph built per forest; it and `spectral_radius` share
 one root finder, so a join gets the same rho bit for bit from either.
 
-All strict comparisons between computed spectral radii go through
-`certify_strict`: a difference only counts as a strict inequality when it
-clears 10*(tol_a + tol_b); anything smaller is reported indeterminate, never
-silently rounded into a conclusion.
+Every verdict in the package comes from `verdict(margin, slack)`: a
+margin counts as a strict inequality only when it clears the slack
+(10*(tol_a + tol_b) for a difference of two spectral radii), as its
+failure only when it falls below -slack; anything in between is
+indeterminate, never silently rounded into a conclusion.
 """
 
 from __future__ import annotations
@@ -398,19 +399,15 @@ def closed_form_rho(family: str, *params: int) -> float:
     return fn(*params)
 
 
-# --- strictness and surgery ---------------------------------------------------
+# --- verdicts and surgery -----------------------------------------------------
 
 
-def certify_strict(diff: float, tol_a: float, tol_b: float) -> str:
-    """Classify a computed difference as a strict inequality.
-
-    'certified' needs diff > 10*(tol_a+tol_b); the mirror image is
-    'violated'; the band in between is 'indeterminate'.
-    """
-    margin = 10.0 * (tol_a + tol_b)
-    if diff > margin:
+def verdict(margin: float, slack: float) -> str:
+    """'certified' if margin > slack, 'violated' if margin < -slack,
+    'indeterminate' in between (and for a NaN margin)."""
+    if margin > slack:
         return "certified"
-    if diff < -margin:
+    if margin < -slack:
         return "violated"
     return "indeterminate"
 
@@ -447,5 +444,5 @@ def surgery_compare(g: Graph, gp: Graph,
         rayleigh_gp=rq,
         surgery_margin=rq - res.rho,
         variational_gap=rho_gp - rq,
-        bound_holds=rho_gp >= rq - slack,
+        bound_holds=verdict(rho_gp - rq, slack) != "violated",
     )

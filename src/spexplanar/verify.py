@@ -1,11 +1,12 @@
 """Inequality checks and parameter sweeps over hub-join families.
 
 Every check returns a VerificationReport whose `holds` field is one of
-"certified", "violated", or "indeterminate". A strict inequality is only
-certified when the computed difference clears the margin rule from the
-spectral engine (10x the summed tolerances); differences inside that band
-are indeterminate. Reports are plain data: re-running a check with the
-recorded params and tol reproduces the report byte for byte.
+"certified", "violated", or "indeterminate", decided by
+`spectral.verdict(margin, slack)`: certified when the margin clears the
+slack, violated when it falls below -slack, indeterminate in between. A
+difference of two spectral radii gets slack 10x the summed tolerances.
+Reports are plain data: re-running a check with the recorded params and
+tol reproduces the report byte for byte.
 
 The checks, by what they establish:
 
@@ -42,8 +43,8 @@ from typing import Iterable, Sequence
 from .families import (LinearForest, _partitions_desc, enumerate_lna,
                        join_with_paths)
 from .graphs import Graph, from_edges, to_graph6
-from .spectral import (DEFAULT_TOL, certify_strict, hub_join_radii,
-                       rayleigh_quotient, spectral_radius)
+from .spectral import (DEFAULT_TOL, SpectralResult, hub_join_radii,
+                       rayleigh_quotient, spectral_radius, verdict)
 
 _WORST = {"certified": 0, "indeterminate": 1, "violated": 2}
 _RANK = ["certified", "indeterminate", "violated"]
@@ -151,7 +152,7 @@ def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
         check_id="lemma1",
         params={"n": n, "a1": a1, "a2": a2, "l1": list(lf1.parts),
                 "l2": list(lf2.parts), "dominating_edge": False},
-        holds=certify_strict(gap, tol, tol),
+        holds=verdict(gap, 10.0 * (tol + tol)),
         margins={"rho_gap": float(gap), "rho_l1": float(r1.rho),
                  "rho_l2": float(r2.rho)},
         artifacts={"join_l1": to_graph6(g1), "join_l2": to_graph6(g2)},
@@ -189,7 +190,7 @@ def lemma1_sweep(n: int, tol: float = DEFAULT_TOL) -> list[VerificationReport]:
                         "pairs": len(fams[a1]) * len(fams[a2]),
                         "worst_l1": list(hi_parts), "worst_l2": list(lo_parts),
                         "dominating_edge": False},
-                holds=certify_strict(gap, tol, tol),
+                holds=verdict(gap, 10.0 * (tol + tol)),
                 margins={"min_pair_gap": float(gap),
                          "max_rho_l1": float(hi_rho),
                          "min_rho_l2": float(lo_rho)},
@@ -274,6 +275,27 @@ def _apply_chain_swap(g: Graph, n1: int, t1: int, t2: int) -> Graph:
     return from_edges(g.n, edges)
 
 
+def _solved_join(parts: Sequence[int], tol: float
+                 ) -> tuple[Graph, SpectralResult, str]:
+    """The hub join (hub edge present) of `parts`, its solve and graph6."""
+    g = join_with_paths(parts, dominating_edge=True)
+    return g, spectral_radius(g, tol), to_graph6(g)
+
+
+def _pre_merge(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
+               tol: float, force: bool
+               ) -> tuple[bool, Graph, SpectralResult, str]:
+    """Validate a merge instance, then build, solve and encode its
+    pre-merge join: (outside_hypothesis, graph, solve, graph6)."""
+    outside = _validate_merge(n, k, n1, n2, l_parts, force)
+    return (outside, *_solved_join([n1, n2, *l_parts], tol))
+
+
+def _merged_parts(k: int, n1: int, n2: int,
+                  l_parts: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sorted([n1 + n2 - (k + 1), k + 1, *l_parts], reverse=True))
+
+
 def verify_lemma2(n: int, k: int, n1: int, n2: int,
                   l_parts: Sequence[int] = (), tol: float = DEFAULT_TOL,
                   force: bool = False) -> VerificationReport:
@@ -284,13 +306,15 @@ def verify_lemma2(n: int, k: int, n1: int, n2: int,
     bound for the gap as a diagnostic: the pre-merge Perron vector plugged
     into the post-swap graph.
     """
-    outside = _validate_merge(n, k, n1, n2, l_parts, force)
-    before = join_with_paths([n1, n2, *l_parts], dominating_edge=True)
-    merged_parts = tuple(sorted([n1 + n2 - (k + 1), k + 1, *l_parts],
-                                reverse=True))
-    after = join_with_paths(merged_parts, dominating_edge=True)
-    r1 = spectral_radius(before, tol)
-    r2 = spectral_radius(after, tol)
+    pre = _pre_merge(n, k, n1, n2, l_parts, tol, force)
+    post = _solved_join(_merged_parts(k, n1, n2, l_parts), tol)
+    return _lemma2(n, k, n1, n2, l_parts, tol, pre, post)
+
+
+def _lemma2(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
+            tol: float, pre, post) -> VerificationReport:
+    outside, before, r1, before_g6 = pre
+    _, r2, after_g6 = post
     gap = r2.rho - r1.rho
 
     c1, c2 = _chain_indices(n1)
@@ -306,11 +330,10 @@ def verify_lemma2(n: int, k: int, n1: int, n2: int,
     return VerificationReport(
         check_id="lemma2",
         params=params,
-        holds=certify_strict(gap, tol, tol),
+        holds=verdict(gap, 10.0 * (tol + tol)),
         margins={"rho_gap": float(gap), "swap_lower_bound": float(swap_bound),
                  "rho_before": float(r1.rho), "rho_after": float(r2.rho)},
-        artifacts={"join_before": to_graph6(before),
-                   "join_after": to_graph6(after)},
+        artifacts={"join_before": before_g6, "join_after": after_g6},
         tol=tol,
     )
 
@@ -335,9 +358,14 @@ def verify_claim33(n: int, k: int, n1: int, n2: int,
     for i <= min(floor((k+3)/2), floor(n2/2)). Skipped indices are counted
     in params["skipped"].
     """
-    outside = _validate_merge(n, k, n1, n2, l_parts, force)
-    g = join_with_paths([n1, n2, *l_parts], dominating_edge=True)
-    res = spectral_radius(g, tol)
+    return _claim33(n, k, n1, n2, l_parts, tol,
+                    _pre_merge(n, k, n1, n2, l_parts, tol, force))
+
+
+def _claim33(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
+             tol: float, pre
+             ) -> tuple[VerificationReport, list[IntervalWitness]]:
+    outside, _, res, g6 = pre
     rho, x = res.rho, res.vector
     c1, c2 = _chain_indices(n1)
 
@@ -347,12 +375,12 @@ def verify_claim33(n: int, k: int, n1: int, n2: int,
     skipped = 0
     slack_x = 10.0 * tol
 
-    def band_state(value: float, lo: float, hi: float, slack: float) -> str:
-        if value < lo - slack or value > hi + slack:
-            return "violated"
-        if value > lo + slack and value < hi - slack:
-            return "certified"
-        return "indeterminate"
+    def band(i, value, lo, hi, kind, label, slack):
+        value = float(value)
+        st = _combine(verdict(value - lo, slack), verdict(hi - value, slack))
+        states.append(st)
+        witnesses.append(IntervalWitness(
+            i, value, lo, hi, kind, label, st != "violated"))
 
     i_max_step = (k + 2) // 2
     i_max_cross = (k + 3) // 2
@@ -360,17 +388,12 @@ def verify_claim33(n: int, k: int, n1: int, n2: int,
     for i in range(1, i_max_step + 1):
         scale = rho ** i
         half = 8.0 * (2.0 ** i) / rho ** 2
-        lo, hi = 2.0 / rho - half, 2.0 / rho + half
-        slack = 10.0 * tol * scale
         for label, cidx, order in (("chain1", c1, n1), ("chain2", c2, n2)):
             if order < i + 2:
                 skipped += 1
                 continue
-            val = scale * (x[cidx(i + 1)] - x[cidx(i)])
-            st = band_state(float(val), lo, hi, slack)
-            states.append(st)
-            witnesses.append(IntervalWitness(
-                i, float(val), lo, hi, "A", label, st != "violated"))
+            band(i, scale * (x[cidx(i + 1)] - x[cidx(i)]), 2.0 / rho - half,
+                 2.0 / rho + half, "A", label, 10.0 * tol * scale)
 
     for i in range(1, i_max_cross + 1):
         if n2 < 2 * i:
@@ -378,48 +401,26 @@ def verify_claim33(n: int, k: int, n1: int, n2: int,
             continue
         scale = rho ** i
         half = 8.0 * (2.0 ** i) / rho ** 2
-        slack = 10.0 * tol * scale
-        val = scale * (x[c1(i)] - x[c2(i)])
-        st = band_state(float(val), -half, half, slack)
-        states.append(st)
-        witnesses.append(IntervalWitness(
-            i, float(val), -half, half, "B", "cross", st != "violated"))
+        band(i, scale * (x[c1(i)] - x[c2(i)]), -half, half, "B", "cross",
+             10.0 * tol * scale)
 
     # monotonicity: steps beat an explicit positive bound, heads interleave
-    def strict_state(margin: float, value: float) -> str:
-        if min(margin, value) > slack_x:
-            return "certified"
-        if min(margin, value) < -slack_x:
-            return "violated"
-        return "indeterminate"
-
     for i in range(1, i_max_step + 1):
         step_bound = 2.0 / rho ** (i + 1) - 8.0 * 2.0 ** i / rho ** (i + 2)
         cross_bound = 2.0 / rho ** (i + 1) - 16.0 * 2.0 ** i / rho ** (i + 2)
-        if n1 >= i + 2:
-            d = float(x[c1(i + 1)] - x[c1(i)])
-            margins[f"chain1_step_i{i}"] = d - step_bound
-            states.append(strict_state(d - step_bound, d))
-        else:
-            skipped += 1
-        if n1 >= i + 2 and n2 >= 2 * i:
-            d = float(x[c1(i + 1)] - x[c2(i)])
-            margins[f"chain1_over_chain2_i{i}"] = d - cross_bound
-            states.append(strict_state(d - cross_bound, d))
-        else:
-            skipped += 1
-        if n2 >= i + 2:
-            d = float(x[c2(i + 1)] - x[c2(i)])
-            margins[f"chain2_step_i{i}"] = d - step_bound
-            states.append(strict_state(d - step_bound, d))
-        else:
-            skipped += 1
-        if n2 >= i + 2 and n2 >= 2 * i:
-            d = float(x[c2(i + 1)] - x[c1(i)])
-            margins[f"chain2_over_chain1_i{i}"] = d - cross_bound
-            states.append(strict_state(d - cross_bound, d))
-        else:
-            skipped += 1
+        for name, guard, u, v, bound in (
+                ("chain1_step", n1 >= i + 2, c1(i + 1), c1(i), step_bound),
+                ("chain1_over_chain2", n1 >= i + 2 and n2 >= 2 * i,
+                 c1(i + 1), c2(i), cross_bound),
+                ("chain2_step", n2 >= i + 2, c2(i + 1), c2(i), step_bound),
+                ("chain2_over_chain1", n2 >= i + 2 and n2 >= 2 * i,
+                 c2(i + 1), c1(i), cross_bound)):
+            if not guard:
+                skipped += 1
+                continue
+            d = float(x[u] - x[v])
+            margins[f"{name}_i{i}"] = d - bound
+            states.append(verdict(min(d - bound, d), slack_x))
 
     if witnesses:
         margins["min_band_slack"] = float(min(
@@ -433,9 +434,9 @@ def verify_claim33(n: int, k: int, n1: int, n2: int,
     report = VerificationReport(
         check_id="claim33",
         params=params,
-        holds=_combine(*states) if states else "certified",
+        holds=_combine(*states),
         margins=margins,
-        artifacts={"join": to_graph6(g)},
+        artifacts={"join": g6},
         tol=tol,
     )
     return report, witnesses
@@ -446,16 +447,19 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
     """Merge + interval checks over every split n1 >= n2 >= k+2 of n-2.
 
     The residual forest is empty throughout (the two paths carry all of
-    n-2). Returns the lemma2 and claim33 reports interleaved per split.
+    n-2), so every split merges into the same join (n-k-3, k+1): each
+    pre-merge join and that one post-merge join are solved and encoded
+    once. Returns the lemma2 and claim33 reports interleaved per split.
     """
     reports = []
+    post = None
     for n2 in range(k + 2, (n - 2) // 2 + 1):
         n1 = n - 2 - n2
-        if n1 < n2:
-            break
-        reports.append(verify_lemma2(n, k, n1, n2, (), tol, force))
-        rep, _ = verify_claim33(n, k, n1, n2, (), tol, force)
-        reports.append(rep)
+        pre = _pre_merge(n, k, n1, n2, (), tol, force)
+        if post is None:
+            post = _solved_join(_merged_parts(k, n1, n2, ()), tol)
+        reports.append(_lemma2(n, k, n1, n2, (), tol, pre, post))
+        reports.append(_claim33(n, k, n1, n2, (), tol, pre)[0])
     return reports
 
 
@@ -481,8 +485,8 @@ def verify_entry_bounds(n: int, parts: Sequence[int],
     lower_slack = float(forest.min() - lo)
     upper_slack = float(hi - forest.max())
     hub_dev = float(max(abs(x[0] - 1.0), abs(x[1] - 1.0)))
-    ok = (lower_slack >= -slack and upper_slack >= -slack
-          and hub_dev <= slack)
+    ok = all(verdict(m, slack) != "violated"
+             for m in (lower_slack, upper_slack, -hub_dev))
     return VerificationReport(
         check_id="entry_bounds",
         params={"n": n, "parts": list(lf.parts), "dominating_edge": False},
@@ -582,7 +586,8 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
 
     best = max(rows, key=lambda r: r[1])
     margin = 10.0 * (tol + tol)
-    ties = [r[0] for r in rows if best[1] - r[1] <= margin]
+    ties = [r[0] for r in rows
+            if verdict(best[1] - r[1], margin) != "certified"]
     runner_up = max((r[1] for r in rows if r[0] != best[0]), default=-math.inf)
     expected = (n - 2 * k - 4, k + 1, k + 1)
     holds = "certified" if len(ties) == 1 else "indeterminate"

@@ -7,7 +7,7 @@ import pytest
 
 from spexplanar import (complete_graph, cycle_graph, extremal_graph,
                         from_graph6, k2_join, to_graph6, union)
-from spexplanar.cli import main, parse_family
+from spexplanar.cli import build_parser, main, parse_family
 
 
 def run(capsys, *argv):
@@ -331,16 +331,20 @@ def test_help_exits_zero(capsys):
     assert "subcommands" in out or "spex" in out
 
 
-def test_selftest_runs_clean(capsys):
-    code, out, _ = run(capsys, "selftest")
-    assert code == 0
-    assert "ok" in out
-
-
 def test_cli_output_is_deterministic(capsys):
     a = run(capsys, "rho", "k2+[9,4,2]")
     b = run(capsys, "rho", "k2+[9,4,2]")
     assert a == b
+    # the parser is built once per process: different commands in a row
+    # print what each prints from a freshly built parser
+    calls = [("rho", "k2+[9,4,2]", "--tol", "1e-10"),
+             ("member", "extremal(10,0)", "--k", "0"), ("rho", "K2,3")]
+    warm = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert warm == fresh
 
 
 def test_build_roundtrip_through_cli(capsys):

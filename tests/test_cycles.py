@@ -133,6 +133,7 @@ def test_join_cycle_certificate_examples():
     assert join_cycle_certificate([1, 1, 1], 3) == [0, 2, 1]
     assert join_cycle_certificate([4, 2], 8) == [0, 2, 3, 4, 5, 1, 6, 7]
     assert join_cycle_certificate([4, 2], 9) is None
+    assert join_cycle_certificate([4, 1, 1], 9) is None
     assert join_cycle_certificate(LinearForest((3, 3, 3)), 8) is not None
 
 
@@ -180,11 +181,14 @@ def test_in_gnk_membership():
     assert in_gnk(extremal_graph(25, 2), 2) == (True, 23)
     assert in_gnk(complete_graph(4), 0) == (False, None)
     assert in_gnk(cycle_graph(6), 3) == (True, 3)
+    assert in_gnk(k2_join([6]), 0) == (False, None)
 
 
 def test_in_gnk_rejects_bad_input():
-    with pytest.raises(ValueError, match="planar"):
-        in_gnk(complete_graph(5), 0)
+    for g in (complete_graph(5), complete_bipartite(3, 3)):
+        with pytest.raises(ValueError,
+                           match="membership is defined for planar graphs"):
+            in_gnk(g, 0)
     with pytest.raises(ValueError, match="0 <= k <= n-3"):
         in_gnk(cycle_graph(6), 4)
     with pytest.raises(ValueError, match="0 <= k <= n-3"):
@@ -203,6 +207,25 @@ def test_in_gnk_stops_at_the_first_absent_length(monkeypatch):
     monkeypatch.setattr(cycles, "find_cycle", counting)
     assert in_gnk(cycle_graph(60), 0) == (True, 3)
     assert searched == [3]
+
+
+def test_in_gnk_skips_planarity_on_hub_joins(monkeypatch):
+    # a recognized join is a spanning subgraph of the maximal planar
+    # K2 + P_{n-2}, with or without the hub edge: no planarity test needed
+    from spexplanar import cycles
+    tested = []
+    planar = cycles.is_planar
+
+    def counting(g):
+        tested.append(g.n)
+        return planar(g)
+
+    monkeypatch.setattr(cycles, "is_planar", counting)
+    assert in_gnk(extremal_graph(259, 0), 0) == (True, 259)
+    assert in_gnk(k2_join([3, 1, 1, 1], dominating_edge=False), 0) == (True, 7)
+    assert tested == []
+    assert in_gnk(cycle_graph(6), 0) == (True, 3)
+    assert tested == [6]
 
 
 def test_in_gnk_budget_propagates():

@@ -63,11 +63,16 @@ def test_k2_join_is_planar_both_ways():
     for parts in [(10, 3, 2), (1,) * 12, (40,)]:
         assert is_planar(k2_join(parts, dominating_edge=True))
         assert is_planar(k2_join(parts, dominating_edge=False))
+    # K2 + P_{n-2} contains every join of order n, with or without the hub
+    # edge, as a spanning subgraph: all of them are planar
+    for n in [*range(3, 201), 259, 300]:
+        assert is_planar(join_with_paths([n - 2], True)), n
 
 
 def test_extremal_graph_shape_and_edge_count():
     assert extremal_graph(8, 0) == k2_join([4, 1, 1])
-    for n, k in [(7, 0), (8, 0), (20, 0), (10, 1), (25, 1), (13, 2), (40, 2)]:
+    for n, k in [(7, 0), (8, 0), (20, 0), (10, 1), (12, 1), (25, 1), (13, 2),
+                 (40, 2)]:
         g = extremal_graph(n, k)
         assert g.n == n
         # hub edge + forest edges (n-5) + two full join stars

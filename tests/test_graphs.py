@@ -10,7 +10,8 @@ from spexplanar import (Graph, Graph6Error, GraphConstructionError,
                         from_graph6, induced_subgraph, is_planar, join,
                         parse_edge_list, planar_bounds_check, to_graph6,
                         union)
-from spexplanar.families import complete_bipartite, complete_graph, path_graph
+from spexplanar.families import (complete_bipartite, complete_graph,
+                                 extremal_graph, path_graph)
 
 import oracles
 
@@ -150,8 +151,11 @@ def test_graph6_rejects_non_ascii():
 
 
 def test_graph6_rejects_extra_bytes():
-    with pytest.raises(Graph6Error, match="expected 1 body bytes for n=2"):
-        from_graph6("A__")
+    for text in ("A__", "A?x"):
+        with pytest.raises(Graph6Error,
+                           match="expected 1 body bytes for n=2") as ei:
+            from_graph6(text)
+        assert ei.value.offset >= 1
 
 
 # --- edge-list text -----------------------------------------------------------
@@ -259,6 +263,9 @@ def test_planar_bounds_rejects_bad_input():
 def test_planar_bounds_hold_on_random_planar_graphs():
     # both bounds hold for every planar graph: no sampled subset pair
     # may ever break them
+    rep = planar_bounds_check(extremal_graph(8, 0),
+                              VertexSubsetPair((0, 1, 2, 3), (4, 5, 6)))
+    assert rep.holds and rep.e_x <= rep.x_bound
     rng = random.Random(7)
     checked = 0
     while checked < 200:

@@ -1,5 +1,5 @@
 """Power-iteration engine against the dense eigensolver, plus the
-comparison rules (certify_strict, surgery_compare) built on top of it."""
+comparison rules (verdict, surgery_compare) built on top of it."""
 
 import math
 import random
@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from spexplanar import (ConvergenceError, DisconnectedGraphError,
-                        certify_strict, closed_form_rho, complete_bipartite,
+                        closed_form_rho, complete_bipartite,
                         complete_graph, cycle_graph, from_edges, k2_join,
                         path_graph, rayleigh_quotient, spectral_radius,
-                        spectral_radius_any, surgery_compare, union)
+                        spectral_radius_any, surgery_compare, union, verdict)
 from spexplanar.spectral import adjacency_matrix
 
 import oracles
@@ -136,6 +136,7 @@ def test_rayleigh_quotient_variational():
     g = oracles.random_connected(rng, 15, extra=10)
     res = spectral_radius(g)
     assert rayleigh_quotient(g, res.vector) == pytest.approx(res.rho, abs=1e-9)
+    assert rayleigh_quotient(complete_graph(2), [1.0, 1.0]) == 1.0
     for _ in range(50):
         x = np.array([rng.uniform(-1, 1) for _ in range(g.n)])
         if not x.any():
@@ -151,13 +152,13 @@ def test_rayleigh_quotient_rejects_bad_vectors():
         rayleigh_quotient(g, np.zeros(3))
 
 
-def test_certify_strict_thresholds():
-    # margin is 10*(tol_a+tol_b) = 2e-11 here
-    assert certify_strict(3e-11, TOL, TOL) == "certified"
-    assert certify_strict(2e-11, TOL, TOL) == "indeterminate"
-    assert certify_strict(0.0, TOL, TOL) == "indeterminate"
-    assert certify_strict(-2e-11, TOL, TOL) == "indeterminate"
-    assert certify_strict(-3e-11, TOL, TOL) == "violated"
+def test_verdict_thresholds():
+    # slack 2e-11 = 10*(tol_a+tol_b), the rule for a difference of two rhos
+    assert verdict(3e-11, 2e-11) == "certified"
+    assert verdict(2e-11, 2e-11) == "indeterminate"
+    assert verdict(0.0, 2e-11) == "indeterminate"
+    assert verdict(-2e-11, 2e-11) == "indeterminate"
+    assert verdict(-3e-11, 2e-11) == "violated"
 
 
 def test_edge_addition_strictly_raises_rho():
@@ -174,7 +175,7 @@ def test_edge_addition_strictly_raises_rho():
             continue
         gp = from_edges(n, list(g.edges()) + [rng.choice(non_edges)])
         diff = spectral_radius(gp).rho - spectral_radius(g).rho
-        assert certify_strict(diff, TOL, TOL) == "certified"
+        assert verdict(diff, 10 * (TOL + TOL)) == "certified"
         done += 1
 
 

@@ -197,6 +197,33 @@ def test_lemma2_sweep_interleaves_reports():
                       (12, 6), (11, 7), (10, 8), (9, 9)]
 
 
+def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
+    from spexplanar import verify
+    solved, encoded = [], []
+    solve, encode = verify.spectral_radius, verify.to_graph6
+
+    def counting_solve(g, tol):
+        solved.append(g)
+        return solve(g, tol)
+
+    def counting_encode(g):
+        encoded.append(g)
+        return encode(g)
+
+    monkeypatch.setattr(verify, "spectral_radius", counting_solve)
+    monkeypatch.setattr(verify, "to_graph6", counting_encode)
+    reports = lemma2_sweep(20, 0, force=True)
+    # 8 pre-merge joins plus the one post-merge join (16, 1) they share
+    assert len(solved) == len(set(solved)) == 9
+    assert len(encoded) == len(set(encoded)) == 9
+    monkeypatch.undo()
+    singles = []
+    for n2 in range(2, 10):
+        singles.append(verify_lemma2(20, 0, 18 - n2, n2, force=True))
+        singles.append(verify_claim33(20, 0, 18 - n2, n2, force=True)[0])
+    assert [r.to_json() for r in reports] == [r.to_json() for r in singles]
+
+
 # --- entry bounds --------------------------------------------------------------
 
 
