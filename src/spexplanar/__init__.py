@@ -22,7 +22,7 @@ from .spectral import (SpectralResult, SurgeryReport, DisconnectedGraphError,
                        DEFAULT_TOL)
 from .cycles import (CycleRecord, CycleSpectrum, SearchBudgetExceeded,
                      find_cycle, validate_cycle, join_cycle_certificate,
-                     recognize_hub_forest, cycle_spectrum, in_gnk,
+                     cycle_spectrum, in_gnk,
                      DEFAULT_BUDGET)
 from .verify import (IntervalWitness, VerificationReport, ArgmaxSweepResult,
                      verify_lemma1, lemma1_sweep, verify_lemma2,

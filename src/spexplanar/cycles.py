@@ -5,10 +5,11 @@ real cycle (revalidated before return) and `None` means a completed proof of
 absence. Exhaustion of the node budget is a third outcome, raised as
 SearchBudgetExceeded, never folded into "absent".
 
-Graphs that are two universal hubs over a linear forest get a constructive
-fast path: such a graph has every cycle length from 3 up to n1+n2+2 (two
-largest path orders plus the hubs) and nothing longer, and the certificate
-is written down directly instead of searched for.
+Hub joins, two hubs over a linear forest with or without the hub edge,
+get a constructive fast path: such a graph has every cycle length from 3
+up to n1+n2+2 (two largest path orders plus the hubs) and nothing longer,
+except that K_{2,m} (no hub edge, no forest edge) has length 4 only. The
+certificate is written down directly instead of searched for.
 """
 
 from __future__ import annotations
@@ -111,59 +112,65 @@ def _search_anchor(g: Graph, s: int, ell: int,
     if reach < ell:
         return None
 
+    # depth-first over an explicit stack of neighbour iterators, one per
+    # path vertex below the current one; each vertex expanded costs one
+    # budget unit, and the loop ends when `left` goes negative
     visited = bytearray(n)
     visited[s] = 1
     path = [s]
+    stack = []
+    it = iter(adj[s])
     target = ell - 1  # edges before the closing edge
     s_nbrs = set(adj[s])
-
-    def dfs(v: int, depth: int) -> bool:
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise SearchBudgetExceeded(ell, budget)
-        if depth == target:
-            return v in s_nbrs
-        cap = ell - depth - 1
-        for w in adj[v]:
+    left = remaining[0] - 1
+    while left >= 0:
+        cap = ell - len(path)
+        for w in it:
             if not visited[w] and dist[w] <= cap:
-                visited[w] = 1
+                break
+        else:
+            if not stack:
+                remaining[0] = left
+                return None
+            visited[path.pop()] = 0
+            it = stack.pop()
+            continue
+        left -= 1
+        if len(path) == target:
+            if left >= 0 and w in s_nbrs:
                 path.append(w)
-                if dfs(w, depth + 1):
-                    return True
-                path.pop()
-                visited[w] = 0
-        return False
-
-    if dfs(s, 0):
-        return path
-    return None
+                return path
+            continue
+        visited[w] = 1
+        path.append(w)
+        stack.append(it)
+        it = iter(adj[w])
+    raise SearchBudgetExceeded(ell, budget)
 
 
-# --- hub-over-forest recognition and constructive certificates --------------
-
-
-def recognize_hub_forest(g: Graph) -> Optional[tuple[int, int, list[list[int]]]]:
-    """(hub1, hub2, paths) when g is two adjacent universal hubs over a
-    linear forest (see `families.recognize_hub_join`), else None. Joins
-    without the hub edge are not recognized here: their cycle spectra go
-    through the search."""
-    hub = recognize_hub_join(g)
-    if hub is None or not hub[3]:
-        return None
-    return hub[0], hub[1], hub[2]
+# --- constructive certificates for hub joins ---------------------------------
 
 
 def hub_forest_cycle(hub1: int, hub2: int, paths: list[list[int]],
-                     ell: int) -> Optional[list[int]]:
-    """Cycle of length `ell` through both hubs and prefixes of the two
-    longest paths; None when 3 <= ell <= n1+n2+2 fails."""
+                     ell: int, hub_edge: bool = True) -> Optional[list[int]]:
+    """Cycle of length `ell` in the hub join over `paths` (longest first);
+    None when the join has no such cycle.
+
+    With the hub edge the cycle runs through both hubs and prefixes of the
+    two longest paths (the second possibly empty), for 3 <= ell <= n1+n2+2.
+    Without it, length 3 is a hub plus a forest edge, and length ell >= 4
+    takes two non-empty segments: prefixes of the two longest paths, or two
+    consecutive pieces of a single path.
+    """
     n1 = len(paths[0])
     n2 = len(paths[1]) if len(paths) > 1 else 0
     if ell < 3 or ell > n1 + n2 + 2:
         return None
-    a = min(n1, ell - 2)
-    b = ell - 2 - a
-    return [hub1] + paths[0][:a] + [hub2] + (paths[1][:b] if b else [])
+    if ell == 3 and not hub_edge:
+        return [hub1] + paths[0][:2] if n1 >= 2 else None
+    a = min(n1, ell - 2 if hub_edge else ell - 3)
+    second = paths[1] if n2 else paths[0][a:]
+    return [hub1] + paths[0][:a] + [hub2] + second[:ell - 2 - a]
 
 
 def join_cycle_certificate(forest: LinearForest | Sequence[int],
@@ -219,8 +226,8 @@ def cycle_spectrum(g: Graph, ell_max: Optional[int] = None,
                    budget: int = DEFAULT_BUDGET) -> CycleSpectrum:
     """Presence of each cycle length 3..ell_max.
 
-    Uses the constructive hub-forest path when the structure is recognized
-    (no search, no budget outcomes); otherwise runs `find_cycle` per length
+    Uses the constructive hub-join path when `recognize_hub_join` accepts
+    g (no search, no budget outcomes); otherwise runs `find_cycle` per length
     with `budget` node expansions each, recording "budget" for lengths the
     search could not settle.
     """
@@ -229,31 +236,25 @@ def cycle_spectrum(g: Graph, ell_max: Optional[int] = None,
     if ell_max > g.n:
         raise ValueError(f"ell_max {ell_max} exceeds vertex count {g.n}")
     return CycleSpectrum(g.n, ell_max, tuple(
-        _cycle_records(g, ell_max, budget, recognize_hub_forest(g))))
+        _cycle_records(g, ell_max, budget, recognize_hub_join(g))))
 
 
 def _cycle_records(g: Graph, ell_max: int, budget: int,
-                   hub: Optional[tuple[int, int, list[list[int]]]]
+                   hub: Optional[tuple[int, int, list[list[int]], bool]]
                    ) -> Iterator[CycleRecord]:
     """The records of `cycle_spectrum`, one length at a time, in order;
-    `hub` is g's `recognize_hub_forest` result."""
+    `hub` is g's `recognize_hub_join` result."""
     for ell in range(3, ell_max + 1):
-        if hub is not None:
-            cyc = hub_forest_cycle(hub[0], hub[1], hub[2], ell)
-            if cyc is not None:
-                validate_cycle(g, cyc)
-                yield CycleRecord(ell, "present", tuple(cyc))
-            else:
-                yield CycleRecord(ell, "absent", None)
-            continue
         try:
-            cyc = find_cycle(g, ell, budget)
+            cyc = (find_cycle(g, ell, budget) if hub is None
+                   else hub_forest_cycle(*hub[:3], ell, hub[3]))
         except SearchBudgetExceeded:
             yield CycleRecord(ell, "budget", None)
             continue
         if cyc is None:
             yield CycleRecord(ell, "absent", None)
         else:
+            validate_cycle(g, cyc)
             yield CycleRecord(ell, "present", tuple(cyc))
 
 
@@ -273,8 +274,7 @@ def in_gnk(g: Graph, k: int,
     hub = recognize_hub_join(g)
     if hub is None and not is_planar(g):
         raise ValueError("membership is defined for planar graphs only")
-    forest = hub[:3] if hub is not None and hub[3] else None
-    for rec in _cycle_records(g, g.n - k, budget, forest):
+    for rec in _cycle_records(g, g.n - k, budget, hub):
         if rec.status == "absent":
             return True, rec.ell
         if rec.status == "budget":

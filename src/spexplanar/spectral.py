@@ -15,12 +15,12 @@
   converges monotonically (f is increasing and concave there), and the
   Perron vector is written down per path block in closed form. The
   residual ||Ax - rho x||_inf is recomputed from the graph's own edges;
-  above `tol` the call falls back to the power iteration.
-* Everything else takes a shifted power iteration: iterate (A+I)x from the
-  all-ones vector and stop once the infinity-norm residual of the
-  max-normalized iterate drops to `tol`. The +I shift costs nothing and
-  makes bipartite inputs (where A alone has a -rho eigenvalue of equal
-  modulus) converge; the reported rho is the Rayleigh quotient of A itself.
+  above `tol` the call falls back to the dense solve.
+* Everything else takes one dense symmetric solve: the all-ones vector on
+  regular graphs (an exact eigenvector there), otherwise the top
+  eigenvector of `numpy.linalg.eigh`, max-normalized. Its residual is
+  O(u ||A||) by backward stability, so there is no iteration to cap; a
+  residual above `tol` raises ConvergenceError.
 
 `hub_join_radii` runs the secular engine on part lists directly, in fixed
 batches, with no graph built per forest; it and `spectral_radius` share
@@ -47,9 +47,9 @@ from .families import join_with_paths, recognize_hub_join
 from .graphs import Graph, induced_subgraph
 
 DEFAULT_TOL = 1e-12
-MAX_ITERATIONS = 10 ** 6
 BATCH_ROWS = 256      # forests per numpy batch in hub_join_radii
 NEWTON_STOP = 1e-14   # relative Newton step at which the root is taken
+NEWTON_CAP = 100      # Newton steps before a row falls back to the dense solve
 
 
 class DisconnectedGraphError(ValueError):
@@ -57,11 +57,8 @@ class DisconnectedGraphError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, iterations: int, residual: float, tol: float):
-        super().__init__(
-            f"power iteration hit the {iterations}-iteration cap at "
-            f"residual {residual:.3e} (tol {tol:.1e})")
-        self.iterations = iterations
+    def __init__(self, residual: float, tol: float):
+        super().__init__(f"residual {residual:.3e} misses tol {tol:.1e}")
         self.residual = residual
         self.tol = tol
 
@@ -70,15 +67,15 @@ class ConvergenceError(RuntimeError):
 class SpectralResult:
     """rho plus its max-normalized Perron vector and convergence data.
 
-    `iterations` counts power-iteration steps or, for `solver` "secular",
-    Newton steps on the secular equation.
+    `iterations` counts Newton steps on the secular equation for `solver`
+    "secular" and is 1 for `solver` "dense".
     """
 
     rho: float
     vector: np.ndarray
     residual: float
     iterations: int
-    solver: str = "power"
+    solver: str
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -89,44 +86,41 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def spectral_radius(g: Graph, tol: float = DEFAULT_TOL,
-                    max_iterations: int = MAX_ITERATIONS) -> SpectralResult:
+def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest adjacency eigenvalue of a connected graph, with Perron vector.
 
     Deterministic: hub joins take the secular engine, everything else (and
-    any join whose secular residual misses `tol`) the power iteration from
-    a fixed start vector. Raises DisconnectedGraphError on disconnected
-    input and ConvergenceError if the residual has not reached `tol` within
-    `max_iterations` steps.
+    any join whose secular solve misses `tol`) the dense solve. Raises
+    DisconnectedGraphError on disconnected input and ConvergenceError if
+    the dense solve's residual misses `tol`.
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
     hub = recognize_hub_join(g)
     if hub is not None:
-        res = _hub_join_spectrum(g, hub, tol, max_iterations)
+        res = _hub_join_spectrum(g, hub, tol)
         if res is not None:
             return res
     elif not g.is_connected():
         raise DisconnectedGraphError(
             f"graph with {g.n} vertices is not connected")
-    return _power_iteration(g, tol, max_iterations)
+    return _dense_solve(g, tol)
 
 
-def _power_iteration(g: Graph, tol: float,
-                     max_iterations: int) -> SpectralResult:
+def _dense_solve(g: Graph, tol: float) -> SpectralResult:
     a = adjacency_matrix(g)
     x = np.ones(g.n)
-    rho = 0.0
-    resid = math.inf
-    for it in range(1, max_iterations + 1):
+    z = a @ x
+    if z.min() < z.max():
+        # not regular: the all-ones residual max|deg - mean deg| is >= 1/2
+        x = np.abs(np.linalg.eigh(a)[1][:, -1])
+        x = x / x.max()
         z = a @ x
-        rho = float(x @ z) / float(x @ x)
-        resid = float(np.max(np.abs(z - rho * x)))
-        if resid <= tol:
-            return SpectralResult(rho, x, resid, it)
-        y = z + x
-        x = y / y.max()
-    raise ConvergenceError(max_iterations, resid, tol)
+    rho = float(x @ z) / float(x @ x)
+    resid = float(np.max(np.abs(z - rho * x)))
+    if resid > tol:
+        raise ConvergenceError(resid, tol)
+    return SpectralResult(rho, x, resid, 1, "dense")
 
 
 # --- the secular engine for hub joins ----------------------------------------
@@ -189,8 +183,7 @@ def _secular(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray,
     return rho - e - 2.0 * s_sum, 1.0 + 2.0 * q_sum
 
 
-def _secular_roots(m: np.ndarray, cnt: np.ndarray, e: float,
-                   max_iterations: int
+def _secular_roots(m: np.ndarray, cnt: np.ndarray, e: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rho, Newton steps, converged) per row.
 
@@ -199,13 +192,14 @@ def _secular_roots(m: np.ndarray, cnt: np.ndarray, e: float,
     increasing and concave above 2, so the iterates rise to the root while
     f < 0: a row is done once f >= 0 (rounding noise at the root) or the
     step falls below NEWTON_STOP relative. Rows whose start is not above 2
-    (K3, K4 minus an edge) are not converged.
+    (K3, K4 minus an edge), or that take NEWTON_CAP steps, are not
+    converged.
     """
     rho = (e + np.sqrt(e * e + 8.0 * (m * cnt).sum(axis=1))) / 2.0
     steps = np.zeros(len(rho), dtype=np.int64)
     active = rho > 2.0
     converged = np.zeros(len(rho), dtype=bool)
-    for _ in range(max_iterations):
+    for _ in range(NEWTON_CAP):
         rows = np.flatnonzero(active)
         if not len(rows):
             break
@@ -241,14 +235,13 @@ def _forest_entries(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray
     return y, idx, part
 
 
-def _hub_join_spectrum(g: Graph, hub, tol: float,
-                       max_iterations: int) -> Optional[SpectralResult]:
-    """Secular solve of a recognized hub join; None when it does not
-    converge within `max_iterations` or its residual misses `tol`."""
+def _hub_join_spectrum(g: Graph, hub, tol: float
+                       ) -> Optional[SpectralResult]:
+    """Secular solve of a recognized hub join; None when Newton does not
+    converge or the residual misses `tol`."""
     hub1, hub2, paths, hub_edge = hub
     m, cnt = _part_matrix([[len(p) for p in paths]])
-    rho, steps, converged = _secular_roots(m, cnt, float(hub_edge),
-                                           max_iterations)
+    rho, steps, converged = _secular_roots(m, cnt, float(hub_edge))
     if not converged[0]:
         return None
     y, _, _ = _forest_entries(m, cnt, rho)
@@ -299,7 +292,7 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
 
     All forests must have the same order. Runs the secular engine in
     batches of BATCH_ROWS forests without building a graph; a forest whose
-    residual misses `tol` is solved by `spectral_radius` on its join.
+    residual misses `tol` gets the dense solve of its join.
     """
     if len({sum(parts) for parts in forests}) > 1:
         raise ValueError("hub_join_radii needs forests of a single order")
@@ -310,7 +303,7 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
     for lo in range(0, len(forests), BATCH_ROWS):
         chunk = forests[lo:lo + BATCH_ROWS]
         m, cnt = _part_matrix(chunk)
-        rho, steps, converged = _secular_roots(m, cnt, e, MAX_ITERATIONS)
+        rho, steps, converged = _secular_roots(m, cnt, e)
         resid = np.full(len(chunk), math.inf)
         if converged.any():
             y, idx, part = _forest_entries(m[converged], cnt[converged],
@@ -322,7 +315,7 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
                 out.append((float(rho[row]), float(resid[row]),
                             int(steps[row])))
             else:
-                res = spectral_radius(join_with_paths(parts, hub_edge), tol)
+                res = _dense_solve(join_with_paths(parts, hub_edge), tol)
                 out.append((res.rho, res.residual, res.iterations))
     return out
 

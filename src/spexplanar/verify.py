@@ -171,34 +171,40 @@ def lemma1_sweep(n: int, tol: float = DEFAULT_TOL) -> list[VerificationReport]:
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     a_max = int(_a_limit(n))
-    fams = {}
-    for a in range(a_max + 1):
-        forests = [lf.parts for lf in enumerate_lna(n, a)]
-        radii = hub_join_radii(forests, hub_edge=False, tol=tol)
-        fams[a] = [(rho, parts) for (rho, _, _), parts in zip(radii, forests)]
-    reports = []
-    for a1 in range(1, a_max + 1):
-        for a2 in range(a1):
-            hi_rho, hi_parts = max(fams[a1])   # worst L1: largest rho
-            lo_rho, lo_parts = min(fams[a2])   # worst L2: smallest rho
-            gap = lo_rho - hi_rho
-            g_hi = join_with_paths(hi_parts, dominating_edge=False)
-            g_lo = join_with_paths(lo_parts, dominating_edge=False)
-            reports.append(VerificationReport(
-                check_id="lemma1_pair",
-                params={"n": n, "a1": a1, "a2": a2,
-                        "pairs": len(fams[a1]) * len(fams[a2]),
-                        "worst_l1": list(hi_parts), "worst_l2": list(lo_parts),
-                        "dominating_edge": False},
-                holds=verdict(gap, 10.0 * (tol + tol)),
-                margins={"min_pair_gap": float(gap),
-                         "max_rho_l1": float(hi_rho),
-                         "min_rho_l2": float(lo_rho)},
-                artifacts={"worst_join_l1": to_graph6(g_hi),
-                           "worst_join_l2": to_graph6(g_lo)},
-                tol=tol,
-            ))
-    return reports
+    fams = [_lna_radii(n, a, tol) for a in range(a_max + 1)]
+    return [_lemma1_pair(n, a1, a2, fams[a1], fams[a2], tol)
+            for a1 in range(1, a_max + 1) for a2 in range(a1)]
+
+
+def _lna_radii(n: int, a: int, tol: float) -> list[tuple[float, tuple]]:
+    """(rho, parts) of the hub join (no hub edge) of every forest in L_{n,a}."""
+    forests = [lf.parts for lf in enumerate_lna(n, a)]
+    radii = hub_join_radii(forests, hub_edge=False, tol=tol)
+    return [(rho, parts) for (rho, _, _), parts in zip(radii, forests)]
+
+
+def _lemma1_pair(n: int, a1: int, a2: int, fam1, fam2,
+                 tol: float) -> VerificationReport:
+    """The lemma1_pair report of (a1, a2) from the two families' radii."""
+    hi_rho, hi_parts = max(fam1)   # worst L1: largest rho
+    lo_rho, lo_parts = min(fam2)   # worst L2: smallest rho
+    gap = lo_rho - hi_rho
+    g_hi = join_with_paths(hi_parts, dominating_edge=False)
+    g_lo = join_with_paths(lo_parts, dominating_edge=False)
+    return VerificationReport(
+        check_id="lemma1_pair",
+        params={"n": n, "a1": a1, "a2": a2,
+                "pairs": len(fam1) * len(fam2),
+                "worst_l1": list(hi_parts), "worst_l2": list(lo_parts),
+                "dominating_edge": False},
+        holds=verdict(gap, 10.0 * (tol + tol)),
+        margins={"min_pair_gap": float(gap),
+                 "max_rho_l1": float(hi_rho),
+                 "min_rho_l2": float(lo_rho)},
+        artifacts={"worst_join_l1": to_graph6(g_hi),
+                   "worst_join_l2": to_graph6(g_lo)},
+        tol=tol,
+    )
 
 
 # --- lemma2 and claim33: the merge comparison and its entry intervals -------
@@ -635,10 +641,11 @@ def rerun(report: VerificationReport) -> VerificationReport:
     if report.check_id == "entry_bounds":
         return verify_entry_bounds(p["n"], p["parts"], report.tol)
     if report.check_id == "lemma1_pair":
-        for rep in lemma1_sweep(p["n"], report.tol):
-            if rep.params["a1"] == p["a1"] and rep.params["a2"] == p["a2"]:
-                return rep
-        raise ValueError(f"pair (a1={p['a1']}, a2={p['a2']}) not in sweep")
+        n, a1, a2 = p["n"], p["a1"], p["a2"]
+        if n < 4 or not 0 <= a2 < a1 <= _a_limit(n):
+            raise ValueError(f"pair (a1={a1}, a2={a2}) not in sweep")
+        return _lemma1_pair(n, a1, a2, _lna_radii(n, a1, report.tol),
+                            _lna_radii(n, a2, report.tol), report.tol)
     if report.check_id == "argmax":
         return argmax_sweep(p["n"], p["k"], p["max_parts"], report.tol,
                             force=force).report

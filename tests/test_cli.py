@@ -112,6 +112,14 @@ def test_rho_rejects_non_ascii_graph6(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_rho_tol_below_rounding_exits_one(capsys):
+    code, out, err = run(capsys, "rho", "P12", "--tol", "1e-300")
+    assert code == 1
+    assert out == ""
+    assert "misses tol 1.0e-300" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # --- stdin ----------------------------------------------------------------------
 
 

@@ -8,9 +8,9 @@ from spexplanar import (SearchBudgetExceeded, complete_bipartite,
                         complete_graph, cycle_graph, cycle_spectrum,
                         extremal_graph, find_cycle, from_edges, in_gnk, join,
                         join_cycle_certificate, k2_join, path_graph,
-                        recognize_hub_forest, union, validate_cycle)
+                        recognize_hub_join, union, validate_cycle)
 from spexplanar.cycles import hub_forest_cycle
-from spexplanar.families import LinearForest
+from spexplanar.families import LinearForest, enumerate_lna
 
 import oracles
 
@@ -98,24 +98,26 @@ def test_budget_exhaustion_is_a_third_outcome():
     assert spec.present_lengths() == []
 
 
-def test_recognize_hub_forest_positive():
-    got = recognize_hub_forest(k2_join([3, 2, 1]))
+def test_recognize_hub_join_positive():
+    got = recognize_hub_join(k2_join([3, 2, 1]))
     assert got is not None
-    hub1, hub2, paths = got
-    assert (hub1, hub2) == (0, 1)
+    hub1, hub2, paths, hub_edge = got
+    assert (hub1, hub2, hub_edge) == (0, 1, True)
     assert paths == [[2, 3, 4], [5, 6], [7]]
-    assert recognize_hub_forest(k2_join([1, 1]))[2] == [[2], [3]]
+    assert recognize_hub_join(k2_join([1, 1]))[2] == [[2], [3]]
+    # without the hub edge: K_{2,4} and two hubs over 2 P2
+    assert recognize_hub_join(complete_bipartite(2, 4))[3] is False
+    got = recognize_hub_join(k2_join([2, 2], dominating_edge=False))
+    assert got[2:] == ([[2, 3], [4, 5]], False)
 
 
-def test_recognize_hub_forest_negative():
-    assert recognize_hub_forest(cycle_graph(6)) is None
-    assert recognize_hub_forest(path_graph(5)) is None
-    assert recognize_hub_forest(complete_graph(5)) is None  # five hubs
-    assert recognize_hub_forest(complete_bipartite(2, 4)) is None  # no hub edge
-    assert recognize_hub_forest(k2_join([2, 2], dominating_edge=False)) is None
+def test_recognize_hub_join_negative():
+    assert recognize_hub_join(cycle_graph(6)) is None
+    assert recognize_hub_join(path_graph(5)) is None
+    assert recognize_hub_join(complete_graph(5)) is None  # five hubs
     # two hubs over a cycle is not a hub-over-forest graph
-    assert recognize_hub_forest(join(from_edges(2, [(0, 1)]),
-                                     cycle_graph(4))) is None
+    assert recognize_hub_join(join(from_edges(2, [(0, 1)]),
+                                   cycle_graph(4))) is None
 
 
 def test_hub_forest_cycle_construction():
@@ -163,6 +165,33 @@ def test_spectrum_fast_path_matches_search_path():
                if r.status == "present")
     for rec in fast.records:
         assert (find_cycle(g, rec.ell) is not None) == (rec.status == "present")
+
+
+def test_joins_without_the_hub_edge_match_the_search():
+    # cycle lengths are [3, n1+n2+2] when n1 >= 2, and {4} for K_{2,m}
+    for n in range(5, 15):
+        for a in range(n - 2):
+            for lf in enumerate_lna(n, a):
+                g = k2_join(lf, dominating_edge=False)
+                n1, n2 = lf.two_largest()
+                want = list(range(3, n1 + n2 + 3)) if n1 >= 2 else [4]
+                spec = cycle_spectrum(g)
+                assert spec.present_lengths() == want, lf.parts
+                for rec in spec.records:
+                    found = find_cycle(g, rec.ell) is not None
+                    assert found == (rec.status == "present"), (lf, rec)
+                    if found:
+                        validate_cycle(g, rec.certificate)
+
+
+def test_in_gnk_settles_joins_without_the_hub_edge():
+    # the search would exhaust 10^7 expansions at length 80
+    g = k2_join([76, 1, 1], dominating_edge=False)
+    assert in_gnk(g, 0) == (True, 80)
+
+
+def test_find_cycle_has_no_recursion_limit():
+    assert find_cycle(cycle_graph(1100), 1100) == list(range(1100))
 
 
 def test_spectrum_ell_max():

@@ -1,5 +1,6 @@
-"""Power-iteration engine against the dense eigensolver, plus the
-comparison rules (verdict, surgery_compare) built on top of it."""
+"""The general engine (one dense symmetric solve) against closed forms and
+the dense eigensolver, plus the comparison rules (verdict,
+surgery_compare) built on top of it."""
 
 import math
 import random
@@ -40,7 +41,7 @@ def test_power_iteration_matches_closed_forms():
     for n in range(3, 13):
         assert spectral_radius(cycle_graph(n)).rho == pytest.approx(
             2.0, abs=1e-10)
-    # bipartite graphs have a -rho eigenvalue; the shift must still converge
+    # bipartite graphs have a -rho eigenvalue; the solve must pick +rho
     for b in range(1, 30, 4):
         assert spectral_radius(complete_bipartite(2, b)).rho == pytest.approx(
             math.sqrt(2 * b), abs=1e-10)
@@ -109,11 +110,20 @@ def test_spectral_radius_single_vertex():
 
 
 def test_convergence_error_carries_state():
+    # a tol below the rounding floor: the dense solve cannot meet it
     with pytest.raises(ConvergenceError) as ei:
-        spectral_radius(path_graph(3), max_iterations=1)
-    assert ei.value.iterations == 1
-    assert ei.value.tol == TOL
-    assert ei.value.residual > TOL
+        spectral_radius(path_graph(3), tol=1e-300)
+    assert ei.value.tol == 1e-300
+    assert ei.value.residual > 1e-300
+    assert "misses tol 1.0e-300" in str(ei.value)
+
+
+def test_long_path_needs_no_iteration_cap():
+    # a power iteration would need ~n^2 steps here (past 10^6)
+    res = spectral_radius(path_graph(1130))
+    assert abs(res.rho - 2.0 * math.cos(math.pi / 1131)) <= 1e-12
+    assert res.residual <= TOL
+    assert (res.solver, res.iterations) == ("dense", 1)
 
 
 def test_determinism_exact():

@@ -1,7 +1,7 @@
 """The secular engine for hub joins against the dense eigensolver.
 
 `spectral_radius` sends every join `recognize_hub_join` accepts to the
-secular equation and everything else to the power iteration; both must
+secular equation and everything else to the dense solve; both must
 agree with LAPACK on rho and on the max-normalized Perron vector, and the
 residual recomputed from the dense adjacency matrix must meet tol.
 """
@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from spexplanar import (ConvergenceError, argmax_sweep, complete_bipartite,
+from spexplanar import (argmax_sweep, complete_bipartite,
                         complete_graph, cycle_graph, enumerate_lna,
                         from_edges, from_graph6, hub_join_radii,
                         join_with_paths, path_graph, recognize_hub_join,
@@ -55,7 +55,7 @@ def test_every_join_of_at_most_three_parts():
                 recognized = recognize_hub_join(g) is not None
                 # from n = 7 no forest vertex reaches the hub degree n - 2
                 assert recognized or n < 7, (parts, hub_edge)
-                assert_matches_dense(g, "secular" if recognized else "power")
+                assert_matches_dense(g, "secular" if recognized else "dense")
                 joins += 1
     assert joins > 3000
 
@@ -98,7 +98,7 @@ def test_relabelled_joins_given_as_graph6():
 ], ids=["P3", "C4", "K3", "K4", "K2+P3", "2K1+P3"])
 def test_unrecognized_small_joins_fall_back(g):
     assert recognize_hub_join(g) is None
-    assert_matches_dense(g, "power")
+    assert_matches_dense(g, "dense")
 
 
 def test_recognizer_reports_the_hub_edge():
@@ -132,19 +132,21 @@ def test_thousands_of_parts_stay_on_the_secular_path():
     assert res.solver == "secular" and res.residual <= TOL
 
 
-def test_residual_miss_falls_back_to_power_iteration(monkeypatch):
+def test_residual_miss_falls_back_to_dense_solve(monkeypatch):
     g = join_with_paths([6, 3, 1], True)
     monkeypatch.setattr(spectral, "_edge_residual", lambda g, x, rho: 1.0)
-    res = assert_matches_dense(g, "power")
-    assert res.iterations > 10
+    res = assert_matches_dense(g, "dense")
+    assert res.iterations == 1
 
 
-def test_max_iterations_caps_the_root_finder_too():
+def test_max_iterations_caps_the_root_finder_too(monkeypatch):
     g = join_with_paths([9, 4, 2], True)
     assert spectral_radius(g).iterations <= 8
-    with pytest.raises(ConvergenceError) as ei:
-        spectral_radius(g, max_iterations=1)
-    assert ei.value.iterations == 1
+    # a row that reaches the Newton cap falls back to the dense solve
+    monkeypatch.setattr(spectral, "NEWTON_CAP", 1)
+    assert_matches_dense(g, "dense")
+    (rho, resid, steps), = hub_join_radii([(9, 4, 2)], hub_edge=True)
+    assert (rho, steps) == (spectral_radius(g).rho, 1) and resid <= TOL
 
 
 def test_batched_radii_match_single_solves_bit_for_bit(monkeypatch):

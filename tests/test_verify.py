@@ -8,7 +8,7 @@ import pytest
 
 from spexplanar import (admissible_forests, argmax_sweep, enumerate_lna,
                         from_graph6, lemma1_sweep, lemma2_sweep,
-                        merge_threshold, recognize_hub_forest, reports_to_csv,
+                        merge_threshold, recognize_hub_join, reports_to_csv,
                         rerun, spectral_radius, verify_claim33,
                         verify_entry_bounds, verify_lemma1, verify_lemma2)
 from spexplanar.families import join_with_paths
@@ -88,7 +88,7 @@ def test_lemma2_swap_graph_is_the_merged_join():
     c1, c2 = _chain_indices(149)
     t1, t2 = _pick_swap_indices(0, res.vector, c1, c2)
     swapped = _apply_chain_swap(g, 149, t1, t2)
-    got = recognize_hub_forest(swapped)
+    got = recognize_hub_join(swapped)
     assert got is not None
     assert sorted(len(p) for p in got[2]) == [1, 297]
 
@@ -334,6 +334,25 @@ def test_reports_reproduce_byte_for_byte():
     ]
     for rep in reports:
         assert rerun(rep).to_json() == rep.to_json(), rep.check_id
+
+
+def test_rerun_of_a_pair_solves_only_its_two_families(monkeypatch):
+    from spexplanar import verify
+    rep = lemma1_sweep(80)[4]
+    assert (rep.params["a1"], rep.params["a2"]) == (3, 1)
+    solved = []
+    radii = verify.hub_join_radii
+
+    def counting(forests, hub_edge, tol):
+        solved.append({len(parts) for parts in forests})
+        return radii(forests, hub_edge=hub_edge, tol=tol)
+
+    monkeypatch.setattr(verify, "hub_join_radii", counting)
+    assert rerun(rep).to_json() == rep.to_json()
+    assert solved == [{4}, {2}]
+    with pytest.raises(ValueError, match="not in sweep"):
+        rerun(type(rep)(rep.check_id, {**rep.params, "a1": 4}, rep.holds,
+                        rep.margins, rep.artifacts, rep.tol))
 
 
 def test_rerun_rejects_unknown_kind():
