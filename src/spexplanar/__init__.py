@@ -7,9 +7,8 @@ sweeps that compare these families.
 """
 
 from .graphs import (Graph, GraphConstructionError, Graph6Error,
-                     VertexSubsetPair, PlanarBoundsReport, from_edges,
-                     from_graph6, to_graph6, union, join, induced_subgraph,
-                     is_planar, planar_bounds_check, parse_edge_list,
+                     from_edges, from_graph6, to_graph6, union, join,
+                     induced_subgraph, is_planar, parse_edge_list,
                      format_edge_list)
 from .families import (LinearForest, build_linear_forest, join_with_paths,
                        k2_join, extremal_graph, enumerate_lna, count_lna,

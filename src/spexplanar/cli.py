@@ -2,7 +2,8 @@
 
 Subcommands: build, rho, spectrum, member, verify, sweep.
 Exit codes: 0 success, 1 when any check reports "violated" (or a
-computation refuses the input), 2 for usage errors.
+computation refuses the input), 2 for usage errors and for inputs too
+large to fit in memory.
 
 Graph arguments accept, in this order of interpretation:
   * a family string:  P12  C6  K7  K2,18  k2+[4,1,1]  extremal(8,0)
@@ -345,6 +346,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConvergenceError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # an input too large to hold (a huge edge-list header, a dense
+        # matrix for a long path); numpy's _ArrayMemoryError subclasses this
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,6 +5,14 @@ real cycle (revalidated before return) and `None` means a completed proof of
 absence. Exhaustion of the node budget is a third outcome, raised as
 SearchBudgetExceeded, never folded into "absent".
 
+Every cycle lies inside one biconnected block, so the search runs only over
+the blocks (`Graph.blocks`, computed once per graph) with at least `ell`
+vertices: a length above the largest block is absent at no search cost,
+and vertices outside the large blocks are never anchors or path vertices.
+This pruning leaves every certificate as the unpruned search would find it
+(the argument is in `find_cycle`). `in_gnk` asks for planarity through
+`is_planar`, which is also computed once per graph, block by block.
+
 Hub joins, two hubs over a linear forest with or without the hub edge,
 get a constructive fast path: such a graph has every cycle length from 3
 up to n1+n2+2 (two largest path orders plus the hubs) and nothing longer,
@@ -53,34 +61,55 @@ def find_cycle(g: Graph, ell: int,
     """Exact search for a cycle of exactly `ell` vertices.
 
     Returns the cycle as a vertex list (smallest vertex first) or None when
-    none exists. The search anchors at each possible smallest cycle vertex,
-    restricts to the 2-core of the remaining vertices, and prunes on BFS
-    distance back to the anchor. Raises SearchBudgetExceeded when the shared
-    node budget runs out before either outcome is proven.
+    none exists. A cycle lies inside one biconnected block, so the search
+    sees only the vertices of blocks with at least `ell` vertices, and
+    returns None at once, spending no budget, when there is no such block.
+    It anchors at each of those vertices in turn as the smallest cycle
+    vertex, restricts to the 2-core of the kept vertices above the anchor,
+    and prunes on BFS distance back to the anchor. Raises
+    SearchBudgetExceeded when the shared node budget runs out before
+    either outcome is proven.
+
+    The block pruning changes no certificate. The depth-first search
+    enumerates paths from the anchor in the order of the adjacency lists,
+    and returns the first one that closes into an `ell`-cycle. A vertex
+    outside the kept blocks lies on no `ell`-cycle, so every branch through
+    it fails; removing it removes failing branches only and keeps the order
+    of the rest. The BFS distances in the smaller graph are no shorter, and
+    still bound the steps back to the anchor along any `ell`-cycle that
+    remains. So the first closed path is the one the unpruned search would
+    return, reached after no more node expansions.
     """
     if not 3 <= ell <= g.n:
         raise ValueError(f"cycle length must be in [3, {g.n}], got {ell}")
+    keep = bytearray(g.n)
+    for block in g.blocks:
+        if len(block) >= ell:
+            for v in block:
+                keep[v] = 1
     remaining = [budget]
     for s in range(g.n - ell + 1):
-        found = _search_anchor(g, s, ell, remaining, budget)
+        if not keep[s]:
+            continue
+        found = _search_anchor(g, keep, s, ell, remaining, budget)
         if found is not None:
             validate_cycle(g, found)
             return found
     return None
 
 
-def _search_anchor(g: Graph, s: int, ell: int,
+def _search_anchor(g: Graph, keep: bytearray, s: int, ell: int,
                    remaining: list[int], budget: int) -> Optional[list[int]]:
     n = g.n
-    # candidate vertex set: the anchor plus everything above it
+    # candidate vertex set: the anchor plus the kept vertices above it
     alive = bytearray(n)
-    for v in range(s, n):
-        alive[v] = 1
+    alive[s:] = keep[s:]
     deg = [0] * n
     for v in range(s, n):
-        deg[v] = sum(1 for w in g.adj[v] if w >= s)
+        if alive[v]:
+            deg[v] = sum(1 for w in g.adj[v] if alive[w])
     # prune to the 2-core: cycle vertices need two live neighbors
-    queue = [v for v in range(s, n) if deg[v] < 2]
+    queue = [v for v in range(s, n) if alive[v] and deg[v] < 2]
     while queue:
         v = queue.pop()
         if not alive[v]:
@@ -254,7 +283,8 @@ def _cycle_records(g: Graph, ell_max: int, budget: int,
         if cyc is None:
             yield CycleRecord(ell, "absent", None)
         else:
-            validate_cycle(g, cyc)
+            if hub is not None:  # find_cycle validates its own result
+                validate_cycle(g, cyc)
             yield CycleRecord(ell, "present", tuple(cyc))
 
 

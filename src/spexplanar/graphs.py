@@ -3,12 +3,16 @@
 Vertices are always consecutive integers starting at 0; an edge is an
 unordered pair of distinct vertices. Graphs are value objects: construction
 validates, after that nothing mutates, so they can be hashed, compared and
-used as dict keys by the layers above.
+used as dict keys by the layers above. Derived structure that several
+layers need (the biconnected blocks, planarity) is computed on first use
+and cached on the instance; it takes no part in equality, hashing or
+pickling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import networkx as nx
@@ -67,6 +71,85 @@ class Graph:
                     count += 1
                     stack.append(v)
         return count == self.n
+
+    @cached_property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """Vertex sets of the biconnected blocks with at least 3 vertices.
+
+        Every cycle lies inside one block (Hopcroft & Tarjan, CACM 16(6),
+        1973), so these are the only places a cycle search has to look;
+        bridges and isolated vertices belong to none of them. One Tarjan
+        low-point pass in O(n + m), over an explicit stack (no recursion):
+        a child v of u whose subtree reaches no higher than u closes the
+        block made of u and the vertices stacked since v.
+        """
+        adj = self.adj
+        disc = [0] * self.n  # discovery time, 0 = unvisited
+        low = [0] * self.n
+        out = []
+        clock = 0
+        for root in range(self.n):
+            if disc[root]:
+                continue
+            clock += 1
+            disc[root] = low[root] = clock
+            pending = [root]  # visited vertices not yet assigned to a block
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                v, it = stack[-1]
+                for w in it:
+                    if not disc[w]:
+                        clock += 1
+                        disc[w] = low[w] = clock
+                        pending.append(w)
+                        stack.append((w, iter(adj[w])))
+                        break
+                    # the tree edge back to v's parent also lands here; it
+                    # lowers low[v] to disc[parent] at most, which leaves
+                    # the test low[v] >= disc[parent] below unchanged
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    stack.pop()
+                    if not stack:
+                        continue
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= disc[u]:
+                        block = [u]
+                        while block[-1] != v:
+                            block.append(pending.pop())
+                        if len(block) >= 3:
+                            out.append(frozenset(block))
+        return tuple(out)
+
+    @cached_property
+    def planar(self) -> bool:
+        """Planarity, decided block by block.
+
+        A graph is planar iff each of its blocks is, and by Kuratowski a
+        non-planar block contains a subdivision of K5 or K3,3, so its cycle
+        rank m - n + 1 is at least 4 (6 for K5, 4 for K3,3; subdividing
+        keeps the rank). Only blocks of rank >= 4 go to networkx's
+        left-right test, each built straight from its own edges: an edge
+        with both ends in a block belongs to that block, since two blocks
+        share at most one vertex.
+        """
+        for block in self.blocks:
+            edges = [(u, v) for u in block for v in self.adj[u]
+                     if u < v and v in block]
+            if len(edges) - len(block) + 1 < 4:
+                continue
+            h = nx.Graph()
+            h.add_edges_from(edges)
+            if not nx.check_planarity(h, counterexample=False)[0]:
+                return False
+        return True
+
+    def __getstate__(self):
+        # the cached properties live in __dict__; pickle the value alone
+        return {"n": self.n, "adj": self.adj}
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
@@ -257,67 +340,9 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- planarity and the planar edge bounds -----------------------------------
+# --- planarity ---------------------------------------------------------------
 
 
 def is_planar(g: Graph) -> bool:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    ok, _ = nx.check_planarity(h, counterexample=False)
-    return ok
-
-
-@dataclass(frozen=True)
-class VertexSubsetPair:
-    """Two disjoint vertex subsets, as sorted tuples."""
-
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-
-    def __post_init__(self):
-        xs, ys = set(self.x), set(self.y)
-        if len(xs) != len(self.x) or len(ys) != len(self.y):
-            raise ValueError("subset contains repeated vertices")
-        overlap = xs & ys
-        if overlap:
-            raise ValueError(f"subsets overlap on {sorted(overlap)}")
-        object.__setattr__(self, "x", tuple(sorted(xs)))
-        object.__setattr__(self, "y", tuple(sorted(ys)))
-
-
-@dataclass(frozen=True)
-class PlanarBoundsReport:
-    e_x: int
-    x_bound: int
-    e_xy: int
-    xy_bound: int
-    x_bound_applies: bool   # needs |X| >= 3
-    xy_bound_applies: bool  # needs |X|+|Y| >= 3; at 2 vertices the bound is void
-    holds: bool
-
-
-def planar_bounds_check(g: Graph, pair: VertexSubsetPair) -> PlanarBoundsReport:
-    """Check e(X) <= 3|X|-6 and e(X,Y) <= 2(|X|+|Y|)-4 on a planar graph.
-
-    Each bound is checked only where it is a theorem: the vertex bound for
-    |X| >= 3, the bipartite bound for |X|+|Y| >= 3. Inapplicable bounds are
-    reported as such and do not affect `holds`.
-    """
-    for v in pair.x + pair.y:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    if not is_planar(g):
-        raise ValueError("planar_bounds_check requires a planar graph")
-    xs = set(pair.x)
-    ys = set(pair.y)
-    e_x = sum(1 for u in pair.x for v in g.adj[u] if v > u and v in xs)
-    e_xy = sum(1 for u in pair.x for v in g.adj[u] if v in ys)
-    x_applies = len(xs) >= 3
-    xy_applies = len(xs) + len(ys) >= 3
-    x_bound = 3 * len(xs) - 6
-    xy_bound = 2 * (len(xs) + len(ys)) - 4
-    holds = ((not x_applies or e_x <= x_bound)
-             and (not xy_applies or e_xy <= xy_bound))
-    return PlanarBoundsReport(
-        e_x, x_bound, e_xy, xy_bound, x_applies, xy_applies, holds)
+    """Planarity of g, computed once per graph (see `Graph.planar`)."""
+    return g.planar

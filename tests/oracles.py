@@ -14,6 +14,7 @@ from itertools import combinations, permutations
 
 import networkx as nx
 import numpy as np
+from hypothesis import strategies as st
 
 from spexplanar import Graph, from_edges
 
@@ -95,6 +96,84 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return from_edges(n, edges)
+
+
+# --- graphs glued from blocks at cut vertices ---------------------------------
+
+K5_EDGES = list(combinations(range(5), 2))
+K33_EDGES = [(u, v) for u in range(3) for v in range(3, 6)]
+
+
+def subdivide(k: int, edges, inner) -> tuple[int, list[tuple[int, int]]]:
+    """Replace edge i of a graph on {0..k-1} by a path with inner[i] new
+    interior vertices; returns the new vertex count and edge list."""
+    out, nxt = [], k
+    for (u, v), s in zip(edges, inner):
+        chain = [u, *range(nxt, nxt + s), v]
+        nxt += s
+        out += zip(chain, chain[1:])
+    return nxt, out
+
+
+def glue(pieces, hooks, isolated: int = 0) -> Graph:
+    """Glue pieces (k, edges on {0..k-1}) one after another: piece i's
+    vertex 0 becomes vertex hooks[i] % (vertices so far) of the graph built
+    so far, a cut vertex, or starts a new component when hooks[i] is None.
+    `isolated` lone vertices come last. Each piece's blocks stay blocks."""
+    n, edges = 0, []
+    for (k, piece), hook in zip(pieces, hooks):
+        if hook is None or n == 0:
+            label = list(range(n, n + k))
+        else:
+            label = [hook % n, *range(n, n + k - 1)]
+        n = label[-1] + 1  # pieces have k >= 2 vertices
+        edges += [(label[u], label[v]) for u, v in piece]
+    return from_edges(n + isolated, edges)
+
+
+def _cycle(k):
+    return k, [(i, (i + 1) % k) for i in range(k)]
+
+
+def _wheel(k):
+    return k + 1, [(0, i) for i in range(1, k + 1)] + [
+        (i, i % k + 1) for i in range(1, k + 1)]
+
+
+PLANAR_PIECES = st.one_of(
+    st.just((2, [(0, 1)])),                              # a bridge
+    st.integers(3, 7).map(_cycle),
+    st.integers(3, 6).map(_wheel),                       # rank k: planar
+    st.just((5, [e for e in K5_EDGES if e != (0, 1)])),  # K5 - e, rank 5
+    st.just((6, [(u, v) for u, v in combinations(range(6), 2)
+                 if (u, v) not in [(0, 1), (2, 3), (4, 5)]])),  # octahedron
+)
+KURATOWSKI_PIECES = st.one_of(
+    st.lists(st.integers(0, 1), min_size=10, max_size=10).map(
+        lambda inner: subdivide(5, K5_EDGES, inner)),
+    st.lists(st.integers(0, 1), min_size=9, max_size=9).map(
+        lambda inner: subdivide(6, K33_EDGES, inner)),
+)
+
+
+@st.composite
+def glued_graphs(draw, max_n: int = 40):
+    """Planar blocks (cycles, wheels, K5 - e, the octahedron), bridges and
+    subdivisions of K5 and K3,3, glued at cut vertices into one or more
+    components, plus isolated vertices; labels shuffled. Pieces that would
+    take the order past `max_n` are dropped."""
+    pieces, size = [], 0
+    for p in draw(st.lists(st.one_of(PLANAR_PIECES, KURATOWSKI_PIECES),
+                           min_size=1, max_size=6)):
+        if size + p[0] > max_n:
+            break
+        pieces.append(p)
+        size += p[0]
+    hooks = draw(st.lists(st.none() | st.integers(0, max_n),
+                          min_size=len(pieces), max_size=len(pieces)))
+    g = glue(pieces, hooks, draw(st.integers(0, 2)))
+    perm = draw(st.permutations(range(g.n)))
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 # --- partition counting -------------------------------------------------------

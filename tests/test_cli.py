@@ -104,6 +104,28 @@ def test_rho_rejects_garbage(capsys):
     assert "neither a family string" in err
 
 
+def test_out_of_memory_exits_two_with_one_line(capsys, monkeypatch):
+    # stands in for an edge-list header of 10^9 or the dense matrix of
+    # P30000; numpy's _ArrayMemoryError subclasses MemoryError
+    from spexplanar import cli
+
+    def numpy_sized(arg):
+        raise MemoryError("Unable to allocate 6.71 GiB for an array")
+
+    def bare(arg):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "load_graph", numpy_sized)
+    for argv in (["rho", "P30000"], ["member", "-", "--k", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == ("error: out of memory: Unable to allocate 6.71 GiB "
+                       "for an array\n")
+    monkeypatch.setattr(cli, "load_graph", bare)
+    code, _, err = run(capsys, "spectrum", "C6")
+    assert code == 2 and err == "error: out of memory: allocation failed\n"
+
+
 def test_rho_rejects_non_ascii_graph6(capsys):
     code, out, err = run(capsys, "rho", "A\u00e9")
     assert code == 2

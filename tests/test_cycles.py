@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from spexplanar import (SearchBudgetExceeded, complete_bipartite,
                         complete_graph, cycle_graph, cycle_spectrum,
@@ -77,6 +78,28 @@ def test_cycle_lengths_match_johnson_oracle():
         got = set(spec.present_lengths())
         assert got == want
         assert all(r.status in ("present", "absent") for r in spec.records)
+
+
+@settings(max_examples=120)
+@given(oracles.glued_graphs(max_n=24))
+def test_cycle_lengths_match_johnson_oracle_on_glued_blocks(g):
+    spec = cycle_spectrum(g)
+    assert set(spec.present_lengths()) == oracles.cycle_lengths(g)
+    assert all(r.status in ("present", "absent") for r in spec.records)
+
+
+def test_lengths_above_the_largest_block_cost_no_budget():
+    # two K4s sharing vertex 3, a path 5-7-8-9 hanging from the second and
+    # an isolated 10: the largest block has 4 vertices, so lengths 5..11
+    # need no search at all
+    k4 = (4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    g = oracles.glue([k4, k4, (4, [(0, 1), (1, 2), (2, 3)])], [None, 3, 5],
+                     isolated=1)
+    assert g.n == 11
+    for ell in range(5, 12):
+        assert find_cycle(g, ell, budget=1) is None
+    spec = cycle_spectrum(g, budget=1)
+    assert [r.status for r in spec.records[2:]] == ["absent"] * 7
 
 
 def test_petersen_spectrum():

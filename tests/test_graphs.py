@@ -1,17 +1,19 @@
-"""Graph value type, graph6 codec, planarity, and the planar edge bounds."""
+"""Graph value type, graph6 codec, blocks and planarity."""
 
+import copy
+import pickle
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spexplanar import (Graph, Graph6Error, GraphConstructionError,
-                        VertexSubsetPair, format_edge_list, from_edges,
-                        from_graph6, induced_subgraph, is_planar, join,
-                        parse_edge_list, planar_bounds_check, to_graph6,
-                        union)
+                        format_edge_list, from_edges, from_graph6,
+                        induced_subgraph, is_planar, join, parse_edge_list,
+                        to_graph6, union)
 from spexplanar.families import (complete_bipartite, complete_graph,
-                                 extremal_graph, path_graph)
+                                 cycle_graph, path_graph)
 
 import oracles
 
@@ -49,6 +51,20 @@ def test_graph_is_immutable_and_hashable():
         g.n = 5
     assert g == from_edges(3, [(1, 0)])
     assert hash(g) == hash(from_edges(3, [(0, 1)]))
+
+
+def test_cached_properties_leave_value_semantics_alone():
+    g = oracles.glue([oracles.subdivide(6, oracles.K33_EDGES, [1] * 9),
+                      (3, [(0, 1), (1, 2), (2, 0)]), (2, [(0, 1)])],
+                     [None, 4, None], isolated=1)
+    fresh = from_edges(g.n, list(g.edges()))
+    pickled = pickle.dumps(g)
+    assert len(g.blocks) == 2 and not is_planar(g)
+    assert pickle.dumps(g) == pickled
+    assert g == fresh and hash(g) == hash(fresh)
+    for back in (pickle.loads(pickled), copy.deepcopy(g)):
+        assert back == g and hash(back) == hash(g)
+        assert back.blocks == g.blocks and not back.planar
 
 
 def test_connectivity_and_components():
@@ -181,7 +197,54 @@ def test_edge_list_errors():
         parse_edge_list("   \n# nothing\n")
 
 
-# --- planarity ----------------------------------------------------------------
+# --- blocks and planarity -----------------------------------------------------
+
+
+@settings(max_examples=150)
+@given(oracles.glued_graphs(),
+       st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                max_size=3))
+def test_blocks_match_networkx(g, chords):
+    # random chords may merge glued blocks: nothing is known in advance
+    edges = list(g.edges()) + [(u % g.n, v % g.n) for u, v in chords
+                               if g.n and u % g.n != v % g.n]
+    g = from_edges(g.n, edges)
+    want = [frozenset(c) for c in nx.biconnected_components(oracles.to_nx(g))
+            if len(c) >= 3]
+    assert sorted(g.blocks, key=sorted) == sorted(want, key=sorted)
+
+
+def test_blocks_do_not_recurse():
+    assert cycle_graph(3000).blocks == (frozenset(range(3000)),)
+    assert path_graph(3000).blocks == ()
+    assert is_planar(cycle_graph(3000))
+
+
+@settings(max_examples=150)
+@given(oracles.glued_graphs())
+def test_planarity_agrees_with_networkx_on_glued_blocks(g):
+    assert is_planar(g) == nx.check_planarity(oracles.to_nx(g))[0]
+
+
+def test_planarity_tests_rank_four_blocks_once(monkeypatch):
+    tested = []
+    check = nx.check_planarity
+
+    def counting(h, counterexample=False):
+        tested.append(h.number_of_nodes())
+        return check(h, counterexample=counterexample)
+
+    monkeypatch.setattr(nx, "check_planarity", counting)
+    # K4 (rank 3) and a 5-cycle (rank 1) need no test; the K5 subdivision
+    # (rank 6) does, and the answer is then memoized on the graph
+    k4 = (4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    c5 = (5, [(i, (i + 1) % 5) for i in range(5)])
+    g = oracles.glue([k4, c5, oracles.subdivide(5, oracles.K5_EDGES,
+                                                [1] + [0] * 9)],
+                     [None, 2, 5])
+    assert not is_planar(g) and not is_planar(g)
+    assert tested == [6]
+    assert is_planar(cycle_graph(40)) and tested == [6]
 
 
 def test_planarity_known_graphs():
@@ -221,63 +284,3 @@ def test_planarity_matches_subdivision_oracle_small_random():
         n = rng.randint(4, 8)
         g = oracles.random_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
         assert is_planar(g) == oracles.planar_by_kuratowski(g), to_graph6(g)
-
-
-# --- planar edge bounds --------------------------------------------------------
-
-
-def test_subset_pair_validation():
-    p = VertexSubsetPair((3, 1), (2,))
-    assert p.x == (1, 3)
-    with pytest.raises(ValueError, match="overlap"):
-        VertexSubsetPair((1, 2), (2, 3))
-    with pytest.raises(ValueError, match="repeated"):
-        VertexSubsetPair((1, 1), (2,))
-
-
-def test_planar_bounds_on_k4():
-    g = complete_graph(4)
-    rep = planar_bounds_check(g, VertexSubsetPair((0, 1, 2, 3), ()))
-    assert rep.e_x == 6 and rep.x_bound == 6 and rep.holds
-    rep = planar_bounds_check(g, VertexSubsetPair((0, 1), (2, 3)))
-    assert rep.e_xy == 4 and rep.xy_bound == 4 and rep.holds
-    assert not rep.x_bound_applies  # |X| = 2
-
-
-def test_planar_bounds_inapplicable_below_three_vertices():
-    g = from_edges(2, [(0, 1)])
-    rep = planar_bounds_check(g, VertexSubsetPair((0,), (1,)))
-    # e(X,Y)=1 exceeds 2(|X|+|Y|)-4=0, but the bound is void at 2 vertices
-    assert rep.e_xy == 1 and rep.xy_bound == 0
-    assert not rep.xy_bound_applies
-    assert rep.holds
-
-
-def test_planar_bounds_rejects_bad_input():
-    with pytest.raises(ValueError, match="planar"):
-        planar_bounds_check(complete_graph(5), VertexSubsetPair((0,), (1,)))
-    with pytest.raises(ValueError, match="out of range"):
-        planar_bounds_check(complete_graph(4), VertexSubsetPair((0, 9), ()))
-
-
-def test_planar_bounds_hold_on_random_planar_graphs():
-    # both bounds hold for every planar graph: no sampled subset pair
-    # may ever break them
-    rep = planar_bounds_check(extremal_graph(8, 0),
-                              VertexSubsetPair((0, 1, 2, 3), (4, 5, 6)))
-    assert rep.holds and rep.e_x <= rep.x_bound
-    rng = random.Random(7)
-    checked = 0
-    while checked < 200:
-        n = rng.randint(4, 10)
-        g = oracles.random_graph(rng, n, rng.choice([0.2, 0.35, 0.5]))
-        if not is_planar(g):
-            continue
-        verts = list(range(n))
-        rng.shuffle(verts)
-        cut = rng.randint(0, n)
-        cut2 = rng.randint(cut, n)
-        pair = VertexSubsetPair(tuple(verts[:cut]), tuple(verts[cut:cut2]))
-        rep = planar_bounds_check(g, pair)
-        assert rep.holds, (to_graph6(g), pair)
-        checked += 1
