@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from typing import Optional
@@ -32,8 +33,7 @@ from .families import (build_linear_forest, extremal_graph, k2_join,
                        path_graph)
 from .graphs import (Graph, Graph6Error, from_graph6, parse_edge_list,
                      format_edge_list, to_graph6)
-from .spectral import (DEFAULT_TOL, ConvergenceError, DisconnectedGraphError,
-                       spectral_radius)
+from .spectral import DEFAULT_TOL, ConvergenceError, spectral_radius
 from . import verify as V
 
 
@@ -208,11 +208,11 @@ def cmd_verify(a: argparse.Namespace) -> int:
                 raise UsageError(
                     "entry-bounds with --n needs --parts; "
                     "drop --n for the sampled run")
-            s = gridconfig.ENTRY_BOUNDS_SAMPLE
+            s = dict(gridconfig.ENTRY_BOUNDS_SAMPLE)
+            s.update((k, v) for k, v in vars(a).items()
+                     if k in s and v is not None)
             reports.extend(V.entry_bounds_sample(
-                a.count or s["count"], a.n_lo or s["n_lo"],
-                a.n_hi or s["n_hi"],
-                a.seed if a.seed is not None else s["seed"], a.tol))
+                s["count"], s["n_lo"], s["n_hi"], s["seed"], a.tol))
     for rep in reports:
         print(rep.to_json())
     for w in witness_lines:
@@ -235,21 +235,43 @@ def cmd_sweep(a: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line, like every other usage error (`-h` prints the usage)
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _checked(kind, ok, want: str):
+    """An argparse type: `kind(text)` when `ok` accepts it, else exit 2."""
+    def parse(text: str):
+        try:
+            if ok(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The spex parser, built once per process (parsing never mutates it)."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="spex",
         description="spectral-extremal toolkit: hub-join constructions, "
                     "Perron computation, cycle spectra, inequality sweeps")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def add_tol(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        # NaN or inf would skip the residual gate and print non-JSON
+        tol = _checked(float, lambda t: 0 < t < math.inf,
+                       "a finite number > 0")
+        p.add_argument("--tol", type=tol, default=DEFAULT_TOL,
                        help="residual tolerance (default 1e-12)")
 
     def add_budget(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        budget = _checked(int, lambda b: b >= 1, "an integer >= 1")
+        p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET,
                        help="search node budget per cycle length")
 
     p = sub.add_parser("build", help="construct a graph and print it")

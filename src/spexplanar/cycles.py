@@ -6,11 +6,12 @@ absence. Exhaustion of the node budget is a third outcome, raised as
 SearchBudgetExceeded, never folded into "absent".
 
 Every cycle lies inside one biconnected block, so the search runs only over
-the blocks (`Graph.blocks`, computed once per graph) with at least `ell`
-vertices: a length above the largest block is absent at no search cost,
-and vertices outside the large blocks are never anchors or path vertices.
-This pruning leaves every certificate as the unpruned search would find it
-(the argument is in `find_cycle`). `in_gnk` asks for planarity through
+the blocks with at least `ell` vertices (`Graph.blocks`, computed once per
+graph), for odd `ell` the non-bipartite ones (`Graph.odd_blocks`): a length
+above the largest such block is absent at no search cost, and vertices
+outside those blocks are never anchors or path vertices. This pruning
+leaves every certificate as the unpruned search would find it (the
+argument is in `find_cycle`). `in_gnk` asks for planarity through
 `is_planar`, which is also computed once per graph, block by block.
 
 Hub joins, two hubs over a linear forest with or without the hub edge,
@@ -61,14 +62,14 @@ def find_cycle(g: Graph, ell: int,
     """Exact search for a cycle of exactly `ell` vertices.
 
     Returns the cycle as a vertex list (smallest vertex first) or None when
-    none exists. A cycle lies inside one biconnected block, so the search
-    sees only the vertices of blocks with at least `ell` vertices, and
-    returns None at once, spending no budget, when there is no such block.
-    It anchors at each of those vertices in turn as the smallest cycle
-    vertex, restricts to the 2-core of the kept vertices above the anchor,
-    and prunes on BFS distance back to the anchor. Raises
-    SearchBudgetExceeded when the shared node budget runs out before
-    either outcome is proven.
+    none exists. A cycle lies inside one biconnected block, an odd one
+    inside a non-bipartite block, so the search sees only the vertices of
+    such blocks with at least `ell` vertices, and returns None at once,
+    spending no budget, when there are none. It anchors at each of those
+    vertices in turn as the smallest cycle vertex, restricts to the 2-core
+    of the kept vertices above the anchor, and prunes on BFS distance back
+    to the anchor. Raises SearchBudgetExceeded when the shared node budget
+    runs out before either outcome is proven.
 
     The block pruning changes no certificate. The depth-first search
     enumerates paths from the anchor in the order of the adjacency lists,
@@ -83,7 +84,7 @@ def find_cycle(g: Graph, ell: int,
     if not 3 <= ell <= g.n:
         raise ValueError(f"cycle length must be in [3, {g.n}], got {ell}")
     keep = bytearray(g.n)
-    for block in g.blocks:
+    for block in g.odd_blocks if ell % 2 else g.blocks:
         if len(block) >= ell:
             for v in block:
                 keep[v] = 1

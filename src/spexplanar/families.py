@@ -41,11 +41,6 @@ class LinearForest:
     def order(self) -> int:
         return sum(self.parts)
 
-    @property
-    def size(self) -> int:
-        """Edge count: order minus number of paths."""
-        return self.order - len(self.parts)
-
     def two_largest(self) -> tuple[int, int]:
         """(n1, n2); n2 is 0 for a single-path forest."""
         n1 = self.parts[0]
@@ -209,8 +204,3 @@ def _partitions_desc(total: int, k: int, cap: int) -> Iterator[list[int]]:
     for p in range(hi, lo - 1, -1):
         for rest in _partitions_desc(total - p, k - 1, p):
             yield [p] + rest
-
-
-def count_lna(n: int, a: int) -> int:
-    """|L_{n,a}| by direct enumeration (small inputs only)."""
-    return sum(1 for _ in enumerate_lna(n, a))

@@ -57,20 +57,7 @@ class Graph:
                     yield (u, v)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = bytearray(self.n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        return count == self.n
+        return len(self.components()) <= 1
 
     @cached_property
     def blocks(self) -> tuple[frozenset[int], ...]:
@@ -123,6 +110,26 @@ class Graph:
                         if len(block) >= 3:
                             out.append(frozenset(block))
         return tuple(out)
+
+    @cached_property
+    def odd_blocks(self) -> tuple[frozenset[int], ...]:
+        """The non-bipartite blocks: an odd cycle lies inside one block, and
+        a bipartite block has none."""
+        return tuple(b for b in self.blocks if not self._bipartite(b))
+
+    def _bipartite(self, block: frozenset[int]) -> bool:
+        """2-colour `block` breadth-first over its own edges."""
+        queue = [min(block)]
+        side = {queue[0]: 0}
+        for u in queue:  # the queue grows while it is read
+            for v in self.adj[u]:
+                if v in block:
+                    if v not in side:
+                        side[v] = side[u] ^ 1
+                        queue.append(v)
+                    elif side[v] == side[u]:
+                        return False
+        return True
 
     @cached_property
     def planar(self) -> bool:
@@ -200,22 +207,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     edges = [(index[u], index[v]) for u in keep for v in g.adj[u]
              if v in index and u < v]
     return from_edges(len(keep), edges)
-
-
-def union(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union; the second graph's vertices are relabeled by +g1.n."""
-    off = g1.n
-    adj = list(g1.adj) + [tuple(v + off for v in row) for row in g2.adj]
-    return Graph(g1.n + g2.n, tuple(adj))
-
-
-def join(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union plus every cross edge (g1 side keeps its labels)."""
-    off = g1.n
-    left = tuple(row + tuple(range(off, off + g2.n)) for row in g1.adj)
-    right = tuple(
-        tuple(range(off)) + tuple(v + off for v in row) for row in g2.adj)
-    return Graph(g1.n + g2.n, left + right)
 
 
 # --- graph6 codec ----------------------------------------------------------

@@ -346,52 +346,6 @@ def rayleigh_quotient(g: Graph, x: np.ndarray) -> float:
     return 2.0 * num / denom
 
 
-# --- closed forms ------------------------------------------------------------
-
-
-def rho_path(n: int) -> float:
-    if n < 1:
-        raise ValueError("path needs n >= 1")
-    return 2.0 * math.cos(math.pi / (n + 1))
-
-
-def rho_cycle(n: int) -> float:
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
-    return 2.0
-
-
-def rho_complete(n: int) -> float:
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
-    return float(n - 1)
-
-
-def rho_complete_bipartite(a: int, b: int) -> float:
-    if a < 1 or b < 1:
-        raise ValueError("complete bipartite graph needs a, b >= 1")
-    return math.sqrt(a * b)
-
-
-_CLOSED_FORMS = {
-    "path": rho_path,
-    "cycle": rho_cycle,
-    "complete": rho_complete,
-    "complete_bipartite": rho_complete_bipartite,
-}
-
-
-def closed_form_rho(family: str, *params: int) -> float:
-    """Exact rho for path / cycle / complete / complete_bipartite."""
-    try:
-        fn = _CLOSED_FORMS[family]
-    except KeyError:
-        raise ValueError(
-            f"no closed form for {family!r}; have {sorted(_CLOSED_FORMS)}"
-        ) from None
-    return fn(*params)
-
-
 # --- verdicts and surgery -----------------------------------------------------
 
 

@@ -214,6 +214,17 @@ def merge_threshold(k: int) -> int:
     return (1 << (k + 8)) + 3
 
 
+def _outside_hypothesis(n: int, k: int, force: bool) -> bool:
+    """True below the order threshold 2^(k+8)+3, where only `force` runs."""
+    if n >= merge_threshold(k):
+        return False
+    if not force:
+        raise ValueError(
+            f"need n >= 2^(k+8)+3 = {merge_threshold(k)}, got n={n} "
+            f"(pass force=True to explore outside the hypothesis)")
+    return True
+
+
 def _validate_merge(n: int, k: int, n1: int, n2: int,
                     l_parts: Sequence[int], force: bool) -> bool:
     """Shared precondition checks; returns outside_hypothesis."""
@@ -231,13 +242,7 @@ def _validate_merge(n: int, k: int, n1: int, n2: int,
     if sum(l_parts) != rest:
         raise ValueError(
             f"residual forest order {sum(l_parts)} != n-2-n1-n2 = {rest}")
-    if n < merge_threshold(k):
-        if not force:
-            raise ValueError(
-                f"need n >= 2^(k+8)+3 = {merge_threshold(k)}, got n={n} "
-                f"(pass force=True to explore outside the hypothesis)")
-        return True
-    return False
+    return _outside_hypothesis(n, k, force)
 
 
 def _chain_indices(n1: int):
@@ -507,6 +512,9 @@ def verify_entry_bounds(n: int, parts: Sequence[int],
 def entry_bounds_sample(count: int, n_lo: int, n_hi: int, seed: int,
                         tol: float = DEFAULT_TOL) -> list[VerificationReport]:
     """Entry-bound checks on `count` seeded random (n, forest) draws."""
+    if count < 1 or not 4 <= n_lo <= n_hi:
+        raise ValueError(f"need count >= 1 and 4 <= n_lo <= n_hi, got "
+                         f"count={count}, n_lo={n_lo}, n_hi={n_hi}")
     import random
     rng = random.Random(seed)
     reports = []
@@ -576,13 +584,7 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
         raise ValueError(f"max_parts must be >= 3, got {max_parts}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    outside = False
-    if n < merge_threshold(k):
-        if not force:
-            raise ValueError(
-                f"need n >= 2^(k+8)+3 = {merge_threshold(k)}, got n={n} "
-                f"(pass force=True to explore outside the hypothesis)")
-        outside = True
+    outside = _outside_hypothesis(n, k, force)
     cands = admissible_forests(n, k, max_parts)
     if not cands:
         raise ValueError(f"no admissible forests for n={n}, k={k}, "

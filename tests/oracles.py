@@ -49,6 +49,12 @@ def to_nx(g: Graph) -> nx.Graph:
     return h
 
 
+def from_nx(h: nx.Graph) -> Graph:
+    """h as a Graph, its nodes relabeled 0.. in h's node order."""
+    h = nx.convert_node_labels_to_integers(h)
+    return from_edges(h.number_of_nodes(), h.edges())
+
+
 def cycle_lengths(g: Graph) -> set[int]:
     """Set of simple-cycle lengths, via networkx (small graphs only)."""
     return {len(c) for c in nx.simple_cycles(to_nx(g))}

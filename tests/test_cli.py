@@ -6,7 +6,7 @@ import json
 import pytest
 
 from spexplanar import (complete_graph, cycle_graph, extremal_graph,
-                        from_graph6, k2_join, to_graph6, union)
+                        from_edges, from_graph6, k2_join, to_graph6)
 from spexplanar.cli import build_parser, main, parse_family
 
 
@@ -92,7 +92,8 @@ def test_rho_emit_vector_file(tmp_path, capsys):
 
 
 def test_rho_rejects_disconnected(capsys):
-    g6 = to_graph6(union(complete_graph(3), complete_graph(3)))
+    two_triangles = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    g6 = to_graph6(from_edges(6, two_triangles))
     code, _, err = run(capsys, "rho", g6)
     assert code == 2
     assert "not connected" in err
@@ -191,7 +192,9 @@ def test_member_non_member(capsys):
 
 
 def test_member_budget_exhaustion_exits_one(capsys):
-    code, _, err = run(capsys, "member", "C30", "--k", "0", "--budget", "1")
+    # an odd cycle, so length 3 takes a search (in a bipartite graph such
+    # as C30 it is absent without one)
+    code, _, err = run(capsys, "member", "C31", "--k", "0", "--budget", "1")
     assert code == 1
     assert "budget" in err
 
@@ -294,6 +297,21 @@ def test_verify_entry_bounds_sampled_defaults(capsys):
     assert all(json.loads(ln)["check_id"] == "entry_bounds" for ln in lines)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--count", "0"], "got count=0, n_lo=20, n_hi=100"),
+    (["--count", "-1"], "got count=-1, n_lo=20, n_hi=100"),
+    (["--n-lo", "0"], "got count=200, n_lo=0, n_hi=100"),
+    (["--n-hi", "0"], "got count=200, n_lo=20, n_hi=0"),
+])
+def test_verify_entry_bounds_sampling_flags_read_as_given(capsys, flags,
+                                                          message):
+    # 0 is a value, not "use the pinned default"
+    code, out, err = run(capsys, "verify", "entry-bounds", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_missing_n(capsys):
     code, _, err = run(capsys, "verify", "lemma1")
     assert code == 2
@@ -353,6 +371,26 @@ def test_argparse_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert main([]) == 2                         # subcommand required
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", "P12", "--tol", "nan"],
+    ["rho", "P12", "--tol", "inf"],
+    ["rho", "P12", "--tol", "-1"],
+    ["rho", "P12", "--tol", "0"],
+    ["rho", "P12", "--tol", "abc"],
+    ["sweep", "argmax", "--n", "259", "--tol", "nan"],
+    ["verify", "entry-bounds", "--tol", "1e999"],  # overflows to inf
+    ["spectrum", "K4", "--budget", "-5"],
+    ["spectrum", "K4", "--budget", "0"],
+    ["member", "K4", "--k", "0", "--budget", "1.5"],
+])
+def test_bad_tol_and_budget_exit_two_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"spex {argv[0]}: error: argument {argv[-2]}: ")
+    assert f"got {argv[-1]!r}" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_help_exits_zero(capsys):

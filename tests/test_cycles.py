@@ -2,14 +2,15 @@
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
 from spexplanar import (SearchBudgetExceeded, complete_bipartite,
                         complete_graph, cycle_graph, cycle_spectrum,
-                        extremal_graph, find_cycle, from_edges, in_gnk, join,
+                        extremal_graph, find_cycle, from_edges, in_gnk,
                         join_cycle_certificate, k2_join, path_graph,
-                        recognize_hub_join, union, validate_cycle)
+                        recognize_hub_join, validate_cycle)
 from spexplanar.cycles import hub_forest_cycle
 from spexplanar.families import LinearForest, enumerate_lna
 
@@ -102,6 +103,19 @@ def test_lengths_above_the_largest_block_cost_no_budget():
     assert [r.status for r in spec.records[2:]] == ["absent"] * 7
 
 
+def test_odd_lengths_in_a_bipartite_block_cost_no_budget():
+    # the 6x6 grid is one bipartite block: every odd length is absent
+    # without a search, every even length 4..36 is present
+    grid = from_edges(36, [(v, v + 1) for v in range(36) if v % 6 < 5]
+                      + [(v, v + 6) for v in range(30)])
+    assert grid.blocks == (frozenset(range(36)),) and grid.odd_blocks == ()
+    assert all(find_cycle(grid, ell, budget=1) is None
+               for ell in range(3, 36, 2))
+    spec = cycle_spectrum(grid)
+    assert all(r.status != "budget" for r in spec.records)
+    assert spec.present_lengths() == list(range(4, 37, 2))
+
+
 def test_petersen_spectrum():
     spec = cycle_spectrum(petersen())
     assert spec.present_lengths() == [5, 6, 8, 9]
@@ -139,8 +153,8 @@ def test_recognize_hub_join_negative():
     assert recognize_hub_join(path_graph(5)) is None
     assert recognize_hub_join(complete_graph(5)) is None  # five hubs
     # two hubs over a cycle is not a hub-over-forest graph
-    assert recognize_hub_join(join(from_edges(2, [(0, 1)]),
-                                   cycle_graph(4))) is None
+    assert recognize_hub_join(oracles.from_nx(nx.full_join(
+        nx.complete_graph(2), nx.cycle_graph(4), rename=("hub", "c")))) is None
 
 
 def test_hub_forest_cycle_construction():
@@ -282,7 +296,8 @@ def test_in_gnk_skips_planarity_on_hub_joins(monkeypatch):
 
 def test_in_gnk_budget_propagates():
     with pytest.raises(SearchBudgetExceeded):
-        in_gnk(cycle_graph(30), 0, budget=1)
+        # odd, so length 3 takes a search; C30 would settle it for free
+        in_gnk(cycle_graph(31), 0, budget=1)
 
 
 def test_join_pancyclicity_up_to_forced_bound():
@@ -299,7 +314,8 @@ def test_join_pancyclicity_up_to_forced_bound():
 
 
 def test_disconnected_graphs_still_searchable():
-    g = union(cycle_graph(4), cycle_graph(3))
+    g = oracles.from_nx(nx.disjoint_union(nx.cycle_graph(4),
+                                          nx.cycle_graph(3)))
     assert find_cycle(g, 3) is not None
     assert find_cycle(g, 4) is not None
     assert find_cycle(g, 7) is None

@@ -2,11 +2,12 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 from spexplanar import (LinearForest, build_linear_forest, complete_bipartite,
-                        count_lna, enumerate_lna, extremal_graph, from_edges,
-                        is_planar, join, join_with_paths, k2_join, path_graph)
+                        enumerate_lna, extremal_graph, is_planar,
+                        join_with_paths, k2_join, path_graph)
 
 import oracles
 
@@ -15,7 +16,6 @@ def test_linear_forest_normalizes_part_order():
     lf = LinearForest((1, 4, 2))
     assert lf.parts == (4, 2, 1)
     assert lf.order == 7
-    assert lf.size == 4  # 7 vertices minus 3 paths
     assert lf.two_largest() == (4, 2)
     assert LinearForest((5,)).two_largest() == (5, 0)
 
@@ -51,7 +51,9 @@ def test_join_with_paths_rejects_empty_part():
 
 def test_k2_join_matches_generic_join():
     for parts in [(3, 1), (2, 2), (5,), (1, 1, 1)]:
-        expected = join(from_edges(2, [(0, 1)]), build_linear_forest(parts))
+        expected = oracles.from_nx(nx.full_join(
+            nx.complete_graph(2), oracles.to_nx(build_linear_forest(parts)),
+            rename=("hub", "forest")))
         assert k2_join(parts) == expected
 
 
@@ -119,7 +121,8 @@ def test_count_lna_matches_partition_recurrence():
         for a in range(0, 5):
             if n < a + 3:
                 continue
-            assert count_lna(n, a) == oracles.partition_count(n - 2, a + 1)
+            count = sum(1 for _ in enumerate_lna(n, a))
+            assert count == oracles.partition_count(n - 2, a + 1)
 
 
 def test_enumerate_lna_matches_brute_force_sets():

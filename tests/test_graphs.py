@@ -6,12 +6,12 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spexplanar import (Graph, Graph6Error, GraphConstructionError,
                         format_edge_list, from_edges, from_graph6,
-                        induced_subgraph, is_planar, join, parse_edge_list,
-                        to_graph6, union)
+                        induced_subgraph, is_planar, parse_edge_list,
+                        to_graph6)
 from spexplanar.families import (complete_bipartite, complete_graph,
                                  cycle_graph, path_graph)
 
@@ -82,25 +82,6 @@ def test_induced_subgraph_relabels_sorted():
     assert h == from_edges(3, [(0, 1), (1, 2), (2, 0)])
 
 
-def test_union_offsets_second_graph():
-    g = union(path_graph(2), path_graph(3))
-    assert g.n == 5
-    assert g.has_edge(0, 1) and g.has_edge(2, 3) and g.has_edge(3, 4)
-    assert not g.is_connected()
-
-
-def test_join_adds_all_cross_edges():
-    g = join(from_edges(2, [(0, 1)]), from_edges(3, []))
-    assert g.n == 5
-    assert g.edge_count() == 1 + 6
-    for u in (0, 1):
-        for v in (2, 3, 4):
-            assert g.has_edge(u, v)
-    # K1 v K1 v ... builds complete graphs
-    k = join(join(complete_graph(1), complete_graph(1)), complete_graph(1))
-    assert k == complete_graph(3)
-
-
 # --- graph6 codec -------------------------------------------------------------
 
 
@@ -136,6 +117,38 @@ def test_graph6_agrees_with_networkx_codec():
         assert mine == theirs.decode().strip()
         back = nx.from_graph6_bytes(mine.encode())
         assert set(back.edges()) == set(g.edges())
+
+
+@st.composite
+def small_graphs(draw, max_n: int = 70):
+    n = draw(st.integers(0, max_n))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)),
+                      st.integers(0, max(n - 1, 0)))
+    return from_edges(n, [(u, v) for u, v in draw(st.lists(pairs))
+                          if u != v])
+
+
+# graph6 switches to the 4-byte long-form header at n = 63
+@example(from_edges(62, [(0, 61)]))
+@example(from_edges(63, [(0, 62), (61, 62)]))
+@given(small_graphs())
+def test_graph6_roundtrip_fuzz(g):
+    assert from_graph6(to_graph6(g)) == g
+
+
+# graph6's own alphabet (bytes 63..126) and its neighbours after each
+# header form, or any text at all
+@settings(max_examples=500)
+@given(st.tuples(st.sampled_from(["", "~", "~~", ">>graph6<<"]),
+                 st.text(st.characters(min_codepoint=58, max_codepoint=130),
+                         max_size=12)).map("".join)
+       | st.text())
+def test_graph6_decoder_fuzz(text):
+    try:
+        g = from_graph6(text)
+    except Graph6Error:
+        return
+    assert isinstance(g, Graph)
 
 
 def test_graph6_decode_errors_carry_offsets():
@@ -188,6 +201,37 @@ def test_edge_list_skips_comments_and_blanks():
     assert g == complete_graph(3)
 
 
+_EDGE_LINES = st.one_of(
+    st.tuples(st.integers(-2, 70), st.integers(-2, 70)).map(
+        lambda e: f"{e[0]} {e[1]}"),
+    st.sampled_from(["", "   ", "# note", "7", "1 2 3", "a b", "0x1 2"]),
+    st.text(max_size=8),
+)
+
+
+# a header (a small vertex count, or not a number) and edge lines, or any
+# text at all
+@settings(max_examples=500)
+@given(st.tuples(st.integers(-2, 64).map(str) | st.text(max_size=6),
+                 st.lists(_EDGE_LINES, max_size=10)).map(
+           lambda t: "\n".join([t[0], *t[1]]))
+       | st.text())
+def test_edge_list_parser_fuzz(text):
+    # the first counted line is the vertex count: keep it small, so no
+    # example allocates a large graph
+    header = [ln.strip() for ln in text.splitlines()
+              if ln.strip() and not ln.lstrip().startswith("#")][:1]
+    try:
+        assume(int(header[0]) <= 64)
+    except (IndexError, ValueError):  # no header, or not a number
+        pass
+    try:
+        g = parse_edge_list(text)
+    except ValueError:  # GraphConstructionError subclasses it
+        return
+    assert isinstance(g, Graph)
+
+
 def test_edge_list_errors():
     with pytest.raises(GraphConstructionError, match="vertex count"):
         parse_edge_list("x y\n")
@@ -209,9 +253,11 @@ def test_blocks_match_networkx(g, chords):
     edges = list(g.edges()) + [(u % g.n, v % g.n) for u, v in chords
                                if g.n and u % g.n != v % g.n]
     g = from_edges(g.n, edges)
-    want = [frozenset(c) for c in nx.biconnected_components(oracles.to_nx(g))
-            if len(c) >= 3]
+    h = oracles.to_nx(g)
+    want = [frozenset(c) for c in nx.biconnected_components(h) if len(c) >= 3]
     assert sorted(g.blocks, key=sorted) == sorted(want, key=sorted)
+    odd = [c for c in want if not nx.is_bipartite(h.subgraph(c))]
+    assert sorted(g.odd_blocks, key=sorted) == sorted(odd, key=sorted)
 
 
 def test_blocks_do_not_recurse():

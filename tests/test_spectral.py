@@ -5,14 +5,15 @@ surgery_compare) built on top of it."""
 import math
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from spexplanar import (ConvergenceError, DisconnectedGraphError,
-                        closed_form_rho, complete_bipartite,
-                        complete_graph, cycle_graph, from_edges, k2_join,
-                        path_graph, rayleigh_quotient, spectral_radius,
-                        spectral_radius_any, surgery_compare, union, verdict)
+                        complete_bipartite, complete_graph, cycle_graph,
+                        from_edges, k2_join, path_graph, rayleigh_quotient,
+                        spectral_radius, spectral_radius_any, surgery_compare,
+                        verdict)
 from spexplanar.spectral import adjacency_matrix
 
 import oracles
@@ -20,22 +21,10 @@ import oracles
 TOL = 1e-12
 
 
-def test_closed_forms():
-    assert closed_form_rho("path", 2) == pytest.approx(1.0)
-    assert closed_form_rho("path", 5) ** 2 == pytest.approx(3.0)
-    assert closed_form_rho("cycle", 17) == 2.0
-    assert closed_form_rho("complete", 5) == 4.0
-    assert closed_form_rho("complete_bipartite", 2, 8) == 4.0
-    with pytest.raises(ValueError, match="no closed form for 'star'"):
-        closed_form_rho("star", 4)
-    with pytest.raises(ValueError):
-        closed_form_rho("cycle", 2)
-
-
-def test_power_iteration_matches_closed_forms():
+def test_dense_solve_matches_closed_forms():
     for n in range(2, 13):
         assert spectral_radius(path_graph(n)).rho == pytest.approx(
-            closed_form_rho("path", n), abs=1e-10)
+            2.0 * math.cos(math.pi / (n + 1)), abs=1e-10)
         assert spectral_radius(complete_graph(n)).rho == pytest.approx(
             n - 1, abs=1e-10)
     for n in range(3, 13):
@@ -101,7 +90,8 @@ def test_spectral_radius_rejects_bad_input():
     with pytest.raises(ValueError, match="at least one vertex"):
         spectral_radius(from_edges(0, []))
     with pytest.raises(DisconnectedGraphError):
-        spectral_radius(union(complete_graph(3), complete_graph(3)))
+        spectral_radius(oracles.from_nx(nx.disjoint_union(
+            nx.complete_graph(3), nx.complete_graph(3))))
 
 
 def test_spectral_radius_single_vertex():
@@ -136,7 +126,8 @@ def test_determinism_exact():
 
 
 def test_spectral_radius_any_takes_component_max():
-    g = union(cycle_graph(4), complete_graph(4))
+    g = oracles.from_nx(nx.disjoint_union(nx.cycle_graph(4),
+                                          nx.complete_graph(4)))
     assert spectral_radius_any(g) == pytest.approx(3.0, abs=1e-10)
     assert spectral_radius_any(path_graph(2)) == pytest.approx(1.0)
 

@@ -268,6 +268,17 @@ def test_entry_bounds_sample_is_deterministic():
     assert all(20 <= r.params["n"] <= 40 for r in a)
 
 
+@pytest.mark.parametrize("count, n_lo, n_hi, match", [
+    (0, 20, 100, "count=0"),
+    (-1, 20, 100, "count=-1"),
+    (5, 3, 100, "n_lo=3"),       # n = 3 has no forest below two hubs
+    (5, 41, 40, "n_lo=41, n_hi=40"),
+])
+def test_entry_bounds_sample_rejects_bad_sampling(count, n_lo, n_hi, match):
+    with pytest.raises(ValueError, match=match):
+        entry_bounds_sample(count, n_lo, n_hi, seed=7)
+
+
 # --- argmax sweep ---------------------------------------------------------------
 
 
