@@ -2,8 +2,11 @@
 
 Subcommands: build, rho, spectrum, member, verify, sweep.
 Exit codes: 0 success, 1 when any check reports "violated" (or a
-computation refuses the input), 2 for usage errors and for inputs too
-large to fit in memory.
+computation refuses the input), 2 for usage errors (a flag the chosen
+subcommand or mode would not read among them) and for inputs too large to
+fit in memory, 141 (128 + SIGPIPE, what a shell reports for a writer
+killed by that signal) when stdout is closed before the output is written,
+as in `spex verify entry-bounds | head`.
 
 Graph arguments accept, in this order of interpretation:
   * a family string:  P12  C6  K7  K2,18  k2+[4,1,1]  extremal(8,0)
@@ -21,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from typing import Optional
@@ -94,6 +98,22 @@ def _emit(obj) -> None:
     print(json.dumps(obj, separators=(",", ":")))
 
 
+# the flags whose use depends on the subcommand's mode (build's family,
+# verify's check); a flag at None or False was not given
+_MODE_FLAGS = ("n", "k", "a1", "a2", "l1", "l2", "n1", "n2", "l", "parts",
+               "count", "n_lo", "n_hi", "seed", "force")
+_MERGE_FLAGS = ("n", "k", "n1", "n2", "l", "force")  # lemma2 and claim33
+
+
+def _reads(a: argparse.Namespace, what: str, *flags: str) -> None:
+    """Refuse any given mode flag that `what` would not read."""
+    unread = [f"--{d.replace('_', '-')}" for d in _MODE_FLAGS
+              if d not in flags and getattr(a, d, None) is not None
+              and getattr(a, d) is not False]
+    if unread:
+        raise UsageError(f"{what} does not read {', '.join(unread)}")
+
+
 def _write_csv(path: Optional[str], text: str) -> None:
     if path:
         with open(path, "w") as fh:
@@ -107,12 +127,15 @@ def cmd_build(a: argparse.Namespace) -> int:
     if a.family == "extremal":
         if a.n is None:
             raise UsageError("build extremal needs --n (and optionally --k)")
-        g = extremal_graph(a.n, a.k)
+        _reads(a, "build extremal", "n", "k")
+        g = extremal_graph(a.n, a.k or 0)
     elif a.family == "forest":
         if not a.parts:
             raise UsageError("build forest needs --parts p1,p2,...")
+        _reads(a, "build forest", "parts")
         g = build_linear_forest(_parse_parts(a.parts))
     else:
+        _reads(a, f"build {a.family}")
         g = load_graph(a.family)
     if a.out == "g6":
         print(to_graph6(g))
@@ -171,6 +194,7 @@ def cmd_verify(a: argparse.Namespace) -> int:
     if a.n is None and not (a.check == "entry-bounds" and not a.parts):
         raise UsageError(f"verify {a.check} needs --n")
     if a.check == "lemma1":
+        _reads(a, "verify lemma1", "n", "a1", "a2", "l1", "l2")
         if a.l1 or a.l2 or a.a1 is not None or a.a2 is not None:
             if not (a.l1 and a.l2 and a.a1 is not None and a.a2 is not None):
                 raise UsageError(
@@ -181,19 +205,22 @@ def cmd_verify(a: argparse.Namespace) -> int:
         else:
             reports.extend(V.lemma1_sweep(a.n, a.tol))
     elif a.check == "lemma2":
+        _reads(a, "verify lemma2", *_MERGE_FLAGS)
         if a.n1 is not None or a.n2 is not None or a.l:
             if a.n1 is None or a.n2 is None:
                 raise UsageError("single lemma2 check needs both --n1 --n2")
             l = _parse_parts(a.l) if a.l else ()
             reports.append(V.verify_lemma2(
-                a.n, a.k, a.n1, a.n2, l, a.tol, a.force))
+                a.n, a.k or 0, a.n1, a.n2, l, a.tol, a.force))
         else:
-            reports.extend(V.lemma2_sweep(a.n, a.k, a.tol, a.force))
+            reports.extend(V.lemma2_sweep(a.n, a.k or 0, a.tol, a.force))
     elif a.check == "claim33":
+        _reads(a, "verify claim33", *_MERGE_FLAGS)
         if a.n1 is None or a.n2 is None:
             raise UsageError("claim33 needs --n1 and --n2")
         l = _parse_parts(a.l) if a.l else ()
-        rep, wits = V.verify_claim33(a.n, a.k, a.n1, a.n2, l, a.tol, a.force)
+        rep, wits = V.verify_claim33(a.n, a.k or 0, a.n1, a.n2, l, a.tol,
+                                     a.force)
         reports.append(rep)
         witness_lines.extend(w.as_dict() for w in wits)
     elif a.check == "entry-bounds":
@@ -201,6 +228,7 @@ def cmd_verify(a: argparse.Namespace) -> int:
             if any(v is not None for v in (a.count, a.n_lo, a.n_hi, a.seed)):
                 raise UsageError(
                     "sampling flags apply only to the sampled run (no --parts)")
+            _reads(a, "verify entry-bounds with --parts", "n", "parts")
             reports.append(V.verify_entry_bounds(
                 a.n, _parse_parts(a.parts), a.tol))
         else:
@@ -208,6 +236,8 @@ def cmd_verify(a: argparse.Namespace) -> int:
                 raise UsageError(
                     "entry-bounds with --n needs --parts; "
                     "drop --n for the sampled run")
+            _reads(a, "verify entry-bounds without --parts",
+                   "count", "n_lo", "n_hi", "seed")
             s = dict(gridconfig.ENTRY_BOUNDS_SAMPLE)
             s.update((k, v) for k, v in vars(a).items()
                      if k in s and v is not None)
@@ -279,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="family string, or 'extremal' (with --n/--k), or "
                         "'forest' (with --parts)")
     p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, help="default 0")
     p.add_argument("--parts")
     p.add_argument("--out", choices=("g6", "edges", "json"), default="g6")
     p.set_defaults(fn=cmd_build)
@@ -312,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int,
                    help="graph order (required except for the sampled "
                         "entry-bounds run)")
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, help="default 0")
     p.add_argument("--a1", type=int)
     p.add_argument("--a2", type=int)
     p.add_argument("--l1", help="parts of the first forest, e.g. 34,2,2")
@@ -356,7 +386,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`spex ... | head`): nothing is left to say,
+        # and what is still buffered goes to devnull so that the flush at
+        # interpreter exit does not raise again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 141  # stdout is not a file descriptor (replaced in-process)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -4,18 +4,20 @@ Vertices are always consecutive integers starting at 0; an edge is an
 unordered pair of distinct vertices. Graphs are value objects: construction
 validates, after that nothing mutates, so they can be hashed, compared and
 used as dict keys by the layers above. Derived structure that several
-layers need (the biconnected blocks, planarity) is computed on first use
-and cached on the instance; it takes no part in equality, hashing or
-pickling.
+layers need (the CSR view of the adjacency, the biconnected blocks with
+their edges and parity, planarity) is computed on first use and cached on
+the instance; it takes no part in equality, hashing or pickling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 import networkx as nx
+import numpy as np
 
 
 class GraphConstructionError(ValueError):
@@ -60,19 +62,38 @@ class Graph:
         return len(self.components()) <= 1
 
     @cached_property
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        """Vertex sets of the biconnected blocks with at least 3 vertices.
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency as (offsets, nbrs), read-only int64 arrays: the
+        neighbours of v are nbrs[offsets[v]:offsets[v + 1]], in `adj` order.
+        The graph6 encoder and the spectral layer read this one view."""
+        offsets = np.zeros(self.n + 1, np.int64)
+        np.cumsum([len(row) for row in self.adj], out=offsets[1:])
+        nbrs = np.fromiter(chain.from_iterable(self.adj), np.int64,
+                           int(offsets[-1]))
+        offsets.flags.writeable = nbrs.flags.writeable = False
+        return offsets, nbrs
+
+    @cached_property
+    def _block_pass(self) -> tuple[tuple[frozenset[int],
+                                         tuple[tuple[int, int], ...],
+                                         bool], ...]:
+        """(vertices, edges, bipartite) of each block with >= 3 vertices,
+        each edge given once, as (ancestor, descendant) in the DFS.
 
         Every cycle lies inside one block (Hopcroft & Tarjan, CACM 16(6),
         1973), so these are the only places a cycle search has to look;
         bridges and isolated vertices belong to none of them. One Tarjan
-        low-point pass in O(n + m), over an explicit stack (no recursion):
-        a child v of u whose subtree reaches no higher than u closes the
-        block made of u and the vertices stacked since v.
+        low-point pass in O(n + m), over an explicit stack (no recursion),
+        that stacks tree and back edges: a child v of u whose subtree
+        reaches no higher than u closes the block made of the edges stacked
+        since the tree edge (u, v). The block's tree edges span it, so it
+        is bipartite iff none of its edges joins two vertices whose DFS
+        depths have the same parity.
         """
         adj = self.adj
         disc = [0] * self.n  # discovery time, 0 = unvisited
         low = [0] * self.n
+        depth = [0] * self.n
         out = []
         clock = 0
         for root in range(self.n):
@@ -80,56 +101,52 @@ class Graph:
                 continue
             clock += 1
             disc[root] = low[root] = clock
-            pending = [root]  # visited vertices not yet assigned to a block
-            stack = [(root, iter(adj[root]))]
+            edges = []  # edges not yet assigned to a block
+            # (vertex, its parent, neighbour iterator, height of `edges`
+            # below its tree edge)
+            stack = [(root, -1, iter(adj[root]), 0)]
             while stack:
-                v, it = stack[-1]
+                v, parent, it, _ = stack[-1]
                 for w in it:
                     if not disc[w]:
                         clock += 1
                         disc[w] = low[w] = clock
-                        pending.append(w)
-                        stack.append((w, iter(adj[w])))
+                        depth[w] = depth[v] + 1
+                        stack.append((w, v, iter(adj[w]), len(edges)))
+                        edges.append((v, w))
                         break
-                    # the tree edge back to v's parent also lands here; it
-                    # lowers low[v] to disc[parent] at most, which leaves
-                    # the test low[v] >= disc[parent] below unchanged
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
+                    if disc[w] < disc[v] and w != parent:  # back edge
+                        edges.append((w, v))
+                        if disc[w] < low[v]:
+                            low[v] = disc[w]
                 else:
-                    stack.pop()
+                    mark = stack.pop()[3]
                     if not stack:
                         continue
-                    u = stack[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= disc[u]:
-                        block = [u]
-                        while block[-1] != v:
-                            block.append(pending.pop())
-                        if len(block) >= 3:
-                            out.append(frozenset(block))
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] >= disc[parent]:
+                        block = edges[mark:]
+                        del edges[mark:]
+                        if len(block) > 1:  # one edge is a bridge
+                            out.append((
+                                frozenset(chain.from_iterable(block)),
+                                tuple(block),
+                                all((depth[a] ^ depth[b]) & 1
+                                    for a, b in block)))
         return tuple(out)
+
+    @cached_property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """Vertex sets of the biconnected blocks with at least 3 vertices,
+        in the order the Tarjan pass (`_block_pass`) closes them."""
+        return tuple(b for b, _, _ in self._block_pass)
 
     @cached_property
     def odd_blocks(self) -> tuple[frozenset[int], ...]:
         """The non-bipartite blocks: an odd cycle lies inside one block, and
         a bipartite block has none."""
-        return tuple(b for b in self.blocks if not self._bipartite(b))
-
-    def _bipartite(self, block: frozenset[int]) -> bool:
-        """2-colour `block` breadth-first over its own edges."""
-        queue = [min(block)]
-        side = {queue[0]: 0}
-        for u in queue:  # the queue grows while it is read
-            for v in self.adj[u]:
-                if v in block:
-                    if v not in side:
-                        side[v] = side[u] ^ 1
-                        queue.append(v)
-                    elif side[v] == side[u]:
-                        return False
-        return True
+        return tuple(b for b, _, bip in self._block_pass if not bip)
 
     @cached_property
     def planar(self) -> bool:
@@ -139,13 +156,9 @@ class Graph:
         non-planar block contains a subdivision of K5 or K3,3, so its cycle
         rank m - n + 1 is at least 4 (6 for K5, 4 for K3,3; subdividing
         keeps the rank). Only blocks of rank >= 4 go to networkx's
-        left-right test, each built straight from its own edges: an edge
-        with both ends in a block belongs to that block, since two blocks
-        share at most one vertex.
+        left-right test, each built from the edges the Tarjan pass gave it.
         """
-        for block in self.blocks:
-            edges = [(u, v) for u in block for v in self.adj[u]
-                     if u < v and v in block]
+        for block, edges, _ in self._block_pass:
             if len(edges) - len(block) + 1 < 4:
                 continue
             h = nx.Graph()
@@ -213,7 +226,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 #
 # Standard graph6: header N(n), then the upper triangle of the adjacency
 # matrix read column by column (x(0,1), x(0,2), x(1,2), x(0,3), ...), packed
-# big-endian into 6-bit groups, each offset by 63 into printable ASCII.
+# big-endian into 6-bit groups, each offset by 63 into printable ASCII. So
+# edge (i, j), i < j, is bit k = j(j-1)/2 + i: bit 5 - k % 6 of group k // 6.
 
 _G6_MAX_N = (1 << 36) - 1
 
@@ -228,21 +242,13 @@ def to_graph6(g: Graph) -> str:
         head = [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
     else:
         head = [126, 126] + [63 + ((n >> s) & 63) for s in (30, 24, 18, 12, 6, 0)]
-    out = bytearray(head)
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        row = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | (1 if i in row else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    offsets, nbrs = g.csr
+    j = np.repeat(np.arange(n), np.diff(offsets))
+    lower = nbrs < j  # each edge once, from its larger end j
+    k = j[lower] * (j[lower] - 1) // 2 + nbrs[lower]
+    body = np.zeros((n * (n - 1) // 2 + 5) // 6, np.uint8)
+    np.bitwise_or.at(body, k // 6, (32 >> k % 6).astype(np.uint8))
+    return (bytes(head) + (body + 63).tobytes()).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
@@ -257,9 +263,11 @@ def from_graph6(text: str) -> Graph:
                           exc.start) from None
     if not data:
         raise Graph6Error("empty graph6 input", 0)
-    for pos, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b!r} outside graph6 range", pos)
+    codes = np.frombuffer(data, np.uint8)
+    bad = np.flatnonzero((codes < 63) | (codes > 126))
+    if len(bad):
+        pos = int(bad[0])
+        raise Graph6Error(f"byte {data[pos]!r} outside graph6 range", pos)
     if data[0] != 126:
         n = data[0] - 63
         body = 1
@@ -281,23 +289,14 @@ def from_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"expected {need} body bytes for n={n}, got {len(data) - body}",
             min(len(data), body + need))
-    edges = []
-    i, j = 0, 1
-    consumed = 0
-    for pos in range(body, len(data)):
-        group = data[pos] - 63
-        for k in range(5, -1, -1):
-            bit = (group >> k) & 1
-            if consumed < nbits:
-                if bit:
-                    edges.append((i, j))
-                consumed += 1
-                i += 1
-                if i == j:
-                    i, j = 0, j + 1
-            elif bit:
-                raise Graph6Error("nonzero padding bits", pos)
-    return from_edges(n, edges)
+    # the set bits k of the 6-bit groups (the top 2 of each byte are 0)
+    k = np.flatnonzero(np.unpackbits(codes[body:] - 63).reshape(-1, 8)[:, 2:])
+    if len(k) and k[-1] >= nbits:
+        raise Graph6Error("nonzero padding bits", body + int(k[-1]) // 6)
+    j = np.searchsorted(np.arange(n + 1) * np.arange(-1, n) // 2, k,
+                        side="right") - 1
+    i = k - j * (j - 1) // 2
+    return from_edges(n, zip(i.tolist(), j.tolist()))
 
 
 # --- plain-text edge list ---------------------------------------------------

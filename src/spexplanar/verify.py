@@ -108,6 +108,13 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _solved_join(parts: Sequence[int], hub_edge: bool, tol: float
+                 ) -> tuple[Graph, SpectralResult, str]:
+    """The hub join of `parts`, its solve and its graph6."""
+    g = join_with_paths(parts, dominating_edge=hub_edge)
+    return g, spectral_radius(g, tol), to_graph6(g)
+
+
 # --- lemma1: family ordering under the part count ---------------------------
 
 
@@ -143,10 +150,8 @@ def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
             f"need a1 <= sqrt(2n-4)/4 = {_a_limit(n):.4f}, got a1={a1}")
     lf1 = _check_lna(n, a1, l1, "l1")
     lf2 = _check_lna(n, a2, l2, "l2")
-    g1 = join_with_paths(lf1.parts, dominating_edge=False)
-    g2 = join_with_paths(lf2.parts, dominating_edge=False)
-    r1 = spectral_radius(g1, tol)
-    r2 = spectral_radius(g2, tol)
+    _, r1, g6_1 = _solved_join(lf1.parts, False, tol)
+    _, r2, g6_2 = _solved_join(lf2.parts, False, tol)
     gap = r2.rho - r1.rho
     return VerificationReport(
         check_id="lemma1",
@@ -155,7 +160,7 @@ def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
         holds=verdict(gap, 10.0 * (tol + tol)),
         margins={"rho_gap": float(gap), "rho_l1": float(r1.rho),
                  "rho_l2": float(r2.rho)},
-        artifacts={"join_l1": to_graph6(g1), "join_l2": to_graph6(g2)},
+        artifacts={"join_l1": g6_1, "join_l2": g6_2},
         tol=tol,
     )
 
@@ -286,20 +291,13 @@ def _apply_chain_swap(g: Graph, n1: int, t1: int, t2: int) -> Graph:
     return from_edges(g.n, edges)
 
 
-def _solved_join(parts: Sequence[int], tol: float
-                 ) -> tuple[Graph, SpectralResult, str]:
-    """The hub join (hub edge present) of `parts`, its solve and graph6."""
-    g = join_with_paths(parts, dominating_edge=True)
-    return g, spectral_radius(g, tol), to_graph6(g)
-
-
 def _pre_merge(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
                tol: float, force: bool
                ) -> tuple[bool, Graph, SpectralResult, str]:
     """Validate a merge instance, then build, solve and encode its
     pre-merge join: (outside_hypothesis, graph, solve, graph6)."""
     outside = _validate_merge(n, k, n1, n2, l_parts, force)
-    return (outside, *_solved_join([n1, n2, *l_parts], tol))
+    return (outside, *_solved_join([n1, n2, *l_parts], True, tol))
 
 
 def _merged_parts(k: int, n1: int, n2: int,
@@ -318,7 +316,7 @@ def verify_lemma2(n: int, k: int, n1: int, n2: int,
     into the post-swap graph.
     """
     pre = _pre_merge(n, k, n1, n2, l_parts, tol, force)
-    post = _solved_join(_merged_parts(k, n1, n2, l_parts), tol)
+    post = _solved_join(_merged_parts(k, n1, n2, l_parts), True, tol)
     return _lemma2(n, k, n1, n2, l_parts, tol, pre, post)
 
 
@@ -468,7 +466,7 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
         n1 = n - 2 - n2
         pre = _pre_merge(n, k, n1, n2, (), tol, force)
         if post is None:
-            post = _solved_join(_merged_parts(k, n1, n2, ()), tol)
+            post = _solved_join(_merged_parts(k, n1, n2, ()), True, tol)
         reports.append(_lemma2(n, k, n1, n2, (), tol, pre, post))
         reports.append(_claim33(n, k, n1, n2, (), tol, pre)[0])
     return reports
@@ -486,8 +484,7 @@ def verify_entry_bounds(n: int, parts: Sequence[int],
     lf = LinearForest(tuple(parts))
     if lf.order != n - 2:
         raise ValueError(f"forest order {lf.order} != n-2 = {n - 2}")
-    g = join_with_paths(lf.parts, dominating_edge=False)
-    res = spectral_radius(g, tol)
+    _, res, g6 = _solved_join(lf.parts, False, tol)
     rho, x = res.rho, res.vector
     lo = 2.0 / rho
     hi = 2.0 / rho + 8.0 / rho ** 2
@@ -504,7 +501,7 @@ def verify_entry_bounds(n: int, parts: Sequence[int],
         holds="certified" if ok else "violated",
         margins={"rho": float(rho), "lower_slack": lower_slack,
                  "upper_slack": upper_slack, "hub_dev": hub_dev},
-        artifacts={"join": to_graph6(g)},
+        artifacts={"join": g6},
         tol=tol,
     )
 

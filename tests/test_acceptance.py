@@ -58,7 +58,8 @@ def test_criterion_1_closed_form_bipartite():
     return f"197 orders, max deviation {worst:.2e}"
 
 
-@criterion(2, "power iteration matches the dense eigensolver within 1e-8")
+@criterion(2, "spectral_radius (secular engine on joins) matches the "
+              "dense eigensolver within 1e-8")
 def test_criterion_2_dense_oracle_equivalence():
     worst = 0.0
     joins = 0

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -127,6 +128,20 @@ def test_out_of_memory_exits_two_with_one_line(capsys, monkeypatch):
     assert code == 2 and err == "error: out of memory: allocation failed\n"
 
 
+@pytest.mark.parametrize("closed", ["write", "flush"])
+def test_closed_stdout_ends_quietly(monkeypatch, capsys, closed):
+    # `spex ... | head`: the pipe closes during a write or at the last flush
+    class ClosedPipe(io.StringIO):
+        def fail(self, *args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    pipe = ClosedPipe()
+    setattr(pipe, closed, pipe.fail)
+    monkeypatch.setattr(sys, "stdout", pipe)
+    code = main(["verify", "entry-bounds", "--n", "22", "--parts", "16,3,1"])
+    assert code == 141 and capsys.readouterr().err == ""
+
+
 def test_rho_rejects_non_ascii_graph6(capsys):
     code, out, err = run(capsys, "rho", "A\u00e9")
     assert code == 2
@@ -243,6 +258,28 @@ def test_verify_instance_flags_never_silently_ignored(capsys):
     code, _, err = run(capsys, "verify", "entry-bounds", "--n", "30",
                        "--parts", "20,5,3", "--seed", "7")
     assert code == 2 and "sampled run" in err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["verify", "claim33", "--n", "300", "--n1", "149", "--n2", "149",
+      "--a1", "5", "--seed", "3", "--parts", "9"], "--a1, --parts, --seed"),
+    (["verify", "lemma1", "--n", "40", "--k", "7", "--force", "--n1", "3"],
+     "--k, --n1, --force"),
+    (["verify", "entry-bounds", "--n", "22", "--parts", "16,3,1",
+      "--k", "4", "--force"], "--k, --force"),
+    (["verify", "entry-bounds", "--count", "3", "--k", "0"], "--k"),
+    (["verify", "lemma2", "--n", "300", "--count", "3"], "--count"),
+    (["build", "P5", "--n", "9", "--k", "3", "--parts", "4,4"],
+     "--n, --k, --parts"),
+    (["build", "extremal", "--n", "10", "--parts", "3"], "--parts"),
+    (["build", "forest", "--parts", "3,1", "--k", "0"], "--k"),
+])
+def test_unread_flags_exit_two_naming_them(capsys, argv, flags):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.endswith(
+        f" does not read {flags}\n")
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_claim33_emits_witnesses(capsys):

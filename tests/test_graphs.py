@@ -13,7 +13,7 @@ from spexplanar import (Graph, Graph6Error, GraphConstructionError,
                         induced_subgraph, is_planar, parse_edge_list,
                         to_graph6)
 from spexplanar.families import (complete_bipartite, complete_graph,
-                                 cycle_graph, path_graph)
+                                 cycle_graph, join_with_paths, path_graph)
 
 import oracles
 
@@ -60,6 +60,7 @@ def test_cached_properties_leave_value_semantics_alone():
     fresh = from_edges(g.n, list(g.edges()))
     pickled = pickle.dumps(g)
     assert len(g.blocks) == 2 and not is_planar(g)
+    assert len(g.csr[1]) == 2 * g.edge_count()
     assert pickle.dumps(g) == pickled
     assert g == fresh and hash(g) == hash(fresh)
     for back in (pickle.loads(pickled), copy.deepcopy(g)):
@@ -110,13 +111,19 @@ def test_graph6_roundtrip_random():
 
 def test_graph6_agrees_with_networkx_codec():
     rng = random.Random(4)
-    for n in (3, 7, 20, 62, 63, 80):
-        g = oracles.random_graph(rng, n, 0.3)
+    graphs = [oracles.random_graph(rng, n, 0.3)
+              for n in (3, 7, 20, 62, 63, 80)]
+    # hub joins up to the paper's order 2051; 63 is the first order with
+    # the 4-byte long-form header
+    graphs += [join_with_paths([n - 10, 5, 3], dominating_edge=n != 63)
+               for n in (62, 63, 259, 2051)]
+    for g in graphs:
         mine = to_graph6(g)
         theirs = nx.to_graph6_bytes(oracles.to_nx(g), header=False)
         assert mine == theirs.decode().strip()
         back = nx.from_graph6_bytes(mine.encode())
         assert set(back.edges()) == set(g.edges())
+        assert from_graph6(mine) == g
 
 
 @st.composite
@@ -258,6 +265,22 @@ def test_blocks_match_networkx(g, chords):
     assert sorted(g.blocks, key=sorted) == sorted(want, key=sorted)
     odd = [c for c in want if not nx.is_bipartite(h.subgraph(c))]
     assert sorted(g.odd_blocks, key=sorted) == sorted(odd, key=sorted)
+    for block, edges, _ in g._block_pass:
+        assert len(edges) == len(set(map(frozenset, edges)))
+        assert ({frozenset(e) for e in edges}
+                == {frozenset(e) for e in h.subgraph(block).edges()})
+
+
+def test_windmill_blocks_parity_and_planarity_match_networkx():
+    # 3,000 triangles on one shared vertex: every block meets vertex 0
+    k = 3000
+    g = from_edges(2 * k + 1, [e for t in range(1, 2 * k, 2)
+                               for e in ((0, t), (0, t + 1), (t, t + 1))])
+    h = oracles.to_nx(g)
+    want = sorted(map(sorted, nx.biconnected_components(h)))
+    assert sorted(map(sorted, g.blocks)) == want
+    assert sorted(map(sorted, g.odd_blocks)) == want
+    assert g.planar and nx.check_planarity(h)[0]
 
 
 def test_blocks_do_not_recurse():
