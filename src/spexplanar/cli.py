@@ -98,20 +98,14 @@ def _emit(obj) -> None:
     print(json.dumps(obj, separators=(",", ":")))
 
 
-# the flags whose use depends on the subcommand's mode (build's family,
-# verify's check); a flag at None or False was not given
-_MODE_FLAGS = ("n", "k", "a1", "a2", "l1", "l2", "n1", "n2", "l", "parts",
-               "count", "n_lo", "n_hi", "seed", "force")
-_MERGE_FLAGS = ("n", "k", "n1", "n2", "l", "force")  # lemma2 and claim33
-
-
-def _reads(a: argparse.Namespace, what: str, *flags: str) -> None:
-    """Refuse any given mode flag that `what` would not read."""
-    unread = [f"--{d.replace('_', '-')}" for d in _MODE_FLAGS
-              if d not in flags and getattr(a, d, None) is not None
-              and getattr(a, d) is not False]
+def _build_reads(a: argparse.Namespace, *flags: str) -> None:
+    """Refuse --n, --k or --parts where build's family would not read it
+    (each verify check has a parser of its own, which refuses them)."""
+    unread = [f"--{f}" for f in ("n", "k", "parts")
+              if f not in flags and getattr(a, f) is not None]
     if unread:
-        raise UsageError(f"{what} does not read {', '.join(unread)}")
+        raise UsageError(
+            f"build {a.family} does not read {', '.join(unread)}")
 
 
 def _write_csv(path: Optional[str], text: str) -> None:
@@ -127,15 +121,15 @@ def cmd_build(a: argparse.Namespace) -> int:
     if a.family == "extremal":
         if a.n is None:
             raise UsageError("build extremal needs --n (and optionally --k)")
-        _reads(a, "build extremal", "n", "k")
+        _build_reads(a, "n", "k")
         g = extremal_graph(a.n, a.k or 0)
     elif a.family == "forest":
         if not a.parts:
             raise UsageError("build forest needs --parts p1,p2,...")
-        _reads(a, "build forest", "parts")
+        _build_reads(a, "parts")
         g = build_linear_forest(_parse_parts(a.parts))
     else:
-        _reads(a, f"build {a.family}")
+        _build_reads(a)
         g = load_graph(a.family)
     if a.out == "g6":
         print(to_graph6(g))
@@ -194,7 +188,6 @@ def cmd_verify(a: argparse.Namespace) -> int:
     if a.n is None and not (a.check == "entry-bounds" and not a.parts):
         raise UsageError(f"verify {a.check} needs --n")
     if a.check == "lemma1":
-        _reads(a, "verify lemma1", "n", "a1", "a2", "l1", "l2")
         if a.l1 or a.l2 or a.a1 is not None or a.a2 is not None:
             if not (a.l1 and a.l2 and a.a1 is not None and a.a2 is not None):
                 raise UsageError(
@@ -205,22 +198,19 @@ def cmd_verify(a: argparse.Namespace) -> int:
         else:
             reports.extend(V.lemma1_sweep(a.n, a.tol))
     elif a.check == "lemma2":
-        _reads(a, "verify lemma2", *_MERGE_FLAGS)
         if a.n1 is not None or a.n2 is not None or a.l:
             if a.n1 is None or a.n2 is None:
                 raise UsageError("single lemma2 check needs both --n1 --n2")
             l = _parse_parts(a.l) if a.l else ()
             reports.append(V.verify_lemma2(
-                a.n, a.k or 0, a.n1, a.n2, l, a.tol, a.force))
+                a.n, a.k, a.n1, a.n2, l, a.tol, a.force))
         else:
-            reports.extend(V.lemma2_sweep(a.n, a.k or 0, a.tol, a.force))
+            reports.extend(V.lemma2_sweep(a.n, a.k, a.tol, a.force))
     elif a.check == "claim33":
-        _reads(a, "verify claim33", *_MERGE_FLAGS)
         if a.n1 is None or a.n2 is None:
             raise UsageError("claim33 needs --n1 and --n2")
         l = _parse_parts(a.l) if a.l else ()
-        rep, wits = V.verify_claim33(a.n, a.k or 0, a.n1, a.n2, l, a.tol,
-                                     a.force)
+        rep, wits = V.verify_claim33(a.n, a.k, a.n1, a.n2, l, a.tol, a.force)
         reports.append(rep)
         witness_lines.extend(w.as_dict() for w in wits)
     elif a.check == "entry-bounds":
@@ -228,7 +218,6 @@ def cmd_verify(a: argparse.Namespace) -> int:
             if any(v is not None for v in (a.count, a.n_lo, a.n_hi, a.seed)):
                 raise UsageError(
                     "sampling flags apply only to the sampled run (no --parts)")
-            _reads(a, "verify entry-bounds with --parts", "n", "parts")
             reports.append(V.verify_entry_bounds(
                 a.n, _parse_parts(a.parts), a.tol))
         else:
@@ -236,8 +225,6 @@ def cmd_verify(a: argparse.Namespace) -> int:
                 raise UsageError(
                     "entry-bounds with --n needs --parts; "
                     "drop --n for the sampled run")
-            _reads(a, "verify entry-bounds without --parts",
-                   "count", "n_lo", "n_hi", "seed")
             s = dict(gridconfig.ENTRY_BOUNDS_SAMPLE)
             s.update((k, v) for k, v in vars(a).items()
                      if k in s and v is not None)
@@ -337,30 +324,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_member)
 
     p = sub.add_parser("verify", help="run an inequality check")
-    p.add_argument("check",
-                   choices=("lemma1", "lemma2", "claim33", "entry-bounds"))
-    p.add_argument("--n", type=int,
-                   help="graph order (required except for the sampled "
-                        "entry-bounds run)")
-    p.add_argument("--k", type=int, help="default 0")
-    p.add_argument("--a1", type=int)
-    p.add_argument("--a2", type=int)
-    p.add_argument("--l1", help="parts of the first forest, e.g. 34,2,2")
-    p.add_argument("--l2", help="parts of the second forest")
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--l", help="residual forest parts, e.g. 4,1")
-    p.add_argument("--parts", help="forest parts for entry-bounds")
-    p.add_argument("--count", type=int)
-    p.add_argument("--n-lo", type=int)
-    p.add_argument("--n-hi", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--force", action="store_true",
-                   help="run below the order threshold; reports are "
-                        "labeled outside_hypothesis")
-    p.add_argument("--csv", help="also write a CSV margin table to FILE")
-    add_tol(p)
     p.set_defaults(fn=cmd_verify)
+    checks = p.add_subparsers(dest="check", required=True, metavar="check")
+
+    def add_check(name, help, n_help="graph order"):
+        # each check takes only the flags it reads: argparse refuses others;
+        # its errors keep the "spex verify: error:" prefix
+        c = checks.add_parser(name, help=help, prog=p.prog,
+                              usage=f"%(prog)s {name} [options]")
+        c.add_argument("--n", type=int, help=n_help)
+        c.add_argument("--csv", help="also write a CSV margin table to FILE")
+        add_tol(c)
+        return c
+
+    c = add_check("lemma1", "one ordered family pair, or all at --n")
+    c.add_argument("--a1", type=int)
+    c.add_argument("--a2", type=int)
+    c.add_argument("--l1", help="parts of the first forest, e.g. 34,2,2")
+    c.add_argument("--l2", help="parts of the second forest")
+    for name, help in (("lemma2", "one merge split, or all at --n"),
+                       ("claim33", "one merge split, with interval "
+                                   "witnesses")):
+        c = add_check(name, help)
+        c.add_argument("--k", type=int, default=0, help="default 0")
+        c.add_argument("--n1", type=int)
+        c.add_argument("--n2", type=int)
+        c.add_argument("--l", help="residual forest parts, e.g. 4,1")
+        c.add_argument("--force", action="store_true",
+                       help="run below the order threshold; reports are "
+                            "labeled outside_hypothesis")
+    c = add_check("entry-bounds", "one join (--n, --parts), or the seeded "
+                                  "sample", n_help="graph order (with "
+                                                   "--parts)")
+    c.add_argument("--parts", help="forest parts, e.g. 16,3,1")
+    c.add_argument("--count", type=int)
+    c.add_argument("--n-lo", type=int)
+    c.add_argument("--n-hi", type=int)
+    c.add_argument("--seed", type=int)
 
     p = sub.add_parser("sweep", help="exhaustive parameter sweep")
     p.add_argument("what", help="sweep kind: argmax")

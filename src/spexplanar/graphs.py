@@ -4,9 +4,9 @@ Vertices are always consecutive integers starting at 0; an edge is an
 unordered pair of distinct vertices. Graphs are value objects: construction
 validates, after that nothing mutates, so they can be hashed, compared and
 used as dict keys by the layers above. Derived structure that several
-layers need (the CSR view of the adjacency, the biconnected blocks with
-their edges and parity, planarity) is computed on first use and cached on
-the instance; it takes no part in equality, hashing or pickling.
+layers need (the biconnected blocks with their parity, planarity) is
+computed on first use and cached on the instance; it takes no part in
+equality, hashing or pickling.
 """
 
 from __future__ import annotations
@@ -61,24 +61,9 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The adjacency as (offsets, nbrs), read-only int64 arrays: the
-        neighbours of v are nbrs[offsets[v]:offsets[v + 1]], in `adj` order.
-        The graph6 encoder and the spectral layer read this one view."""
-        offsets = np.zeros(self.n + 1, np.int64)
-        np.cumsum([len(row) for row in self.adj], out=offsets[1:])
-        nbrs = np.fromiter(chain.from_iterable(self.adj), np.int64,
-                           int(offsets[-1]))
-        offsets.flags.writeable = nbrs.flags.writeable = False
-        return offsets, nbrs
-
-    @cached_property
-    def _block_pass(self) -> tuple[tuple[frozenset[int],
-                                         tuple[tuple[int, int], ...],
-                                         bool], ...]:
-        """(vertices, edges, bipartite) of each block with >= 3 vertices,
-        each edge given once, as (ancestor, descendant) in the DFS.
+    def _tarjan_blocks(self) -> Iterator[tuple[frozenset[int], list, bool]]:
+        """Yield (vertices, edges, bipartite) of each block with >= 3
+        vertices, each edge given once, as (ancestor, descendant) in the DFS.
 
         Every cycle lies inside one block (Hopcroft & Tarjan, CACM 16(6),
         1973), so these are the only places a cycle search has to look;
@@ -94,7 +79,6 @@ class Graph:
         disc = [0] * self.n  # discovery time, 0 = unvisited
         low = [0] * self.n
         depth = [0] * self.n
-        out = []
         clock = 0
         for root in range(self.n):
             if disc[root]:
@@ -129,24 +113,27 @@ class Graph:
                         block = edges[mark:]
                         del edges[mark:]
                         if len(block) > 1:  # one edge is a bridge
-                            out.append((
-                                frozenset(chain.from_iterable(block)),
-                                tuple(block),
-                                all((depth[a] ^ depth[b]) & 1
-                                    for a, b in block)))
-        return tuple(out)
+                            yield (frozenset(chain.from_iterable(block)),
+                                   block,
+                                   all((depth[a] ^ depth[b]) & 1
+                                       for a, b in block))
+
+    @cached_property
+    def _block_parity(self) -> tuple[tuple[frozenset[int], bool], ...]:
+        """(vertices, bipartite) of each block; its edges are not kept."""
+        return tuple((b, bip) for b, _, bip in self._tarjan_blocks())
 
     @cached_property
     def blocks(self) -> tuple[frozenset[int], ...]:
         """Vertex sets of the biconnected blocks with at least 3 vertices,
-        in the order the Tarjan pass (`_block_pass`) closes them."""
-        return tuple(b for b, _, _ in self._block_pass)
+        in the order the Tarjan pass (`_tarjan_blocks`) closes them."""
+        return tuple(b for b, _ in self._block_parity)
 
     @cached_property
     def odd_blocks(self) -> tuple[frozenset[int], ...]:
         """The non-bipartite blocks: an odd cycle lies inside one block, and
         a bipartite block has none."""
-        return tuple(b for b, _, bip in self._block_pass if not bip)
+        return tuple(b for b, bip in self._block_parity if not bip)
 
     @cached_property
     def planar(self) -> bool:
@@ -156,9 +143,10 @@ class Graph:
         non-planar block contains a subdivision of K5 or K3,3, so its cycle
         rank m - n + 1 is at least 4 (6 for K5, 4 for K3,3; subdividing
         keeps the rank). Only blocks of rank >= 4 go to networkx's
-        left-right test, each built from the edges the Tarjan pass gave it.
+        left-right test, each built from the edges that a fresh Tarjan pass
+        yields for it (cheap next to the test), so no block's edges are kept.
         """
-        for block, edges, _ in self._block_pass:
+        for block, edges, _ in self._tarjan_blocks():
             if len(edges) - len(block) + 1 < 4:
                 continue
             h = nx.Graph()
@@ -191,6 +179,16 @@ class Graph:
             comp.sort()
             out.append(comp)
         return out
+
+
+def csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """g's adjacency as (offsets, nbrs), int64 arrays: v's neighbours are
+    nbrs[offsets[v]:offsets[v + 1]], in `adj` order. Built per call; each
+    reader (graph6 encoder, spectral layer) reads it once per graph."""
+    offsets = np.zeros(g.n + 1, np.int64)
+    np.cumsum([len(row) for row in g.adj], out=offsets[1:])
+    nbrs = np.fromiter(chain.from_iterable(g.adj), np.int64, int(offsets[-1]))
+    return offsets, nbrs
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -242,7 +240,7 @@ def to_graph6(g: Graph) -> str:
         head = [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
     else:
         head = [126, 126] + [63 + ((n >> s) & 63) for s in (30, 24, 18, 12, 6, 0)]
-    offsets, nbrs = g.csr
+    offsets, nbrs = csr(g)
     j = np.repeat(np.arange(n), np.diff(offsets))
     lower = nbrs < j  # each edge once, from its larger end j
     k = j[lower] * (j[lower] - 1) // 2 + nbrs[lower]
@@ -289,8 +287,12 @@ def from_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"expected {need} body bytes for n={n}, got {len(data) - body}",
             min(len(data), body + need))
-    # the set bits k of the 6-bit groups (the top 2 of each byte are 0)
-    k = np.flatnonzero(np.unpackbits(codes[body:] - 63).reshape(-1, 8)[:, 2:])
+    # the set bits k of the 6-bit groups (the top 2 of each byte are 0),
+    # unpacked only from the groups that have one
+    groups = np.flatnonzero(codes[body:] != 63)
+    row, col = np.nonzero(np.unpackbits(codes[body + groups] - 63)
+                          .reshape(-1, 8)[:, 2:])
+    k = 6 * groups[row] + col
     if len(k) and k[-1] >= nbits:
         raise Graph6Error("nonzero padding bits", body + int(k[-1]) // 6)
     j = np.searchsorted(np.arange(n + 1) * np.arange(-1, n) // 2, k,

@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .families import join_with_paths, recognize_hub_join
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, csr, induced_subgraph
 
 DEFAULT_TOL = 1e-12
 BATCH_ROWS = 256      # forests per numpy batch in hub_join_radii
@@ -79,7 +79,7 @@ class SpectralResult:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    offsets, nbrs = g.csr
+    offsets, nbrs = csr(g)
     a = np.zeros((g.n, g.n))
     a[np.repeat(np.arange(g.n), np.diff(offsets)), nbrs] = 1.0
     return a
@@ -263,7 +263,7 @@ def _edge_residual(g: Graph, x: np.ndarray, rho: float) -> float:
     row has n - 2 terms, and a sequential sum's rounding would outgrow tol
     near n = 2000. Every vertex needs a neighbour.
     """
-    offsets, nbrs = g.csr
+    offsets, nbrs = csr(g)
     ax = np.add.reduceat(x[nbrs], offsets[:-1])
     return float(np.max(np.abs(ax - rho * x)))
 

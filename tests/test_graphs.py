@@ -60,7 +60,6 @@ def test_cached_properties_leave_value_semantics_alone():
     fresh = from_edges(g.n, list(g.edges()))
     pickled = pickle.dumps(g)
     assert len(g.blocks) == 2 and not is_planar(g)
-    assert len(g.csr[1]) == 2 * g.edge_count()
     assert pickle.dumps(g) == pickled
     assert g == fresh and hash(g) == hash(fresh)
     for back in (pickle.loads(pickled), copy.deepcopy(g)):
@@ -265,7 +264,7 @@ def test_blocks_match_networkx(g, chords):
     assert sorted(g.blocks, key=sorted) == sorted(want, key=sorted)
     odd = [c for c in want if not nx.is_bipartite(h.subgraph(c))]
     assert sorted(g.odd_blocks, key=sorted) == sorted(odd, key=sorted)
-    for block, edges, _ in g._block_pass:
+    for block, edges, _ in g._tarjan_blocks():
         assert len(edges) == len(set(map(frozenset, edges)))
         assert ({frozenset(e) for e in edges}
                 == {frozenset(e) for e in h.subgraph(block).edges()})
