@@ -15,7 +15,8 @@ from .families import (LinearForest, build_linear_forest, join_with_paths,
                        complete_bipartite, recognize_hub_join)
 from .spectral import (SpectralResult, SurgeryReport, DisconnectedGraphError,
                        ConvergenceError, spectral_radius,
-                       spectral_radius_any, hub_join_radii, rayleigh_quotient,
+                       spectral_radius_any, hub_join_radii,
+                       hub_join_spectrum, rayleigh_quotient,
                        verdict, surgery_compare, DEFAULT_TOL)
 from .cycles import (CycleRecord, CycleSpectrum, SearchBudgetExceeded,
                      find_cycle, validate_cycle, join_cycle_certificate,

@@ -32,12 +32,13 @@ from typing import Optional
 from . import gridconfig
 from .cycles import (SearchBudgetExceeded, cycle_spectrum, in_gnk,
                      DEFAULT_BUDGET)
-from .families import (build_linear_forest, extremal_graph, k2_join,
-                       complete_bipartite, complete_graph, cycle_graph,
-                       path_graph)
+from .families import (LinearForest, build_linear_forest, extremal_forest,
+                       extremal_graph, k2_join, complete_bipartite,
+                       complete_graph, cycle_graph, path_graph)
 from .graphs import (Graph, Graph6Error, from_graph6, parse_edge_list,
                      format_edge_list, to_graph6)
-from .spectral import DEFAULT_TOL, ConvergenceError, spectral_radius
+from .spectral import (DEFAULT_TOL, ConvergenceError, hub_join_spectrum,
+                       spectral_radius)
 from . import verify as V
 
 
@@ -45,26 +46,44 @@ class UsageError(ValueError):
     pass
 
 
+# Family strings, one regex each. The hub-join families make the linear
+# forest that `k2_join` joins to two adjacent hubs, so that `rho` can solve
+# them from the part list; the others make their Graph. No two regexes
+# match the same string.
+_JOIN_RES = [
+    (re.compile(r"[Kk]2\+\[(\d+(?:,\d+)*)\]$"),
+     lambda m: LinearForest(tuple(int(p) for p in m.group(1).split(",")))),
+    (re.compile(r"extremal\((\d+),(\d+)\)$"),
+     lambda m: extremal_forest(int(m.group(1)), int(m.group(2)))),
+]
 _FAMILY_RES = [
     (re.compile(r"[Pp](\d+)$"), lambda m: path_graph(int(m.group(1)))),
     (re.compile(r"[Cc](\d+)$"), lambda m: cycle_graph(int(m.group(1)))),
     (re.compile(r"[Kk](\d+),(\d+)$"),
      lambda m: complete_bipartite(int(m.group(1)), int(m.group(2)))),
     (re.compile(r"[Kk](\d+)$"), lambda m: complete_graph(int(m.group(1)))),
-    (re.compile(r"[Kk]2\+\[(\d+(?:,\d+)*)\]$"),
-     lambda m: k2_join([int(p) for p in m.group(1).split(",")])),
-    (re.compile(r"extremal\((\d+),(\d+)\)$"),
-     lambda m: extremal_graph(int(m.group(1)), int(m.group(2)))),
+    *_JOIN_RES,
 ]
 
 
-def parse_family(text: str) -> Optional[Graph]:
+def _match_family(text: str, table):
     s = text.strip()
-    for rx, make in _FAMILY_RES:
+    for rx, make in table:
         m = rx.fullmatch(s)
         if m:
             return make(m)
     return None
+
+
+def parse_family(text: str) -> Optional[Graph]:
+    fam = _match_family(text, _FAMILY_RES)
+    return k2_join(fam) if isinstance(fam, LinearForest) else fam
+
+
+def parse_join(text: str) -> Optional[LinearForest]:
+    """The forest of a hub-join family string (k2+[..], extremal(n,k)),
+    None for any other input."""
+    return _match_family(text, _JOIN_RES)
 
 
 def load_graph(arg: str) -> Graph:
@@ -141,8 +160,13 @@ def cmd_build(a: argparse.Namespace) -> int:
 
 
 def cmd_rho(a: argparse.Namespace) -> int:
-    g = load_graph(a.graph)
-    res = spectral_radius(g, a.tol)
+    forest = parse_join(a.graph)
+    if forest is not None:  # solved from its parts: no graph is built
+        n = forest.order + 2
+        res = hub_join_spectrum(forest.parts, True, a.tol)
+    else:
+        g = load_graph(a.graph)
+        n, res = g.n, spectral_radius(g, a.tol)
     if a.emit_vector is not None:
         lines = ["vertex,entry"]
         lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(res.vector))
@@ -152,7 +176,7 @@ def cmd_rho(a: argparse.Namespace) -> int:
             return 0
         with open(a.emit_vector, "w") as fh:
             fh.write(text)
-    _emit({"n": g.n, "rho": res.rho, "residual": res.residual,
+    _emit({"n": n, "rho": res.rho, "residual": res.residual,
            "iterations": res.iterations, "tol": a.tol})
     return 0
 

@@ -161,8 +161,9 @@ def recognize_hub_join(g: Graph
     return hubs[0], hubs[1], paths, hub_edge
 
 
-def extremal_graph(n: int, k: int) -> Graph:
-    """The conjectured maximizer: hubs + paths of orders n-2k-4, k+1, k+1.
+def extremal_forest(n: int, k: int) -> LinearForest:
+    """The forest of the conjectured maximizer: paths of orders n-2k-4,
+    k+1, k+1.
 
     Requires k >= 0 and n >= 3k+7 so the head part dominates the two tails.
     """
@@ -170,7 +171,12 @@ def extremal_graph(n: int, k: int) -> Graph:
         raise ValueError(f"k must be >= 0, got {k}")
     if n < 3 * k + 7:
         raise ValueError(f"need n >= 3k+7 = {3 * k + 7}, got n={n}")
-    return k2_join(LinearForest((n - 2 * k - 4, k + 1, k + 1)))
+    return LinearForest((n - 2 * k - 4, k + 1, k + 1))
+
+
+def extremal_graph(n: int, k: int) -> Graph:
+    """The conjectured maximizer: hubs (adjacent) + `extremal_forest(n, k)`."""
+    return k2_join(extremal_forest(n, k))
 
 
 def enumerate_lna(n: int, a: int) -> Iterator[LinearForest]:

@@ -191,6 +191,15 @@ def csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return offsets, nbrs
 
 
+def edge_array(g: Graph) -> np.ndarray:
+    """g's edges (u, v), u < v, as the rows of an int64 array, in the
+    sorted order of `Graph.edges`; read off the CSR view."""
+    offsets, nbrs = csr(g)
+    rows = np.repeat(np.arange(g.n), np.diff(offsets))
+    upper = rows < nbrs
+    return np.stack((rows[upper], nbrs[upper]), axis=1)
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph on {0..n-1} from an edge list.
 

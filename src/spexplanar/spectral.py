@@ -14,17 +14,22 @@
   Rev. 15, 1973). Newton's method from the all-singleton lower bound
   converges monotonically (f is increasing and concave there), and the
   Perron vector is written down per path block in closed form. The
-  residual ||Ax - rho x||_inf is recomputed from the graph's own edges;
-  above `tol` the call falls back to the dense solve.
+  residual ||Ax - rho x||_inf is evaluated from the join's structure (a
+  forest vertex sees both hubs and its path neighbours, a hub the other
+  hub and the forest), the same sum `hub_join_radii` reports; above `tol`
+  the call falls back to the dense solve.
 * Everything else takes one dense symmetric solve: the all-ones vector on
   regular graphs (an exact eigenvector there), otherwise the top
   eigenvector of `numpy.linalg.eigh`, max-normalized. Its residual is
   O(u ||A||) by backward stability, so there is no iteration to cap; a
   residual above `tol` raises ConvergenceError.
 
-`hub_join_radii` runs the secular engine on part lists directly, in fixed
-batches, with no graph built per forest; it and `spectral_radius` share
-one root finder, so a join gets the same rho bit for bit from either.
+The secular engine works on part lists, so two more entry points build no
+graph: `hub_join_spectrum` solves one join from its parts (what the CLI's
+`rho 'k2+[..]'` and the verify checks call), `hub_join_radii` many joins
+of one order in fixed batches (the sweeps). `spectral_radius` recognizes
+a join's parts and hands them to the same single-join solve, so a join
+gets the same rho, residual and Newton steps bit for bit from all three.
 
 Every verdict in the package comes from `verdict(margin, slack)`: a
 margin counts as a strict inequality only when it clears the slack
@@ -37,14 +42,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .families import join_with_paths, recognize_hub_join
-from .graphs import Graph, csr, induced_subgraph
+from .graphs import Graph, csr, edge_array, induced_subgraph
 
 DEFAULT_TOL = 1e-12
 BATCH_ROWS = 256      # forests per numpy batch in hub_join_radii
@@ -97,9 +102,15 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
         raise ValueError("spectral radius needs at least one vertex")
     hub = recognize_hub_join(g)
     if hub is not None:
-        res = _hub_join_spectrum(g, hub, tol)
+        hub1, hub2, paths, hub_edge = hub
+        res = _hub_join_spectrum([len(p) for p in paths], hub_edge, tol)
         if res is not None:
-            return res
+            # res.vector has the recognized paths as its blocks, in order
+            x = np.empty(g.n)
+            x[[hub1, hub2]] = res.vector[:2]
+            x[np.fromiter(chain.from_iterable(paths), np.int64, g.n - 2)] = \
+                res.vector[2:]
+            return replace(res, vector=x)
     elif not g.is_connected():
         raise DisconnectedGraphError(
             f"graph with {g.n} vertices is not connected")
@@ -144,30 +155,37 @@ def _part_matrix(forests: Sequence[Sequence[int]]
     return m, cnt
 
 
-def _ipow(base: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    """base ** expo for integer expo >= 0, by repeated squaring."""
-    out = np.ones(np.broadcast_shapes(base.shape, expo.shape))
-    expo = expo.copy()
-    while expo.any():
-        out = np.where(expo & 1, out * base, out)
+def _exponent_bits(expo: np.ndarray) -> np.ndarray:
+    """The binary digits of integer exponents expo >= 0, lowest first: one
+    boolean mask of expo's shape per digit, for `_ipow`."""
+    digits = np.arange(int(expo.max()).bit_length())
+    return (expo >> digits[:, None, None]) & 1 == 1
+
+
+def _ipow(base: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """base ** expo by repeated squaring, from the digits of expo
+    (`_exponent_bits`); a digit mask that is all False changes nothing."""
+    out = np.ones(np.broadcast_shapes(base.shape, bits.shape[1:]))
+    for bit in bits:
+        out = np.where(bit, out * base, out)
         base = base * base
-        expo >>= 1
     return out
 
 
-def _secular(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray,
-             e: float) -> tuple[np.ndarray, np.ndarray]:
+def _secular(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray, e: float,
+             bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f(rho) and f'(rho) per row, for rho > 2.
 
     Per path of order m, with D = 1 + u^(m+1) and z = (rho I - A)^{-1} 1:
     S_m = 1'z = [m - W1] / (rho - 2) and z'z = [m - 2 W1 + W2] / (rho - 2)^2,
     where W1 = 2(1 - u^m)/((t - 1) D) is sum_i w_i / D and W2 is
     sum_i w_i^2 / D^2, for w_i = u^i + u^(m+1-i). f' = 1 + 2 sum_j z'z.
+    `bits` holds the digits of m (`_exponent_bits`).
     """
     r = rho[:, None]
     t = (r + np.sqrt(r * r - 4.0)) / 2.0
     u = 1.0 / t
-    um = _ipow(u, m)
+    um = _ipow(u, bits)
     d = 1.0 + um * u
     c = 1.0 / (r - 2.0)
     w1 = 2.0 * (1.0 - um) / ((t - 1.0) * d)
@@ -198,11 +216,12 @@ def _secular_roots(m: np.ndarray, cnt: np.ndarray, e: float
     steps = np.zeros(len(rho), dtype=np.int64)
     active = rho > 2.0
     converged = np.zeros(len(rho), dtype=bool)
+    bits = _exponent_bits(m)
     for _ in range(NEWTON_CAP):
         rows = np.flatnonzero(active)
         if not len(rows):
             break
-        f, df = _secular(m[rows], cnt[rows], rho[rows], e)
+        f, df = _secular(m[rows], cnt[rows], rho[rows], e, bits[:, rows])
         step = f / df
         rho[rows] = rho[rows] - step
         steps[rows] += 1
@@ -234,38 +253,58 @@ def _forest_entries(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray
     return y, idx, part
 
 
-def _hub_join_spectrum(g: Graph, hub, tol: float
+def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool, tol: float
                        ) -> Optional[SpectralResult]:
-    """Secular solve of a recognized hub join; None when Newton does not
-    converge or the residual misses `tol`."""
-    hub1, hub2, paths, hub_edge = hub
-    m, cnt = _part_matrix([[len(p) for p in paths]])
-    rho, steps, converged = _secular_roots(m, cnt, float(hub_edge))
+    """Secular solve of join_with_paths(parts, hub_edge), the Perron vector
+    in that layout; None when Newton does not converge or the residual
+    misses `tol`. The one single-join solve: it runs the kernels of
+    `hub_join_radii` on a batch of one row."""
+    e = float(hub_edge)
+    m, cnt = _part_matrix([parts])
+    rho, steps, converged = _secular_roots(m, cnt, e)
     if not converged[0]:
         return None
-    y, _, _ = _forest_entries(m, cnt, rho)
-    x = np.empty(g.n)
-    x[[hub1, hub2]] = 1.0
-    # paths come longest first, the order _forest_entries lays them out in
-    x[np.fromiter(chain.from_iterable(paths), np.int64, g.n - 2)] = y[0]
-    x = x / x.max()
-    rho = float(rho[0])
-    resid = _edge_residual(g, x, rho)
+    y, idx, part = _forest_entries(m, cnt, rho)
+    resid = float(_batch_residuals(y, idx, part, rho, e)[0])
     if resid > tol:
         return None
-    return SpectralResult(rho, x, resid, int(steps[0]), "secular")
+    x = np.empty(len(y[0]) + 2)
+    x[:2] = 1.0
+    x[2:][_block_positions(parts)] = y[0]
+    return SpectralResult(float(rho[0]), x / x.max(), resid, int(steps[0]),
+                          "secular")
 
 
-def _edge_residual(g: Graph, x: np.ndarray, rho: float) -> float:
-    """||Ax - rho x||_inf from the CSR view of the graph, in O(n + m).
+def _block_positions(parts: Sequence[int]) -> np.ndarray:
+    """Where the forest entries, which `_forest_entries` lays out longest
+    path first, go in the block order of `parts` (paths of one order have
+    the same entries, so ties may go either way)."""
+    p = np.asarray(parts, dtype=np.int64)
+    order = np.argsort(-p)
+    start = np.cumsum(p) - p
+    moved = np.cumsum(p[order]) - p[order]
+    return np.arange(p.sum()) + np.repeat(start[order] - moved, p[order])
 
-    Each row is summed pairwise (`reduceat`), as in a dense `A @ x`: a hub
-    row has n - 2 terms, and a sequential sum's rounding would outgrow tol
-    near n = 2000. Every vertex needs a neighbour.
+
+def hub_join_spectrum(parts: Sequence[int], hub_edge: bool,
+                      tol: float = DEFAULT_TOL) -> SpectralResult:
+    """`spectral_radius(join_with_paths(parts, hub_edge), tol)`, bit for
+    bit, from the part list: the Perron vector is in that join's layout.
+
+    From order 7 on no forest vertex (degree <= 4) reaches the hub degree
+    n - 2, so `recognize_hub_join` accepts every join and `spectral_radius`
+    would take the secular solve done here; the join is built only below
+    that order, and for the dense solve when the secular one misses `tol`.
     """
-    offsets, nbrs = csr(g)
-    ax = np.add.reduceat(x[nbrs], offsets[:-1])
-    return float(np.max(np.abs(ax - rho * x)))
+    for p in parts:
+        if p < 1:
+            raise ValueError(f"path order must be >= 1, got {p}")
+    if sum(parts) + 2 < 7:
+        return spectral_radius(join_with_paths(parts, hub_edge), tol)
+    res = _hub_join_spectrum(parts, hub_edge, tol)
+    if res is None:
+        return _dense_solve(join_with_paths(parts, hub_edge), tol)
+    return res
 
 
 def _batch_residuals(y: np.ndarray, idx: np.ndarray, part: np.ndarray,
@@ -332,16 +371,19 @@ def rayleigh_quotient(g: Graph, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ValueError(f"vector has shape {x.shape}, graph has {g.n} vertices")
+    return edge_quotient(edge_array(g), x)
+
+
+def edge_quotient(edges: np.ndarray, x: np.ndarray) -> float:
+    """The Rayleigh quotient at x of the graph whose edges are the rows
+    (u, v) of `edges`. The terms x_u x_v are added to 0.0 one at a time in
+    row order (`np.cumsum` is sequential), so sorted rows give the bits of
+    a loop over `Graph.edges`."""
     denom = float(x @ x)
     if denom == 0.0:
         raise ValueError("Rayleigh quotient of the zero vector is undefined")
-    num = 0.0
-    for u, row in enumerate(g.adj):
-        xu = x[u]
-        for v in row:
-            if v > u:
-                num += xu * x[v]
-    return 2.0 * num / denom
+    terms = np.concatenate(([0.0], x[edges[:, 0]] * x[edges[:, 1]]))
+    return 2.0 * float(np.cumsum(terms)[-1]) / denom
 
 
 # --- verdicts and surgery -----------------------------------------------------

@@ -40,11 +40,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .families import (LinearForest, _partitions_desc, enumerate_lna,
                        join_with_paths)
-from .graphs import Graph, from_edges, to_graph6
-from .spectral import (DEFAULT_TOL, SpectralResult, hub_join_radii,
-                       rayleigh_quotient, spectral_radius, verdict)
+from .graphs import Graph, edge_array, to_graph6
+from .spectral import (DEFAULT_TOL, SpectralResult, edge_quotient,
+                       hub_join_radii, hub_join_spectrum, verdict)
 
 _WORST = {"certified": 0, "indeterminate": 1, "violated": 2}
 _RANK = ["certified", "indeterminate", "violated"]
@@ -110,9 +112,10 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
 
 def _solved_join(parts: Sequence[int], hub_edge: bool, tol: float
                  ) -> tuple[Graph, SpectralResult, str]:
-    """The hub join of `parts`, its solve and its graph6."""
+    """The hub join of `parts`, its solve (from the part list, in the
+    join's layout) and its graph6; the graph is built for the graph6."""
     g = join_with_paths(parts, dominating_edge=hub_edge)
-    return g, spectral_radius(g, tol), to_graph6(g)
+    return g, hub_join_spectrum(parts, hub_edge, tol), to_graph6(g)
 
 
 # --- lemma1: family ordering under the part count ---------------------------
@@ -270,25 +273,23 @@ def _pick_swap_indices(k: int, x, c1, c2) -> tuple[int, int]:
     return (k + 2) // 2, k // 2
 
 
-def _apply_chain_swap(g: Graph, n1: int, t1: int, t2: int) -> Graph:
-    """Delete the cut edges at t1/t2 and cross-glue the chain pieces."""
+def _swapped_edges(g: Graph, n1: int, t1: int, t2: int) -> np.ndarray:
+    """The edges of g with the cut edges at t1/t2 deleted and the chain
+    pieces cross-glued, as `edge_array` rows in sorted order.
+
+    Each chain vertex c(t) sits before c(t + 1) and chain 1 before chain 2,
+    so every pair below is already (u, v) with u < v.
+    """
     c1, c2 = _chain_indices(n1)
-    edges = set(g.edges())
-
-    def drop(u, v):
-        edges.discard((min(u, v), max(u, v)))
-
-    def add(u, v):
-        edges.add((min(u, v), max(u, v)))
-
-    if t1 >= 1:
-        drop(c1(t1), c1(t1 + 1))
-    if t2 >= 1:
-        drop(c2(t2), c2(t2 + 1))
+    edges = edge_array(g)
+    for t, c in ((t1, c1), (t2, c2)):
+        if t >= 1:
+            edges = edges[(edges[:, 0] != c(t)) | (edges[:, 1] != c(t + 1))]
+    glue = [(c1(t1 + 1), c2(t2 + 1))]
     if t1 >= 1 and t2 >= 1:
-        add(c1(t1), c2(t2))
-    add(c1(t1 + 1), c2(t2 + 1))
-    return from_edges(g.n, edges)
+        glue.append((c1(t1), c2(t2)))
+    edges = np.concatenate((edges, glue))
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
 def _pre_merge(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
@@ -328,8 +329,7 @@ def _lemma2(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
 
     c1, c2 = _chain_indices(n1)
     t1, t2 = _pick_swap_indices(k, r1.vector, c1, c2)
-    swapped = _apply_chain_swap(before, n1, t1, t2)
-    rq = rayleigh_quotient(swapped, r1.vector)
+    rq = edge_quotient(_swapped_edges(before, n1, t1, t2), r1.vector)
     swap_bound = rq - r1.rho
 
     params = {"n": n, "k": k, "n1": n1, "n2": n2, "l": list(l_parts),

@@ -24,6 +24,12 @@ from spexplanar.verify import argmax_sweep, entry_bounds_sample
 SECONDS = {1: 10, 2: 120, 3: 300, 4: 300, 5: 600, 6: 120, 7: 1800,
            8: 120, 9: 120}
 
+# merge + interval sweep: every split of n-2 into n1 >= n2 >= k+2
+LEMMA2_SWEEP = {"n": 300, "k": 0}
+
+# exhaustive admissible-forest maximization
+ARGMAX_SWEEP = {"n": 259, "k": 0, "max_parts": 3}
+
 
 def criterion(num, label):
     def wrap(fn):
@@ -122,7 +128,7 @@ def test_criterion_4_family_ordering_sweep():
 @criterion(5, "merge inequality + interval witnesses over every split "
               "at n = 300, k = 0")
 def test_criterion_5_merge_and_intervals_sweep():
-    n, k = gridconfig.LEMMA2_SWEEP["n"], gridconfig.LEMMA2_SWEEP["k"]
+    n, k = LEMMA2_SWEEP["n"], LEMMA2_SWEEP["k"]
     reports = lemma2_sweep(n, k)
     assert len(reports) == 2 * 148  # splits n2 = 2..149
     min_gap = math.inf
@@ -162,7 +168,7 @@ def test_criterion_6_entry_bounds_sample():
 @criterion(7, "argmax sweep at n = 259 lands on the head-plus-two-tails "
               "forest, uniquely, and the join misses length 259")
 def test_criterion_7_argmax_reproduction():
-    cfg = gridconfig.ARGMAX_SWEEP
+    cfg = ARGMAX_SWEEP
     result = argmax_sweep(cfg["n"], cfg["k"], cfg["max_parts"])
     rep = result.report
     assert rep.holds == "certified", rep.params  # unique above the margin

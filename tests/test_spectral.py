@@ -145,6 +145,19 @@ def test_rayleigh_quotient_variational():
         assert rayleigh_quotient(g, x) <= res.rho + 1e-9
 
 
+def test_rayleigh_quotient_sums_edges_in_sorted_order():
+    # one term at a time over sorted edges: criterion 8 and lemma2's
+    # swap_lower_bound keep their bits
+    rng = random.Random(9)
+    for n in (2, 5, 30, 200):
+        g = oracles.random_connected(rng, n, extra=2 * n)
+        x = np.array([rng.uniform(-1, 1) for _ in range(n)])
+        num = 0.0
+        for u, v in g.edges():
+            num += x[u] * x[v]
+        assert rayleigh_quotient(g, x) == 2.0 * num / float(x @ x)
+
+
 def test_rayleigh_quotient_rejects_bad_vectors():
     g = path_graph(3)
     with pytest.raises(ValueError, match="shape"):

@@ -6,8 +6,10 @@ agree with LAPACK on rho and on the max-normalized Perron vector, and the
 residual recomputed from the dense adjacency matrix must meet tol.
 """
 
+import io
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ import pytest
 from spexplanar import (argmax_sweep, complete_bipartite,
                         complete_graph, cycle_graph, enumerate_lna,
                         from_edges, from_graph6, hub_join_radii,
-                        join_with_paths, path_graph, recognize_hub_join,
-                        spectral_radius, to_graph6)
+                        hub_join_spectrum, join_with_paths, path_graph,
+                        recognize_hub_join, spectral_radius, to_graph6)
 from spexplanar import spectral
 from spexplanar.cli import main
 from spexplanar.spectral import adjacency_matrix
@@ -134,9 +136,14 @@ def test_thousands_of_parts_stay_on_the_secular_path():
 
 def test_residual_miss_falls_back_to_dense_solve(monkeypatch):
     g = join_with_paths([6, 3, 1], True)
-    monkeypatch.setattr(spectral, "_edge_residual", lambda g, x, rho: 1.0)
+    monkeypatch.setattr(spectral, "_batch_residuals",
+                        lambda y, idx, part, rho, e: np.ones(len(y)))
     res = assert_matches_dense(g, "dense")
     assert res.iterations == 1
+    # the solve from the part list misses the same way
+    from_parts = hub_join_spectrum([6, 3, 1], True)
+    assert from_parts.solver == "dense" and from_parts.rho == res.rho
+    assert np.array_equal(from_parts.vector, res.vector)
 
 
 def test_max_iterations_caps_the_root_finder_too(monkeypatch):
@@ -160,7 +167,7 @@ def test_batched_radii_match_single_solves_bit_for_bit(monkeypatch):
             assert single.solver == "secular"
             assert rho == single.rho
             assert steps == single.iterations
-            assert resid <= TOL
+            assert resid == single.residual <= TOL
 
 
 def test_batched_radii_fall_back_below_the_secular_range():
@@ -179,3 +186,110 @@ def test_cli_rho_equals_sweep_rho_max_bit_for_bit(capsys):
     assert main(["rho", "k2+[255,1,1]"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["rho"] == rho_max
+
+
+# --- one join, every entry point ---------------------------------------------
+
+
+def rho_cli(capsys, *argv):
+    assert main(["rho", *argv]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    return blob["rho"], blob["residual"], blob["iterations"]
+
+
+def relabelled_graph6(parts, hub_edge, rng):
+    base = join_with_paths(parts, hub_edge)
+    perm = list(range(base.n))
+    rng.shuffle(perm)
+    return to_graph6(from_edges(base.n,
+                                [(perm[u], perm[v]) for u, v in base.edges()]))
+
+
+def seeded_joins():
+    rng = random.Random(20261019)
+    for _ in range(40):
+        total = rng.randint(5, 298)
+        parts = []
+        while sum(parts) < total:
+            parts.append(rng.randint(1, total - sum(parts)))
+        rng.shuffle(parts)
+        yield parts
+    yield [1] * 2000
+    yield [3, 2, 1] * 333
+
+
+def test_secular_roots_keep_their_bits(capsys):
+    # pinned (rho, Newton steps): a change in the order of the Newton
+    # step's floating-point operations shows here
+    assert rho_cli(capsys, "k2+[150,60,47]")[::2] == (24.165636165113284, 5)
+    assert rho_cli(capsys, "extremal(2051,3)")[::2] == (65.51612262518913, 4)
+    assert hub_join_radii([[1] * 2000], False)[0][::2] == (
+        63.24555320336759, 1)
+    assert hub_join_radii([[3, 2, 1] * 333], True)[0][::2] == (
+        64.21651837311305, 4)
+    assert spectral_radius(join_with_paths([9, 4, 2], False)).rho == \
+        float.fromhex("0x1.96f3bb4f840b7p+2")
+
+
+def test_entry_points_agree_bit_for_bit(capsys):
+    # the family string (hubs adjacent), a relabelled graph6 of the same
+    # join, the batched sweep solve and the single-join solve from parts
+    rng = random.Random(7)
+    for parts in seeded_joins():
+        for hub_edge in (True, False):
+            (rho, resid, steps), = hub_join_radii([parts], hub_edge)
+            from_parts = hub_join_spectrum(parts, hub_edge)
+            assert from_parts.solver == "secular"
+            want = (rho, resid, steps)
+            assert (from_parts.rho, from_parts.residual,
+                    from_parts.iterations) == want, (parts, hub_edge)
+            # the vector in join_with_paths layout, parts in any order
+            built = spectral_radius(join_with_paths(parts, hub_edge))
+            assert np.array_equal(from_parts.vector, built.vector)
+            g6 = relabelled_graph6(parts, hub_edge, rng)
+            assert rho_cli(capsys, g6) == want, (parts, hub_edge)
+            if hub_edge:
+                family = "k2+[" + ",".join(map(str, parts)) + "]"
+                assert rho_cli(capsys, family) == want, parts
+
+
+@pytest.mark.parametrize("family", [
+    "k2+[150,60,47]", "k2+[3,5,1,5]", "extremal(40,3)", "k2+[1,1,1,1,1]",
+    "k2+[2,2]", "k2+[3]", "k2+[1]"])
+def test_family_vector_equals_the_built_graph_vector(capsys, monkeypatch,
+                                                     family):
+    assert main(["build", family]) == 0
+    g6 = capsys.readouterr().out
+    assert main(["rho", family, "--emit-vector"]) == 0
+    direct = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(g6))
+    assert main(["rho", "-", "--emit-vector"]) == 0
+    assert capsys.readouterr().out == direct
+
+
+def forbid(monkeypatch, fn):
+    """Make every spexplanar module's binding of `fn` raise."""
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{fn.__name__} was called")
+    for name, mod in list(sys.modules.items()):
+        if name == "spexplanar" or name.startswith("spexplanar."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, refused)
+
+
+def test_join_solves_build_and_recognize_nothing(monkeypatch, capsys):
+    from spexplanar import families, graphs, verify
+    forbid(monkeypatch, families.recognize_hub_join)
+    forbid(monkeypatch, graphs.from_edges)
+    for argv in (["k2+[150,60,47]"], ["extremal(2051,3)", "--emit-vector"]):
+        assert main(["rho", *argv]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    # verify builds each join for its graph6, but never re-recognizes it
+    forbid(monkeypatch, families.recognize_hub_join)
+    verify._solved_join([9, 4, 2], False, TOL)
+    verify.verify_lemma1(40, 2, 0, [30, 4, 4], [38])
+    verify.verify_entry_bounds(22, [16, 3, 1])
+    verify.lemma2_sweep(20, 0, force=True)
+    verify.verify_claim33(300, 0, 200, 98)

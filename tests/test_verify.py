@@ -7,11 +7,13 @@ import random
 import pytest
 
 from spexplanar import (admissible_forests, argmax_sweep, enumerate_lna,
-                        from_graph6, lemma1_sweep, lemma2_sweep,
-                        merge_threshold, recognize_hub_join, reports_to_csv,
-                        rerun, spectral_radius, verify_claim33,
+                        from_edges, from_graph6, lemma1_sweep, lemma2_sweep,
+                        merge_threshold, rayleigh_quotient,
+                        recognize_hub_join, reports_to_csv, rerun,
+                        spectral_radius, verify_claim33,
                         verify_entry_bounds, verify_lemma1, verify_lemma2)
 from spexplanar.families import join_with_paths
+from spexplanar.spectral import edge_quotient
 from spexplanar.verify import entry_bounds_sample
 
 import oracles
@@ -81,16 +83,20 @@ def test_lemma2_symmetric_split():
 
 def test_lemma2_swap_graph_is_the_merged_join():
     # the cut-and-glue surgery must produce exactly the merged part profile
-    from spexplanar.verify import _apply_chain_swap, _pick_swap_indices
+    from spexplanar.verify import (_chain_indices, _pick_swap_indices,
+                                   _swapped_edges)
     g = join_with_paths([149, 149], dominating_edge=True)
     res = spectral_radius(g)
-    from spexplanar.verify import _chain_indices
     c1, c2 = _chain_indices(149)
     t1, t2 = _pick_swap_indices(0, res.vector, c1, c2)
-    swapped = _apply_chain_swap(g, 149, t1, t2)
+    edges = _swapped_edges(g, 149, t1, t2)
+    swapped = from_edges(g.n, map(tuple, edges))
+    assert edges.tolist() == [list(e) for e in swapped.edges()]  # sorted
     got = recognize_hub_join(swapped)
     assert got is not None
     assert sorted(len(p) for p in got[2]) == [1, 297]
+    assert (edge_quotient(edges, res.vector)
+            == rayleigh_quotient(swapped, res.vector))
 
 
 def test_lemma2_threshold_guard_and_force():
@@ -200,17 +206,17 @@ def test_lemma2_sweep_interleaves_reports():
 def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
     from spexplanar import verify
     solved, encoded = [], []
-    solve, encode = verify.spectral_radius, verify.to_graph6
+    solve, encode = verify.hub_join_spectrum, verify.to_graph6
 
-    def counting_solve(g, tol):
-        solved.append(g)
-        return solve(g, tol)
+    def counting_solve(parts, hub_edge, tol):
+        solved.append((tuple(parts), hub_edge))
+        return solve(parts, hub_edge, tol)
 
     def counting_encode(g):
         encoded.append(g)
         return encode(g)
 
-    monkeypatch.setattr(verify, "spectral_radius", counting_solve)
+    monkeypatch.setattr(verify, "hub_join_spectrum", counting_solve)
     monkeypatch.setattr(verify, "to_graph6", counting_encode)
     reports = lemma2_sweep(20, 0, force=True)
     # 8 pre-merge joins plus the one post-merge join (16, 1) they share
