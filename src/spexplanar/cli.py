@@ -183,8 +183,7 @@ def cmd_rho(a: argparse.Namespace) -> int:
 
 def cmd_spectrum(a: argparse.Namespace) -> int:
     g = load_graph(a.graph)
-    ell_max = a.max if a.max is not None else g.n
-    spec = cycle_spectrum(g, ell_max=ell_max, budget=a.budget)
+    spec = cycle_spectrum(g, ell_max=a.max, budget=a.budget)
     out = []
     for rec in spec.records:
         row = {"ell": rec.ell, "status": rec.status}
@@ -313,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_budget(p):
         budget = _checked(int, lambda b: b >= 1, "an integer >= 1")
         p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET,
-                       help="search node budget per cycle length")
+                       help="search node budget per cycle length: each "
+                            "length gets the outcome of its own search "
+                            "with this budget")
 
     p = sub.add_parser("build", help="construct a graph and print it")
     p.add_argument("family",

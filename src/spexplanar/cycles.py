@@ -5,14 +5,28 @@ real cycle (revalidated before return) and `None` means a completed proof of
 absence. Exhaustion of the node budget is a third outcome, raised as
 SearchBudgetExceeded, never folded into "absent".
 
+There is one search kernel, `_search`: a pass that settles a set of wanted
+lengths at once. At each anchor vertex it peels the 2-core and runs the
+BFS once, and one depth-first search there settles every wanted length
+that closes at that anchor. `find_cycle` runs it for one length,
+`cycle_spectrum` for 3..ell_max; a length the pass leaves open when its
+budget runs out goes through `find_cycle` with a budget of its own, so each
+length gets the outcome of its own search (the argument is in `_search`).
+
 Every cycle lies inside one biconnected block, so the search runs only over
 the blocks with at least `ell` vertices (`Graph.blocks`, computed once per
 graph), for odd `ell` the non-bipartite ones (`Graph.odd_blocks`): a length
 above the largest such block is absent at no search cost, and vertices
 outside those blocks are never anchors or path vertices. This pruning
-leaves every certificate as the unpruned search would find it (the
-argument is in `find_cycle`). `in_gnk` asks for planarity through
-`is_planar`, which is also computed once per graph, block by block.
+leaves every certificate as the unpruned search would find it. `in_gnk`
+asks for planarity through `is_planar`, which is also computed once per
+graph, block by block.
+
+Settled lengths are memoized per graph (`Graph.settled_cycles`): a length
+maps to its certificate tuple, which the records of `cycle_spectrum` share,
+or to None. `find_cycle`, `cycle_spectrum` and `in_gnk` read the memo
+first, so `in_gnk` after `cycle_spectrum` of the same graph searches
+nothing. A budget outcome is not memoized.
 
 Hub joins, two hubs over a linear forest with or without the hub edge,
 get a constructive fast path: such a graph has every cycle length from 3
@@ -24,7 +38,7 @@ certificate is written down directly instead of searched for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .families import LinearForest, k2_join, recognize_hub_join
 from .graphs import Graph, is_planar
@@ -62,49 +76,110 @@ def find_cycle(g: Graph, ell: int,
     """Exact search for a cycle of exactly `ell` vertices.
 
     Returns the cycle as a vertex list (smallest vertex first) or None when
-    none exists. A cycle lies inside one biconnected block, an odd one
-    inside a non-bipartite block, so the search sees only the vertices of
-    such blocks with at least `ell` vertices, and returns None at once,
-    spending no budget, when there are none. It anchors at each of those
-    vertices in turn as the smallest cycle vertex, restricts to the 2-core
-    of the kept vertices above the anchor, and prunes on BFS distance back
-    to the anchor. Raises SearchBudgetExceeded when the shared node budget
-    runs out before either outcome is proven.
-
-    The block pruning changes no certificate. The depth-first search
-    enumerates paths from the anchor in the order of the adjacency lists,
-    and returns the first one that closes into an `ell`-cycle. A vertex
-    outside the kept blocks lies on no `ell`-cycle, so every branch through
-    it fails; removing it removes failing branches only and keeps the order
-    of the rest. The BFS distances in the smaller graph are no shorter, and
-    still bound the steps back to the anchor along any `ell`-cycle that
-    remains. So the first closed path is the one the unpruned search would
-    return, reached after no more node expansions.
+    none exists: the search pass `_search` with the one wanted length
+    `ell`. Raises SearchBudgetExceeded when its node budget runs out before
+    either outcome is proven. A settled length is kept in the graph's memo
+    (`Graph.settled_cycles`) and answered from it on later calls, whatever
+    their budget, as a fresh list; a budget outcome is not kept.
     """
     if not 3 <= ell <= g.n:
         raise ValueError(f"cycle length must be in [3, {g.n}], got {ell}")
-    keep = bytearray(g.n)
-    for block in g.odd_blocks if ell % 2 else g.blocks:
-        if len(block) >= ell:
-            for v in block:
-                keep[v] = 1
-    remaining = [budget]
-    for s in range(g.n - ell + 1):
-        if not keep[s]:
-            continue
-        found = _search_anchor(g, keep, s, ell, remaining, budget)
-        if found is not None:
-            validate_cycle(g, found)
-            return found
-    return None
+    memo = g.settled_cycles
+    if ell not in memo:
+        memo.update(_search(g, (ell,), budget))
+        if ell not in memo:
+            raise SearchBudgetExceeded(ell, budget)
+    cyc = memo[ell]
+    return None if cyc is None else list(cyc)
 
 
-def _search_anchor(g: Graph, keep: bytearray, s: int, ell: int,
-                   remaining: list[int], budget: int) -> Optional[list[int]]:
+def _search(g: Graph, lengths: Iterable[int],
+            budget: int) -> dict[int, Optional[tuple[int, ...]]]:
+    """One search pass for every length in `lengths`: a dict that maps each
+    length it settles to its certificate, or to None when the length is
+    absent. The lengths missing from it were still open when the budget of
+    `budget` node expansions, shared by the whole pass, ran out.
+
+    The pass anchors at each vertex s in turn as the smallest cycle vertex.
+    A cycle lies inside one biconnected block, an odd one inside a
+    non-bipartite block, so the lengths wanted at s are the open ones with
+    ell <= n - s for which s lies in such a block with at least ell
+    vertices; the kept vertices are those of the blocks that some wanted
+    length admits. The anchor restricts to the 2-core of the kept vertices
+    from s up and to its BFS component (a wanted length above the
+    component's order is dropped), and runs one depth-first search in the
+    order of the adjacency lists that prunes a vertex w at path length p
+    unless dist(w, s) <= max(wanted) - p. It costs one budget unit, and each
+    vertex it expands one more. A path of k vertices whose last vertex is a
+    neighbour of s closes a k-cycle; when k is wanted, that cycle is its
+    certificate and k is no longer wanted. The anchor ends when nothing is
+    wanted. A length still open after the last anchor is absent.
+
+    `find_cycle(g, ell)` is this pass with `lengths = (ell,)`. A length
+    that a pass over more lengths settles, that search settles too, with the
+    same outcome and within the same budget. Take an anchor s where the
+    one-length search runs. While ell is open, the pass wants ell at s as
+    well and keeps a superset of the vertices; its 2-core and BFS component
+    are then supersets too, its distances are no longer, and max(wanted) >=
+    ell. So each vertex that the one-length search expands on a path passes
+    the pass's pruning on the same path: the one-length expansions are a
+    prefix-closed subset of the pass's, met in the same relative order,
+    since both take neighbours in adjacency order. Every ell-cycle with
+    smallest vertex s survives both prunings (its vertices lie in a kept
+    block and in the 2-core, each no further from s than the steps left
+    along the cycle), so both searches meet the same ell-cycles at s, in the
+    same order, and the first anchor that has one is the same: the
+    certificate is unchanged. By the time the pass settles ell it has spent
+    a unit on each anchor and expansion that the one-length search spends
+    on before its outcome, so that search stays within any budget the pass
+    stayed within. The block pruning of either search is the same argument
+    with the unpruned search in the role of the pass: a vertex removed lies
+    on no wanted cycle, so removing it removes failing branches only and
+    keeps the order of the rest.
+    """
     n = g.n
-    # candidate vertex set: the anchor plus the kept vertices above it
-    alive = bytearray(n)
-    alive[s:] = keep[s:]
+    # the order of the largest block, and of the largest non-bipartite
+    # block, that holds each vertex
+    span, odd_span = [0] * n, [0] * n
+    for blocks, out in ((g.blocks, span), (g.odd_blocks, odd_span)):
+        for block in blocks:
+            for v in block:
+                out[v] = max(out[v], len(block))
+    open_ = set(lengths)
+    settled = {}
+    left = budget
+    for s in range(n):
+        if not open_:
+            break
+        want = {ell for ell in open_ if ell <= n - s
+                and ell <= (odd_span[s] if ell % 2 else span[s])}
+        if not want:
+            continue
+        even = min((ell for ell in want if ell % 2 == 0), default=n + 1)
+        odd = min((ell for ell in want if ell % 2), default=n + 1)
+        alive = bytearray(n)
+        for v in range(s, n):
+            if span[v] >= even or odd_span[v] >= odd:
+                alive[v] = 1
+        left = _search_anchor(g, alive, s, want, settled, left)
+        if left < 0:
+            break
+        open_.difference_update(settled)
+    else:
+        settled.update(dict.fromkeys(open_))
+    for cyc in settled.values():
+        if cyc is not None:
+            validate_cycle(g, cyc)
+    return settled
+
+
+def _search_anchor(g: Graph, alive: bytearray, s: int, want: set[int],
+                   settled: dict[int, Optional[tuple[int, ...]]],
+                   left: int) -> int:
+    """The anchor-s step of `_search` over the kept vertices `alive`: puts
+    each wanted length it closes at s into `settled`, and returns the budget
+    left, negative when it ran out."""
+    n = g.n
     deg = [0] * n
     for v in range(s, n):
         if alive[v]:
@@ -122,7 +197,7 @@ def _search_anchor(g: Graph, keep: bytearray, s: int, ell: int,
                 if deg[w] < 2:
                     queue.append(w)
     if not alive[s]:
-        return None
+        return left
     adj = [[w for w in g.adj[v] if alive[w]] if alive[v] else []
            for v in range(n)]
     # BFS distance to the anchor: a lower bound on steps needed to close
@@ -139,43 +214,47 @@ def _search_anchor(g: Graph, keep: bytearray, s: int, ell: int,
                     nxt.append(w)
                     reach += 1
         frontier = nxt
-    if reach < ell:
-        return None
+    want = {ell for ell in want if ell <= reach}
+    if not want:
+        return left
 
     # depth-first over an explicit stack of neighbour iterators, one per
     # path vertex below the current one; each vertex expanded costs one
-    # budget unit, and the loop ends when `left` goes negative
+    # budget unit, and the loop ends when the stack runs out, nothing is
+    # wanted, or `left` goes negative
+    top = max(want)
     visited = bytearray(n)
     visited[s] = 1
     path = [s]
     stack = []
     it = iter(adj[s])
-    target = ell - 1  # edges before the closing edge
-    s_nbrs = set(adj[s])
-    left = remaining[0] - 1
+    left -= 1
     while left >= 0:
-        cap = ell - len(path)
+        cap = top - len(path)
         for w in it:
             if not visited[w] and dist[w] <= cap:
                 break
         else:
             if not stack:
-                remaining[0] = left
-                return None
+                break
             visited[path.pop()] = 0
             it = stack.pop()
             continue
         left -= 1
-        if len(path) == target:
-            if left >= 0 and w in s_nbrs:
-                path.append(w)
-                return path
+        k = len(path) + 1  # vertices on the path through w
+        if k in want and dist[w] == 1 and left >= 0:
+            settled[k] = (*path, w)
+            want.discard(k)
+            if not want:
+                break
+            top = max(want)
+        if k >= top:
             continue
         visited[w] = 1
         path.append(w)
         stack.append(it)
         it = iter(adj[w])
-    raise SearchBudgetExceeded(ell, budget)
+    return left
 
 
 # --- constructive certificates for hub joins ---------------------------------
@@ -240,6 +319,9 @@ class CycleSpectrum:
     records: tuple[CycleRecord, ...]
 
     def status(self, ell: int) -> str:
+        if not 3 <= ell <= self.ell_max:
+            raise ValueError(
+                f"cycle length must be in [3, {self.ell_max}], got {ell}")
         return self.records[ell - 3].status
 
     def present_lengths(self) -> list[int]:
@@ -254,39 +336,57 @@ class CycleSpectrum:
 
 def cycle_spectrum(g: Graph, ell_max: Optional[int] = None,
                    budget: int = DEFAULT_BUDGET) -> CycleSpectrum:
-    """Presence of each cycle length 3..ell_max.
+    """Presence of each cycle length 3..ell_max (default n; an explicit
+    `ell_max` must lie in [3, n]).
 
     Uses the constructive hub-join path when `recognize_hub_join` accepts
-    g (no search, no budget outcomes); otherwise runs `find_cycle` per length
-    with `budget` node expansions each, recording "budget" for lengths the
-    search could not settle.
+    g (no search, no budget outcomes). Otherwise one search pass (`_search`)
+    with `budget` node expansions settles the lengths not yet in the
+    graph's memo, and each length it leaves open when that budget runs out
+    goes through `find_cycle` with a budget of its own; "budget" is recorded
+    for the lengths that search cannot settle either. So every record is
+    the one a separate `find_cycle(g, ell, budget)` per length gives on a
+    fresh graph (the argument is in `_search`). The records share their
+    certificate tuples with the memo.
     """
     if ell_max is None:
         ell_max = g.n
+    elif ell_max < 3:
+        raise ValueError(f"ell_max must be >= 3, got {ell_max}")
     if ell_max > g.n:
         raise ValueError(f"ell_max {ell_max} exceeds vertex count {g.n}")
+    hub = recognize_hub_join(g)
+    if hub is None:
+        memo = g.settled_cycles
+        memo.update(_search(g, [ell for ell in range(3, ell_max + 1)
+                                if ell not in memo], budget))
     return CycleSpectrum(g.n, ell_max, tuple(
-        _cycle_records(g, ell_max, budget, recognize_hub_join(g))))
+        _cycle_records(g, ell_max, budget, hub)))
 
 
 def _cycle_records(g: Graph, ell_max: int, budget: int,
                    hub: Optional[tuple[int, int, list[list[int]], bool]]
                    ) -> Iterator[CycleRecord]:
     """The records of `cycle_spectrum`, one length at a time, in order;
-    `hub` is g's `recognize_hub_join` result."""
+    `hub` is g's `recognize_hub_join` result. Without it each length is
+    read from the graph's memo, and one not yet settled goes through
+    `find_cycle` first."""
     for ell in range(3, ell_max + 1):
-        try:
-            cyc = (find_cycle(g, ell, budget) if hub is None
-                   else hub_forest_cycle(*hub[:3], ell, hub[3]))
-        except SearchBudgetExceeded:
-            yield CycleRecord(ell, "budget", None)
-            continue
-        if cyc is None:
-            yield CycleRecord(ell, "absent", None)
-        else:
-            if hub is not None:  # find_cycle validates its own result
+        if hub is not None:
+            cyc = hub_forest_cycle(*hub[:3], ell, hub[3])
+            if cyc is not None:
                 validate_cycle(g, cyc)
-            yield CycleRecord(ell, "present", tuple(cyc))
+                cyc = tuple(cyc)
+        else:
+            memo = g.settled_cycles
+            if ell not in memo:
+                try:
+                    find_cycle(g, ell, budget)
+                except SearchBudgetExceeded:
+                    yield CycleRecord(ell, "budget", None)
+                    continue
+            cyc = memo[ell]
+        yield CycleRecord(ell, "absent" if cyc is None else "present", cyc)
 
 
 def in_gnk(g: Graph, k: int,
@@ -296,9 +396,11 @@ def in_gnk(g: Graph, k: int,
     Returns (member, witness): witness is the smallest missing length when
     member is True. Non-planar input is rejected; a budget outcome at any
     length that could still be the witness raises SearchBudgetExceeded.
-    Lengths are settled in order and the walk stops at the first absent
-    or unsettled one. A recognized hub join skips the planarity test: it
-    is a spanning subgraph of K2 + P_{n-2}, which is maximal planar.
+    Lengths are settled in order, each read from the graph's memo or, when
+    not yet settled there, by `find_cycle` (so after `cycle_spectrum` of the
+    same graph nothing is searched), and the walk stops at the first absent
+    or unsettled one. A recognized hub join skips the planarity test: it is
+    a spanning subgraph of K2 + P_{n-2}, which is maximal planar.
     """
     if not 0 <= k <= g.n - 3:
         raise ValueError(f"need 0 <= k <= n-3 = {g.n - 3}, got k={k}")

@@ -4,9 +4,9 @@ Vertices are always consecutive integers starting at 0; an edge is an
 unordered pair of distinct vertices. Graphs are value objects: construction
 validates, after that nothing mutates, so they can be hashed, compared and
 used as dict keys by the layers above. Derived structure that several
-layers need (the biconnected blocks with their parity, planarity) is
-computed on first use and cached on the instance; it takes no part in
-equality, hashing or pickling.
+layers need (the biconnected blocks with their parity, planarity, the
+cycle lengths settled so far) is computed on first use and cached on the
+instance; it takes no part in equality, hashing or pickling.
 """
 
 from __future__ import annotations
@@ -154,6 +154,13 @@ class Graph:
             if not nx.check_planarity(h, counterexample=False)[0]:
                 return False
         return True
+
+    @cached_property
+    def settled_cycles(self) -> dict[int, tuple[int, ...] | None]:
+        """The cycle lengths that `cycles.find_cycle` and
+        `cycles.cycle_spectrum` have settled on this graph: each maps to its
+        certificate, or to None when absent. Filled by those two only."""
+        return {}
 
     def __getstate__(self):
         # the cached properties live in __dict__; pickle the value alone

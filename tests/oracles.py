@@ -63,6 +63,64 @@ def cycle_lengths(g: Graph) -> set[int]:
 # --- seeded random graphs ----------------------------------------------------
 
 
+def per_length_search(g: Graph, ell: int, budget: int):
+    """A cycle of exactly `ell` vertices by one search of its own, as
+    `find_cycle` has searched since the block pruning: the certificate
+    list, None when absent, or "budget" when more than `budget` node
+    expansions are needed. Blocks come from networkx.
+
+    The search anchors at each vertex s of a block with at least `ell`
+    vertices (a non-bipartite one for odd `ell`), s <= n - ell, as the
+    smallest cycle vertex; it keeps the 2-core of those blocks' vertices
+    from s up, and stops unless s lies in it with `ell` or more vertices in
+    its component. Such an anchor costs one unit, and so does each path
+    extension it tries by a neighbour w, in adjacency order, that is off the
+    path and no further from s than the steps left to reach `ell`
+    vertices; a try that reaches `ell` vertices closes when w is a
+    neighbour of s, and extends nothing.
+    """
+    h = to_nx(g)
+    keep = set()
+    for block in nx.biconnected_components(h):
+        if len(block) >= ell and not (ell % 2 and
+                                      nx.is_bipartite(h.subgraph(block))):
+            keep |= block
+    used = 0
+
+    def dfs(path, alive, dist):
+        nonlocal used
+        for w in g.adj[path[-1]]:
+            if w not in alive or w in path or dist[w] > ell - len(path):
+                continue
+            used += 1
+            if used > budget:
+                return "budget"
+            if len(path) == ell - 1:
+                if g.has_edge(w, path[0]):
+                    return path + [w]
+                continue
+            found = dfs(path + [w], alive, dist)
+            if found is not None:
+                return found
+        return None
+
+    for s in sorted(v for v in keep if v <= g.n - ell):
+        alive = {v for v in keep if v >= s}
+        core = nx.k_core(h.subgraph(alive), 2)
+        if s not in core:
+            continue
+        dist = nx.single_source_shortest_path_length(core, s)
+        if len(dist) < ell:
+            continue
+        used += 1
+        if used > budget:
+            return "budget"
+        found = dfs([s], set(dist), dist)
+        if found is not None:
+            return found
+    return None
+
+
 def prufer_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     if n < 2:
         return []

@@ -200,6 +200,13 @@ def test_spectrum_max_truncates(capsys):
     assert [r["ell"] for r in json.loads(out)] == [3, 4]
 
 
+def test_spectrum_max_below_three_exits_two_with_one_line(capsys):
+    for bound in ("-3", "2"):
+        code, out, err = run(capsys, "spectrum", "C6", "--max", bound)
+        assert code == 2 and out == ""
+        assert err == f"error: ell_max must be >= 3, got {bound}\n"
+
+
 def test_member_non_member(capsys):
     code, out, _ = run(capsys, "member", "K4", "--k", "0")
     assert code == 0

@@ -4,14 +4,14 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from spexplanar import (SearchBudgetExceeded, complete_bipartite,
+from spexplanar import (Graph, SearchBudgetExceeded, complete_bipartite,
                         complete_graph, cycle_graph, cycle_spectrum,
                         extremal_graph, find_cycle, from_edges, in_gnk,
                         join_cycle_certificate, k2_join, path_graph,
                         recognize_hub_join, validate_cycle)
-from spexplanar.cycles import hub_forest_cycle
+from spexplanar.cycles import DEFAULT_BUDGET, hub_forest_cycle
 from spexplanar.families import LinearForest, enumerate_lna
 
 import oracles
@@ -135,6 +135,77 @@ def test_budget_exhaustion_is_a_third_outcome():
     assert spec.present_lengths() == []
 
 
+@settings(max_examples=60)
+@given(oracles.glued_graphs(max_n=24),
+       st.sampled_from([1, 3, 10, 100, DEFAULT_BUDGET]))
+def test_one_pass_spectrum_matches_per_length_searches(g, budget):
+    # the pass over every length, with its fallback to find_cycle for what
+    # it leaves open, gives each length the outcome and certificate of a
+    # search of its own with the same budget, and so does find_cycle
+    spec = cycle_spectrum(g, budget=budget)
+    for rec in spec.records:
+        want = oracles.per_length_search(g, rec.ell, budget)
+        try:
+            got = find_cycle(Graph(g.n, g.adj), rec.ell, budget)  # no memo
+        except SearchBudgetExceeded as exc:
+            assert (exc.ell, exc.budget) == (rec.ell, budget)
+            got = "budget"
+        assert got == want
+        if want == "budget":
+            assert (rec.status, rec.certificate) == ("budget", None)
+            continue
+        assert rec.status == ("absent" if want is None else "present")
+        assert rec.certificate == (None if want is None else tuple(want))
+        if want is not None:
+            # the memo answers with the record's cycle, as a fresh list,
+            # whatever the budget now
+            assert g.settled_cycles[rec.ell] is rec.certificate
+            assert find_cycle(g, rec.ell, budget=1) == want
+
+
+def test_in_gnk_after_cycle_spectrum_searches_nothing(monkeypatch):
+    from spexplanar import cycles
+    searches = []
+    search = cycles._search
+
+    def counting(g, lengths, budget):
+        searches.append(list(lengths))
+        return search(g, lengths, budget)
+
+    monkeypatch.setattr(cycles, "_search", counting)
+    # the octahedron: planar, pancyclic, and no hub join
+    octahedron = [(u, v) for u in range(6) for v in range(u + 1, 6)
+                  if (u, v) not in ((0, 1), (2, 3), (4, 5))]
+    g = from_edges(6, octahedron)
+    spec = cycle_spectrum(g)
+    assert spec.present_lengths() == [3, 4, 5, 6]
+    assert searches == [[3, 4, 5, 6]]
+    assert in_gnk(g, 0) == in_gnk(g, 2) == (False, None)
+    assert find_cycle(g, 6) == list(spec.records[3].certificate)
+    assert cycle_spectrum(g).records == spec.records
+    assert searches == [[3, 4, 5, 6], []]
+    # an equal graph without the memo searches length by length
+    assert in_gnk(from_edges(6, octahedron), 0) == (False, None)
+    assert searches[2:] == [[3], [4], [5], [6]]
+
+
+def test_budget_outcomes_are_not_memoized():
+    g = cycle_graph(30)
+    assert cycle_spectrum(g, budget=3).status(30) == "budget"
+    assert 30 not in g.settled_cycles
+    spec = cycle_spectrum(g)
+    assert spec.status(30) == "present"
+    assert spec.present_lengths() == [30]
+
+
+def test_spectrum_status_outside_its_lengths():
+    spec = cycle_spectrum(cycle_graph(6))
+    assert spec.status(6) == "present" and spec.status(3) == "absent"
+    for ell in (2, 1, 0, -1, 7):
+        with pytest.raises(ValueError, match=r"\[3, 6\]"):
+            spec.status(ell)
+
+
 def test_recognize_hub_join_positive():
     got = recognize_hub_join(k2_join([3, 2, 1]))
     assert got is not None
@@ -237,6 +308,15 @@ def test_spectrum_ell_max():
     with pytest.raises(ValueError, match="exceeds vertex count"):
         cycle_spectrum(complete_graph(5), ell_max=6)
     assert spec.status(4) == "present"
+
+
+def test_spectrum_ell_max_below_three():
+    for ell_max in (2, 0, -3):
+        with pytest.raises(ValueError, match="ell_max must be >= 3"):
+            cycle_spectrum(complete_graph(5), ell_max=ell_max)
+    # without an explicit ell_max a graph on fewer than 3 vertices has an
+    # empty spectrum
+    assert cycle_spectrum(path_graph(2)).records == ()
 
 
 def test_in_gnk_membership():
