@@ -7,17 +7,15 @@ sweeps that compare these families.
 """
 
 from .graphs import (Graph, GraphConstructionError, Graph6Error,
-                     from_edges, from_graph6, to_graph6, induced_subgraph,
+                     from_edges, from_graph6, to_graph6,
                      is_planar, parse_edge_list, format_edge_list)
 from .families import (LinearForest, build_linear_forest, join_with_paths,
                        k2_join, extremal_graph, enumerate_lna,
                        path_graph, cycle_graph, complete_graph,
                        complete_bipartite, recognize_hub_join)
-from .spectral import (SpectralResult, SurgeryReport, DisconnectedGraphError,
-                       ConvergenceError, spectral_radius,
-                       spectral_radius_any, hub_join_radii,
-                       hub_join_spectrum, rayleigh_quotient,
-                       verdict, surgery_compare, DEFAULT_TOL)
+from .spectral import (SpectralResult, DisconnectedGraphError,
+                       ConvergenceError, spectral_radius, hub_join_radii,
+                       hub_join_spectrum, verdict, DEFAULT_TOL)
 from .cycles import (CycleRecord, CycleSpectrum, SearchBudgetExceeded,
                      find_cycle, validate_cycle, join_cycle_certificate,
                      cycle_spectrum, in_gnk,

@@ -3,10 +3,11 @@
 Subcommands: build, rho, spectrum, member, verify, sweep.
 Exit codes: 0 success, 1 when any check reports "violated" (or a
 computation refuses the input), 2 for usage errors (a flag the chosen
-subcommand or mode would not read among them) and for inputs too large to
-fit in memory, 141 (128 + SIGPIPE, what a shell reports for a writer
-killed by that signal) when stdout is closed before the output is written,
-as in `spex verify entry-bounds | head`.
+subcommand or mode would not read among them), for inputs too large to
+fit in memory and for output files that cannot be written, 141 (128 +
+SIGPIPE, what a shell reports for a writer killed by that signal) when
+stdout is closed before the output is written, as in
+`spex verify entry-bounds | head`.
 
 Graph arguments accept, in this order of interpretation:
   * a family string:  P12  C6  K7  K2,18  k2+[4,1,1]  extremal(8,0)
@@ -426,6 +427,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return 141
+    except OSError as exc:
+        # an output file that cannot be opened (--csv naming a directory,
+        # --emit-vector into a missing directory)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

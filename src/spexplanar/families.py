@@ -9,15 +9,18 @@ vertex of the j-th path" get stable indices:
     vertex 2 ...       first path, in path order
     next block         second path, and so on
 
-`k2_join` uses the canonical (non-increasing) part order. Verifier code that
-needs a specific block order (longest path need not come first) uses
-`join_with_paths` directly.
+`k2_join` uses the canonical (non-increasing) part order; `join_with_paths`
+takes the block order given. Both build from `join_edges`, the one
+definition of the layout, whose sorted edge rows the verifier encodes as
+graph6 without building a Graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .graphs import Graph, from_edges
 
@@ -71,33 +74,39 @@ def complete_bipartite(a: int, b: int) -> Graph:
 def build_linear_forest(parts: Sequence[int]) -> Graph:
     """Disjoint union of paths, blocks in non-increasing part order."""
     lf = LinearForest(tuple(parts))
-    edges = []
-    base = 0
-    for p in lf.parts:
-        edges.extend((base + i, base + i + 1) for i in range(p - 1))
-        base += p
-    return from_edges(lf.order, edges)
+    # the join layout's path rows (after its 2m hub rows), relabeled from 0
+    paths = join_edges(lf.parts, False)[2 * lf.order:] - 2
+    return from_edges(lf.order, zip(*paths.T.tolist()))
+
+
+def join_edges(parts: Sequence[int], hub_edge: bool) -> np.ndarray:
+    """The edges (u, v), u < v, of the join of two hubs with path blocks
+    laid out in the order given (block j starts at 2 + sum(parts[:j])), as
+    the rows of an int64 array in sorted order: hub 0's rows, hub 1's, then
+    each path vertex's edge to the next one in its block.
+    """
+    for p in parts:
+        if p < 1:
+            raise ValueError(f"path order must be >= 1, got {p}")
+    m = int(sum(parts))
+    forest = np.arange(2, m + 2)
+    last = np.zeros(m, bool)
+    last[np.cumsum(parts, dtype=np.int64) - 1] = True
+    tails = forest[~last]
+    u = np.concatenate((np.zeros(m + hub_edge, np.int64),
+                        np.ones(m, np.int64), tails))
+    v = np.concatenate((np.arange(2 - hub_edge, m + 2), forest, tails + 1))
+    return np.stack((u, v), axis=1)
 
 
 def join_with_paths(parts: Sequence[int], dominating_edge: bool = True) -> Graph:
     """Two hubs joined to path blocks laid out in the order given.
 
     This is the raw builder: `parts` is taken as the block layout, not
-    sorted. Hubs are vertices 0 and 1; block j starts at 2 + sum(parts[:j]).
+    sorted; the layout is `join_edges`.
     """
-    for p in parts:
-        if p < 1:
-            raise ValueError(f"path order must be >= 1, got {p}")
-    m = sum(parts)
-    n = m + 2
-    edges = [(0, 1)] if dominating_edge else []
-    base = 2
-    for p in parts:
-        edges.extend((base + i, base + i + 1) for i in range(p - 1))
-        base += p
-    edges.extend((0, v) for v in range(2, n))
-    edges.extend((1, v) for v in range(2, n))
-    return from_edges(n, edges)
+    edges = join_edges(parts, dominating_edge)
+    return from_edges(int(sum(parts)) + 2, zip(*edges.T.tolist()))
 
 
 def k2_join(forest: LinearForest | Sequence[int],

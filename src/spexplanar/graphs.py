@@ -188,21 +188,12 @@ class Graph:
         return out
 
 
-def csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """g's adjacency as (offsets, nbrs), int64 arrays: v's neighbours are
-    nbrs[offsets[v]:offsets[v + 1]], in `adj` order. Built per call; each
-    reader (graph6 encoder, spectral layer) reads it once per graph."""
-    offsets = np.zeros(g.n + 1, np.int64)
-    np.cumsum([len(row) for row in g.adj], out=offsets[1:])
-    nbrs = np.fromiter(chain.from_iterable(g.adj), np.int64, int(offsets[-1]))
-    return offsets, nbrs
-
-
 def edge_array(g: Graph) -> np.ndarray:
     """g's edges (u, v), u < v, as the rows of an int64 array, in the
-    sorted order of `Graph.edges`; read off the CSR view."""
-    offsets, nbrs = csr(g)
-    rows = np.repeat(np.arange(g.n), np.diff(offsets))
+    sorted order of `Graph.edges`. Built per call; each reader (the graph6
+    encoder, the dense adjacency matrix) reads it once per graph."""
+    rows = np.repeat(np.arange(g.n), np.fromiter(map(len, g.adj), np.int64, g.n))
+    nbrs = np.fromiter(chain.from_iterable(g.adj), np.int64, len(rows))
     upper = rows < nbrs
     return np.stack((rows[upper], nbrs[upper]), axis=1)
 
@@ -227,15 +218,6 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(tuple(sorted(s)) for s in sets))
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on `vertices`, relabeled 0.. in sorted order."""
-    keep = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for u in keep for v in g.adj[u]
-             if v in index and u < v]
-    return from_edges(len(keep), edges)
-
-
 # --- graph6 codec ----------------------------------------------------------
 #
 # Standard graph6: header N(n), then the upper triangle of the adjacency
@@ -247,7 +229,12 @@ _G6_MAX_N = (1 << 36) - 1
 
 
 def to_graph6(g: Graph) -> str:
-    n = g.n
+    return graph6_from_edges(g.n, edge_array(g))
+
+
+def graph6_from_edges(n: int, edges: np.ndarray) -> str:
+    """The graph6 string of the graph on {0..n-1} whose edges are the rows
+    (u, v), u < v, of the int64 array `edges`, in any row order."""
     if n > _G6_MAX_N:
         raise GraphConstructionError(f"graph6 cannot encode n={n}")
     if n <= 62:
@@ -256,10 +243,7 @@ def to_graph6(g: Graph) -> str:
         head = [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
     else:
         head = [126, 126] + [63 + ((n >> s) & 63) for s in (30, 24, 18, 12, 6, 0)]
-    offsets, nbrs = csr(g)
-    j = np.repeat(np.arange(n), np.diff(offsets))
-    lower = nbrs < j  # each edge once, from its larger end j
-    k = j[lower] * (j[lower] - 1) // 2 + nbrs[lower]
+    k = edges[:, 1] * (edges[:, 1] - 1) // 2 + edges[:, 0]
     body = np.zeros((n * (n - 1) // 2 + 5) // 6, np.uint8)
     np.bitwise_or.at(body, k // 6, (32 >> k % 6).astype(np.uint8))
     return (bytes(head) + (body + 63).tobytes()).decode("ascii")

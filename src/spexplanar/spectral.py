@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .families import join_with_paths, recognize_hub_join
-from .graphs import Graph, csr, edge_array, induced_subgraph
+from .graphs import Graph, edge_array
 
 DEFAULT_TOL = 1e-12
 BATCH_ROWS = 256      # forests per numpy batch in hub_join_radii
@@ -84,9 +84,9 @@ class SpectralResult:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    offsets, nbrs = csr(g)
+    u, v = edge_array(g).T
     a = np.zeros((g.n, g.n))
-    a[np.repeat(np.arange(g.n), np.diff(offsets)), nbrs] = 1.0
+    a[u, v] = a[v, u] = 1.0
     return a
 
 
@@ -357,23 +357,6 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
     return out
 
 
-def spectral_radius_any(g: Graph, tol: float = DEFAULT_TOL) -> float:
-    """Spectral radius of a possibly disconnected graph (max over components)."""
-    best = 0.0
-    for comp in g.components():
-        sub = induced_subgraph(g, comp)
-        best = max(best, spectral_radius(sub, tol).rho)
-    return best
-
-
-def rayleigh_quotient(g: Graph, x: np.ndarray) -> float:
-    """x'Ax / x'x  =  2 * sum over edges of x_u x_v, over sum of squares."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n,):
-        raise ValueError(f"vector has shape {x.shape}, graph has {g.n} vertices")
-    return edge_quotient(edge_array(g), x)
-
-
 def edge_quotient(edges: np.ndarray, x: np.ndarray) -> float:
     """The Rayleigh quotient at x of the graph whose edges are the rows
     (u, v) of `edges`. The terms x_u x_v are added to 0.0 one at a time in
@@ -386,7 +369,7 @@ def edge_quotient(edges: np.ndarray, x: np.ndarray) -> float:
     return 2.0 * float(np.cumsum(terms)[-1]) / denom
 
 
-# --- verdicts and surgery -----------------------------------------------------
+# --- verdicts -----------------------------------------------------------------
 
 
 def verdict(margin: float, slack: float) -> str:
@@ -397,39 +380,3 @@ def verdict(margin: float, slack: float) -> str:
     if margin < -slack:
         return "violated"
     return "indeterminate"
-
-
-@dataclass(frozen=True)
-class SurgeryReport:
-    rho_g: float
-    rho_gp: float
-    rayleigh_gp: float      # Rayleigh quotient of G' at G's Perron vector
-    surgery_margin: float   # rayleigh_gp - rho_g: > 0 proves rho(G') > rho(G)
-    variational_gap: float  # rho_gp - rayleigh_gp: >= 0 up to tolerance
-    bound_holds: bool
-
-
-def surgery_compare(g: Graph, gp: Graph,
-                    tol: float = DEFAULT_TOL) -> SurgeryReport:
-    """Evaluate an edge-surgery comparison through the variational principle.
-
-    Plugs the Perron vector x of G into G' : rho(G') >= x'A(G')x / x'x holds
-    for any nonzero x, so `bound_holds` failing beyond tolerance would mean a
-    computation bug, not a property of the graphs. When the surgery margin
-    (the Rayleigh quotient minus rho(G)) is positive, rho(G') > rho(G) follows
-    with no further computation.
-    """
-    if g.n != gp.n:
-        raise ValueError(f"vertex counts differ: {g.n} vs {gp.n}")
-    res = spectral_radius(g, tol)
-    rq = rayleigh_quotient(gp, res.vector)
-    rho_gp = spectral_radius_any(gp, tol)
-    slack = 10.0 * (tol + tol)
-    return SurgeryReport(
-        rho_g=res.rho,
-        rho_gp=rho_gp,
-        rayleigh_gp=rq,
-        surgery_margin=rq - res.rho,
-        variational_gap=rho_gp - rq,
-        bound_holds=verdict(rho_gp - rq, slack) != "violated",
-    )

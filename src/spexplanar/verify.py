@@ -43,8 +43,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .families import (LinearForest, _partitions_desc, enumerate_lna,
-                       join_with_paths)
-from .graphs import Graph, edge_array, to_graph6
+                       join_edges)
+from .graphs import graph6_from_edges
 from .spectral import (DEFAULT_TOL, SpectralResult, edge_quotient,
                        hub_join_radii, hub_join_spectrum, verdict)
 
@@ -111,11 +111,13 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
 
 
 def _solved_join(parts: Sequence[int], hub_edge: bool, tol: float
-                 ) -> tuple[Graph, SpectralResult, str]:
-    """The hub join of `parts`, its solve (from the part list, in the
-    join's layout) and its graph6; the graph is built for the graph6."""
-    g = join_with_paths(parts, dominating_edge=hub_edge)
-    return g, hub_join_spectrum(parts, hub_edge, tol), to_graph6(g)
+                 ) -> tuple[np.ndarray, SpectralResult, str]:
+    """The hub join of `parts` as its edge rows (`families.join_edges`),
+    its solve (from the part list, in the join's layout) and its graph6,
+    encoded from the edge rows: no graph is built."""
+    edges = join_edges(parts, hub_edge)
+    return (edges, hub_join_spectrum(parts, hub_edge, tol),
+            graph6_from_edges(sum(parts) + 2, edges))
 
 
 # --- lemma1: family ordering under the part count ---------------------------
@@ -176,8 +178,8 @@ def lemma1_sweep(n: int, tol: float = DEFAULT_TOL) -> list[VerificationReport]:
     min-over-smaller-family minus max-over-larger-family: that gap
     lower-bounds every pairwise margin.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+    if n < 10:  # below 10, sqrt(2n-4)/4 < 1 admits no a1 >= 1
+        raise ValueError(f"need n >= 10 for a family pair, got n={n}")
     a_max = int(_a_limit(n))
     fams = [_lna_radii(n, a, tol) for a in range(a_max + 1)]
     return [_lemma1_pair(n, a1, a2, fams[a1], fams[a2], tol)
@@ -197,8 +199,6 @@ def _lemma1_pair(n: int, a1: int, a2: int, fam1, fam2,
     hi_rho, hi_parts = max(fam1)   # worst L1: largest rho
     lo_rho, lo_parts = min(fam2)   # worst L2: smallest rho
     gap = lo_rho - hi_rho
-    g_hi = join_with_paths(hi_parts, dominating_edge=False)
-    g_lo = join_with_paths(lo_parts, dominating_edge=False)
     return VerificationReport(
         check_id="lemma1_pair",
         params={"n": n, "a1": a1, "a2": a2,
@@ -209,8 +209,10 @@ def _lemma1_pair(n: int, a1: int, a2: int, fam1, fam2,
         margins={"min_pair_gap": float(gap),
                  "max_rho_l1": float(hi_rho),
                  "min_rho_l2": float(lo_rho)},
-        artifacts={"worst_join_l1": to_graph6(g_hi),
-                   "worst_join_l2": to_graph6(g_lo)},
+        artifacts={"worst_join_l1": graph6_from_edges(
+                       n, join_edges(hi_parts, False)),
+                   "worst_join_l2": graph6_from_edges(
+                       n, join_edges(lo_parts, False))},
         tol=tol,
     )
 
@@ -273,15 +275,15 @@ def _pick_swap_indices(k: int, x, c1, c2) -> tuple[int, int]:
     return (k + 2) // 2, k // 2
 
 
-def _swapped_edges(g: Graph, n1: int, t1: int, t2: int) -> np.ndarray:
-    """The edges of g with the cut edges at t1/t2 deleted and the chain
-    pieces cross-glued, as `edge_array` rows in sorted order.
+def _swapped_edges(edges: np.ndarray, n1: int, t1: int, t2: int
+                   ) -> np.ndarray:
+    """A pre-merge join's sorted edge rows (u, v), u < v, with the cut edges
+    at t1/t2 deleted and the chain pieces cross-glued, again sorted.
 
     Each chain vertex c(t) sits before c(t + 1) and chain 1 before chain 2,
     so every pair below is already (u, v) with u < v.
     """
     c1, c2 = _chain_indices(n1)
-    edges = edge_array(g)
     for t, c in ((t1, c1), (t2, c2)):
         if t >= 1:
             edges = edges[(edges[:, 0] != c(t)) | (edges[:, 1] != c(t + 1))]
@@ -294,9 +296,9 @@ def _swapped_edges(g: Graph, n1: int, t1: int, t2: int) -> np.ndarray:
 
 def _pre_merge(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
                tol: float, force: bool
-               ) -> tuple[bool, Graph, SpectralResult, str]:
-    """Validate a merge instance, then build, solve and encode its
-    pre-merge join: (outside_hypothesis, graph, solve, graph6)."""
+               ) -> tuple[bool, np.ndarray, SpectralResult, str]:
+    """Validate a merge instance, then lay out, solve and encode its
+    pre-merge join: (outside_hypothesis, edge rows, solve, graph6)."""
     outside = _validate_merge(n, k, n1, n2, l_parts, force)
     return (outside, *_solved_join([n1, n2, *l_parts], True, tol))
 
@@ -323,13 +325,13 @@ def verify_lemma2(n: int, k: int, n1: int, n2: int,
 
 def _lemma2(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
             tol: float, pre, post) -> VerificationReport:
-    outside, before, r1, before_g6 = pre
+    outside, edges, r1, before_g6 = pre
     _, r2, after_g6 = post
     gap = r2.rho - r1.rho
 
     c1, c2 = _chain_indices(n1)
     t1, t2 = _pick_swap_indices(k, r1.vector, c1, c2)
-    rq = edge_quotient(_swapped_edges(before, n1, t1, t2), r1.vector)
+    rq = edge_quotient(_swapped_edges(edges, n1, t1, t2), r1.vector)
     swap_bound = rq - r1.rho
 
     params = {"n": n, "k": k, "n1": n1, "n2": n2, "l": list(l_parts),
@@ -459,7 +461,12 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
     n-2), so every split merges into the same join (n-k-3, k+1): each
     pre-merge join and that one post-merge join are solved and encoded
     once. Returns the lemma2 and claim33 reports interleaved per split.
+    An n with no split is refused; the first split's checks refuse a
+    negative k, or an n below the order threshold without `force`.
     """
+    if n - 2 < 2 * (k + 2):
+        raise ValueError(f"no split n1 >= n2 >= k+2 = {k + 2} of "
+                         f"n-2 = {n - 2}")
     reports = []
     post = None
     for n2 in range(k + 2, (n - 2) // 2 + 1):
@@ -575,7 +582,8 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
     Candidates within the indeterminacy margin of the best are reported as
     ties (holds = "indeterminate") rather than resolved. Rows come back in
     enumeration order. Every candidate is solved by the secular engine on
-    its part list; the only graph built is the argmax join's artifact.
+    its part list, and the argmax join's artifact is encoded from its part
+    list: no graph is built.
     """
     if max_parts < 3:
         raise ValueError(f"max_parts must be >= 3, got {max_parts}")
@@ -609,8 +617,8 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
         holds=holds,
         margins={"rho_max": float(best[1]),
                  "runner_up_gap": float(best[1] - runner_up)},
-        artifacts={"argmax_join": to_graph6(
-            join_with_paths(best[0], dominating_edge=True))},
+        artifacts={"argmax_join": graph6_from_edges(
+            n, join_edges(best[0], True))},
         tol=tol,
     )
     return ArgmaxSweepResult(report, tuple(rows))

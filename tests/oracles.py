@@ -1,22 +1,31 @@
 """Independent reference implementations the tests check the package against.
 
-Nothing in here imports from spexplanar's internals beyond the Graph value
-type: the point is that eigenvalues, planarity, and cycle sets come from a
-second, unrelated route (LAPACK via eigvalsh, Kuratowski subdivision search,
-Johnson's algorithm in networkx) so agreement is meaningful.
+The references import nothing from spexplanar's internals beyond the Graph
+value type: the point is that eigenvalues, planarity, and cycle sets come
+from a second, unrelated route (LAPACK via eigvalsh, Kuratowski subdivision
+search, Johnson's algorithm in networkx) so agreement is meaningful.
+
+The last section is different: it holds the comparisons that only the tests
+make with the package's own solvers (the Rayleigh quotient of a Graph, the
+spectral radius of a possibly disconnected graph, and the edge-surgery
+comparison of acceptance criterion 8). No verdict, sweep or CLI command
+reads them.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from spexplanar import Graph, from_edges
+from spexplanar import DEFAULT_TOL, Graph, from_edges, spectral_radius, verdict
+from spexplanar.graphs import edge_array
+from spexplanar.spectral import edge_quotient
 
 
 def dense_rho(g: Graph) -> float:
@@ -53,6 +62,15 @@ def from_nx(h: nx.Graph) -> Graph:
     """h as a Graph, its nodes relabeled 0.. in h's node order."""
     h = nx.convert_node_labels_to_integers(h)
     return from_edges(h.number_of_nodes(), h.edges())
+
+
+def join_nx(parts, hub_edge: bool) -> nx.Graph:
+    """The hub join of `parts`, in the given block order, built by networkx
+    alone: the full join of two hubs (adjacent or not) with a disjoint
+    union of paths. Nodes come hubs first, then the blocks in order."""
+    hubs = nx.complete_graph(2) if hub_edge else nx.empty_graph(2)
+    forest = nx.disjoint_union_all([nx.path_graph(p) for p in parts])
+    return nx.full_join(hubs, forest, rename=("h", "f"))
 
 
 def cycle_lengths(g: Graph) -> set[int]:
@@ -349,3 +367,68 @@ def has_k33_subdivision(g: Graph) -> bool:
 
 def planar_by_kuratowski(g: Graph) -> bool:
     return not (has_k5_subdivision(g) or has_k33_subdivision(g))
+
+
+# --- comparisons made with the package's solvers ------------------------------
+
+
+def induced_subgraph(g: Graph, vertices) -> Graph:
+    """Subgraph induced on `vertices`, relabeled 0.. in sorted order."""
+    keep = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u in keep for v in g.adj[u]
+             if v in index and u < v]
+    return from_edges(len(keep), edges)
+
+
+def spectral_radius_any(g: Graph, tol: float = DEFAULT_TOL) -> float:
+    """Spectral radius of a possibly disconnected graph (max over components)."""
+    best = 0.0
+    for comp in g.components():
+        sub = induced_subgraph(g, comp)
+        best = max(best, spectral_radius(sub, tol).rho)
+    return best
+
+
+def rayleigh_quotient(g: Graph, x) -> float:
+    """x'Ax / x'x  =  2 * sum over edges of x_u x_v, over sum of squares."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (g.n,):
+        raise ValueError(f"vector has shape {x.shape}, graph has {g.n} vertices")
+    return edge_quotient(edge_array(g), x)
+
+
+@dataclass(frozen=True)
+class SurgeryReport:
+    rho_g: float
+    rho_gp: float
+    rayleigh_gp: float      # Rayleigh quotient of G' at G's Perron vector
+    surgery_margin: float   # rayleigh_gp - rho_g: > 0 proves rho(G') > rho(G)
+    variational_gap: float  # rho_gp - rayleigh_gp: >= 0 up to tolerance
+    bound_holds: bool
+
+
+def surgery_compare(g: Graph, gp: Graph,
+                    tol: float = DEFAULT_TOL) -> SurgeryReport:
+    """Evaluate an edge-surgery comparison through the variational principle.
+
+    Plugs the Perron vector x of G into G' : rho(G') >= x'A(G')x / x'x holds
+    for any nonzero x, so `bound_holds` failing beyond tolerance would mean a
+    computation bug, not a property of the graphs. When the surgery margin
+    (the Rayleigh quotient minus rho(G)) is positive, rho(G') > rho(G) follows
+    with no further computation.
+    """
+    if g.n != gp.n:
+        raise ValueError(f"vertex counts differ: {g.n} vs {gp.n}")
+    res = spectral_radius(g, tol)
+    rq = rayleigh_quotient(gp, res.vector)
+    rho_gp = spectral_radius_any(gp, tol)
+    slack = 10.0 * (tol + tol)
+    return SurgeryReport(
+        rho_g=res.rho,
+        rho_gp=rho_gp,
+        rayleigh_gp=rq,
+        surgery_margin=rq - res.rho,
+        variational_gap=rho_gp - rq,
+        bound_holds=verdict(rho_gp - rq, slack) != "violated",
+    )

@@ -16,8 +16,8 @@ import oracles
 from spexplanar import (complete_bipartite, enumerate_lna, find_cycle,
                         from_edges, from_graph6, in_gnk, is_planar,
                         join_cycle_certificate, k2_join, lemma1_sweep,
-                        lemma2_sweep, spectral_radius, surgery_compare,
-                        to_graph6, verify_claim33)
+                        lemma2_sweep, spectral_radius, to_graph6,
+                        verify_claim33)
 from spexplanar import gridconfig
 from spexplanar.verify import argmax_sweep, entry_bounds_sample
 
@@ -191,8 +191,8 @@ def test_criterion_8_surgery_bound():
     worst = math.inf
     for _ in range(10_000):
         n = rng.randint(4, 40)
-        rep = surgery_compare(oracles.random_connected(rng, n),
-                              oracles.random_connected(rng, n))
+        rep = oracles.surgery_compare(oracles.random_connected(rng, n),
+                                      oracles.random_connected(rng, n))
         worst = min(worst, rep.variational_gap)
         assert rep.rho_gp >= rep.rayleigh_gp - 1e-10
         assert rep.bound_holds

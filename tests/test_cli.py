@@ -329,6 +329,22 @@ def test_verify_lemma2_below_threshold(capsys):
     assert json.loads(out)["params"]["outside_hypothesis"] is True
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lemma2", "--n", "5"], "no split"),
+    (["lemma2", "--n", "5", "--force"], "no split"),
+    (["lemma2", "--n", "-7"], "no split"),
+    # below the threshold 2^208+3 as well, without --force
+    (["lemma2", "--n", "259", "--k", "200"], "no split"),
+    (["lemma1", "--n", "4"], "need n >= 10"),
+    (["lemma1", "--n", "9"], "need n >= 10"),
+])
+def test_sweep_with_no_instance_exits_two_with_one_line(capsys, argv,
+                                                        message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert message in err and err.count("\n") == 1
+
+
 def test_verify_entry_bounds_single(capsys):
     code, out, _ = run(capsys, "verify", "entry-bounds", "--n", "20",
                        "--parts", "9,9")
@@ -403,6 +419,19 @@ def test_sweep_argmax_rows_jsonl(capsys):
     rows, summary = lines[:-1], json.loads(lines[-1])
     assert len(rows) == summary["params"]["candidates"]
     assert json.loads(rows[0])["parts"] == [16, 1, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma1", "--n", "40", "--csv", "{tmp}"],
+    ["verify", "lemma1", "--n", "40", "--csv", "{tmp}/missing/x.csv"],
+    ["sweep", "argmax", "--n", "30", "--force", "--summary-only",
+     "--csv", "{tmp}"],
+    ["rho", "P5", "--emit-vector", "{tmp}/missing/x.csv"],
+])
+def test_unwritable_output_exits_two_with_one_line(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sweep_unknown_kind(capsys):

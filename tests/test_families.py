@@ -3,11 +3,14 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from spexplanar import (LinearForest, build_linear_forest, complete_bipartite,
                         enumerate_lna, extremal_graph, is_planar,
                         join_with_paths, k2_join, path_graph)
+from spexplanar.families import join_edges
+from spexplanar.graphs import graph6_from_edges
 
 import oracles
 
@@ -47,6 +50,31 @@ def test_join_with_paths_keeps_given_block_order():
 def test_join_with_paths_rejects_empty_part():
     with pytest.raises(ValueError, match=">= 1"):
         join_with_paths([3, 0])
+    with pytest.raises(ValueError, match=">= 1"):
+        join_edges([2, -1, 4], hub_edge=False)
+
+
+def test_join_edges_and_graph6_match_a_networkx_join():
+    # unsorted part lists, on both sides of graph6's 62/63 header switch
+    rng = random.Random(2405)
+    orders = [3, 4, 9, 61, 62, 63, 64, 65, 128, 259, 300]
+    orders += [rng.randint(3, 300) for _ in range(6)]
+    cases = [[1] * (n - 2) for n in (3, 4, 62, 63)]  # K_{2,m}
+    cases += [[n - 2] for n in (3, 62, 63)]  # a single path
+    for n in orders:
+        m = n - 2
+        cuts = sorted(rng.sample(range(1, m), rng.randint(0, min(m - 1, 9))))
+        cases.append([b - a for a, b in zip([0] + cuts, cuts + [m])])
+    for p in cases:
+        n = sum(p) + 2
+        for hub_edge in (True, False):
+            h = oracles.join_nx(p, hub_edge)
+            rows = join_edges(p, hub_edge)
+            ref = nx.convert_node_labels_to_integers(h)
+            assert rows.dtype == np.int64
+            assert rows.tolist() == sorted(sorted(e) for e in ref.edges())
+            assert graph6_from_edges(n, rows) == nx.to_graph6_bytes(
+                h, header=False).decode().strip(), (p, hub_edge)
 
 
 def test_k2_join_matches_generic_join():

@@ -1,6 +1,7 @@
 """The general engine (one dense symmetric solve) against closed forms and
-the dense eigensolver, plus the comparison rules (verdict,
-surgery_compare) built on top of it."""
+the dense eigensolver, plus the comparison rules built on top of it:
+`verdict`, and the tests' own Rayleigh and surgery comparisons
+(`oracles.rayleigh_quotient`, `oracles.surgery_compare`)."""
 
 import math
 import random
@@ -11,12 +12,12 @@ import pytest
 
 from spexplanar import (ConvergenceError, DisconnectedGraphError,
                         complete_bipartite, complete_graph, cycle_graph,
-                        from_edges, k2_join, path_graph, rayleigh_quotient,
-                        spectral_radius, spectral_radius_any, surgery_compare,
+                        from_edges, k2_join, path_graph, spectral_radius,
                         verdict)
 from spexplanar.spectral import adjacency_matrix
 
 import oracles
+from oracles import rayleigh_quotient, spectral_radius_any, surgery_compare
 
 TOL = 1e-12
 

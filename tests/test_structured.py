@@ -285,11 +285,11 @@ def test_join_solves_build_and_recognize_nothing(monkeypatch, capsys):
     for argv in (["k2+[150,60,47]"], ["extremal(2051,3)", "--emit-vector"]):
         assert main(["rho", *argv]) == 0
     capsys.readouterr()
-    monkeypatch.undo()
-    # verify builds each join for its graph6, but never re-recognizes it
-    forbid(monkeypatch, families.recognize_hub_join)
+    # verify encodes each join's graph6 from its edge rows
     verify._solved_join([9, 4, 2], False, TOL)
     verify.verify_lemma1(40, 2, 0, [30, 4, 4], [38])
+    verify.lemma1_sweep(40)
+    verify.argmax_sweep(30, 0, force=True)
     verify.verify_entry_bounds(22, [16, 3, 1])
     verify.lemma2_sweep(20, 0, force=True)
     verify.verify_claim33(300, 0, 200, 98)

@@ -8,11 +8,12 @@ import pytest
 
 from spexplanar import (admissible_forests, argmax_sweep, enumerate_lna,
                         from_edges, from_graph6, lemma1_sweep, lemma2_sweep,
-                        merge_threshold, rayleigh_quotient,
-                        recognize_hub_join, reports_to_csv, rerun,
+                        merge_threshold, recognize_hub_join,
+                        reports_to_csv, rerun,
                         spectral_radius, verify_claim33,
                         verify_entry_bounds, verify_lemma1, verify_lemma2)
 from spexplanar.families import join_with_paths
+from spexplanar.graphs import edge_array
 from spexplanar.spectral import edge_quotient
 from spexplanar.verify import entry_bounds_sample
 
@@ -59,6 +60,10 @@ def test_lemma1_sweep_certifies_every_family_pair():
         n_a1 = oracles.partition_count(38, rep.params["a1"] + 1)
         n_a2 = oracles.partition_count(38, rep.params["a2"] + 1)
         assert rep.params["pairs"] == n_a1 * n_a2
+        for side in ("l1", "l2"):  # the worst joins, without the hub edge
+            assert from_graph6(rep.artifacts[f"worst_join_{side}"]) == \
+                oracles.from_nx(oracles.join_nx(rep.params[f"worst_{side}"],
+                                                False))
 
 
 # --- lemma2 and the merge machinery -------------------------------------------
@@ -89,14 +94,14 @@ def test_lemma2_swap_graph_is_the_merged_join():
     res = spectral_radius(g)
     c1, c2 = _chain_indices(149)
     t1, t2 = _pick_swap_indices(0, res.vector, c1, c2)
-    edges = _swapped_edges(g, 149, t1, t2)
+    edges = _swapped_edges(edge_array(g), 149, t1, t2)
     swapped = from_edges(g.n, map(tuple, edges))
     assert edges.tolist() == [list(e) for e in swapped.edges()]  # sorted
     got = recognize_hub_join(swapped)
     assert got is not None
     assert sorted(len(p) for p in got[2]) == [1, 297]
     assert (edge_quotient(edges, res.vector)
-            == rayleigh_quotient(swapped, res.vector))
+            == oracles.rayleigh_quotient(swapped, res.vector))
 
 
 def test_lemma2_threshold_guard_and_force():
@@ -206,18 +211,18 @@ def test_lemma2_sweep_interleaves_reports():
 def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
     from spexplanar import verify
     solved, encoded = [], []
-    solve, encode = verify.hub_join_spectrum, verify.to_graph6
+    solve, encode = verify.hub_join_spectrum, verify.graph6_from_edges
 
     def counting_solve(parts, hub_edge, tol):
         solved.append((tuple(parts), hub_edge))
         return solve(parts, hub_edge, tol)
 
-    def counting_encode(g):
-        encoded.append(g)
-        return encode(g)
+    def counting_encode(n, edges):
+        encoded.append(encode(n, edges))
+        return encoded[-1]
 
     monkeypatch.setattr(verify, "hub_join_spectrum", counting_solve)
-    monkeypatch.setattr(verify, "to_graph6", counting_encode)
+    monkeypatch.setattr(verify, "graph6_from_edges", counting_encode)
     reports = lemma2_sweep(20, 0, force=True)
     # 8 pre-merge joins plus the one post-merge join (16, 1) they share
     assert len(solved) == len(set(solved)) == 9
@@ -319,6 +324,8 @@ def test_argmax_sweep_small_forced():
     assert tuple(rep.params["argmax"]) == max(
         result.rows, key=lambda r: r[1])[0]
     assert rep.margins["runner_up_gap"] > 0
+    assert from_graph6(rep.artifacts["argmax_join"]) == oracles.from_nx(
+        oracles.join_nx(rep.params["argmax"], True))
     jsonl = result.rows_jsonl().strip().split("\n")
     assert len(jsonl) == len(result.rows)
     assert json.loads(jsonl[0])["parts"] == list(result.rows[0][0])
