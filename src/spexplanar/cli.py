@@ -4,10 +4,11 @@ Subcommands: build, rho, spectrum, member, verify, sweep.
 Exit codes: 0 success, 1 when any check reports "violated" (or a
 computation refuses the input), 2 for usage errors (a flag the chosen
 subcommand or mode would not read among them), for inputs too large to
-fit in memory and for output files that cannot be written, 141 (128 +
-SIGPIPE, what a shell reports for a writer killed by that signal) when
-stdout is closed before the output is written, as in
-`spex verify entry-bounds | head`.
+fit in memory or for the dense solve (`spectral.DENSE_MAX_ORDER`) and
+for output files that cannot be written (a --csv file is opened before
+any work), 141 (128 + SIGPIPE, what a shell reports for a writer killed
+by that signal) when stdout is closed before the output is written, as
+in `spex verify entry-bounds | head`.
 
 Graph arguments accept, in this order of interpretation:
   * a family string:  P12  C6  K7  K2,18  k2+[4,1,1]  extremal(8,0)
@@ -22,6 +23,7 @@ delimited margin table next to it. No plots: CSV is the boundary.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -128,10 +130,10 @@ def _build_reads(a: argparse.Namespace, *flags: str) -> None:
             f"build {a.family} does not read {', '.join(unread)}")
 
 
-def _write_csv(path: Optional[str], text: str) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _open_csv(path: Optional[str]):
+    """The --csv file, opened before any work so that a path that cannot
+    be written fails at once; a null context without --csv."""
+    return open(path, "w") if path else contextlib.nullcontext()
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -207,6 +209,18 @@ def _exit_for(reports) -> int:
 
 
 def cmd_verify(a: argparse.Namespace) -> int:
+    with _open_csv(a.csv) as csv:
+        reports, witness_lines = _verify_reports(a)
+        for rep in reports:
+            print(rep.to_json())
+        for w in witness_lines:
+            _emit({"witness": w})
+        if csv:
+            csv.write(V.reports_to_csv(reports))
+    return _exit_for(reports)
+
+
+def _verify_reports(a: argparse.Namespace) -> tuple[list, list]:
     reports = []
     witness_lines = []
     if a.n is None and not (a.check == "entry-bounds" and not a.parts):
@@ -254,22 +268,19 @@ def cmd_verify(a: argparse.Namespace) -> int:
                      if k in s and v is not None)
             reports.extend(V.entry_bounds_sample(
                 s["count"], s["n_lo"], s["n_hi"], s["seed"], a.tol))
-    for rep in reports:
-        print(rep.to_json())
-    for w in witness_lines:
-        _emit({"witness": w})
-    _write_csv(a.csv, V.reports_to_csv(reports))
-    return _exit_for(reports)
+    return reports, witness_lines
 
 
 def cmd_sweep(a: argparse.Namespace) -> int:
     if a.what != "argmax":
         raise UsageError(f"unknown sweep {a.what!r}; available: argmax")
-    result = V.argmax_sweep(a.n, a.k, a.parts, a.tol, force=a.force)
-    if not a.summary_only:
-        sys.stdout.write(result.rows_jsonl())
-    print(result.report.to_json())
-    _write_csv(a.csv, result.rows_csv())
+    with _open_csv(a.csv) as csv:
+        result = V.argmax_sweep(a.n, a.k, a.parts, a.tol, force=a.force)
+        if not a.summary_only:
+            sys.stdout.write(result.rows_jsonl())
+        print(result.report.to_json())
+        if csv:
+            csv.write(result.rows_csv())
     return _exit_for([result.report])
 
 

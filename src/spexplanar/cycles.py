@@ -340,9 +340,11 @@ def cycle_spectrum(g: Graph, ell_max: Optional[int] = None,
     `ell_max` must lie in [3, n]).
 
     Uses the constructive hub-join path when `recognize_hub_join` accepts
-    g (no search, no budget outcomes). Otherwise one search pass (`_search`)
-    with `budget` node expansions settles the lengths not yet in the
-    graph's memo, and each length it leaves open when that budget runs out
+    g (no search, no budget outcomes, and no run-time re-check of the
+    construction, which `hub_forest_cycle` proves). Otherwise one search
+    pass (`_search`) with `budget` node expansions settles the lengths not
+    yet in the graph's memo, and each length it leaves open when that
+    budget runs out
     goes through `find_cycle` with a budget of its own; "budget" is recorded
     for the lengths that search cannot settle either. So every record is
     the one a separate `find_cycle(g, ell, budget)` per length gives on a
@@ -375,7 +377,6 @@ def _cycle_records(g: Graph, ell_max: int, budget: int,
         if hub is not None:
             cyc = hub_forest_cycle(*hub[:3], ell, hub[3])
             if cyc is not None:
-                validate_cycle(g, cyc)
                 cyc = tuple(cyc)
         else:
             memo = g.settled_cycles

@@ -1,6 +1,6 @@
 """Spectral radius computation and the comparison rules built on it.
 
-`spectral_radius` dispatches between two engines:
+Each graph gets exactly one of two engines, chosen before any solve:
 
 * Hub joins K2 + (linear forest), with or without the hub edge, recognized
   exactly by `families.recognize_hub_join`, take the secular equation of
@@ -13,23 +13,21 @@
   rho = t + 1/t (Golub, "Some modified matrix eigenvalue problems", SIAM
   Rev. 15, 1973). Newton's method from the all-singleton lower bound
   converges monotonically (f is increasing and concave there), and the
-  Perron vector is written down per path block in closed form. The
-  residual ||Ax - rho x||_inf is evaluated from the join's structure (a
-  forest vertex sees both hubs and its path neighbours, a hub the other
-  hub and the forest), the same sum `hub_join_radii` reports; above `tol`
-  the call falls back to the dense solve.
+  Perron vector is written down per path block in closed form. Its
+  residual ||Ax - rho x||_inf comes from the join's structure
+  (`_batch_residuals`); above `tol` the solve raises ConvergenceError.
 * Everything else takes one dense symmetric solve: the all-ones vector on
   regular graphs (an exact eigenvector there), otherwise the top
   eigenvector of `numpy.linalg.eigh`, max-normalized. Its residual is
-  O(u ||A||) by backward stability, so there is no iteration to cap; a
-  residual above `tol` raises ConvergenceError.
+  O(u ||A||) by backward stability; above `tol` it raises
+  ConvergenceError, above DENSE_MAX_ORDER vertices ValueError at once.
 
-The secular engine works on part lists, so two more entry points build no
-graph: `hub_join_spectrum` solves one join from its parts (what the CLI's
-`rho 'k2+[..]'` and the verify checks call), `hub_join_radii` many joins
-of one order in fixed batches (the sweeps). `spectral_radius` recognizes
-a join's parts and hands them to the same single-join solve, so a join
-gets the same rho, residual and Newton steps bit for bit from all three.
+One batch kernel, `_solve_rows`, runs the secular engine on part lists,
+so `hub_join_spectrum` (one join) and `hub_join_radii` (many of one
+order) build no graph. Below SECULAR_ORDER both build the join and let
+`spectral_radius` pick the engine; from it on every join is recognized.
+So all three give a join the same rho, residual and Newton steps, bit
+for bit.
 
 Every verdict in the package comes from `verdict(margin, slack)`: a
 margin counts as a strict inequality only when it clears the slack
@@ -40,11 +38,10 @@ indeterminate, never silently rounded into a conclusion.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +51,9 @@ from .graphs import Graph, edge_array
 DEFAULT_TOL = 1e-12
 BATCH_ROWS = 256      # forests per numpy batch in hub_join_radii
 NEWTON_STOP = 1e-14   # relative Newton step at which the root is taken
-NEWTON_CAP = 100      # Newton steps before a row falls back to the dense solve
+NEWTON_CAP = 100      # Newton steps before the residual decides (<= 6 seen)
+SECULAR_ORDER = 7     # join order from which the part list alone picks secular
+DENSE_MAX_ORDER = 5000  # P5000 peaks at 1.0 GB RSS in eigh (16 s, 2 cores)
 
 
 class DisconnectedGraphError(ValueError):
@@ -93,31 +92,33 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest adjacency eigenvalue of a connected graph, with Perron vector.
 
-    Deterministic: hub joins take the secular engine, everything else (and
-    any join whose secular solve misses `tol`) the dense solve. Raises
-    DisconnectedGraphError on disconnected input and ConvergenceError if
-    the dense solve's residual misses `tol`.
+    Deterministic: hub joins take the secular engine, everything else the
+    dense solve. Raises DisconnectedGraphError on disconnected input,
+    ValueError above DENSE_MAX_ORDER on the dense route, and
+    ConvergenceError if the residual of either solve misses `tol`.
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
     hub = recognize_hub_join(g)
-    if hub is not None:
-        hub1, hub2, paths, hub_edge = hub
-        res = _hub_join_spectrum([len(p) for p in paths], hub_edge, tol)
-        if res is not None:
-            # res.vector has the recognized paths as its blocks, in order
-            x = np.empty(g.n)
-            x[[hub1, hub2]] = res.vector[:2]
-            x[np.fromiter(chain.from_iterable(paths), np.int64, g.n - 2)] = \
-                res.vector[2:]
-            return replace(res, vector=x)
-    elif not g.is_connected():
-        raise DisconnectedGraphError(
-            f"graph with {g.n} vertices is not connected")
-    return _dense_solve(g, tol)
+    if hub is None:
+        if not g.is_connected():
+            raise DisconnectedGraphError(
+                f"graph with {g.n} vertices is not connected")
+        return _dense_solve(g, tol)
+    hub1, hub2, paths, hub_edge = hub
+    res = _hub_join_spectrum([len(p) for p in paths], hub_edge, tol)
+    # res.vector has the recognized paths as its blocks, in order
+    x = np.empty(g.n)
+    x[[hub1, hub2]] = res.vector[:2]
+    x[np.fromiter(chain.from_iterable(paths), np.int64, g.n - 2)] = \
+        res.vector[2:]
+    return replace(res, vector=x)
 
 
 def _dense_solve(g: Graph, tol: float) -> SpectralResult:
+    if g.n > DENSE_MAX_ORDER:
+        raise ValueError(f"dense solve of {g.n} vertices exceeds "
+                         f"DENSE_MAX_ORDER {DENSE_MAX_ORDER}")
     a = adjacency_matrix(g)
     x = np.ones(g.n)
     z = a @ x
@@ -201,21 +202,20 @@ def _secular(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray, e: float,
 
 
 def _secular_roots(m: np.ndarray, cnt: np.ndarray, e: float
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho, Newton steps, converged) per row.
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, Newton steps) per row.
 
     Starts from the root for all-singleton parts, (e + sqrt(e^2 + 8M))/2
     with M the forest order, a lower bound by subgraph monotonicity. f is
     increasing and concave above 2, so the iterates rise to the root while
     f < 0: a row is done once f >= 0 (rounding noise at the root) or the
-    step falls below NEWTON_STOP relative. Rows whose start is not above 2
-    (K3, K4 minus an edge), or that take NEWTON_CAP steps, are not
-    converged.
+    step falls below NEWTON_STOP relative, or after NEWTON_CAP steps. The
+    start is above 2 on every join `recognize_hub_join` accepts (not K3
+    or C4 = K_{2,2}, whose start is 2) and from SECULAR_ORDER on.
     """
     rho = (e + np.sqrt(e * e + 8.0 * (m * cnt).sum(axis=1))) / 2.0
     steps = np.zeros(len(rho), dtype=np.int64)
-    active = rho > 2.0
-    converged = np.zeros(len(rho), dtype=bool)
+    active = np.ones(len(rho), dtype=bool)
     bits = _exponent_bits(m)
     for _ in range(NEWTON_CAP):
         rows = np.flatnonzero(active)
@@ -225,10 +225,9 @@ def _secular_roots(m: np.ndarray, cnt: np.ndarray, e: float
         step = f / df
         rho[rows] = rho[rows] - step
         steps[rows] += 1
-        done = rows[(step >= 0.0) | (-step <= NEWTON_STOP * rho[rows])]
-        active[done] = False
-        converged[done] = True
-    return rho, steps, converged
+        done = (step >= 0.0) | (-step <= NEWTON_STOP * rho[rows])
+        active[rows[done]] = False
+    return rho, steps
 
 
 def _forest_entries(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray
@@ -253,26 +252,34 @@ def _forest_entries(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray
     return y, idx, part
 
 
-def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool, tol: float
-                       ) -> Optional[SpectralResult]:
-    """Secular solve of join_with_paths(parts, hub_edge), the Perron vector
-    in that layout; None when Newton does not converge or the residual
-    misses `tol`. The one single-join solve: it runs the kernels of
-    `hub_join_radii` on a batch of one row."""
-    e = float(hub_edge)
-    m, cnt = _part_matrix([parts])
-    rho, steps, converged = _secular_roots(m, cnt, e)
-    if not converged[0]:
-        return None
+def _solve_rows(forests: Sequence[Sequence[int]], e: float, tol: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The secular engine on joins of one order: (rho, residual, Newton
+    steps, `_forest_entries` y) per row. Raises ConvergenceError unless
+    every residual is at most `tol` (NaN is not): no other solver runs."""
+    for p in chain.from_iterable(forests):
+        if p < 1:
+            raise ValueError(f"path order must be >= 1, got {p}")
+    m, cnt = _part_matrix(forests)
+    rho, steps = _secular_roots(m, cnt, e)
     y, idx, part = _forest_entries(m, cnt, rho)
-    resid = float(_batch_residuals(y, idx, part, rho, e)[0])
-    if resid > tol:
-        return None
+    resid = _batch_residuals(y, idx, part, rho, e)
+    missed = ~(resid <= tol)
+    if missed.any():
+        raise ConvergenceError(float(resid[missed][0]), tol)
+    return rho, resid, steps, y
+
+
+def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool, tol: float
+                       ) -> SpectralResult:
+    """Secular solve of join_with_paths(parts, hub_edge), the Perron vector
+    in that layout: `_solve_rows` on a batch of one row."""
+    rho, resid, steps, y = _solve_rows([parts], float(hub_edge), tol)
     x = np.empty(len(y[0]) + 2)
     x[:2] = 1.0
     x[2:][_block_positions(parts)] = y[0]
-    return SpectralResult(float(rho[0]), x / x.max(), resid, int(steps[0]),
-                          "secular")
+    return SpectralResult(float(rho[0]), x / x.max(), float(resid[0]),
+                          int(steps[0]), "secular")
 
 
 def _block_positions(parts: Sequence[int]) -> np.ndarray:
@@ -291,20 +298,15 @@ def hub_join_spectrum(parts: Sequence[int], hub_edge: bool,
     """`spectral_radius(join_with_paths(parts, hub_edge), tol)`, bit for
     bit, from the part list: the Perron vector is in that join's layout.
 
-    From order 7 on no forest vertex (degree <= 4) reaches the hub degree
-    n - 2, so `recognize_hub_join` accepts every join and `spectral_radius`
-    would take the secular solve done here; the join is built only below
-    that order, and for the dense solve when the secular one misses `tol`.
+    From SECULAR_ORDER on no forest vertex (degree <= 4) reaches the hub
+    degree n - 2, so `recognize_hub_join` accepts every join and
+    `spectral_radius` would take the secular solve done here, which
+    certifies `tol` or raises ConvergenceError. Below that order the join
+    is built and `spectral_radius` picks the solver.
     """
-    for p in parts:
-        if p < 1:
-            raise ValueError(f"path order must be >= 1, got {p}")
-    if sum(parts) + 2 < 7:
+    if sum(parts) + 2 < SECULAR_ORDER:
         return spectral_radius(join_with_paths(parts, hub_edge), tol)
-    res = _hub_join_spectrum(parts, hub_edge, tol)
-    if res is None:
-        return _dense_solve(join_with_paths(parts, hub_edge), tol)
-    return res
+    return _hub_join_spectrum(parts, hub_edge, tol)
 
 
 def _batch_residuals(y: np.ndarray, idx: np.ndarray, part: np.ndarray,
@@ -325,35 +327,24 @@ def _batch_residuals(y: np.ndarray, idx: np.ndarray, part: np.ndarray,
 
 def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
                    tol: float = DEFAULT_TOL) -> list[tuple[float, float, int]]:
-    """(rho, residual, iterations) of the hub join of each forest.
+    """(rho, residual, iterations) of the hub join of each forest, as
+    `hub_join_spectrum` gives them.
 
-    All forests must have the same order. Runs the secular engine in
-    batches of BATCH_ROWS forests without building a graph; a forest whose
-    residual misses `tol` gets the dense solve of its join.
+    All forests must have the same order. From SECULAR_ORDER on the
+    secular engine runs in batches of BATCH_ROWS forests without building
+    a graph, and raises ConvergenceError if a residual misses `tol`; below
+    it each forest goes through `hub_join_spectrum`.
     """
     if len({sum(parts) for parts in forests}) > 1:
         raise ValueError("hub_join_radii needs forests of a single order")
-    if any(p < 1 for parts in forests for p in parts):
-        raise ValueError("path orders must be >= 1")
-    e = float(hub_edge)
+    if forests and sum(forests[0]) + 2 < SECULAR_ORDER:
+        return [(res.rho, res.residual, res.iterations) for res in
+                (hub_join_spectrum(parts, hub_edge, tol) for parts in forests)]
     out = []
     for lo in range(0, len(forests), BATCH_ROWS):
-        chunk = forests[lo:lo + BATCH_ROWS]
-        m, cnt = _part_matrix(chunk)
-        rho, steps, converged = _secular_roots(m, cnt, e)
-        resid = np.full(len(chunk), math.inf)
-        if converged.any():
-            y, idx, part = _forest_entries(m[converged], cnt[converged],
-                                           rho[converged])
-            resid[converged] = _batch_residuals(y, idx, part,
-                                                rho[converged], e)
-        for row, parts in enumerate(chunk):
-            if resid[row] <= tol:
-                out.append((float(rho[row]), float(resid[row]),
-                            int(steps[row])))
-            else:
-                res = _dense_solve(join_with_paths(parts, hub_edge), tol)
-                out.append((res.rho, res.residual, res.iterations))
+        rho, resid, steps, _ = _solve_rows(forests[lo:lo + BATCH_ROWS],
+                                           float(hub_edge), tol)
+        out.extend(zip(rho.tolist(), resid.tolist(), steps.tolist()))
     return out
 
 

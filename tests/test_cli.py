@@ -434,6 +434,17 @@ def test_unwritable_output_exits_two_with_one_line(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma1", "--n", "40", "--csv", "{tmp}"],
+    ["sweep", "argmax", "--n", "259", "--csv", "{tmp}/missing/x.csv"],
+])
+def test_unwritable_csv_fails_before_any_output(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sweep_unknown_kind(capsys):
     code, _, err = run(capsys, "sweep", "bogus", "--n", "10")
     assert code == 2

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from spexplanar import (Graph, SearchBudgetExceeded, complete_bipartite,
                         complete_graph, cycle_graph, cycle_spectrum,
-                        extremal_graph, find_cycle, from_edges, in_gnk,
+                        extremal_graph, find_cycle, from_edges, from_graph6,
+                        in_gnk,
                         join_cycle_certificate, k2_join, path_graph,
-                        recognize_hub_join, validate_cycle)
+                        recognize_hub_join, to_graph6, validate_cycle)
 from spexplanar.cycles import DEFAULT_BUDGET, hub_forest_cycle
-from spexplanar.families import LinearForest, enumerate_lna
+from spexplanar.families import (LinearForest, enumerate_lna, extremal_forest,
+                                 join_with_paths)
 
 import oracles
 
@@ -275,21 +277,46 @@ def test_spectrum_fast_path_matches_search_path():
         assert (find_cycle(g, rec.ell) is not None) == (rec.status == "present")
 
 
-def test_joins_without_the_hub_edge_match_the_search():
-    # cycle lengths are [3, n1+n2+2] when n1 >= 2, and {4} for K_{2,m}
+def test_joins_match_the_search_with_and_without_the_hub_edge():
+    # cycle lengths are [3, n1+n2+2], except {4} for K_{2,m}; cycle_spectrum
+    # writes its certificates down unchecked, so each is checked here
     for n in range(5, 15):
         for a in range(n - 2):
             for lf in enumerate_lna(n, a):
-                g = k2_join(lf, dominating_edge=False)
                 n1, n2 = lf.two_largest()
-                want = list(range(3, n1 + n2 + 3)) if n1 >= 2 else [4]
-                spec = cycle_spectrum(g)
-                assert spec.present_lengths() == want, lf.parts
-                for rec in spec.records:
-                    found = find_cycle(g, rec.ell) is not None
-                    assert found == (rec.status == "present"), (lf, rec)
-                    if found:
-                        validate_cycle(g, rec.certificate)
+                for hub_edge in (True, False):
+                    g = k2_join(lf, dominating_edge=hub_edge)
+                    want = (list(range(3, n1 + n2 + 3))
+                            if hub_edge or n1 >= 2 else [4])
+                    spec = cycle_spectrum(g)
+                    assert spec.present_lengths() == want, lf.parts
+                    for rec in spec.records:
+                        found = find_cycle(g, rec.ell) is not None
+                        assert found == (rec.status == "present"), (lf, rec)
+                        if found:
+                            assert len(rec.certificate) == rec.ell
+                            validate_cycle(g, rec.certificate)
+
+
+@pytest.mark.parametrize("parts", [
+    extremal_forest(259, 0).parts, (100, 80, 40, 30, 5, 2),
+    extremal_forest(2051, 3).parts, (1500, 300, 249)])
+def test_certificates_of_relabelled_joins_are_cycles(parts):
+    rng = random.Random(len(parts))
+    for hub_edge in (True, False):
+        base = join_with_paths(parts, hub_edge)
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        g = from_graph6(to_graph6(from_edges(
+            base.n, [(perm[u], perm[v]) for u, v in base.edges()])))
+        assert recognize_hub_join(g) is not None
+        spec = cycle_spectrum(g)
+        n1, n2 = sorted(parts)[-1], sorted(parts)[-2]
+        assert spec.present_lengths() == list(range(3, n1 + n2 + 3))
+        for rec in spec.records:
+            if rec.certificate is not None:
+                assert len(rec.certificate) == rec.ell
+                validate_cycle(g, rec.certificate)
 
 
 def test_in_gnk_settles_joins_without_the_hub_edge():

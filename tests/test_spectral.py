@@ -12,8 +12,10 @@ import pytest
 
 from spexplanar import (ConvergenceError, DisconnectedGraphError,
                         complete_bipartite, complete_graph, cycle_graph,
-                        from_edges, k2_join, path_graph, spectral_radius,
-                        verdict)
+                        from_edges, join_with_paths, k2_join, path_graph,
+                        spectral_radius, verdict)
+from spexplanar import spectral
+from spexplanar.cli import main
 from spexplanar.spectral import adjacency_matrix
 
 import oracles
@@ -115,6 +117,20 @@ def test_long_path_needs_no_iteration_cap():
     assert abs(res.rho - 2.0 * math.cos(math.pi / 1131)) <= 1e-12
     assert res.residual <= TOL
     assert (res.solver, res.iterations) == ("dense", 1)
+
+
+def test_dense_solve_refuses_orders_above_its_ceiling(monkeypatch, capsys):
+    def adjacency(g):
+        raise AssertionError("the n x n matrix was allocated")
+    monkeypatch.setattr(spectral, "adjacency_matrix", adjacency)
+    with pytest.raises(ValueError, match="DENSE_MAX_ORDER"):
+        spectral_radius(path_graph(spectral.DENSE_MAX_ORDER + 1))
+    assert main(["rho", f"P{spectral.DENSE_MAX_ORDER + 1}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # a hub join of any order takes the secular engine, not the dense one
+    big = join_with_paths([spectral.DENSE_MAX_ORDER, 7], True)
+    assert spectral_radius(big).solver == "secular"
 
 
 def test_determinism_exact():

@@ -8,13 +8,14 @@ residual recomputed from the dense adjacency matrix must meet tol.
 
 import io
 import json
+import math
 import random
 import sys
 
 import numpy as np
 import pytest
 
-from spexplanar import (argmax_sweep, complete_bipartite,
+from spexplanar import (ConvergenceError, argmax_sweep, complete_bipartite,
                         complete_graph, cycle_graph, enumerate_lna,
                         from_edges, from_graph6, hub_join_radii,
                         hub_join_spectrum, join_with_paths, path_graph,
@@ -134,26 +135,37 @@ def test_thousands_of_parts_stay_on_the_secular_path():
     assert res.solver == "secular" and res.residual <= TOL
 
 
-def test_residual_miss_falls_back_to_dense_solve(monkeypatch):
-    g = join_with_paths([6, 3, 1], True)
-    monkeypatch.setattr(spectral, "_batch_residuals",
-                        lambda y, idx, part, rho, e: np.ones(len(y)))
-    res = assert_matches_dense(g, "dense")
-    assert res.iterations == 1
-    # the solve from the part list misses the same way
-    from_parts = hub_join_spectrum([6, 3, 1], True)
-    assert from_parts.solver == "dense" and from_parts.rho == res.rho
-    assert np.array_equal(from_parts.vector, res.vector)
+def forbid_eigh(monkeypatch):
+    def eigh(a):
+        raise AssertionError("a hub join reached the dense solve")
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+def assert_every_entry_point_raises(parts, hub_edge):
+    for solve in (lambda: spectral_radius(join_with_paths(parts, hub_edge)),
+                  lambda: hub_join_spectrum(parts, hub_edge),
+                  lambda: hub_join_radii([parts], hub_edge)):
+        with pytest.raises(ConvergenceError):
+            solve()
+
+
+def test_residual_miss_raises_from_every_entry_point(monkeypatch):
+    # the secular engine certifies tol or raises: no dense solve behind it
+    forbid_eigh(monkeypatch)
+    for miss in (1.0, math.nan):
+        monkeypatch.setattr(spectral, "_batch_residuals",
+                            lambda y, idx, part, rho, e: np.full(len(y), miss))
+        for hub_edge in (True, False):
+            assert_every_entry_point_raises((6, 3, 1), hub_edge)
 
 
 def test_max_iterations_caps_the_root_finder_too(monkeypatch):
     g = join_with_paths([9, 4, 2], True)
     assert spectral_radius(g).iterations <= 8
-    # a row that reaches the Newton cap falls back to the dense solve
+    # a row stopped at the Newton cap misses tol and raises
     monkeypatch.setattr(spectral, "NEWTON_CAP", 1)
-    assert_matches_dense(g, "dense")
-    (rho, resid, steps), = hub_join_radii([(9, 4, 2)], hub_edge=True)
-    assert (rho, steps) == (spectral_radius(g).rho, 1) and resid <= TOL
+    forbid_eigh(monkeypatch)
+    assert_every_entry_point_raises((9, 4, 2), True)
 
 
 def test_batched_radii_match_single_solves_bit_for_bit(monkeypatch):
@@ -231,23 +243,35 @@ def test_secular_roots_keep_their_bits(capsys):
         float.fromhex("0x1.96f3bb4f840b7p+2")
 
 
+def small_joins():
+    # orders 3 to 6: below SECULAR_ORDER, where the recognizer picks
+    return [lf.parts for n in range(3, 7) for a in range(n - 2)
+            for lf in enumerate_lna(n, a)]
+
+
 def test_entry_points_agree_bit_for_bit(capsys):
     # the family string (hubs adjacent), a relabelled graph6 of the same
-    # join, the batched sweep solve and the single-join solve from parts
+    # join, the batched sweep solve, the single-join solve from parts and
+    # the built join
     rng = random.Random(7)
-    for parts in seeded_joins():
+    for parts in [*small_joins(), *seeded_joins()]:
         for hub_edge in (True, False):
             (rho, resid, steps), = hub_join_radii([parts], hub_edge)
             from_parts = hub_join_spectrum(parts, hub_edge)
-            assert from_parts.solver == "secular"
             want = (rho, resid, steps)
             assert (from_parts.rho, from_parts.residual,
                     from_parts.iterations) == want, (parts, hub_edge)
             # the vector in join_with_paths layout, parts in any order
             built = spectral_radius(join_with_paths(parts, hub_edge))
+            assert (built.rho, built.residual, built.iterations) == want
             assert np.array_equal(from_parts.vector, built.vector)
-            g6 = relabelled_graph6(parts, hub_edge, rng)
-            assert rho_cli(capsys, g6) == want, (parts, hub_edge)
+            assert from_parts.solver == built.solver
+            if from_parts.solver == "secular":
+                # LAPACK's bits may depend on the vertex order
+                g6 = relabelled_graph6(parts, hub_edge, rng)
+                assert rho_cli(capsys, g6) == want, (parts, hub_edge)
+            else:
+                assert sum(parts) + 2 < spectral.SECULAR_ORDER
             if hub_edge:
                 family = "k2+[" + ",".join(map(str, parts)) + "]"
                 assert rho_cli(capsys, family) == want, parts
