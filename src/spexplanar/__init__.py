@@ -17,8 +17,7 @@ from .spectral import (SpectralResult, DisconnectedGraphError,
                        ConvergenceError, spectral_radius, hub_join_radii,
                        hub_join_spectrum, verdict, DEFAULT_TOL)
 from .cycles import (CycleRecord, CycleSpectrum, SearchBudgetExceeded,
-                     find_cycle, validate_cycle, join_cycle_certificate,
-                     cycle_spectrum, in_gnk,
+                     find_cycle, validate_cycle, cycle_spectrum, in_gnk,
                      DEFAULT_BUDGET)
 from .verify import (IntervalWitness, VerificationReport, ArgmaxSweepResult,
                      verify_lemma1, lemma1_sweep, verify_lemma2,

@@ -11,7 +11,7 @@ by that signal) when stdout is closed before the output is written, as
 in `spex verify entry-bounds | head`.
 
 Graph arguments accept, in this order of interpretation:
-  * a family string:  P12  C6  K7  K2,18  k2+[4,1,1]  extremal(8,0)
+  * a family string:  P12  P4+P1+P1  C6  K7  K2,18  k2+[4,1,1]  extremal(8,0)
   * a graph6 string
   * "-" to read stdin: an edge list ("n" line then "u v" lines) when the
     first line is an integer, otherwise graph6.
@@ -36,8 +36,8 @@ from . import gridconfig
 from .cycles import (SearchBudgetExceeded, cycle_spectrum, in_gnk,
                      DEFAULT_BUDGET)
 from .families import (LinearForest, build_linear_forest, extremal_forest,
-                       extremal_graph, k2_join, complete_bipartite,
-                       complete_graph, cycle_graph, path_graph)
+                       k2_join, complete_bipartite, complete_graph,
+                       cycle_graph, path_graph)
 from .graphs import (Graph, Graph6Error, from_graph6, parse_edge_list,
                      format_edge_list, to_graph6)
 from .spectral import (DEFAULT_TOL, ConvergenceError, hub_join_spectrum,
@@ -61,6 +61,9 @@ _JOIN_RES = [
 ]
 _FAMILY_RES = [
     (re.compile(r"[Pp](\d+)$"), lambda m: path_graph(int(m.group(1)))),
+    (re.compile(r"[Pp]\d+(?:\+[Pp]\d+)+$"),
+     lambda m: build_linear_forest(
+         [int(p) for p in re.findall(r"\d+", m.group(0))])),
     (re.compile(r"[Cc](\d+)$"), lambda m: cycle_graph(int(m.group(1)))),
     (re.compile(r"[Kk](\d+),(\d+)$"),
      lambda m: complete_bipartite(int(m.group(1)), int(m.group(2)))),
@@ -105,8 +108,9 @@ def load_graph(arg: str) -> Graph:
         return from_graph6(arg)
     except Graph6Error as exc:
         raise UsageError(
-            f"{arg!r} is neither a family string (P12, C6, K7, K2,18, "
-            f"k2+[4,1,1], extremal(8,0)) nor valid graph6: {exc}") from None
+            f"{arg!r} is neither a family string (P12, P4+P1+P1, C6, K7, "
+            f"K2,18, k2+[4,1,1], extremal(8,0)) nor valid graph6: "
+            f"{exc}") from None
 
 
 def _parse_parts(text: str) -> tuple[int, ...]:
@@ -120,16 +124,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, separators=(",", ":")))
 
 
-def _build_reads(a: argparse.Namespace, *flags: str) -> None:
-    """Refuse --n, --k or --parts where build's family would not read it
-    (each verify check has a parser of its own, which refuses them)."""
-    unread = [f"--{f}" for f in ("n", "k", "parts")
-              if f not in flags and getattr(a, f) is not None]
-    if unread:
-        raise UsageError(
-            f"build {a.family} does not read {', '.join(unread)}")
-
-
 def _open_csv(path: Optional[str]):
     """The --csv file, opened before any work so that a path that cannot
     be written fails at once; a null context without --csv."""
@@ -140,19 +134,7 @@ def _open_csv(path: Optional[str]):
 
 
 def cmd_build(a: argparse.Namespace) -> int:
-    if a.family == "extremal":
-        if a.n is None:
-            raise UsageError("build extremal needs --n (and optionally --k)")
-        _build_reads(a, "n", "k")
-        g = extremal_graph(a.n, a.k or 0)
-    elif a.family == "forest":
-        if not a.parts:
-            raise UsageError("build forest needs --parts p1,p2,...")
-        _build_reads(a, "parts")
-        g = build_linear_forest(_parse_parts(a.parts))
-    else:
-        _build_reads(a)
-        g = load_graph(a.family)
+    g = load_graph(a.graph)
     if a.out == "g6":
         print(to_graph6(g))
     elif a.out == "edges":
@@ -329,12 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "with this budget")
 
     p = sub.add_parser("build", help="construct a graph and print it")
-    p.add_argument("family",
-                   help="family string, or 'extremal' (with --n/--k), or "
-                        "'forest' (with --parts)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int, help="default 0")
-    p.add_argument("--parts")
+    p.add_argument("graph", nargs="?", default="-")
     p.add_argument("--out", choices=("g6", "edges", "json"), default="g6")
     p.set_defaults(fn=cmd_build)
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .families import LinearForest, k2_join, recognize_hub_join
+from .families import recognize_hub_join
 from .graphs import Graph, is_planar
 
 DEFAULT_BUDGET = 10 ** 7
@@ -280,26 +280,6 @@ def hub_forest_cycle(hub1: int, hub2: int, paths: list[list[int]],
     a = min(n1, ell - 2 if hub_edge else ell - 3)
     second = paths[1] if n2 else paths[0][a:]
     return [hub1] + paths[0][:a] + [hub2] + second[:ell - 2 - a]
-
-
-def join_cycle_certificate(forest: LinearForest | Sequence[int],
-                           ell: int) -> Optional[list[int]]:
-    """Constructive cycle in the canonical hub join of `forest`.
-
-    Vertex labels follow the canonical layout (hubs 0 and 1, then path
-    blocks, parts non-increasing). The certificate is validated against the
-    actual join before being returned.
-    """
-    lf = forest if isinstance(forest, LinearForest) else LinearForest(tuple(forest))
-    base = 2
-    paths = []
-    for p in lf.parts:
-        paths.append(list(range(base, base + p)))
-        base += p
-    cyc = hub_forest_cycle(0, 1, paths, ell)
-    if cyc is not None:
-        validate_cycle(k2_join(lf), cyc)
-    return cyc
 
 
 # --- spectra -----------------------------------------------------------------

@@ -100,9 +100,11 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
     """Long-format margin table: one row per (report, margin)."""
     lines = ["check_id,instance,margin,value,holds"]
     for rep in reports:
-        inst = " ".join(f"{k}={v}" for k, v in rep.params.items()
-                        if not isinstance(v, (list, dict)))
-        inst = inst.replace(",", ";")
+        # list parameters as compact JSON; no comma reaches the csv
+        inst = " ".join(
+            f"{k}={json.dumps(v, separators=(',', ':'))}"
+            if isinstance(v, list) else f"{k}={v}"
+            for k, v in rep.params.items()).replace(",", ";")
         for name, value in rep.margins.items():
             lines.append(f"{rep.check_id},{inst},{name},{value!r},{rep.holds}")
         if not rep.margins:
@@ -249,6 +251,9 @@ def _validate_merge(n: int, k: int, n1: int, n2: int,
     for p in l_parts:
         if p < 1:
             raise ValueError(f"residual part must be >= 1, got {p}")
+        if p > n2:
+            raise ValueError(f"residual part {p} exceeds n2 = {n2}: "
+                             "n1 and n2 must be the two longest paths")
     if sum(l_parts) != rest:
         raise ValueError(
             f"residual forest order {sum(l_parts)} != n-2-n1-n2 = {rest}")

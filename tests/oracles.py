@@ -7,9 +7,10 @@ search, Johnson's algorithm in networkx) so agreement is meaningful.
 
 The last section is different: it holds the comparisons that only the tests
 make with the package's own solvers (the Rayleigh quotient of a Graph, the
-spectral radius of a possibly disconnected graph, and the edge-surgery
-comparison of acceptance criterion 8). No verdict, sweep or CLI command
-reads them.
+spectral radius of a possibly disconnected graph, the edge-surgery
+comparison of acceptance criterion 8, and the constructive cycle of a
+canonical hub join that criterion 3 checks against the search). No verdict,
+sweep or CLI command reads them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from spexplanar import DEFAULT_TOL, Graph, from_edges, spectral_radius, verdict
+from spexplanar import (DEFAULT_TOL, Graph, LinearForest, from_edges, k2_join,
+                        spectral_radius, validate_cycle, verdict)
+from spexplanar.cycles import hub_forest_cycle
 from spexplanar.graphs import edge_array
 from spexplanar.spectral import edge_quotient
 
@@ -396,6 +399,26 @@ def rayleigh_quotient(g: Graph, x) -> float:
     if x.shape != (g.n,):
         raise ValueError(f"vector has shape {x.shape}, graph has {g.n} vertices")
     return edge_quotient(edge_array(g), x)
+
+
+def join_cycle_certificate(forest, ell: int):
+    """Constructive cycle in the canonical hub join of `forest` (a
+    LinearForest or a part list), or None.
+
+    Vertex labels follow the canonical layout (hubs 0 and 1, then path
+    blocks, parts non-increasing). The certificate is validated against the
+    actual join before being returned.
+    """
+    lf = forest if isinstance(forest, LinearForest) else LinearForest(tuple(forest))
+    base = 2
+    paths = []
+    for p in lf.parts:
+        paths.append(list(range(base, base + p)))
+        base += p
+    cyc = hub_forest_cycle(0, 1, paths, ell)
+    if cyc is not None:
+        validate_cycle(k2_join(lf), cyc)
+    return cyc
 
 
 @dataclass(frozen=True)

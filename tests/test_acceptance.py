@@ -12,10 +12,11 @@ import time
 
 import conftest
 import oracles
+from oracles import join_cycle_certificate
 
 from spexplanar import (complete_bipartite, enumerate_lna, find_cycle,
                         from_edges, from_graph6, in_gnk, is_planar,
-                        join_cycle_certificate, k2_join, lemma1_sweep,
+                        k2_join, lemma1_sweep,
                         lemma2_sweep, spectral_radius, to_graph6,
                         verify_claim33)
 from spexplanar import gridconfig

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from spexplanar import (complete_graph, cycle_graph, extremal_graph,
-                        from_edges, from_graph6, k2_join, to_graph6)
+from spexplanar import (build_linear_forest, complete_graph, cycle_graph,
+                        extremal_graph, from_edges, from_graph6, k2_join,
+                        path_graph, to_graph6)
 from spexplanar.cli import build_parser, main, parse_family
 
 
@@ -25,6 +26,8 @@ def test_parse_family_strings():
     assert parse_family("c6") == cycle_graph(6)
     assert parse_family("K7") == complete_graph(7)
     assert parse_family("K2,18").n == 20
+    assert parse_family("P4+P1+P1") == build_linear_forest([4, 1, 1])
+    assert parse_family("p1+P7+p3") == build_linear_forest([7, 3, 1])
     assert parse_family("k2+[4,1,1]") == k2_join([4, 1, 1])
     assert parse_family("extremal(8,0)") == extremal_graph(8, 0)
     assert parse_family("Q17") is None
@@ -35,14 +38,13 @@ def test_parse_family_strings():
 
 
 def test_build_extremal_g6(capsys):
-    code, out, _ = run(capsys, "build", "extremal", "--n", "8")
+    code, out, _ = run(capsys, "build", "extremal(8,0)")
     assert code == 0
     assert out.strip() == to_graph6(extremal_graph(8, 0))
 
 
 def test_build_forest_edges(capsys):
-    code, out, _ = run(capsys, "build", "forest", "--parts", "3,1",
-                       "--out", "edges")
+    code, out, _ = run(capsys, "build", "P3+P1", "--out", "edges")
     assert code == 0
     assert out == "4\n0 1\n1 2\n"
 
@@ -56,9 +58,24 @@ def test_build_family_json(capsys):
 
 
 def test_build_requires_parts_for_forest(capsys):
-    code, _, err = run(capsys, "build", "forest")
-    assert code == 2
-    assert "usage error" in err
+    # `forest` is no family string: a forest is written P4+P1+P1
+    code, out, err = run(capsys, "build", "forest")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: 'forest' is neither a family string")
+    assert "nor valid graph6" in err and err.count("\n") == 1
+
+
+def test_forest_family_with_an_empty_path_exits_two(capsys):
+    code, out, err = run(capsys, "build", "P4+P0")
+    assert (code, out) == (2, "")
+    assert err == "error: path order must be >= 1, got 0\n"
+
+
+def test_build_reads_an_edge_list_on_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("4\n0 1\n1 2\n2 3\n"))
+    code, out, _ = run(capsys, "build")
+    assert code == 0
+    assert out == to_graph6(path_graph(4)) + "\n"
 
 
 # --- rho ------------------------------------------------------------------------
@@ -284,17 +301,9 @@ def test_verify_instance_flags_never_silently_ignored(capsys):
      "spex: error: unrecognized arguments: --k 0"),
     (["verify", "lemma2", "--n", "300", "--count", "3"],
      "spex: error: unrecognized arguments: --count 3"),
-    # build's family decides what it reads; its own messages come first
+    # build reads one graph argument and --out, like rho and spectrum
     (["build", "P5", "--n", "9", "--k", "3", "--parts", "4,4"],
-     "usage error: build P5 does not read --n, --k, --parts"),
-    (["build", "extremal", "--n", "10", "--parts", "3"],
-     "usage error: build extremal does not read --parts"),
-    (["build", "forest", "--parts", "3,1", "--k", "0"],
-     "usage error: build forest does not read --k"),
-    (["build", "extremal", "--parts", "3"],
-     "usage error: build extremal needs --n (and optionally --k)"),
-    (["build", "forest", "--k", "2"],
-     "usage error: build forest needs --parts p1,p2,..."),
+     "spex: error: unrecognized arguments: --n 9 --k 3 --parts 4,4"),
 ])
 def test_unread_flags_exit_two_naming_them(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err + "\n")
@@ -327,6 +336,14 @@ def test_verify_lemma2_below_threshold(capsys):
                        "--n1", "49", "--n2", "49", "--force")
     assert code == 0
     assert json.loads(out)["params"]["outside_hypothesis"] is True
+
+
+def test_verify_lemma2_refuses_a_residual_longer_than_n2(capsys):
+    code, out, err = run(capsys, "verify", "lemma2", "--n", "300",
+                         "--n1", "50", "--n2", "50", "--l", "198")
+    assert (code, out) == (2, "")
+    assert err == ("error: residual part 198 exceeds n2 = 50: "
+                   "n1 and n2 must be the two longest paths\n")
 
 
 @pytest.mark.parametrize("argv, message", [

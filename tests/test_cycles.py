@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from spexplanar import (Graph, SearchBudgetExceeded, complete_bipartite,
                         complete_graph, cycle_graph, cycle_spectrum,
                         extremal_graph, find_cycle, from_edges, from_graph6,
-                        in_gnk,
-                        join_cycle_certificate, k2_join, path_graph,
+                        in_gnk, k2_join, path_graph,
                         recognize_hub_join, to_graph6, validate_cycle)
 from spexplanar.cycles import DEFAULT_BUDGET, hub_forest_cycle
 from spexplanar.families import (LinearForest, enumerate_lna, extremal_forest,
                                  join_with_paths)
 
 import oracles
+from oracles import join_cycle_certificate
 
 
 def petersen():

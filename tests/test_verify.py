@@ -12,6 +12,7 @@ from spexplanar import (admissible_forests, argmax_sweep, enumerate_lna,
                         reports_to_csv, rerun,
                         spectral_radius, verify_claim33,
                         verify_entry_bounds, verify_lemma1, verify_lemma2)
+from spexplanar import gridconfig
 from spexplanar.families import join_with_paths
 from spexplanar.graphs import edge_array
 from spexplanar.spectral import edge_quotient
@@ -121,6 +122,18 @@ def test_lemma2_preconditions():
         verify_lemma2(300, 0, 100, 100, (50,))
     with pytest.raises(ValueError, match="k must be >= 0"):
         verify_lemma2(300, -1, 149, 149)
+
+
+def test_merge_checks_refuse_a_residual_path_longer_than_n2():
+    msg = ("residual part 198 exceeds n2 = 50: "
+           "n1 and n2 must be the two longest paths")
+    with pytest.raises(ValueError, match=msg):
+        verify_lemma2(300, 0, 50, 50, (198,))
+    with pytest.raises(ValueError, match=msg):
+        verify_claim33(300, 0, 50, 50, (198,))
+    # a residual path as long as n2 is still one of the two longest
+    assert verify_lemma2(300, 0, 100, 99, (99,)).holds == "certified"
+    assert verify_claim33(300, 0, 100, 99, (99,))[0].holds == "certified"
 
 
 def test_lemma2_with_residual_forest():
@@ -407,6 +420,15 @@ def test_reports_to_csv_layout():
     assert lines[1].startswith("entry_bounds,")
     # instance text never smuggles a comma into the csv
     assert all(ln.count(",") == 4 for ln in lines[1:])
+
+
+def test_csv_instance_identifies_each_sampled_report():
+    reports = entry_bounds_sample(**gridconfig.ENTRY_BOUNDS_SAMPLE)
+    lines = reports_to_csv(reports).strip().split("\n")[1:]
+    assert len(reports) == 200
+    assert len({ln.split(",")[1] for ln in lines}) == 200
+    assert lines[0].split(",")[1].startswith("n=")
+    assert "parts=[" in lines[0]
 
 
 def test_rho_cache_consistency_between_checks():
