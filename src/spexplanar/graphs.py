@@ -16,7 +16,6 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
-import networkx as nx
 import numpy as np
 
 
@@ -137,20 +136,33 @@ class Graph:
 
     @cached_property
     def planar(self) -> bool:
-        """Planarity, decided block by block.
+        """Planarity, decided block by block on each block's kernel.
 
         A graph is planar iff each of its blocks is, and by Kuratowski a
         non-planar block contains a subdivision of K5 or K3,3, so its cycle
         rank m - n + 1 is at least 4 (6 for K5, 4 for K3,3; subdividing
-        keeps the rank). Only blocks of rank >= 4 go to networkx's
-        left-right test, each built from the edges that a fresh Tarjan pass
-        yields for it (cheap next to the test), so no block's edges are kept.
+        keeps the rank). A block of rank >= 4 is reduced to its kernel
+        (`_kernel`), which is planar iff the block is, and the kernel is
+        decided: one with <= 4 vertices is a subgraph of K4, so planar; one
+        with m > 3n - 6 edges breaks Euler's bound, so non-planar; only the
+        rest go to networkx's left-right test, the one place networkx is
+        imported. Each block's edges come from a fresh Tarjan pass, so none
+        are kept.
         """
         for block, edges, _ in self._tarjan_blocks():
             if len(edges) - len(block) + 1 < 4:
                 continue
+            kernel = _kernel(edges)
+            n = len(kernel)
+            if n <= 4:
+                continue
+            m = sum(map(len, kernel.values())) // 2
+            if m > 3 * n - 6:
+                return False
+            import networkx as nx
             h = nx.Graph()
-            h.add_edges_from(edges)
+            h.add_edges_from((u, v) for u, nbrs in kernel.items()
+                             for v in nbrs if u < v)
             if not nx.check_planarity(h, counterexample=False)[0]:
                 return False
         return True
@@ -186,6 +198,44 @@ class Graph:
             comp.sort()
             out.append(comp)
         return out
+
+
+def _kernel(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
+    """The kernel of the simple graph with these edges, as neighbour sets:
+    delete each vertex of degree <= 1 and replace each vertex of degree 2
+    by an edge between its two neighbours (dropped if they are already
+    adjacent), until every vertex left has degree >= 3. One worklist, each
+    vertex removed at most once: O(number of edges).
+
+    Planarity survives both steps in both directions. A subgraph of a
+    planar graph is planar, and a vertex of degree <= 1 can be drawn back
+    inside any face. Suppressing a degree-2 vertex is the inverse of
+    subdividing an edge, so the graph before it is homeomorphic to the
+    multigraph after it, parallel edge kept; a parallel edge can always be
+    drawn next to its twin, so dropping it changes nothing either. So the
+    kernel is homeomorphic to the input up to parallel edges, and (by
+    Kuratowski) one is planar iff the other is. Degrees only fall, so a
+    vertex put on the worklist stays below 3 until it is removed.
+    """
+    nbrs: dict[int, set[int]] = {}
+    for u, v in edges:
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
+    work = [v for v, s in nbrs.items() if len(s) < 3]
+    while work:
+        v = work.pop()
+        around = nbrs.get(v)
+        if around is None:  # listed twice, already removed
+            continue
+        del nbrs[v]
+        for w in around:
+            nbrs[w].discard(v)
+        if len(around) == 2:
+            a, b = around
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        work.extend(w for w in around if len(nbrs[w]) < 3)
+    return nbrs
 
 
 def edge_array(g: Graph) -> np.ndarray:
@@ -320,9 +370,11 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2:
-            raise GraphConstructionError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, parts)
+        except ValueError:  # not two fields, or one is not an integer
+            raise GraphConstructionError(f"bad edge line {ln!r}") from None
+        edges.append((u, v))
     return from_edges(n, edges)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import networkx as nx
 import numpy as np
@@ -291,24 +291,25 @@ def partitions_exact(m: int, k: int) -> list[tuple[int, ...]]:
 
 # --- planarity by Kuratowski subdivision search -------------------------------
 #
-# Exact for any n, practical for n <= 10: a graph is planar iff it contains
-# no subdivision of K5 or K3,3. Branch vertices are chosen directly; the
-# connecting paths may pass through the remaining vertices, which for small n
-# is a tiny disjoint-set-cover search.
+# Exact for any n: a graph is planar iff it contains no subdivision of K5 or
+# K3,3. Branch vertices are chosen directly; the connecting paths may pass
+# through the remaining vertices, found by a depth-first walk over simple
+# paths, then a disjoint-set-cover search. Practical when few vertices have
+# degree >= 3 or the graph is small (n <= 10): long subdivided edges add
+# paths, not branch choices.
 
 
 def _usable_internal_sets(adj, a, b, spares):
     """Spare-vertex sets that can form the interior of an a..b path."""
     out = set()
-    spares = tuple(spares)
-    for r in range(1, len(spares) + 1):
-        for combo in combinations(spares, r):
-            for perm in permutations(combo):
-                if (perm[0] in adj[a] and perm[-1] in adj[b]
-                        and all(perm[i + 1] in adj[perm[i]]
-                                for i in range(len(perm) - 1))):
-                    out.add(frozenset(perm))
-                    break
+    stack = [(a, frozenset())]
+    while stack:
+        v, inner = stack.pop()
+        for w in adj[v]:
+            if w == b and inner:
+                out.add(inner)
+            elif w in spares and w not in inner:
+                stack.append((w, inner | {w}))
     return out
 
 

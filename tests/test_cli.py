@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spexplanar
 from spexplanar import (build_linear_forest, complete_graph, cycle_graph,
                         extremal_graph, from_edges, from_graph6, k2_join,
                         path_graph, to_graph6)
@@ -79,6 +83,22 @@ def test_build_reads_an_edge_list_on_stdin(capsys, monkeypatch):
 
 
 # --- rho ------------------------------------------------------------------------
+
+
+def test_cli_runs_without_importing_networkx():
+    # networkx is imported only for a left-right planarity test; the CLI's
+    # import, its parser and a join's solve never need one
+    code = ("import sys, spexplanar.cli\n"
+            "spexplanar.cli.build_parser()\n"
+            "assert spexplanar.cli.main(['rho', 'k2+[150,60,47]']) == 0\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n")
+    src = str(Path(spexplanar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rho"] > 0
 
 
 def test_rho_complete_bipartite(capsys):

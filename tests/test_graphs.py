@@ -13,6 +13,7 @@ from spexplanar import (Graph, Graph6Error, GraphConstructionError,
                         is_planar, parse_edge_list, to_graph6)
 from spexplanar.families import (complete_bipartite, complete_graph,
                                  cycle_graph, join_with_paths, path_graph)
+from spexplanar.graphs import _kernel
 
 import oracles
 
@@ -232,7 +233,7 @@ def test_edge_list_parser_fuzz(text):
         pass
     try:
         g = parse_edge_list(text)
-    except ValueError:  # GraphConstructionError subclasses it
+    except GraphConstructionError:
         return
     assert isinstance(g, Graph)
 
@@ -242,6 +243,11 @@ def test_edge_list_errors():
         parse_edge_list("x y\n")
     with pytest.raises(GraphConstructionError, match="bad edge line"):
         parse_edge_list("3\n0 1 2\n")
+    # a field that is not an integer names the line, not int()'s message
+    with pytest.raises(GraphConstructionError, match=r"bad edge line '0 a'"):
+        parse_edge_list("3\n0 a\n")
+    with pytest.raises(GraphConstructionError, match=r"bad edge line '0 1.5'"):
+        parse_edge_list("3\n0 1.5\n")
     with pytest.raises(GraphConstructionError, match="empty"):
         parse_edge_list("   \n# nothing\n")
 
@@ -293,7 +299,9 @@ def test_planarity_agrees_with_networkx_on_glued_blocks(g):
     assert is_planar(g) == nx.check_planarity(oracles.to_nx(g))[0]
 
 
-def test_planarity_tests_rank_four_blocks_once(monkeypatch):
+def _count_lr_tests(monkeypatch) -> list[int]:
+    """Patch networkx's left-right test to record the order of each graph
+    it is given; returns the record."""
     tested = []
     check = nx.check_planarity
 
@@ -302,16 +310,99 @@ def test_planarity_tests_rank_four_blocks_once(monkeypatch):
         return check(h, counterexample=counterexample)
 
     monkeypatch.setattr(nx, "check_planarity", counting)
+    return tested
+
+
+def test_planarity_tests_rank_four_blocks_once(monkeypatch):
+    tested = _count_lr_tests(monkeypatch)
     # K4 (rank 3) and a 5-cycle (rank 1) need no test; the K5 subdivision
-    # (rank 6) does, and the answer is then memoized on the graph
+    # (rank 6) reduces to K5, whose 10 edges break Euler's bound 3n - 6 = 9,
+    # so it needs none either
     k4 = (4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     c5 = (5, [(i, (i + 1) % 5) for i in range(5)])
     g = oracles.glue([k4, c5, oracles.subdivide(5, oracles.K5_EDGES,
                                                 [1] + [0] * 9)],
                      [None, 2, 5])
     assert not is_planar(g) and not is_planar(g)
+    assert tested == []
+    # a K3,3 subdivision reduces to K3,3 (9 <= 12 edges): one test of its
+    # six vertices, and the answer is then memoized on the graph
+    g = oracles.glue([k4, c5, oracles.subdivide(6, oracles.K33_EDGES,
+                                                [2] + [0, 1] * 4)],
+                     [None, 2, 5])
+    assert not is_planar(g) and not is_planar(g)
     assert tested == [6]
     assert is_planar(cycle_graph(40)) and tested == [6]
+
+
+def _shuffled(n: int, edges, rng: random.Random):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _agrees(g) -> bool:
+    """is_planar(g), after checking it against networkx and the Kuratowski
+    subdivision search."""
+    want = is_planar(g)
+    assert nx.check_planarity(oracles.to_nx(g))[0] == want, to_graph6(g)
+    assert oracles.planar_by_kuratowski(g) == want, to_graph6(g)
+    return want
+
+
+@pytest.mark.parametrize("k, base", [(5, oracles.K5_EDGES),
+                                     (6, oracles.K33_EDGES)])
+def test_planarity_of_subdivided_kuratowski_graphs(k, base):
+    rng = random.Random(k)
+    for _ in range(4):
+        n, edges = oracles.subdivide(k, base, [rng.randint(1, 3) for _ in base])
+        assert not _agrees(_shuffled(n, edges, rng))
+        # cutting one subdivided edge leaves K5 - e or K3,3 - e: planar
+        assert _agrees(_shuffled(n, edges[1:], rng))
+
+
+@pytest.mark.parametrize("k, base", [(5, oracles.K5_EDGES),
+                                     (6, oracles.K33_EDGES)])
+def test_planarity_of_glued_kuratowski_graphs(k, base):
+    # a subdivided K5 or K3,3 at a cut vertex of a planar block (a wheel or
+    # the octahedron), with a pendant tree on the subdivision
+    rng = random.Random(10 + k)
+    octahedron = (6, [(u, v) for u in range(6) for v in range(u + 1, 6)
+                      if (u, v) not in [(0, 1), (2, 3), (4, 5)]])
+    wheel = (6, [(0, i) for i in range(1, 6)]
+             + [(i, i % 5 + 1) for i in range(1, 6)])
+    for planar in (octahedron, wheel):
+        kuratowski = oracles.subdivide(k, base,
+                                       [rng.randint(1, 3) for _ in base])
+        tree = (5, oracles.prufer_tree_edges(rng, 5))
+        g = oracles.glue([planar, kuratowski, tree],
+                         [None, rng.randrange(6),
+                          6 + rng.randrange(kuratowski[0] - 1)])
+        assert len(g.blocks) == 2
+        assert not _agrees(_shuffled(g.n, list(g.edges()), rng))
+
+
+def test_theta_graph_needs_no_left_right_test(monkeypatch):
+    tested = _count_lr_tests(monkeypatch)
+    # poles 0 and 1 joined by five internally disjoint paths of length 2-4:
+    # one block of rank 4; suppressing the inner vertices leaves K2, whose
+    # ends then have degree 1, so the kernel is empty
+    edges, inner = [], 2
+    for length in (2, 3, 4, 2, 3):
+        path = [0, *range(inner, inner + length - 1), 1]
+        inner += length - 1
+        edges += zip(path, path[1:])
+    g = from_edges(inner, edges)
+    assert len(g.blocks) == 1 and g.edge_count() - g.n + 1 == 4
+    assert _kernel(edges) == {}
+    assert is_planar(g) and tested == []
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 16), st.floats(0.15, 0.6), st.randoms())
+def test_planarity_matches_networkx_on_random_graphs(n, p, rng):
+    g = oracles.random_graph(rng, n, p)
+    assert is_planar(g) == nx.check_planarity(oracles.to_nx(g))[0]
 
 
 def test_planarity_known_graphs():
