@@ -114,8 +114,10 @@ def load_graph(arg: str) -> Graph:
 
 
 def _parse_parts(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; an empty field (`3,,3`, `3,3,`) is refused
+    like any other non-integer."""
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise UsageError(f"bad part list {text!r}; want e.g. 34,2,2") from None
 

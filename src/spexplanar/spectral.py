@@ -22,12 +22,18 @@ Each graph gets exactly one of two engines, chosen before any solve:
   O(u ||A||) by backward stability; above `tol` it raises
   ConvergenceError, above DENSE_MAX_ORDER vertices ValueError at once.
 
-One batch kernel, `_solve_rows`, runs the secular engine on part lists,
-so `hub_join_spectrum` (one join) and `hub_join_radii` (many of one
-order) build no graph. Below SECULAR_ORDER both build the join and let
-`spectral_radius` pick the engine; from it on every join is recognized.
-So all three give a join the same rho, residual and Newton steps, bit
-for bit.
+`_solve_rows` runs the secular engine on part lists, so
+`hub_join_spectrum` (one join) and `hub_join_radii` (many of one order)
+build no graph. Its Newton root is picked by row count alone: one row
+takes the scalar root `_secular_root` in Python floats, more rows the
+numpy batch `_secular_roots`. Both do the same IEEE +, -, *, / and sqrt
+(math.sqrt rounds like np.sqrt) in the same order, and a batch's
+zero-count padding adds an exact +0.0, so they return the same rho and
+step count bit for bit; the Perron entries and the residual gate after
+the root are shared. Below SECULAR_ORDER
+both entry points build the join and let `spectral_radius` pick the
+engine; from it on every join is recognized. So all three give a join
+the same rho, residual and Newton steps, bit for bit.
 
 Every verdict in the package comes from `verdict(margin, slack)`: a
 margin counts as a strict inequality only when it clears the slack
@@ -38,6 +44,7 @@ indeterminate, never silently rounded into a conclusion.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -145,10 +152,13 @@ def _dense_solve(g: Graph, tol: float) -> SpectralResult:
 # result does not depend on the batch it is computed in.
 
 
-def _part_matrix(forests: Sequence[Sequence[int]]
+def _part_groups(parts: Sequence[int]) -> list[tuple[int, int]]:
+    """One forest's (path order, count) pairs, longest path first."""
+    return sorted(Counter(parts).items(), reverse=True)
+
+
+def _part_matrix(groups: Sequence[Sequence[tuple[int, int]]]
                  ) -> tuple[np.ndarray, np.ndarray]:
-    groups = [sorted(Counter(parts).items(), reverse=True)
-              for parts in forests]
     m = np.zeros((len(groups), max(map(len, groups))), dtype=np.int64)
     cnt = np.zeros_like(m)
     for row, grp in enumerate(groups):
@@ -230,6 +240,49 @@ def _secular_roots(m: np.ndarray, cnt: np.ndarray, e: float
     return rho, steps
 
 
+def _secular_at(groups: Sequence[tuple[int, int]], rho: float, e: float
+                ) -> tuple[float, float]:
+    """f(rho) and f'(rho) of one forest given as its (path order, count)
+    pairs (`_part_groups`), in Python floats: `_secular` on a batch of
+    that one row, bit for bit, by the same operations in the same order
+    (u^m by the same repeated squaring)."""
+    t = (rho + math.sqrt(rho * rho - 4.0)) / 2.0
+    u = 1.0 / t
+    c = 1.0 / (rho - 2.0)
+    s_sum = q_sum = 0.0  # 0.0 + x is x for the first group's terms
+    for m, k in groups:
+        um, base, digits = 1.0, u, m
+        while digits:
+            if digits & 1:
+                um = um * base
+            base = base * base
+            digits >>= 1
+        d = 1.0 + um * u
+        w1 = 2.0 * (1.0 - um) / ((t - 1.0) * d)
+        w2 = (2.0 * u * u * (1.0 - um * um) / (1.0 - u * u)
+              + 2.0 * m * um * u) / (d * d)
+        s_sum = s_sum + k * (c * (m - w1))
+        q_sum = q_sum + k * (c * c * (m - 2.0 * w1 + w2))
+    return rho - e - 2.0 * s_sum, 1.0 + 2.0 * q_sum
+
+
+def _secular_root(groups: Sequence[tuple[int, int]], e: float
+                  ) -> tuple[float, int]:
+    """(rho, Newton steps) of one forest: `_secular_roots` on a batch of
+    that one row, bit for bit, with `_secular_at` for `_secular` and the
+    same start and stopping rule (NEWTON_STOP and NEWTON_CAP included)."""
+    rho = (e + math.sqrt(e * e + 8.0 * sum(m * k for m, k in groups))) / 2.0
+    steps = 0
+    for _ in range(NEWTON_CAP):
+        f, df = _secular_at(groups, rho, e)
+        step = f / df
+        rho = rho - step
+        steps += 1
+        if step >= 0.0 or -step <= NEWTON_STOP * rho:
+            break
+    return rho, steps
+
+
 def _forest_entries(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forest part of the Perron vector with hub entries 1, paths laid out
@@ -255,13 +308,22 @@ def _forest_entries(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray
 def _solve_rows(forests: Sequence[Sequence[int]], e: float, tol: float
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The secular engine on joins of one order: (rho, residual, Newton
-    steps, `_forest_entries` y) per row. Raises ConvergenceError unless
-    every residual is at most `tol` (NaN is not): no other solver runs."""
+    steps, `_forest_entries` y) per row. One row takes the scalar root
+    `_secular_root`, which pays no numpy call overhead on arrays of a few
+    elements; more rows take the batch `_secular_roots`. The two agree bit
+    for bit (module docstring), so the choice never shows in the output.
+    Raises ConvergenceError unless every residual is at most `tol` (NaN is
+    not): no other solver runs."""
     for p in chain.from_iterable(forests):
         if p < 1:
             raise ValueError(f"path order must be >= 1, got {p}")
-    m, cnt = _part_matrix(forests)
-    rho, steps = _secular_roots(m, cnt, e)
+    groups = [_part_groups(parts) for parts in forests]
+    m, cnt = _part_matrix(groups)
+    if len(groups) == 1:
+        root, n_steps = _secular_root(groups[0], e)
+        rho, steps = np.array([root]), np.array([n_steps])
+    else:
+        rho, steps = _secular_roots(m, cnt, e)
     y, idx, part = _forest_entries(m, cnt, rho)
     resid = _batch_residuals(y, idx, part, rho, e)
     missed = ~(resid <= tol)
@@ -273,7 +335,7 @@ def _solve_rows(forests: Sequence[Sequence[int]], e: float, tol: float
 def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool, tol: float
                        ) -> SpectralResult:
     """Secular solve of join_with_paths(parts, hub_edge), the Perron vector
-    in that layout: `_solve_rows` on a batch of one row."""
+    in that layout: `_solve_rows` on one row."""
     rho, resid, steps, y = _solve_rows([parts], float(hub_edge), tol)
     x = np.empty(len(y[0]) + 2)
     x[:2] = 1.0

@@ -433,6 +433,30 @@ def test_verify_bad_parts_string(capsys):
     assert "bad part list" in err
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["entry-bounds", "--n", "8", "--parts", "3,,3"], "3,,3"),
+    (["entry-bounds", "--n", "8", "--parts", "3,3,"], "3,3,"),
+    (["lemma1", "--n", "40", "--a1", "2", "--a2", "0",
+      "--l1", "30,4,4,", "--l2", "38"], "30,4,4,"),
+    (["claim33", "--n", "300", "--n1", "149", "--n2", "149", "--l", ","],
+     ","),
+    (["lemma2", "--n", "300", "--n1", "100", "--n2", "100", "--l", "98, "],
+     "98, "),
+])
+def test_verify_refuses_an_empty_part_field(capsys, argv, bad):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == [
+        f"usage error: bad part list {bad!r}; want e.g. 34,2,2"]
+
+
+def test_verify_empty_residual_forest_is_still_none(capsys):
+    code, out, _ = run(capsys, "verify", "claim33", "--n", "300",
+                       "--n1", "149", "--n2", "149", "--l", "")
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["params"]["l"] == []
+
+
 # --- sweep ----------------------------------------------------------------------
 
 

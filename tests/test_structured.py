@@ -142,9 +142,11 @@ def forbid_eigh(monkeypatch):
 
 
 def assert_every_entry_point_raises(parts, hub_edge):
+    # one row takes the scalar Newton root, two rows the numpy batch
     for solve in (lambda: spectral_radius(join_with_paths(parts, hub_edge)),
                   lambda: hub_join_spectrum(parts, hub_edge),
-                  lambda: hub_join_radii([parts], hub_edge)):
+                  lambda: hub_join_radii([parts], hub_edge),
+                  lambda: hub_join_radii([parts, parts], hub_edge)):
         with pytest.raises(ConvergenceError):
             solve()
 
@@ -232,15 +234,66 @@ def seeded_joins():
 
 def test_secular_roots_keep_their_bits(capsys):
     # pinned (rho, Newton steps): a change in the order of the Newton
-    # step's floating-point operations shows here
+    # step's floating-point operations shows here. A single join takes
+    # the scalar root, a batch of two rows the numpy kernel.
     assert rho_cli(capsys, "k2+[150,60,47]")[::2] == (24.165636165113284, 5)
     assert rho_cli(capsys, "extremal(2051,3)")[::2] == (65.51612262518913, 4)
-    assert hub_join_radii([[1] * 2000], False)[0][::2] == (
-        63.24555320336759, 1)
-    assert hub_join_radii([[3, 2, 1] * 333], True)[0][::2] == (
-        64.21651837311305, 4)
+    for rows in (1, 2):
+        assert hub_join_radii([[1] * 2000] * rows, False)[0][::2] == (
+            63.24555320336759, 1)
+        assert hub_join_radii([[3, 2, 1] * 333] * rows, True)[0][::2] == (
+            64.21651837311305, 4)
     assert spectral_radius(join_with_paths([9, 4, 2], False)).rho == \
         float.fromhex("0x1.96f3bb4f840b7p+2")
+
+
+def seeded_forests(rng, count):
+    # forest orders 5..4,097 (join orders 7..4,099): short parts, any
+    # parts, or a few long ones
+    for _ in range(count):
+        total = rng.randint(5, 4097)
+        longest = rng.choice([4, total, max(1, total // 3)])
+        parts = []
+        while sum(parts) < total:
+            parts.append(rng.randint(1, min(longest, total - sum(parts))))
+        yield parts
+
+
+def seeded_groups():
+    return [spectral._part_groups(parts)
+            for parts in seeded_forests(random.Random(20261020), 150)]
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2])
+def test_scalar_root_matches_the_batch_bit_for_bit(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(spectral, "NEWTON_CAP", cap)
+    groups = seeded_groups()
+    m, cnt = spectral._part_matrix(groups)
+    for e in (0.0, 1.0):
+        rho, steps = spectral._secular_roots(m, cnt, e)
+        for grp, want in zip(groups, zip(rho.tolist(), steps.tolist())):
+            assert spectral._secular_root(grp, e) == want, (grp, e)
+        if cap is not None:
+            assert steps.max() == cap
+
+
+def test_scalar_secular_matches_the_batch_bit_for_bit():
+    # f and f' themselves, not only the root Newton settles on: a change
+    # in rounding that the converged rho absorbs still shows here
+    rng = random.Random(20261021)
+    groups = seeded_groups()
+    m, cnt = spectral._part_matrix(groups)
+    bits = spectral._exponent_bits(m)
+    for e in (0.0, 1.0):
+        root, _ = spectral._secular_roots(m, cnt, e)
+        for scale in (0.5, 0.9, 1.0, 1.3):
+            rho = 2.0 + (root - 2.0) * scale * np.array(
+                [rng.uniform(0.99, 1.01) for _ in groups])
+            f, df = spectral._secular(m, cnt, rho, e, bits)
+            for i, grp in enumerate(groups):
+                assert spectral._secular_at(grp, float(rho[i]), e) == (
+                    f[i], df[i]), (grp, e, rho[i])
 
 
 def small_joins():
@@ -251,12 +304,14 @@ def small_joins():
 
 def test_entry_points_agree_bit_for_bit(capsys):
     # the family string (hubs adjacent), a relabelled graph6 of the same
-    # join, the batched sweep solve, the single-join solve from parts and
-    # the built join
+    # join, the join's row of a batch (numpy kernel), the single-join
+    # solve from parts (scalar root) and the built join
     rng = random.Random(7)
     for parts in [*small_joins(), *seeded_joins()]:
+        total = sum(parts)
         for hub_edge in (True, False):
-            (rho, resid, steps), = hub_join_radii([parts], hub_edge)
+            rho, resid, steps = hub_join_radii(
+                [[total], parts, [1] * total], hub_edge)[1]
             from_parts = hub_join_spectrum(parts, hub_edge)
             want = (rho, resid, steps)
             assert (from_parts.rho, from_parts.residual,
