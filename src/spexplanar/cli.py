@@ -2,13 +2,14 @@
 
 Subcommands: build, rho, spectrum, member, verify, sweep.
 Exit codes: 0 success, 1 when any check reports "violated" (or a
-computation refuses the input), 2 for usage errors (a flag the chosen
-subcommand or mode would not read among them), for inputs too large to
-fit in memory or for the dense solve (`spectral.DENSE_MAX_ORDER`) and
-for output files that cannot be written (a --csv file is opened before
-any work), 141 (128 + SIGPIPE, what a shell reports for a writer killed
-by that signal) when stdout is closed before the output is written, as
-in `spex verify entry-bounds | head`.
+computation misses --tol or its search budget), 2 for usage errors (a
+flag the chosen subcommand or mode would not read among them), for
+inputs too large to fit in memory, above the size ceiling
+(`graphs.MAX_SIZE`) or for the dense solve (`spectral.DENSE_MAX_ORDER`)
+and for output files that cannot be written (a --csv file is opened
+before any work), 141 (128 + SIGPIPE, what a shell reports for a writer
+killed by that signal) when stdout is closed before the output is
+written, as in `spex verify entry-bounds | head`.
 
 Graph arguments accept, in this order of interpretation:
   * a family string:  P12  P4+P1+P1  C6  K7  K2,18  k2+[4,1,1]  extremal(8,0)
@@ -37,11 +38,11 @@ from .cycles import (SearchBudgetExceeded, cycle_spectrum, in_gnk,
                      DEFAULT_BUDGET)
 from .families import (LinearForest, build_linear_forest, extremal_forest,
                        k2_join, complete_bipartite, complete_graph,
-                       cycle_graph, path_graph)
+                       cycle_graph, path_graph, recognize_hub_join)
 from .graphs import (Graph, Graph6Error, from_graph6, parse_edge_list,
                      format_edge_list, to_graph6)
-from .spectral import (DEFAULT_TOL, ConvergenceError, hub_join_spectrum,
-                       spectral_radius)
+from .spectral import (DEFAULT_TOL, ConvergenceError, hub_join_radii,
+                       hub_join_spectrum, spectral_radius)
 from . import verify as V
 
 
@@ -147,13 +148,23 @@ def cmd_build(a: argparse.Namespace) -> int:
 
 
 def cmd_rho(a: argparse.Namespace) -> int:
+    # a hub join, given by a join string or as a graph that the recognizer
+    # accepts, is solved from its part list
     forest = parse_join(a.graph)
-    if forest is not None:  # solved from its parts: no graph is built
-        n = forest.order + 2
-        res = hub_join_spectrum(forest.parts, True, a.tol)
+    if forest is not None:
+        g, n, join = None, forest.order + 2, (forest.parts, True)
     else:
         g = load_graph(a.graph)
-        n, res = g.n, spectral_radius(g, a.tol)
+        hub = recognize_hub_join(g)
+        n, join = g.n, hub and ([len(p) for p in hub[2]], hub[3])
+    if join and a.emit_vector is None:
+        # the root stage alone: rho and its proven enclosure
+        (rho, lo, hi, steps), = hub_join_radii([join[0]], join[1], a.tol)
+        _emit({"n": n, "rho": rho, "rho_lo": lo, "rho_hi": hi,
+               "iterations": steps, "tol": a.tol})
+        return 0
+    res = (spectral_radius(g, a.tol) if g is not None
+           else hub_join_spectrum(*join, a.tol))
     if a.emit_vector is not None:
         lines = ["vertex,entry"]
         lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(res.vector))
@@ -299,11 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def add_tol(p):
-        # NaN or inf would skip the residual gate and print non-JSON
+        # NaN or inf would skip the gates and print non-JSON
         tol = _checked(float, lambda t: 0 < t < math.inf,
                        "a finite number > 0")
         p.add_argument("--tol", type=tol, default=DEFAULT_TOL,
-                       help="residual tolerance (default 1e-12)")
+                       help="a hub join's proven rho enclosure may be at "
+                            "most TOL*max(1, rho) wide, a Perron vector's "
+                            "residual at most TOL (default 1e-12)")
 
     def add_budget(p):
         budget = _checked(int, lambda b: b >= 1, "an integer >= 1")

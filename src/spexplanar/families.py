@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, from_edges
+from .graphs import Graph, check_size, from_edges
 
 
 @dataclass(frozen=True)
@@ -52,27 +52,32 @@ class LinearForest:
 
 
 def path_graph(n: int) -> Graph:
+    check_size(n, n - 1)
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
+    check_size(n, n)
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
+    check_size(n, n * (n - 1) // 2)
     return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError(f"need both sides nonempty, got {a}, {b}")
+    check_size(a + b, a * b)
     return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def build_linear_forest(parts: Sequence[int]) -> Graph:
-    """Disjoint union of paths, blocks in non-increasing part order."""
+    """Disjoint union of paths, blocks in non-increasing part order. It is
+    cut from its join's rows, so it takes its join's size ceiling."""
     lf = LinearForest(tuple(parts))
     # the join layout's path rows (after its 2m hub rows), relabeled from 0
     paths = join_edges(lf.parts, False)[2 * lf.order:] - 2
@@ -85,10 +90,7 @@ def join_edges(parts: Sequence[int], hub_edge: bool) -> np.ndarray:
     the rows of an int64 array in sorted order: hub 0's rows, hub 1's, then
     each path vertex's edge to the next one in its block.
     """
-    for p in parts:
-        if p < 1:
-            raise ValueError(f"path order must be >= 1, got {p}")
-    m = int(sum(parts))
+    m = join_order(parts, hub_edge)
     forest = np.arange(2, m + 2)
     last = np.zeros(m, bool)
     last[np.cumsum(parts, dtype=np.int64) - 1] = True
@@ -97,6 +99,17 @@ def join_edges(parts: Sequence[int], hub_edge: bool) -> np.ndarray:
                         np.ones(m, np.int64), tails))
     v = np.concatenate((np.arange(2 - hub_edge, m + 2), forest, tails + 1))
     return np.stack((u, v), axis=1)
+
+
+def join_order(parts: Sequence[int], hub_edge: bool) -> int:
+    """The forest order of a join's part list, after refusing a part below
+    1 and a join above `graphs.MAX_SIZE` vertices plus edges."""
+    for p in parts:
+        if p < 1:
+            raise ValueError(f"path order must be >= 1, got {p}")
+    m = int(sum(parts))
+    check_size(m + 2, 3 * m - len(parts) + hub_edge)
+    return m
 
 
 def join_with_paths(parts: Sequence[int], dominating_edge: bool = True) -> Graph:

@@ -23,6 +23,23 @@ class GraphConstructionError(ValueError):
     """Raised for out-of-range vertices, self-loops, or bad vertex counts."""
 
 
+# The ceiling on any graph built from input: vertices plus edges. Family
+# strings, graph6 and edge-list headers, and the join layout check it
+# before allocating, so `spex rho P100000000` or `K200000` is refused at
+# once. P500000 (10^6 vertices plus edges) builds in about a second.
+MAX_SIZE = 1_000_000
+
+
+def check_size(n: int, m: int = 0, error=None) -> None:
+    """Refuse a graph of n vertices and m edges above MAX_SIZE, before
+    anything of its size is allocated: raise `error(message)`, by default
+    a GraphConstructionError."""
+    if n + m > MAX_SIZE:
+        raise (error or GraphConstructionError)(
+            f"a graph with n={n}, m={m} exceeds the size ceiling "
+            f"n + m <= {MAX_SIZE}")
+
+
 class Graph6Error(ValueError):
     """Malformed graph6 input. `offset` is the byte position of the defect."""
 
@@ -331,6 +348,7 @@ def from_graph6(text: str) -> Graph:
         for b in data[2:8]:
             n = (n << 6) | (b - 63)
         body = 8
+    check_size(n, error=lambda msg: Graph6Error(msg, 0))
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(data) - body != need:
@@ -348,6 +366,7 @@ def from_graph6(text: str) -> Graph:
     j = np.searchsorted(np.arange(n + 1) * np.arange(-1, n) // 2, k,
                         side="right") - 1
     i = k - j * (j - 1) // 2
+    check_size(n, len(k), lambda msg: Graph6Error(msg, body))
     return from_edges(n, zip(i.tolist(), j.tolist()))
 
 
@@ -367,6 +386,7 @@ def parse_edge_list(text: str) -> Graph:
     except ValueError:
         raise GraphConstructionError(
             f"first line must be the vertex count, got {lines[0]!r}") from None
+    check_size(n, len(lines) - 1)
     edges = []
     for ln in lines[1:]:
         parts = ln.split()

@@ -13,31 +13,54 @@ Each graph gets exactly one of two engines, chosen before any solve:
   rho = t + 1/t (Golub, "Some modified matrix eigenvalue problems", SIAM
   Rev. 15, 1973). Newton's method from the all-singleton lower bound
   converges monotonically (f is increasing and concave there), and the
-  Perron vector is written down per path block in closed form. Its
-  residual ||Ax - rho x||_inf comes from the join's structure
-  (`_batch_residuals`); above `tol` the solve raises ConvergenceError.
+  Perron vector is written down per path block in closed form.
 * Everything else takes one dense symmetric solve: the all-ones vector on
   regular graphs (an exact eigenvector there), otherwise the top
   eigenvector of `numpy.linalg.eigh`, max-normalized. Its residual is
   O(u ||A||) by backward stability; above `tol` it raises
   ConvergenceError, above DENSE_MAX_ORDER vertices ValueError at once.
 
-`_solve_rows` runs the secular engine on part lists, so
-`hub_join_spectrum` (one join) and `hub_join_radii` (many of one order)
-build no graph. Its Newton root is picked by row count alone: one row
-takes the scalar root `_secular_root` in Python floats, more rows the
-numpy batch `_secular_roots`. Both do the same IEEE +, -, *, / and sqrt
-(math.sqrt rounds like np.sqrt) in the same order, and a batch's
-zero-count padding adds an exact +0.0, so they return the same rho and
-step count bit for bit; the Perron entries and the residual gate after
-the root are shared. Below SECULAR_ORDER
-both entry points build the join and let `spectral_radius` pick the
-engine; from it on every join is recognized. So all three give a join
-the same rho, residual and Newton steps, bit for bit.
+A hub join is solved from its part list in one or two stages:
 
-Every verdict in the package comes from `verdict(margin, slack)`: a
-margin counts as a strict inequality only when it clears the slack
-(10*(tol_a + tol_b) for a difference of two spectral radii), as its
+* The root stage: Newton's root, then a proof that rho lies in a float
+  interval [lo, hi]. f is continuous and increasing above 2, so
+  f(lo) < 0 < f(hi) puts its one root there, and each sign is read off an
+  interval that holds f at that float point. That interval comes from
+  IEEE +, -, *, / and sqrt, each rounded result moved one ulp outward
+  with nextafter: running-error interval arithmetic (Rump, "Verification
+  methods: Rigorous results using floating-point arithmetic", Acta
+  Numerica 19, 2010). [lo, hi] starts ENCLOSE_ULPS ulps either side of
+  the Newton root and doubles until the signs hold; once hi - lo passes
+  tol * max(1, rho) the solve raises ConvergenceError. It costs
+  O(distinct part orders) per join, and it is all that `hub_join_radii`
+  runs (the sweeps, lemma1 and `spex rho` without --emit-vector).
+* The vector stage: the Perron entries, in closed form per path block,
+  and their residual ||Ax - rho x||_inf from the join's structure
+  (`_batch_residuals`); above `tol` it raises ConvergenceError. It costs
+  O(n), and only `hub_join_spectrum` and `spectral_radius` run it, with
+  no enclosure: the checks that read Perron entries and --emit-vector.
+
+Newton's root and the enclosure each come in two versions, picked by row
+count alone. One row takes the scalar loops `_secular_root` and
+`_enclose_root` in Python floats, more rows the numpy batches
+`_secular_roots` and `_enclose_roots`. Each pair does the same IEEE
+operations in the same order (math.sqrt and math.nextafter round like
+np.sqrt and np.nextafter; a batch's zero-count padding adds an exact
++0.0 to Newton's sums and is skipped in the enclosure's), so the two
+return the same rho, Newton steps, lo and hi bit for bit. Below
+SECULAR_ORDER both stages build the join and let `spectral_radius` pick
+the engine, and the root stage encloses that rho by Collatz-Wielandt
+bounds on its Perron vector; from SECULAR_ORDER on every join is
+recognized. So every entry point gives a join the same rho and Newton
+steps bit for bit, and every root-stage entry point the same enclosure.
+
+Verdicts come in two forms. A comparison of root-stage radii is decided
+on an enclosure [lo, hi] of the difference by `enclosure_verdict`:
+certified when lo > 0, violated when hi < 0, indeterminate when it holds
+0. That is a proof, up to the correctness of IEEE rounding. The checks on
+Perron entries (lemma2, claim33, entry bounds) use `verdict(margin,
+slack)`: a margin counts as a strict inequality only when it clears the
+slack (10*(tol_a + tol_b) for a difference of two spectral radii), as its
 failure only when it falls below -slack; anything in between is
 indeterminate, never silently rounded into a conclusion.
 """
@@ -52,13 +75,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .families import join_with_paths, recognize_hub_join
+from .families import (join_edges, join_order, join_with_paths,
+                       recognize_hub_join)
 from .graphs import Graph, edge_array
 
 DEFAULT_TOL = 1e-12
 BATCH_ROWS = 256      # forests per numpy batch in hub_join_radii
 NEWTON_STOP = 1e-14   # relative Newton step at which the root is taken
 NEWTON_CAP = 100      # Newton steps before the residual decides (<= 6 seen)
+ENCLOSE_ULPS = 8      # first half-width of a root enclosure, in ulps of rho
 SECULAR_ORDER = 7     # join order from which the part list alone picks secular
 DENSE_MAX_ORDER = 5000  # P5000 peaks at 1.0 GB RSS in eigh (16 s, 2 cores)
 
@@ -68,10 +93,14 @@ class DisconnectedGraphError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, residual: float, tol: float):
-        super().__init__(f"residual {residual:.3e} misses tol {tol:.1e}")
-        self.residual = residual
+    """A solve that misses `tol`: by the residual of its Perron vector, or
+    by the width of its root enclosure (`measure`)."""
+
+    def __init__(self, value: float, tol: float, measure: str = "residual"):
+        super().__init__(f"{measure} {value:.3e} misses tol {tol:.1e}")
+        self.value = value
         self.tol = tol
+        self.measure = measure
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,43 +334,25 @@ def _forest_entries(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray
     return y, idx, part
 
 
-def _solve_rows(forests: Sequence[Sequence[int]], e: float, tol: float
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The secular engine on joins of one order: (rho, residual, Newton
-    steps, `_forest_entries` y) per row. One row takes the scalar root
-    `_secular_root`, which pays no numpy call overhead on arrays of a few
-    elements; more rows take the batch `_secular_roots`. The two agree bit
-    for bit (module docstring), so the choice never shows in the output.
-    Raises ConvergenceError unless every residual is at most `tol` (NaN is
-    not): no other solver runs."""
-    for p in chain.from_iterable(forests):
-        if p < 1:
-            raise ValueError(f"path order must be >= 1, got {p}")
-    groups = [_part_groups(parts) for parts in forests]
-    m, cnt = _part_matrix(groups)
-    if len(groups) == 1:
-        root, n_steps = _secular_root(groups[0], e)
-        rho, steps = np.array([root]), np.array([n_steps])
-    else:
-        rho, steps = _secular_roots(m, cnt, e)
-    y, idx, part = _forest_entries(m, cnt, rho)
-    resid = _batch_residuals(y, idx, part, rho, e)
-    missed = ~(resid <= tol)
-    if missed.any():
-        raise ConvergenceError(float(resid[missed][0]), tol)
-    return rho, resid, steps, y
-
-
 def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool, tol: float
                        ) -> SpectralResult:
-    """Secular solve of join_with_paths(parts, hub_edge), the Perron vector
-    in that layout: `_solve_rows` on one row."""
-    rho, resid, steps, y = _solve_rows([parts], float(hub_edge), tol)
+    """The vector stage of join_with_paths(parts, hub_edge): the scalar
+    Newton root, the Perron vector in that layout and the residual gate,
+    which raises ConvergenceError unless the residual is at most `tol`
+    (NaN is not). No other solver runs, and no enclosure."""
+    e = float(hub_edge)
+    groups = _part_groups(parts)
+    rho, steps = _secular_root(groups, e)
+    m, cnt = _part_matrix([groups])
+    r = np.array([rho])
+    y, idx, part = _forest_entries(m, cnt, r)
+    resid = float(_batch_residuals(y, idx, part, r, e)[0])
+    if not resid <= tol:
+        raise ConvergenceError(resid, tol)
     x = np.empty(len(y[0]) + 2)
     x[:2] = 1.0
     x[2:][_block_positions(parts)] = y[0]
-    return SpectralResult(float(rho[0]), x / x.max(), float(resid[0]),
-                          int(steps[0]), "secular")
+    return SpectralResult(rho, x / x.max(), resid, steps, "secular")
 
 
 def _block_positions(parts: Sequence[int]) -> np.ndarray:
@@ -364,9 +375,10 @@ def hub_join_spectrum(parts: Sequence[int], hub_edge: bool,
     degree n - 2, so `recognize_hub_join` accepts every join and
     `spectral_radius` would take the secular solve done here, which
     certifies `tol` or raises ConvergenceError. Below that order the join
-    is built and `spectral_radius` picks the solver.
+    is built and `spectral_radius` picks the solver. A part below 1, or a
+    join above `graphs.MAX_SIZE` vertices plus edges, is a ValueError.
     """
-    if sum(parts) + 2 < SECULAR_ORDER:
+    if join_order(parts, hub_edge) + 2 < SECULAR_ORDER:
         return spectral_radius(join_with_paths(parts, hub_edge), tol)
     return _hub_join_spectrum(parts, hub_edge, tol)
 
@@ -388,26 +400,184 @@ def _batch_residuals(y: np.ndarray, idx: np.ndarray, part: np.ndarray,
 
 
 def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
-                   tol: float = DEFAULT_TOL) -> list[tuple[float, float, int]]:
-    """(rho, residual, iterations) of the hub join of each forest, as
-    `hub_join_spectrum` gives them.
+                   tol: float = DEFAULT_TOL
+                   ) -> list[tuple[float, float, float, int]]:
+    """(rho, lo, hi, Newton steps) of the hub join of each forest: the
+    root stage alone, with lo < rho < hi proven for the join's spectral
+    radius rho (module docstring).
 
-    All forests must have the same order. From SECULAR_ORDER on the
-    secular engine runs in batches of BATCH_ROWS forests without building
-    a graph, and raises ConvergenceError if a residual misses `tol`; below
-    it each forest goes through `hub_join_spectrum`.
+    All forests must have the same order. From SECULAR_ORDER on, one
+    forest takes the scalar root and enclosure, more go through the numpy
+    ones in batches of BATCH_ROWS, and no graph is built; below it each
+    forest is `_small_join_radius`. rho and the steps are those of
+    `hub_join_spectrum`. Raises ConvergenceError once an enclosure gets
+    wider than tol * max(1, rho).
     """
     if len({sum(parts) for parts in forests}) > 1:
         raise ValueError("hub_join_radii needs forests of a single order")
     if forests and sum(forests[0]) + 2 < SECULAR_ORDER:
-        return [(res.rho, res.residual, res.iterations) for res in
-                (hub_join_spectrum(parts, hub_edge, tol) for parts in forests)]
+        return [_small_join_radius(parts, hub_edge, tol) for parts in forests]
+    for p in chain.from_iterable(forests):
+        if p < 1:
+            raise ValueError(f"path order must be >= 1, got {p}")
+    e = float(hub_edge)
+    if len(forests) == 1:
+        groups = _part_groups(forests[0])
+        rho, steps = _secular_root(groups, e)
+        return [(rho, *_enclose_root(groups, rho, e, tol), steps)]
     out = []
-    for lo in range(0, len(forests), BATCH_ROWS):
-        rho, resid, steps, _ = _solve_rows(forests[lo:lo + BATCH_ROWS],
-                                           float(hub_edge), tol)
-        out.extend(zip(rho.tolist(), resid.tolist(), steps.tolist()))
+    for start in range(0, len(forests), BATCH_ROWS):
+        m, cnt = _part_matrix([_part_groups(parts) for parts
+                               in forests[start:start + BATCH_ROWS]])
+        rho, steps = _secular_roots(m, cnt, e)
+        below, above = _enclose_roots(m, cnt, rho, e, tol)
+        out.extend(zip(rho.tolist(), below.tolist(), above.tolist(),
+                       steps.tolist()))
     return out
+
+
+# --- the root stage's enclosure -----------------------------------------------
+
+
+def _secular_bound_at(groups: Sequence[tuple[int, int]], rho: float,
+                      e: float, toward: float) -> float:
+    """A bound on f(rho), for a float rho > 2, of one forest given as its
+    (path order, count) pairs: an upper bound for `toward` -inf, a lower
+    one for +inf.
+
+    f is `_secular`'s. The path sums S_m are bounded toward `toward` (r)
+    and f the other way (q): each rounded +, -, *, / and sqrt is followed
+    by one ulp in the direction that keeps its bound (halving and doubling
+    are exact), so each bound uses the ends of its operands' bounds that
+    make it extreme, and u^m comes from repeated squaring of u's bound. A
+    lower bound that falls below 0 for a positive quantity (u^m after
+    underflow, S_m) is still a lower bound. `_secular_bound` is this on a
+    batch, bit for bit.
+    """
+    def r(x):
+        return math.nextafter(x, toward)
+
+    def q(x):
+        return math.nextafter(x, -toward)
+
+    t_r = r(rho + r(math.sqrt(max(r(r(rho * rho) - 4.0), 0.0)))) / 2.0
+    t_q = q(rho + q(math.sqrt(max(q(q(rho * rho) - 4.0), 0.0)))) / 2.0
+    u = r(1.0 / t_q)
+    tm = r(t_r - 1.0)
+    c = r(1.0 / q(rho - 2.0))
+    s = 0.0
+    for m, k in groups:
+        um, base, digits = 1.0, u, m
+        while digits:
+            if digits & 1:
+                um = r(um * base)
+            base = r(base * base)
+            digits >>= 1
+        w1 = q(2.0 * q(1.0 - um) / r(tm * r(1.0 + r(um * u))))
+        s = r(s + r(k * r(c * r(m - w1))))
+    return q(q(rho - e) - 2.0 * s)
+
+
+def _secular_bound(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray,
+                   e: float, bits: np.ndarray, toward: float) -> np.ndarray:
+    """`_secular_bound_at` per row of a batch, bit for bit: the same
+    operations in the same order, with np.nextafter; a zero-count column
+    leaves the sum as it is."""
+    def r(x):
+        return np.nextafter(x, toward)
+
+    def q(x):
+        return np.nextafter(x, -toward)
+
+    x = rho[:, None]
+    t_r = r(x + r(np.sqrt(np.maximum(r(r(x * x) - 4.0), 0.0)))) / 2.0
+    t_q = q(x + q(np.sqrt(np.maximum(q(q(x * x) - 4.0), 0.0)))) / 2.0
+    u = r(1.0 / t_q)
+    tm = r(t_r - 1.0)
+    c = r(1.0 / q(x - 2.0))
+    um = np.ones(m.shape)
+    base = u
+    for bit in bits:
+        um = np.where(bit, r(um * base), um)
+        base = r(base * base)
+    w1 = q(2.0 * q(1.0 - um) / r(tm * r(1.0 + r(um * u))))
+    add = r(cnt * r(c * r(m - w1)))
+    s = np.zeros(len(rho))
+    for j in range(m.shape[1]):
+        s = np.where(cnt[:, j] > 0, r(s + add[:, j]), s)
+    return q(q(rho - e) - 2.0 * s)
+
+
+def _check_width(lo: float, hi: float, rho: float, tol: float) -> None:
+    """Raise ConvergenceError if [lo, hi] is wider than tol * max(1, rho)
+    (or NaN)."""
+    if not hi - lo <= tol * max(1.0, rho):
+        raise ConvergenceError(hi - lo, tol, "enclosure width")
+
+
+def _enclose_root(groups: Sequence[tuple[int, int]], rho: float, e: float,
+                  tol: float) -> tuple[float, float]:
+    """(lo, hi) around one forest's Newton root `rho` with f(lo) < 0 < f(hi)
+    proven by `_secular_bound_at`: ENCLOSE_ULPS ulps of rho either side,
+    doubled until the signs hold, or ConvergenceError from `_check_width`.
+    `_enclose_roots` is this on a batch, bit for bit."""
+    half = ENCLOSE_ULPS * math.ulp(rho)
+    while True:
+        lo, hi = rho - half, rho + half
+        _check_width(lo, hi, rho, tol)
+        if (lo > 2.0 and _secular_bound_at(groups, lo, e, -math.inf) < 0.0
+                < _secular_bound_at(groups, hi, e, math.inf)):
+            return lo, hi
+        half *= 2.0
+
+
+def _enclose_roots(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray, e: float,
+                   tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_enclose_root` per row of a batch: a row whose signs hold is done,
+    the others double."""
+    lo, hi = np.empty_like(rho), np.empty_like(rho)
+    half = ENCLOSE_ULPS * np.spacing(rho)
+    bits = _exponent_bits(m)
+    rows = np.arange(len(rho))
+    # a row whose lo is at most 2 fails, as in the scalar loop, whatever
+    # its (then meaningless) bounds come to
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(rows):
+            a, b = rho[rows] - half[rows], rho[rows] + half[rows]
+            wide = ~(b - a <= tol * np.maximum(1.0, rho[rows]))
+            if wide.any():  # `_check_width`, row by row
+                raise ConvergenceError(float((b - a)[wide][0]), tol,
+                                       "enclosure width")
+            sub = m[rows], cnt[rows]
+            ok = ((a > 2.0)
+                  & (_secular_bound(*sub, a, e, bits[:, rows], -np.inf) < 0.0)
+                  & (_secular_bound(*sub, b, e, bits[:, rows], np.inf) > 0.0))
+            lo[rows[ok]], hi[rows[ok]] = a[ok], b[ok]
+            rows = rows[~ok]
+            half[rows] *= 2.0
+    return lo, hi
+
+
+def _small_join_radius(parts: Sequence[int], hub_edge: bool, tol: float
+                       ) -> tuple[float, float, float, int]:
+    """The root stage below SECULAR_ORDER: `hub_join_spectrum` of the built
+    join, its rho enclosed by Collatz-Wielandt bounds on its Perron vector
+    x > 0 (for a connected graph, min_v (Ax)_v / x_v <= rho <= max_v
+    (Ax)_v / x_v), in exact rationals, rounded outward."""
+    from fractions import Fraction  # only these few joins need it
+    res = hub_join_spectrum(parts, hub_edge, tol)
+    x = [Fraction(v) for v in res.vector.tolist()]
+    ax = [Fraction(0)] * len(x)
+    for u, v in join_edges(parts, hub_edge).tolist():
+        ax[u] += x[v]
+        ax[v] += x[u]
+    if min(x) <= 0:
+        raise ConvergenceError(math.inf, tol, "enclosure width")
+    ratios = [a / b for a, b in zip(ax, x)]
+    lo = math.nextafter(float(min(ratios)), -math.inf)
+    hi = math.nextafter(float(max(ratios)), math.inf)
+    _check_width(lo, hi, res.rho, tol)
+    return res.rho, lo, hi, res.iterations
 
 
 def edge_quotient(edges: np.ndarray, x: np.ndarray) -> float:
@@ -423,6 +593,18 @@ def edge_quotient(edges: np.ndarray, x: np.ndarray) -> float:
 
 
 # --- verdicts -----------------------------------------------------------------
+
+
+def enclosure_verdict(lo: float, hi: float) -> str:
+    """The verdict on a margin proven to lie in [lo, hi]: 'certified' if
+    lo > 0, 'violated' if hi < 0, 'indeterminate' when [lo, hi] holds 0
+    (and for NaN). For a difference of two enclosed radii, lo and hi are
+    float differences of their ends, whose signs are exact."""
+    if lo > 0.0:
+        return "certified"
+    if hi < 0.0:
+        return "violated"
+    return "indeterminate"
 
 
 def verdict(margin: float, slack: float) -> str:

@@ -1,12 +1,20 @@
 """Inequality checks and parameter sweeps over hub-join families.
 
 Every check returns a VerificationReport whose `holds` field is one of
-"certified", "violated", or "indeterminate", decided by
-`spectral.verdict(margin, slack)`: certified when the margin clears the
-slack, violated when it falls below -slack, indeterminate in between. A
-difference of two spectral radii gets slack 10x the summed tolerances.
-Reports are plain data: re-running a check with the recorded params and
-tol reproduces the report byte for byte.
+"certified", "violated", or "indeterminate". Reports are plain data:
+re-running a check with the recorded params and tol reproduces the report
+byte for byte.
+
+Two rules decide `holds` (`spectral` module docstring). lemma1,
+lemma1_pair and argmax compare spectral radii only, so they take the root
+stage alone (`hub_join_radii`), whose enclosures lo < rho < hi are
+proven, and decide on those: a strict inequality between two radii is
+certified when their enclosures are disjoint the right way round
+(`spectral.enclosure_verdict`), not by a tolerance. lemma2, claim33 and
+entry_bounds read Perron vectors and decide by `spectral.verdict(margin,
+slack)`: certified when the margin clears the slack, violated when it
+falls below -slack, indeterminate in between; a difference of two spectral
+radii gets slack 10x the summed tolerances.
 
 The checks, by what they establish:
 
@@ -46,7 +54,8 @@ from .families import (LinearForest, _partitions_desc, enumerate_lna,
                        join_edges)
 from .graphs import graph6_from_edges
 from .spectral import (DEFAULT_TOL, SpectralResult, edge_quotient,
-                       hub_join_radii, hub_join_spectrum, verdict)
+                       enclosure_verdict, hub_join_radii, hub_join_spectrum,
+                       verdict)
 
 _WORST = {"certified": 0, "indeterminate": 1, "violated": 2}
 _RANK = ["certified", "indeterminate", "violated"]
@@ -144,7 +153,8 @@ def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
                   l2: Sequence[int], tol: float = DEFAULT_TOL) -> VerificationReport:
     """Certify rho(join(L2)) > rho(join(L1)) for forests with a2 < a1 parts-1.
 
-    Joins are built without the hub edge. Preconditions: n >= 4,
+    Joins are without the hub edge, solved by the root stage alone and
+    compared on their enclosures. Preconditions: n >= 4,
     0 <= a2 < a1 <= sqrt(2n-4)/4, and Li must be an order-(n-2) forest with
     exactly ai+1 parts.
     """
@@ -157,16 +167,16 @@ def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
             f"need a1 <= sqrt(2n-4)/4 = {_a_limit(n):.4f}, got a1={a1}")
     lf1 = _check_lna(n, a1, l1, "l1")
     lf2 = _check_lna(n, a2, l2, "l2")
-    _, r1, g6_1 = _solved_join(lf1.parts, False, tol)
-    _, r2, g6_2 = _solved_join(lf2.parts, False, tol)
-    gap = r2.rho - r1.rho
+    (rho1, lo1, hi1, _), = hub_join_radii([lf1.parts], False, tol)
+    (rho2, lo2, hi2, _), = hub_join_radii([lf2.parts], False, tol)
+    g6_1, g6_2 = (graph6_from_edges(n, join_edges(lf.parts, False))
+                  for lf in (lf1, lf2))
     return VerificationReport(
         check_id="lemma1",
         params={"n": n, "a1": a1, "a2": a2, "l1": list(lf1.parts),
                 "l2": list(lf2.parts), "dominating_edge": False},
-        holds=verdict(gap, 10.0 * (tol + tol)),
-        margins={"rho_gap": float(gap), "rho_l1": float(r1.rho),
-                 "rho_l2": float(r2.rho)},
+        holds=enclosure_verdict(lo2 - hi1, hi2 - lo1),
+        margins={"rho_gap": rho2 - rho1, "rho_l1": rho1, "rho_l2": rho2},
         artifacts={"join_l1": g6_1, "join_l2": g6_2},
         tol=tol,
     )
@@ -175,10 +185,10 @@ def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
 def lemma1_sweep(n: int, tol: float = DEFAULT_TOL) -> list[VerificationReport]:
     """All-pairs family comparison at order n, one report per (a1, a2).
 
-    Computes rho once per forest (secular engine, no graph built), then
-    certifies every (L1, L2) pair in one shot through
-    min-over-smaller-family minus max-over-larger-family: that gap
-    lower-bounds every pairwise margin.
+    Encloses rho once per forest (the root stage, no graph built), then
+    certifies every (L1, L2) pair in one shot: when the smallest lower end
+    over the smaller family exceeds the largest upper end over the larger
+    one, every L2 beats every L1.
     """
     if n < 10:  # below 10, sqrt(2n-4)/4 < 1 admits no a1 >= 1
         raise ValueError(f"need n >= 10 for a family pair, got n={n}")
@@ -188,26 +198,35 @@ def lemma1_sweep(n: int, tol: float = DEFAULT_TOL) -> list[VerificationReport]:
             for a1 in range(1, a_max + 1) for a2 in range(a1)]
 
 
-def _lna_radii(n: int, a: int, tol: float) -> list[tuple[float, tuple]]:
-    """(rho, parts) of the hub join (no hub edge) of every forest in L_{n,a}."""
+def _lna_radii(n: int, a: int, tol: float
+               ) -> list[tuple[float, tuple, float, float]]:
+    """(rho, parts, lo, hi) of the hub join (no hub edge) of every forest
+    in L_{n,a}: rho and its enclosure."""
     forests = [lf.parts for lf in enumerate_lna(n, a)]
     radii = hub_join_radii(forests, hub_edge=False, tol=tol)
-    return [(rho, parts) for (rho, _, _), parts in zip(radii, forests)]
+    return [(rho, parts, lo, hi)
+            for (rho, lo, hi, _), parts in zip(radii, forests)]
 
 
 def _lemma1_pair(n: int, a1: int, a2: int, fam1, fam2,
                  tol: float) -> VerificationReport:
-    """The lemma1_pair report of (a1, a2) from the two families' radii."""
-    hi_rho, hi_parts = max(fam1)   # worst L1: largest rho
-    lo_rho, lo_parts = min(fam2)   # worst L2: smallest rho
+    """The lemma1_pair report of (a1, a2) from the two families' radii.
+
+    min rho over L2 lies in [min lo, min hi] and max rho over L1 in
+    [max lo, max hi], so their difference is enclosed by differences of
+    those ends."""
+    hi_rho, hi_parts, _, _ = max(fam1)   # worst L1: largest rho
+    lo_rho, lo_parts, _, _ = min(fam2)   # worst L2: smallest rho
     gap = lo_rho - hi_rho
+    min_lo2, min_hi2 = min(r[2] for r in fam2), min(r[3] for r in fam2)
+    max_lo1, max_hi1 = max(r[2] for r in fam1), max(r[3] for r in fam1)
     return VerificationReport(
         check_id="lemma1_pair",
         params={"n": n, "a1": a1, "a2": a2,
                 "pairs": len(fam1) * len(fam2),
                 "worst_l1": list(hi_parts), "worst_l2": list(lo_parts),
                 "dominating_edge": False},
-        holds=verdict(gap, 10.0 * (tol + tol)),
+        holds=enclosure_verdict(min_lo2 - max_hi1, min_hi2 - max_lo1),
         margins={"min_pair_gap": float(gap),
                  "max_rho_l1": float(hi_rho),
                  "min_rho_l2": float(lo_rho)},
@@ -559,22 +578,22 @@ def admissible_forests(n: int, k: int, max_parts: int) -> list[tuple[int, ...]]:
 @dataclass(frozen=True)
 class ArgmaxSweepResult:
     report: VerificationReport
-    rows: tuple[tuple, ...] = field(repr=False)  # (parts, rho, resid, iters)
+    rows: tuple[tuple, ...] = field(repr=False)  # (parts, rho, lo, hi, iters)
 
     def rows_jsonl(self) -> str:
         lines = []
-        for parts, rho, resid, iters in self.rows:
+        for parts, rho, lo, hi, iters in self.rows:
             lines.append(json.dumps({
-                "parts": list(parts), "rho": rho,
-                "residual": resid, "iterations": iters,
+                "parts": list(parts), "rho": rho, "rho_lo": lo, "rho_hi": hi,
+                "iterations": iters,
             }, separators=(",", ":")))
         return "\n".join(lines) + "\n"
 
     def rows_csv(self) -> str:
-        lines = ["parts,rho,residual,iterations"]
-        for parts, rho, resid, iters in self.rows:
-            lines.append(
-                f"\"{' '.join(map(str, parts))}\",{rho!r},{resid!r},{iters}")
+        lines = ["parts,rho,rho_lo,rho_hi,iterations"]
+        for parts, rho, lo, hi, iters in self.rows:
+            lines.append(f"\"{' '.join(map(str, parts))}\",{rho!r},{lo!r},"
+                         f"{hi!r},{iters}")
         return "\n".join(lines) + "\n"
 
 
@@ -584,11 +603,13 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
     """Find the admissible forest maximizing rho of its hub join (hub edge
     present), and certify uniqueness of the maximum.
 
-    Candidates within the indeterminacy margin of the best are reported as
-    ties (holds = "indeterminate") rather than resolved. Rows come back in
-    enumeration order. Every candidate is solved by the secular engine on
-    its part list, and the argmax join's artifact is encoded from its part
-    list: no graph is built.
+    Every candidate is enclosed by the root stage on its part list
+    (`hub_join_radii`, no graph built), and rows come back in enumeration
+    order. The leader has the largest rho. Its ties are the candidates
+    whose upper end reaches the leader's lower end, the leader included:
+    the maximum is certified unique when that is the leader alone, and
+    holds = "indeterminate" otherwise. The argmax join's artifact is
+    encoded from its part list.
     """
     if max_parts < 3:
         raise ValueError(f"max_parts must be >= 3, got {max_parts}")
@@ -603,10 +624,9 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
             in zip(cands, hub_join_radii(cands, hub_edge=True, tol=tol))]
 
     best = max(rows, key=lambda r: r[1])
-    margin = 10.0 * (tol + tol)
-    ties = [r[0] for r in rows
-            if verdict(best[1] - r[1], margin) != "certified"]
+    ties = [r[0] for r in rows if r[3] >= best[2]]
     runner_up = max((r[1] for r in rows if r[0] != best[0]), default=-math.inf)
+    top_hi = max((r[3] for r in rows if r[0] != best[0]), default=-math.inf)
     expected = (n - 2 * k - 4, k + 1, k + 1)
     holds = "certified" if len(ties) == 1 else "indeterminate"
     params = {"n": n, "k": k, "max_parts": max_parts,
@@ -621,7 +641,8 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
         params=params,
         holds=holds,
         margins={"rho_max": float(best[1]),
-                 "runner_up_gap": float(best[1] - runner_up)},
+                 "runner_up_gap": float(best[1] - runner_up),
+                 "enclosure_gap": float(best[2] - top_hi)},
         artifacts={"argmax_join": graph6_from_edges(
             n, join_edges(best[0], True))},
         tol=tol,

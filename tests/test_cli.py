@@ -102,12 +102,72 @@ def test_cli_runs_without_importing_networkx():
 
 
 def test_rho_complete_bipartite(capsys):
+    # K2,18 is a hub join (hubs not adjacent, 18 singleton paths): the root
+    # stage alone, whose enclosure holds the exact radius 6
     code, out, _ = run(capsys, "rho", "K2,18")
     assert code == 0
     blob = json.loads(out)
     assert blob["rho"] == pytest.approx(6.0, abs=1e-9)
     assert blob["n"] == 20
+    assert "residual" not in blob
+    assert blob["rho_lo"] < 6.0 < blob["rho_hi"]
+    assert blob["rho_hi"] - blob["rho_lo"] <= blob["tol"] * 6.0
+
+
+def test_rho_of_a_non_join_reports_its_residual(capsys):
+    code, out, _ = run(capsys, "rho", "P5")
+    assert code == 0
+    blob = json.loads(out)
     assert blob["residual"] <= blob["tol"]
+    assert "rho_lo" not in blob
+
+
+def spex_capped(argv, stdin=None):
+    """`spex argv` in a fresh interpreter whose address space is capped at
+    4 GB, so that a missing size ceiling fails the test, not the machine.
+    Returns the exit code, stdout, and stderr less its last line, which is
+    the time main() took."""
+    code = ("import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "from spexplanar.cli import main\n"
+            "t = time.perf_counter()\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(time.perf_counter() - t, file=sys.stderr)\n"
+            "sys.exit(rc)\n")
+    src = str(Path(spexplanar.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], input=stdin,
+                          env=env, capture_output=True, text=True, timeout=120)
+    *err, seconds = proc.stderr.splitlines()
+    return proc.returncode, proc.stdout, err, float(seconds)
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["rho", "P100000000"], None),
+    (["rho", "K200000"], None),
+    (["build", "extremal(100000000,0)"], None),
+    (["rho", "extremal(100000000,0)", "--emit-vector"], None),
+    (["rho", "-"], "1000000000\n0 1\n"),
+    (["member", "-", "--k", "0"], "~~??C???\n"),  # graph6 header n = 2^20
+])
+def test_inputs_above_the_size_ceiling_exit_two_at_once(argv, stdin):
+    code, out, err, seconds = spex_capped(argv, stdin)
+    assert (code, out) == (2, ""), err
+    assert len(err) == 1 and "exceeds the size ceiling" in err[0], err
+    assert seconds < 0.5
+
+
+def test_rho_of_a_huge_join_string_allocates_nothing():
+    # the root stage holds the part list's groups only
+    code, out, err, seconds = spex_capped(["rho", "extremal(100000000,0)"])
+    assert (code, err) == (0, [])
+    assert seconds < 0.5
+    blob = json.loads(out)
+    assert blob["n"] == 100000000
+    assert blob["rho_lo"] < blob["rho"] < blob["rho_hi"]
+    assert 0 < blob["rho_hi"] - blob["rho_lo"] <= 1e-12 * blob["rho"]
+    assert blob["rho"] == pytest.approx(14143.6355, abs=1e-4)
 
 
 def test_rho_emit_vector_stdout(capsys):
@@ -469,7 +529,7 @@ def test_sweep_argmax_summary(tmp_path, capsys):
     assert blob["check_id"] == "argmax"
     assert blob["params"]["candidates"] > 0
     rows = path.read_text().strip().split("\n")
-    assert rows[0] == "parts,rho,residual,iterations"
+    assert rows[0] == "parts,rho,rho_lo,rho_hi,iterations"
     assert len(rows) == blob["params"]["candidates"] + 1
 
 

@@ -1,6 +1,6 @@
 """The general engine (one dense symmetric solve) against closed forms and
 the dense eigensolver, plus the comparison rules built on top of it:
-`verdict`, and the tests' own Rayleigh and surgery comparisons
+`verdict` and `enclosure_verdict`, and the tests' own Rayleigh and surgery comparisons
 (`oracles.rayleigh_quotient`, `oracles.surgery_compare`)."""
 
 import math
@@ -12,8 +12,8 @@ import pytest
 
 from spexplanar import (ConvergenceError, DisconnectedGraphError,
                         complete_bipartite, complete_graph, cycle_graph,
-                        from_edges, join_with_paths, k2_join, path_graph,
-                        spectral_radius, verdict)
+                        enclosure_verdict, from_edges, join_with_paths,
+                        k2_join, path_graph, spectral_radius, verdict)
 from spexplanar import spectral
 from spexplanar.cli import main
 from spexplanar.spectral import adjacency_matrix
@@ -107,7 +107,8 @@ def test_convergence_error_carries_state():
     with pytest.raises(ConvergenceError) as ei:
         spectral_radius(path_graph(3), tol=1e-300)
     assert ei.value.tol == 1e-300
-    assert ei.value.residual > 1e-300
+    assert ei.value.measure == "residual"
+    assert ei.value.value > 1e-300
     assert "misses tol 1.0e-300" in str(ei.value)
 
 
@@ -190,6 +191,15 @@ def test_verdict_thresholds():
     assert verdict(0.0, 2e-11) == "indeterminate"
     assert verdict(-2e-11, 2e-11) == "indeterminate"
     assert verdict(-3e-11, 2e-11) == "violated"
+
+
+def test_enclosure_verdict():
+    # an enclosure [lo, hi] of a margin: its sign is proven or it is not
+    assert enclosure_verdict(1e-300, 1.0) == "certified"
+    assert enclosure_verdict(-1.0, -1e-300) == "violated"
+    assert enclosure_verdict(0.0, 1.0) == "indeterminate"
+    assert enclosure_verdict(-1.0, 0.0) == "indeterminate"
+    assert enclosure_verdict(math.nan, math.nan) == "indeterminate"
 
 
 def test_edge_addition_strictly_raises_rho():

@@ -22,6 +22,9 @@ from spexplanar import (ConvergenceError, argmax_sweep, complete_bipartite,
                         recognize_hub_join, spectral_radius, to_graph6)
 from spexplanar import spectral
 from spexplanar.cli import main
+from spexplanar.verify import (lemma1_sweep, lemma2_sweep, verify_claim33,
+                               verify_entry_bounds, verify_lemma1,
+                               verify_lemma2)
 from spexplanar.spectral import adjacency_matrix
 
 import oracles
@@ -141,33 +144,50 @@ def forbid_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", eigh)
 
 
-def assert_every_entry_point_raises(parts, hub_edge):
-    # one row takes the scalar Newton root, two rows the numpy batch
+def assert_every_entry_point_raises(parts, hub_edge, capsys):
+    # the vector stage, then the root stage: one row takes the scalar root
+    # and enclosure, two rows the numpy batch
     for solve in (lambda: spectral_radius(join_with_paths(parts, hub_edge)),
                   lambda: hub_join_spectrum(parts, hub_edge),
                   lambda: hub_join_radii([parts], hub_edge),
                   lambda: hub_join_radii([parts, parts], hub_edge)):
         with pytest.raises(ConvergenceError):
             solve()
+    # spex rho on the join's graph6 and, with the hub edge, its join
+    # string: each with and without the vector
+    graphs = [to_graph6(join_with_paths(parts, hub_edge))]
+    if hub_edge:
+        graphs.append("k2+[" + ",".join(map(str, parts)) + "]")
+    for graph in graphs:
+        for vector in ([], ["--emit-vector"]):
+            assert main(["rho", graph, *vector]) == 1, (graph, vector)
+    assert capsys.readouterr().out == ""
 
 
-def test_residual_miss_raises_from_every_entry_point(monkeypatch):
-    # the secular engine certifies tol or raises: no dense solve behind it
+def test_residual_miss_raises_from_every_entry_point(monkeypatch, capsys):
+    # the secular engine certifies tol or raises: no dense solve behind it.
+    # The vector stage misses on its residual; the root stage on f's bounds,
+    # which then never prove a sign, so its enclosure widens past tol
     forbid_eigh(monkeypatch)
     for miss in (1.0, math.nan):
         monkeypatch.setattr(spectral, "_batch_residuals",
                             lambda y, idx, part, rho, e: np.full(len(y), miss))
+        monkeypatch.setattr(spectral, "_secular_bound_at",
+                            lambda groups, rho, e, toward: miss)
+        monkeypatch.setattr(
+            spectral, "_secular_bound",
+            lambda m, cnt, rho, e, bits, toward: np.full(len(rho), miss))
         for hub_edge in (True, False):
-            assert_every_entry_point_raises((6, 3, 1), hub_edge)
+            assert_every_entry_point_raises((6, 3, 1), hub_edge, capsys)
 
 
-def test_max_iterations_caps_the_root_finder_too(monkeypatch):
+def test_max_iterations_caps_the_root_finder_too(monkeypatch, capsys):
     g = join_with_paths([9, 4, 2], True)
     assert spectral_radius(g).iterations <= 8
     # a row stopped at the Newton cap misses tol and raises
     monkeypatch.setattr(spectral, "NEWTON_CAP", 1)
     forbid_eigh(monkeypatch)
-    assert_every_entry_point_raises((9, 4, 2), True)
+    assert_every_entry_point_raises((9, 4, 2), True, capsys)
 
 
 def test_batched_radii_match_single_solves_bit_for_bit(monkeypatch):
@@ -176,23 +196,33 @@ def test_batched_radii_match_single_solves_bit_for_bit(monkeypatch):
     for hub_edge in (True, False):
         rows = hub_join_radii(forests, hub_edge)
         assert len(rows) == len(forests)
-        for parts, (rho, resid, steps) in zip(forests, rows):
+        for parts, row in zip(forests, rows):
+            rho, lo, hi, steps = row
+            assert hub_join_radii([parts], hub_edge) == [row]
             single = spectral_radius(join_with_paths(parts, hub_edge))
             assert single.solver == "secular"
             assert rho == single.rho
             assert steps == single.iterations
-            assert resid == single.residual <= TOL
+            assert lo < rho < hi and hi - lo <= TOL * rho
 
 
 def test_batched_radii_fall_back_below_the_secular_range():
-    # K4 minus an edge: the all-singleton start (e + sqrt(e^2 + 8M))/2 is 2
-    (rho, resid, _), = hub_join_radii([(2,)], hub_edge=False)
+    # K4 minus an edge: the all-singleton start (e + sqrt(e^2 + 8M))/2 is 2,
+    # so its radius is enclosed by Collatz-Wielandt bounds
+    (rho, lo, hi, _), = hub_join_radii([(2,)], hub_edge=False)
     assert rho == pytest.approx((1 + 17 ** 0.5) / 2, abs=AGREE)
-    assert resid <= TOL
+    assert lo < (1 + 17 ** 0.5) / 2 < hi and hi - lo <= TOL * rho
+    # K3 and P3: radius 2 and sqrt(2), where the secular equation has none
+    assert hub_join_radii([(1,)], hub_edge=True)[0][1:3] == (
+        math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0))
+    (_, lo, hi, _), = hub_join_radii([(1,)], hub_edge=False)
+    assert lo < math.sqrt(2) < hi
     with pytest.raises(ValueError, match="single order"):
         hub_join_radii([(3, 1), (2,)], hub_edge=True)
     with pytest.raises(ValueError, match=">= 1"):
         hub_join_radii([(3, 0)], hub_edge=True)
+    with pytest.raises(ValueError, match=">= 1"):
+        hub_join_radii([(9, 0)], hub_edge=True)
 
 
 def test_cli_rho_equals_sweep_rho_max_bit_for_bit(capsys):
@@ -208,7 +238,7 @@ def test_cli_rho_equals_sweep_rho_max_bit_for_bit(capsys):
 def rho_cli(capsys, *argv):
     assert main(["rho", *argv]) == 0
     blob = json.loads(capsys.readouterr().out)
-    return blob["rho"], blob["residual"], blob["iterations"]
+    return blob["rho"], blob["rho_lo"], blob["rho_hi"], blob["iterations"]
 
 
 def relabelled_graph6(parts, hub_edge, rng):
@@ -236,12 +266,12 @@ def test_secular_roots_keep_their_bits(capsys):
     # pinned (rho, Newton steps): a change in the order of the Newton
     # step's floating-point operations shows here. A single join takes
     # the scalar root, a batch of two rows the numpy kernel.
-    assert rho_cli(capsys, "k2+[150,60,47]")[::2] == (24.165636165113284, 5)
-    assert rho_cli(capsys, "extremal(2051,3)")[::2] == (65.51612262518913, 4)
+    assert rho_cli(capsys, "k2+[150,60,47]")[::3] == (24.165636165113284, 5)
+    assert rho_cli(capsys, "extremal(2051,3)")[::3] == (65.51612262518913, 4)
     for rows in (1, 2):
-        assert hub_join_radii([[1] * 2000] * rows, False)[0][::2] == (
+        assert hub_join_radii([[1] * 2000] * rows, False)[0][::3] == (
             63.24555320336759, 1)
-        assert hub_join_radii([[3, 2, 1] * 333] * rows, True)[0][::2] == (
+        assert hub_join_radii([[3, 2, 1] * 333] * rows, True)[0][::3] == (
             64.21651837311305, 4)
     assert spectral_radius(join_with_paths([9, 4, 2], False)).rho == \
         float.fromhex("0x1.96f3bb4f840b7p+2")
@@ -303,30 +333,32 @@ def small_joins():
 
 
 def test_entry_points_agree_bit_for_bit(capsys):
-    # the family string (hubs adjacent), a relabelled graph6 of the same
-    # join, the join's row of a batch (numpy kernel), the single-join
-    # solve from parts (scalar root) and the built join
+    # the root stage: the join's row of a batch (numpy root and enclosure),
+    # the join alone (scalar ones), the family string (hubs adjacent) and a
+    # relabelled graph6 of the join that the recognizer accepts. The
+    # vector stage: the single-join solve from parts and the built join,
+    # on the same rho and Newton steps
     rng = random.Random(7)
     for parts in [*small_joins(), *seeded_joins()]:
         total = sum(parts)
         for hub_edge in (True, False):
-            rho, resid, steps = hub_join_radii(
-                [[total], parts, [1] * total], hub_edge)[1]
+            want = hub_join_radii([[total], parts, [1] * total], hub_edge)[1]
+            rho, lo, hi, steps = want
+            assert lo <= rho <= hi, (parts, hub_edge)
+            assert hub_join_radii([parts], hub_edge) == [want]
             from_parts = hub_join_spectrum(parts, hub_edge)
-            want = (rho, resid, steps)
-            assert (from_parts.rho, from_parts.residual,
-                    from_parts.iterations) == want, (parts, hub_edge)
+            assert (from_parts.rho, from_parts.iterations) == (rho, steps)
             # the vector in join_with_paths layout, parts in any order
             built = spectral_radius(join_with_paths(parts, hub_edge))
-            assert (built.rho, built.residual, built.iterations) == want
+            assert (built.rho, built.residual, built.iterations) == (
+                from_parts.rho, from_parts.residual, from_parts.iterations)
             assert np.array_equal(from_parts.vector, built.vector)
             assert from_parts.solver == built.solver
-            if from_parts.solver == "secular":
-                # LAPACK's bits may depend on the vertex order
-                g6 = relabelled_graph6(parts, hub_edge, rng)
+            g6 = relabelled_graph6(parts, hub_edge, rng)
+            if recognize_hub_join(from_graph6(g6)) is not None:
                 assert rho_cli(capsys, g6) == want, (parts, hub_edge)
             else:
-                assert sum(parts) + 2 < spectral.SECULAR_ORDER
+                assert total + 2 < spectral.SECULAR_ORDER
             if hub_edge:
                 family = "k2+[" + ",".join(map(str, parts)) + "]"
                 assert rho_cli(capsys, family) == want, parts
@@ -372,3 +404,126 @@ def test_join_solves_build_and_recognize_nothing(monkeypatch, capsys):
     verify.verify_entry_bounds(22, [16, 3, 1])
     verify.lemma2_sweep(20, 0, force=True)
     verify.verify_claim33(300, 0, 200, 98)
+
+
+# --- root enclosures ------------------------------------------------------------
+
+
+def mp_secular_root(parts, hub_edge, rho0):
+    """The root of the join's secular equation at 200 bits, with each path
+    sum taken over the path's own eigenpairs (an independent route to
+    S_m): for P_m, lambda_j = 2 cos(j pi/(m+1)) and (1'v_j)^2 =
+    2/(m+1) cot^2(j pi/(2(m+1))) for odd j, 0 for even j."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workprec(200):
+        terms = []
+        for m, k in spectral._part_groups(parts):
+            for j in range(1, m + 1, 2):
+                theta = mp.pi * j / (m + 1)
+                terms.append((k * 2 * mp.cot(theta / 2) ** 2 / (m + 1),
+                              2 * mp.cos(theta)))
+
+        def f(rho):
+            return rho - hub_edge - 2 * mp.fsum(w / (rho - lam)
+                                                for w, lam in terms)
+
+        root = mp.findroot(f, mp.mpf(rho0))
+        assert abs(f(root)) < mp.mpf(2) ** -150
+        return root
+
+
+def test_enclosures_hold_the_200_bit_root():
+    rng = random.Random(20261018)
+    forests = [*seeded_forests(rng, 16), [4087, 5, 5], [2000, 2000, 97]]
+    for parts in forests:
+        for hub_edge in (True, False):
+            (rho, lo, hi, _), = hub_join_radii([parts], hub_edge)
+            root = mp_secular_root(parts, hub_edge, rho)
+            assert lo < root < hi, (parts, hub_edge)
+            assert hi - lo <= TOL * rho
+
+
+def test_the_n2051_argmax_is_proven_by_disjoint_enclosures():
+    leader, *others = hub_join_radii(
+        [[2041, 4, 4], [2040, 5, 4], [1371, 383, 295]], True)
+    for rho, lo, hi, _ in others:
+        # float gaps of 2.6e-11 and 5.3e-11 against enclosures 2.3e-13
+        # wide, where a slack of 10*(tol + tol) proves nothing
+        assert hi < leader[1], (leader, rho)
+        assert leader[0] - rho < 1e-10
+
+
+@pytest.mark.parametrize("ulps", [1, 8])
+def test_scalar_enclosure_matches_the_batch_bit_for_bit(monkeypatch, ulps):
+    # from one ulp out, most rows double a few times before they hold
+    monkeypatch.setattr(spectral, "ENCLOSE_ULPS", ulps)
+    groups = seeded_groups()
+    m, cnt = spectral._part_matrix(groups)
+    for e in (0.0, 1.0):
+        rho, _ = spectral._secular_roots(m, cnt, e)
+        lo, hi = spectral._enclose_roots(m, cnt, rho, e, TOL)
+        for i, grp in enumerate(groups):
+            assert spectral._enclose_root(grp, float(rho[i]), e, TOL) == (
+                lo[i], hi[i]), (grp, e)
+
+
+def test_scalar_secular_bound_matches_the_batch_bit_for_bit():
+    rng = random.Random(20261022)
+    groups = seeded_groups()
+    m, cnt = spectral._part_matrix(groups)
+    bits = spectral._exponent_bits(m)
+    for e in (0.0, 1.0):
+        root, _ = spectral._secular_roots(m, cnt, e)
+        for scale in (0.5, 1.0, 1.3):
+            rho = 2.0 + (root - 2.0) * scale * np.array(
+                [rng.uniform(0.99, 1.01) for _ in groups])
+            upper = spectral._secular_bound(m, cnt, rho, e, bits, -np.inf)
+            lower = spectral._secular_bound(m, cnt, rho, e, bits, np.inf)
+            f, _ = spectral._secular(m, cnt, rho, e, bits)
+            assert np.all((lower <= f) & (f <= upper))
+            for i, grp in enumerate(groups):
+                x = float(rho[i])
+                assert spectral._secular_bound_at(grp, x, e, -math.inf) == (
+                    upper[i]), (grp, e, x)
+                assert spectral._secular_bound_at(grp, x, e, math.inf) == (
+                    lower[i]), (grp, e, x)
+
+
+def test_an_enclosure_wider_than_tol_raises():
+    for rows in (1, 2):
+        with pytest.raises(ConvergenceError) as ei:
+            hub_join_radii([[150, 60, 47]] * rows, True, tol=1e-16)
+        assert ei.value.measure == "enclosure width"
+        assert "enclosure width" in str(ei.value)
+
+
+def test_the_vector_stage_runs_no_enclosure(monkeypatch, capsys):
+    # entry bounds, claim33, lemma2 and --emit-vector read Perron entries
+    # and keep their residual gate, with no enclosure besides
+    def enclosure(*args):
+        raise AssertionError("an enclosure ran")
+
+    for name in ("_enclose_root", "_enclose_roots", "_small_join_radius"):
+        monkeypatch.setattr(spectral, name, enclosure)
+    verify_entry_bounds(22, [16, 3, 1])
+    verify_claim33(300, 0, 149, 149)
+    verify_lemma2(300, 0, 160, 138, [])
+    lemma2_sweep(40, 0, force=True)
+    assert main(["rho", "k2+[150,60,47]", "--emit-vector"]) == 0
+    assert main(["rho", "k2+[2,1]", "--emit-vector"]) == 0
+    capsys.readouterr()
+
+
+def test_the_root_stage_builds_no_vector(monkeypatch, capsys):
+    # lemma1, the sweeps and spex rho without --emit-vector: O(parts) work
+    # per join, no Perron entries
+    def entries(*args):
+        raise AssertionError("Perron entries were built")
+
+    monkeypatch.setattr(spectral, "_forest_entries", entries)
+    verify_lemma1(40, 2, 1, [34, 2, 2], [36, 2])
+    lemma1_sweep(40)
+    argmax_sweep(259, 0, 3)
+    assert main(["rho", "k2+[150,60,47]"]) == 0
+    assert main(["rho", to_graph6(join_with_paths([9, 4, 2], False))]) == 0
+    capsys.readouterr()

@@ -37,6 +37,44 @@ def test_lemma1_worked_example():
     assert not g1.has_edge(0, 1)  # hubs are not adjacent in this check
 
 
+def shifted_radii(monkeypatch, shift):
+    """Make verify's root stage report each enclosure moved by
+    `shift(parts)`, a pair (to lo, to hi), with rho as it is."""
+    from spexplanar import verify
+    radii = verify.hub_join_radii
+
+    def moved(forests, hub_edge, tol):
+        return [(rho, lo + shift(parts)[0], hi + shift(parts)[1], steps)
+                for parts, (rho, lo, hi, steps)
+                in zip(forests, radii(forests, hub_edge, tol))]
+
+    monkeypatch.setattr(verify, "hub_join_radii", moved)
+
+
+def test_radius_comparisons_are_decided_on_enclosures(monkeypatch):
+    # lemma1, lemma1_pair and argmax prove their order on the enclosures:
+    # overlapping ones decide nothing, reversed ones prove a violation,
+    # and the float margins stay what they were
+    base = [verify_lemma1(40, 2, 1, [34, 2, 2], [36, 2]),
+            lemma1_sweep(40)[1], argmax_sweep(30, 0, 3, force=True).report]
+    assert [r.holds for r in base] == ["certified"] * 3
+    shifted_radii(monkeypatch, lambda parts: (-1.0, 1.0))
+    wide = [verify_lemma1(40, 2, 1, [34, 2, 2], [36, 2]),
+            lemma1_sweep(40)[1], argmax_sweep(30, 0, 3, force=True).report]
+    assert [r.holds for r in wide] == ["indeterminate"] * 3
+    assert [r.margins["rho_max"] for r in wide[2:]] == [
+        r.margins["rho_max"] for r in base[2:]]
+    for b, w in zip(base[:2], wide[:2]):
+        assert w.margins == b.margins
+    assert len(wide[2].params["ties"]) == wide[2].params["candidates"]
+    monkeypatch.undo()
+    # the family with fewer parts pushed below the other one
+    shifted_radii(monkeypatch, lambda parts: (-1.0, -1.0) if len(parts) <= 2
+                  else (0.0, 0.0))
+    assert verify_lemma1(40, 2, 1, [34, 2, 2], [36, 2]).holds == "violated"
+    assert lemma1_sweep(40)[1].holds == "violated"
+
+
 def test_lemma1_preconditions():
     with pytest.raises(ValueError, match="a1 <= sqrt"):
         verify_lemma1(40, 3, 1, [33, 2, 2, 1], [36, 2])
@@ -343,7 +381,7 @@ def test_argmax_sweep_small_forced():
     assert len(jsonl) == len(result.rows)
     assert json.loads(jsonl[0])["parts"] == list(result.rows[0][0])
     csv = result.rows_csv().strip().split("\n")
-    assert csv[0] == "parts,rho,residual,iterations"
+    assert csv[0] == "parts,rho,rho_lo,rho_hi,iterations"
     assert len(csv) == len(result.rows) + 1
 
 
