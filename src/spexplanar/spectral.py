@@ -34,11 +34,12 @@ A hub join is solved from its part list in one or two stages:
   tol * max(1, rho) the solve raises ConvergenceError. It costs
   O(distinct part orders) per join, and it is all that `hub_join_radii`
   runs (the sweeps, lemma1 and `spex rho` without --emit-vector).
-* The vector stage: the Perron entries, in closed form per path block,
-  and their residual ||Ax - rho x||_inf from the join's structure
-  (`_batch_residuals`); above `tol` it raises ConvergenceError. It costs
-  O(n), and only `hub_join_spectrum` and `spectral_radius` run it, with
-  no enclosure: the checks that read Perron entries and --emit-vector.
+* The vector stage (`_hub_join_spectrum`): the scalar Newton root, the
+  Perron entries in closed form per path block and their residual
+  ||Ax - rho x||_inf from the join's structure, in 1-D arrays with the
+  paths longest first, then scattered once into block order; above `tol`
+  it raises ConvergenceError. It costs O(n), and only `hub_join_spectrum`
+  and `spectral_radius` run it, with no enclosure.
 
 Newton's root and the enclosure each come in two versions, picked by row
 count alone. One row takes the scalar loops `_secular_root` and
@@ -54,15 +55,14 @@ bounds on its Perron vector; from SECULAR_ORDER on every join is
 recognized. So every entry point gives a join the same rho and Newton
 steps bit for bit, and every root-stage entry point the same enclosure.
 
-Verdicts come in two forms. A comparison of root-stage radii is decided
-on an enclosure [lo, hi] of the difference by `enclosure_verdict`:
-certified when lo > 0, violated when hi < 0, indeterminate when it holds
-0. That is a proof, up to the correctness of IEEE rounding. The checks on
-Perron entries (lemma2, claim33, entry bounds) use `verdict(margin,
-slack)`: a margin counts as a strict inequality only when it clears the
-slack (10*(tol_a + tol_b) for a difference of two spectral radii), as its
-failure only when it falls below -slack; anything in between is
-indeterminate, never silently rounded into a conclusion.
+One function gives every verdict, `enclosure_verdict(lo, hi)` on an
+interval [lo, hi] that holds a margin: certified when lo > 0, violated
+when hi < 0, indeterminate when it holds 0. Root-stage radii are compared
+on the float differences of their enclosures' ends: a proof, up to the
+correctness of IEEE rounding. The checks on Perron entries (lemma2,
+claim33, entry bounds) pass [margin - slack, margin + slack], with slack
+10*(tol_a + tol_b) for a difference of two spectral radii: a margin
+within the slack is indeterminate, never rounded into a conclusion.
 """
 
 from __future__ import annotations
@@ -312,28 +312,6 @@ def _secular_root(groups: Sequence[tuple[int, int]], e: float
     return rho, steps
 
 
-def _forest_entries(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forest part of the Perron vector with hub entries 1, paths laid out
-    in column order: y_i = 2/(rho-2) (1 - (u^i + u^(m+1-i)) / (1 + u^(m+1)))
-    at position i = 1..m of a path of order m. Every row must have the
-    same forest order L; returns y, i and m, each of shape (B, L)."""
-    span = m * cnt
-    rows, order = len(m), int(span[0].sum())
-    r = rho[:, None]
-    u = 1.0 / ((r + np.sqrt(r * r - 4.0)) / 2.0)
-    pw = u ** np.arange(int(m.max()) + 2)
-    start = (np.cumsum(span, axis=1) - span).ravel()
-    part = np.repeat(m.ravel(), span.ravel()).reshape(rows, order)
-    offset = np.arange(order) - np.repeat(start, span.ravel()).reshape(
-        rows, order)
-    idx = offset % part + 1
-    b = np.arange(rows)[:, None]
-    y = 2.0 / (r - 2.0) * (1.0 - (pw[b, idx] + pw[b, part + 1 - idx])
-                           / (1.0 + pw[b, part + 1]))
-    return y, idx, part
-
-
 def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool, tol: float
                        ) -> SpectralResult:
     """The vector stage of join_with_paths(parts, hub_edge): the scalar
@@ -341,29 +319,45 @@ def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool, tol: float
     which raises ConvergenceError unless the residual is at most `tol`
     (NaN is not). No other solver runs, and no enclosure."""
     e = float(hub_edge)
-    groups = _part_groups(parts)
-    rho, steps = _secular_root(groups, e)
-    m, cnt = _part_matrix([groups])
-    r = np.array([rho])
-    y, idx, part = _forest_entries(m, cnt, r)
-    resid = float(_batch_residuals(y, idx, part, r, e)[0])
+    rho, steps = _secular_root(_part_groups(parts), e)
+    # paths longest first: the residual's sums round in this order
+    p = np.asarray(parts, dtype=np.int64)
+    order = np.argsort(-p, kind="stable")
+    span = p[order]
+    part = np.repeat(span, span)
+    idx = np.arange(len(part)) + 1 - np.repeat(np.cumsum(span) - span, span)
+    y = _forest_entries(idx, part, rho)
+    resid = _join_residual(y, idx, part, rho, e)
     if not resid <= tol:
         raise ConvergenceError(resid, tol)
-    x = np.empty(len(y[0]) + 2)
+    x = np.empty(len(y) + 2)
     x[:2] = 1.0
-    x[2:][_block_positions(parts)] = y[0]
+    x[2:][np.repeat((np.cumsum(p) - p)[order], span) + idx - 1] = y
     return SpectralResult(rho, x / x.max(), resid, steps, "secular")
 
 
-def _block_positions(parts: Sequence[int]) -> np.ndarray:
-    """Where the forest entries, which `_forest_entries` lays out longest
-    path first, go in the block order of `parts` (paths of one order have
-    the same entries, so ties may go either way)."""
-    p = np.asarray(parts, dtype=np.int64)
-    order = np.argsort(-p)
-    start = np.cumsum(p) - p
-    moved = np.cumsum(p[order]) - p[order]
-    return np.arange(p.sum()) + np.repeat(start[order] - moved, p[order])
+def _forest_entries(idx: np.ndarray, part: np.ndarray, rho: float
+                    ) -> np.ndarray:
+    """Forest part of the Perron vector with hub entries 1: y_i = 2/(rho-2)
+    (1 - (u^i + u^(m+1-i)) / (1 + u^(m+1))) at position i = `idx` of a
+    path of order m = `part`."""
+    u = 1.0 / ((rho + math.sqrt(rho * rho - 4.0)) / 2.0)
+    pw = u ** np.arange(int(part.max()) + 2)
+    return 2.0 / (rho - 2.0) * (1.0 - (pw[idx] + pw[part + 1 - idx])
+                                / (1.0 + pw[part + 1]))
+
+
+def _join_residual(y: np.ndarray, idx: np.ndarray, part: np.ndarray,
+                   rho: float, e: float) -> float:
+    """||Ax - rho x||_inf of the max-normalized join vector, from the
+    join's structure: a forest vertex sees both hubs and its path
+    neighbours, a hub sees the other hub (if adjacent) and the forest."""
+    z = np.concatenate(([0.0], y, [0.0]))  # z[j] and z[j + 2] flank y[j]
+    ax = (2.0 + np.where(idx > 1, z[:-2], 0.0)
+          + np.where(idx < part, z[2:], 0.0))
+    forest = np.abs(ax - rho * y).max()
+    hubs = np.abs(e + y.sum() - rho)
+    return float(np.maximum(forest, hubs) / np.maximum(1.0, y.max()))
 
 
 def hub_join_spectrum(parts: Sequence[int], hub_edge: bool,
@@ -381,22 +375,6 @@ def hub_join_spectrum(parts: Sequence[int], hub_edge: bool,
     if join_order(parts, hub_edge) + 2 < SECULAR_ORDER:
         return spectral_radius(join_with_paths(parts, hub_edge), tol)
     return _hub_join_spectrum(parts, hub_edge, tol)
-
-
-def _batch_residuals(y: np.ndarray, idx: np.ndarray, part: np.ndarray,
-                     rho: np.ndarray, e: float) -> np.ndarray:
-    """||Ax - rho x||_inf of each max-normalized join vector, from the
-    join's structure: a forest vertex sees both hubs and its path
-    neighbours, a hub sees the other hub (if adjacent) and the forest."""
-    r = rho[:, None]
-    prev = np.zeros_like(y)
-    prev[:, 1:] = y[:, :-1]
-    nxt = np.zeros_like(y)
-    nxt[:, :-1] = y[:, 1:]
-    ax = 2.0 + np.where(idx > 1, prev, 0.0) + np.where(idx < part, nxt, 0.0)
-    forest = np.abs(ax - r * y).max(axis=1)
-    hubs = np.abs(e + y.sum(axis=1) - rho)
-    return np.maximum(forest, hubs) / np.maximum(1.0, y.max(axis=1))
 
 
 def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
@@ -599,19 +577,11 @@ def enclosure_verdict(lo: float, hi: float) -> str:
     """The verdict on a margin proven to lie in [lo, hi]: 'certified' if
     lo > 0, 'violated' if hi < 0, 'indeterminate' when [lo, hi] holds 0
     (and for NaN). For a difference of two enclosed radii, lo and hi are
-    float differences of their ends, whose signs are exact."""
+    float differences of their ends; for a margin m known up to a slack s,
+    they are m - s and m + s. The sign of a float difference is exact."""
     if lo > 0.0:
         return "certified"
     if hi < 0.0:
         return "violated"
     return "indeterminate"
 
-
-def verdict(margin: float, slack: float) -> str:
-    """'certified' if margin > slack, 'violated' if margin < -slack,
-    'indeterminate' in between (and for a NaN margin)."""
-    if margin > slack:
-        return "certified"
-    if margin < -slack:
-        return "violated"
-    return "indeterminate"

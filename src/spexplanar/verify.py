@@ -5,16 +5,17 @@ Every check returns a VerificationReport whose `holds` field is one of
 re-running a check with the recorded params and tol reproduces the report
 byte for byte.
 
-Two rules decide `holds` (`spectral` module docstring). lemma1,
-lemma1_pair and argmax compare spectral radii only, so they take the root
-stage alone (`hub_join_radii`), whose enclosures lo < rho < hi are
-proven, and decide on those: a strict inequality between two radii is
-certified when their enclosures are disjoint the right way round
-(`spectral.enclosure_verdict`), not by a tolerance. lemma2, claim33 and
-entry_bounds read Perron vectors and decide by `spectral.verdict(margin,
-slack)`: certified when the margin clears the slack, violated when it
-falls below -slack, indeterminate in between; a difference of two spectral
-radii gets slack 10x the summed tolerances.
+One rule decides `holds`: `spectral.enclosure_verdict(lo, hi)` on an
+interval [lo, hi] that holds the margin (`spectral` module docstring).
+lemma1, lemma1_pair and argmax compare spectral radii only, so they take
+the root stage alone (`hub_join_radii`), whose enclosures lo < rho < hi
+are proven, and decide on those: a strict inequality between two radii is
+certified when their enclosures are disjoint the right way round, not by
+a tolerance. lemma2, claim33 and entry_bounds read Perron vectors and
+decide on [margin - slack, margin + slack]: certified when the margin
+clears the slack, violated when it falls below -slack, indeterminate in
+between; a difference of two spectral radii gets slack 10x the summed
+tolerances.
 
 The checks, by what they establish:
 
@@ -54,8 +55,7 @@ from .families import (LinearForest, _partitions_desc, enumerate_lna,
                        join_edges)
 from .graphs import graph6_from_edges
 from .spectral import (DEFAULT_TOL, SpectralResult, edge_quotient,
-                       enclosure_verdict, hub_join_radii, hub_join_spectrum,
-                       verdict)
+                       enclosure_verdict, hub_join_radii, hub_join_spectrum)
 
 _WORST = {"certified": 0, "indeterminate": 1, "violated": 2}
 _RANK = ["certified", "indeterminate", "violated"]
@@ -352,6 +352,7 @@ def _lemma2(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
     outside, edges, r1, before_g6 = pre
     _, r2, after_g6 = post
     gap = r2.rho - r1.rho
+    slack = 10.0 * (tol + tol)
 
     c1, c2 = _chain_indices(n1)
     t1, t2 = _pick_swap_indices(k, r1.vector, c1, c2)
@@ -365,7 +366,7 @@ def _lemma2(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
     return VerificationReport(
         check_id="lemma2",
         params=params,
-        holds=verdict(gap, 10.0 * (tol + tol)),
+        holds=enclosure_verdict(gap - slack, gap + slack),
         margins={"rho_gap": float(gap), "swap_lower_bound": float(swap_bound),
                  "rho_before": float(r1.rho), "rho_after": float(r2.rho)},
         artifacts={"join_before": before_g6, "join_after": after_g6},
@@ -412,7 +413,9 @@ def _claim33(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
 
     def band(i, value, lo, hi, kind, label, slack):
         value = float(value)
-        st = _combine(verdict(value - lo, slack), verdict(hi - value, slack))
+        below, above = value - lo, hi - value
+        st = _combine(enclosure_verdict(below - slack, below + slack),
+                      enclosure_verdict(above - slack, above + slack))
         states.append(st)
         witnesses.append(IntervalWitness(
             i, value, lo, hi, kind, label, st != "violated"))
@@ -455,7 +458,8 @@ def _claim33(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
                 continue
             d = float(x[u] - x[v])
             margins[f"{name}_i{i}"] = d - bound
-            states.append(verdict(min(d - bound, d), slack_x))
+            least = min(d - bound, d)
+            states.append(enclosure_verdict(least - slack_x, least + slack_x))
 
     if witnesses:
         margins["min_band_slack"] = float(min(
@@ -524,7 +528,7 @@ def verify_entry_bounds(n: int, parts: Sequence[int],
     lower_slack = float(forest.min() - lo)
     upper_slack = float(hi - forest.max())
     hub_dev = float(max(abs(x[0] - 1.0), abs(x[1] - 1.0)))
-    ok = all(verdict(m, slack) != "violated"
+    ok = all(enclosure_verdict(m - slack, m + slack) != "violated"
              for m in (lower_slack, upper_slack, -hub_dev))
     return VerificationReport(
         check_id="entry_bounds",
@@ -625,8 +629,7 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
 
     best = max(rows, key=lambda r: r[1])
     ties = [r[0] for r in rows if r[3] >= best[2]]
-    runner_up = max((r[1] for r in rows if r[0] != best[0]), default=-math.inf)
-    top_hi = max((r[3] for r in rows if r[0] != best[0]), default=-math.inf)
+    others = [r for r in rows if r is not best]
     expected = (n - 2 * k - 4, k + 1, k + 1)
     holds = "certified" if len(ties) == 1 else "indeterminate"
     params = {"n": n, "k": k, "max_parts": max_parts,
@@ -636,13 +639,15 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
               "ties": [list(t) for t in ties], "dominating_edge": True}
     if outside:
         params["outside_hypothesis"] = True
+    margins = {"rho_max": float(best[1])}
+    if others:  # a lone candidate has no runner-up to measure a gap to
+        margins["runner_up_gap"] = float(best[1] - max(r[1] for r in others))
+        margins["enclosure_gap"] = float(best[2] - max(r[3] for r in others))
     report = VerificationReport(
         check_id="argmax",
         params=params,
         holds=holds,
-        margins={"rho_max": float(best[1]),
-                 "runner_up_gap": float(best[1] - runner_up),
-                 "enclosure_gap": float(best[2] - top_hi)},
+        margins=margins,
         artifacts={"argmax_join": graph6_from_edges(
             n, join_edges(best[0], True))},
         tol=tol,

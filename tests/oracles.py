@@ -24,8 +24,8 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from spexplanar import (DEFAULT_TOL, Graph, LinearForest, from_edges, k2_join,
-                        spectral_radius, validate_cycle, verdict)
+from spexplanar import (DEFAULT_TOL, Graph, LinearForest, enclosure_verdict,
+                        from_edges, k2_join, spectral_radius, validate_cycle)
 from spexplanar.cycles import hub_forest_cycle
 from spexplanar.graphs import edge_array
 from spexplanar.spectral import edge_quotient
@@ -447,12 +447,12 @@ def surgery_compare(g: Graph, gp: Graph,
     res = spectral_radius(g, tol)
     rq = rayleigh_quotient(gp, res.vector)
     rho_gp = spectral_radius_any(gp, tol)
-    slack = 10.0 * (tol + tol)
+    gap, slack = rho_gp - rq, 10.0 * (tol + tol)
     return SurgeryReport(
         rho_g=res.rho,
         rho_gp=rho_gp,
         rayleigh_gp=rq,
         surgery_margin=rq - res.rho,
-        variational_gap=rho_gp - rq,
-        bound_holds=verdict(rho_gp - rq, slack) != "violated",
+        variational_gap=gap,
+        bound_holds=enclosure_verdict(gap - slack, gap + slack) != "violated",
     )

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import spexplanar
-from spexplanar import (build_linear_forest, complete_graph, cycle_graph,
-                        extremal_graph, from_edges, from_graph6, k2_join,
-                        path_graph, to_graph6)
+from spexplanar import (VerificationReport, build_linear_forest,
+                        complete_graph, cycle_graph, extremal_graph,
+                        from_edges, from_graph6, k2_join, path_graph,
+                        reports_to_csv, rerun, to_graph6)
 from spexplanar.cli import build_parser, main, parse_family
 
 
@@ -540,6 +541,23 @@ def test_sweep_argmax_rows_jsonl(capsys):
     rows, summary = lines[:-1], json.loads(lines[-1])
     assert len(rows) == summary["params"]["candidates"]
     assert json.loads(rows[0])["parts"] == [16, 1, 1]
+
+
+def test_sweep_argmax_of_a_lone_candidate_is_strict_json(capsys):
+    # one admissible forest, so no runner-up: both gaps are left out, not
+    # written as Infinity, and the report reruns byte for byte
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    code, out, _ = run(capsys, "sweep", "argmax", "--n", "12", "--k", "2",
+                       "--force", "--summary-only")
+    assert code == 0
+    blob = json.loads(out, parse_constant=refuse)
+    assert blob["params"]["candidates"] == 1
+    assert list(blob["margins"]) == ["rho_max"]
+    rep = VerificationReport(**blob)
+    assert rerun(rep).to_json() == out.rstrip("\n")
+    assert "inf" not in reports_to_csv([rep])
 
 
 @pytest.mark.parametrize("argv", [

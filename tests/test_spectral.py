@@ -1,6 +1,6 @@
 """The general engine (one dense symmetric solve) against closed forms and
-the dense eigensolver, plus the comparison rules built on top of it:
-`verdict` and `enclosure_verdict`, and the tests' own Rayleigh and surgery comparisons
+the dense eigensolver, plus the comparison rule built on top of it,
+`enclosure_verdict`, and the tests' own Rayleigh and surgery comparisons
 (`oracles.rayleigh_quotient`, `oracles.surgery_compare`)."""
 
 import math
@@ -13,7 +13,7 @@ import pytest
 from spexplanar import (ConvergenceError, DisconnectedGraphError,
                         complete_bipartite, complete_graph, cycle_graph,
                         enclosure_verdict, from_edges, join_with_paths,
-                        k2_join, path_graph, spectral_radius, verdict)
+                        k2_join, path_graph, spectral_radius)
 from spexplanar import spectral
 from spexplanar.cli import main
 from spexplanar.spectral import adjacency_matrix
@@ -185,7 +185,11 @@ def test_rayleigh_quotient_rejects_bad_vectors():
 
 
 def test_verdict_thresholds():
-    # slack 2e-11 = 10*(tol_a+tol_b), the rule for a difference of two rhos
+    # slack 2e-11 = 10*(tol_a+tol_b), the rule for a difference of two
+    # rhos: a margin m is decided on [m - slack, m + slack]
+    def verdict(margin, slack):
+        return enclosure_verdict(margin - slack, margin + slack)
+
     assert verdict(3e-11, 2e-11) == "certified"
     assert verdict(2e-11, 2e-11) == "indeterminate"
     assert verdict(0.0, 2e-11) == "indeterminate"
@@ -216,7 +220,8 @@ def test_edge_addition_strictly_raises_rho():
             continue
         gp = from_edges(n, list(g.edges()) + [rng.choice(non_edges)])
         diff = spectral_radius(gp).rho - spectral_radius(g).rho
-        assert verdict(diff, 10 * (TOL + TOL)) == "certified"
+        slack = 10 * (TOL + TOL)
+        assert enclosure_verdict(diff - slack, diff + slack) == "certified"
         done += 1
 
 

@@ -6,6 +6,7 @@ agree with LAPACK on rho and on the max-normalized Perron vector, and the
 residual recomputed from the dense adjacency matrix must meet tol.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -170,8 +171,8 @@ def test_residual_miss_raises_from_every_entry_point(monkeypatch, capsys):
     # which then never prove a sign, so its enclosure widens past tol
     forbid_eigh(monkeypatch)
     for miss in (1.0, math.nan):
-        monkeypatch.setattr(spectral, "_batch_residuals",
-                            lambda y, idx, part, rho, e: np.full(len(y), miss))
+        monkeypatch.setattr(spectral, "_join_residual",
+                            lambda y, idx, part, rho, e: miss)
         monkeypatch.setattr(spectral, "_secular_bound_at",
                             lambda groups, rho, e, toward: miss)
         monkeypatch.setattr(
@@ -275,6 +276,35 @@ def test_secular_roots_keep_their_bits(capsys):
             64.21651837311305, 4)
     assert spectral_radius(join_with_paths([9, 4, 2], False)).rho == \
         float.fromhex("0x1.96f3bb4f840b7p+2")
+
+
+ONE = "0x1.0000000000000p+0"
+
+
+@pytest.mark.parametrize("parts, hub_edge, want, digest", [
+    ([150, 60, 47], True, ("0x1.82a6721b83248p+4", "0x1.0000000000000p-48",
+                           "0x1.92a6721b83246p+4", "0x1.6242dab185e89p-4",
+                           ONE), "1e05c807c3548c04"),
+    ([3, 5, 1, 5], False, ("0x1.85c509bd21d60p+2", "0x1.0000000000000p-50",
+                           "0x1.02e284de90eb0p+3", "0x1.5047d87619adap-2",
+                           ONE), "28204042e0165cc1"),
+    ([150, 100, 1, 47], True, ("0x1.9e7ba264d3336p+4",
+                               "0x1.0000000000000p-47",
+                               "0x1.ae7ba264d3337p+4",
+                               "0x1.3c3aea6a130a0p-4", ONE),
+     "2058e3f44b9bcf2c")])
+def test_perron_vectors_keep_their_bits(parts, hub_edge, want, digest):
+    # pinned rho, residual and the vector's sum, min and max: a change in
+    # the order of the vector stage's floating-point operations, in its
+    # residual's layout or in its scatter into block order shows here.
+    # The digest of every entry catches a reassociation that leaves the
+    # sum and extremes as they were
+    res = hub_join_spectrum(parts, hub_edge)
+    got = (res.rho, res.residual, *map(float, (
+        res.vector.sum(), res.vector.min(), res.vector.max())))
+    assert tuple(map(float.hex, got)) == want
+    assert hashlib.sha256(res.vector.astype("<f8").tobytes()).hexdigest()[
+        :16] == digest
 
 
 def seeded_forests(rng, count):
@@ -520,7 +550,8 @@ def test_the_root_stage_builds_no_vector(monkeypatch, capsys):
     def entries(*args):
         raise AssertionError("Perron entries were built")
 
-    monkeypatch.setattr(spectral, "_forest_entries", entries)
+    for name in ("_forest_entries", "_join_residual"):
+        monkeypatch.setattr(spectral, name, entries)
     verify_lemma1(40, 2, 1, [34, 2, 2], [36, 2])
     lemma1_sweep(40)
     argmax_sweep(259, 0, 3)
