@@ -33,7 +33,7 @@ A hub join is solved from its part list in one or two stages:
   the Newton root and doubles until the signs hold; once hi - lo passes
   tol * max(1, rho) the solve raises ConvergenceError. It costs
   O(distinct part orders) per join, and it is all that `hub_join_radii`
-  runs (the sweeps, lemma1 and `spex rho` without --emit-vector).
+  runs (every radius gap, and `spex rho` without --emit-vector).
 * The vector stage (`_hub_join_spectrum`): the scalar Newton root, the
   Perron entries in closed form per path block and their residual
   ||Ax - rho x||_inf from the join's structure, in 1-D arrays with the
@@ -43,12 +43,12 @@ A hub join is solved from its part list in one or two stages:
 
 Newton's root and the enclosure each come in two versions, picked by row
 count alone. One row takes the scalar loops `_secular_root` and
-`_enclose_root` in Python floats, more rows the numpy batches
-`_secular_roots` and `_enclose_roots`. Each pair does the same IEEE
-operations in the same order (math.sqrt and math.nextafter round like
-np.sqrt and np.nextafter; a batch's zero-count padding adds an exact
-+0.0 to Newton's sums and is skipped in the enclosure's), so the two
-return the same rho, Newton steps, lo and hi bit for bit. Below
+`_enclose_root` in Python floats, more rows (all of a call in one batch)
+the numpy `_secular_roots` and `_enclose_roots`. Each pair does the same
+IEEE operations in the same order (math.sqrt and math.nextafter round
+like np.sqrt and np.nextafter; a batch's zero-count padding adds an
+exact +0.0 to Newton's sums and is skipped in the enclosure's), so the
+two return the same rho, Newton steps, lo and hi bit for bit. Below
 SECULAR_ORDER both stages build the join and let `spectral_radius` pick
 the engine, and the root stage encloses that rho by Collatz-Wielandt
 bounds on its Perron vector; from SECULAR_ORDER on every join is
@@ -57,12 +57,12 @@ steps bit for bit, and every root-stage entry point the same enclosure.
 
 One function gives every verdict, `enclosure_verdict(lo, hi)` on an
 interval [lo, hi] that holds a margin: certified when lo > 0, violated
-when hi < 0, indeterminate when it holds 0. Root-stage radii are compared
-on the float differences of their enclosures' ends: a proof, up to the
-correctness of IEEE rounding. The checks on Perron entries (lemma2,
-claim33, entry bounds) pass [margin - slack, margin + slack], with slack
-10*(tol_a + tol_b) for a difference of two spectral radii: a margin
-within the slack is indeterminate, never rounded into a conclusion.
+when hi < 0, indeterminate when it holds 0. Every gap between two radii
+is decided on the float differences of their root-stage enclosures'
+ends: a proof, up to the correctness of IEEE rounding. Margins on Perron
+entries (claim33, entry bounds) have no enclosure yet and pass
+[margin - slack, margin + slack], slack 10 * tol (times rho^i on a band
+scaled by rho^i): a margin within it is indeterminate, never rounded.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ from .families import (join_edges, join_order, join_with_paths,
 from .graphs import Graph, edge_array
 
 DEFAULT_TOL = 1e-12
-BATCH_ROWS = 256      # forests per numpy batch in hub_join_radii
 NEWTON_STOP = 1e-14   # relative Newton step at which the root is taken
 NEWTON_CAP = 100      # Newton steps before the residual decides (<= 6 seen)
 ENCLOSE_ULPS = 8      # first half-width of a root enclosure, in ulps of rho
@@ -386,14 +385,16 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
 
     All forests must have the same order. From SECULAR_ORDER on, one
     forest takes the scalar root and enclosure, more go through the numpy
-    ones in batches of BATCH_ROWS, and no graph is built; below it each
-    forest is `_small_join_radius`. rho and the steps are those of
+    ones in a single batch, and no graph is built; below it each forest
+    is `_small_join_radius`. rho and the steps are those of
     `hub_join_spectrum`. Raises ConvergenceError once an enclosure gets
     wider than tol * max(1, rho).
     """
     if len({sum(parts) for parts in forests}) > 1:
         raise ValueError("hub_join_radii needs forests of a single order")
-    if forests and sum(forests[0]) + 2 < SECULAR_ORDER:
+    if not forests:
+        return []
+    if sum(forests[0]) + 2 < SECULAR_ORDER:
         return [_small_join_radius(parts, hub_edge, tol) for parts in forests]
     for p in chain.from_iterable(forests):
         if p < 1:
@@ -403,15 +404,11 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
         groups = _part_groups(forests[0])
         rho, steps = _secular_root(groups, e)
         return [(rho, *_enclose_root(groups, rho, e, tol), steps)]
-    out = []
-    for start in range(0, len(forests), BATCH_ROWS):
-        m, cnt = _part_matrix([_part_groups(parts) for parts
-                               in forests[start:start + BATCH_ROWS]])
-        rho, steps = _secular_roots(m, cnt, e)
-        below, above = _enclose_roots(m, cnt, rho, e, tol)
-        out.extend(zip(rho.tolist(), below.tolist(), above.tolist(),
-                       steps.tolist()))
-    return out
+    m, cnt = _part_matrix([_part_groups(parts) for parts in forests])
+    rho, steps = _secular_roots(m, cnt, e)
+    lo, hi = _enclose_roots(m, cnt, rho, e, tol)
+    return list(zip(rho.tolist(), lo.tolist(), hi.tolist(),
+                    steps.tolist()))
 
 
 # --- the root stage's enclosure -----------------------------------------------

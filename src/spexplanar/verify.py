@@ -7,15 +7,15 @@ byte for byte.
 
 One rule decides `holds`: `spectral.enclosure_verdict(lo, hi)` on an
 interval [lo, hi] that holds the margin (`spectral` module docstring).
-lemma1, lemma1_pair and argmax compare spectral radii only, so they take
-the root stage alone (`hub_join_radii`), whose enclosures lo < rho < hi
-are proven, and decide on those: a strict inequality between two radii is
-certified when their enclosures are disjoint the right way round, not by
-a tolerance. lemma2, claim33 and entry_bounds read Perron vectors and
-decide on [margin - slack, margin + slack]: certified when the margin
-clears the slack, violated when it falls below -slack, indeterminate in
-between; a difference of two spectral radii gets slack 10x the summed
-tolerances.
+lemma1, lemma1_pair, lemma2 and argmax compare spectral radii, and decide
+on the root stage's proven enclosures lo < rho < hi (`hub_join_radii`):
+a strict inequality between two radii is certified when their
+enclosures are disjoint the right way round, not by a tolerance (lemma2's
+swap bound reads a Perron vector, and decides nothing). claim33 and
+entry_bounds read Perron entries, which have no enclosure yet, and decide
+on [margin - slack, margin + slack] with slack 10 * tol: certified when
+the margin clears the slack, violated when it falls below -slack,
+indeterminate in between.
 
 The checks, by what they establish:
 
@@ -318,15 +318,6 @@ def _swapped_edges(edges: np.ndarray, n1: int, t1: int, t2: int
     return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
-def _pre_merge(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
-               tol: float, force: bool
-               ) -> tuple[bool, np.ndarray, SpectralResult, str]:
-    """Validate a merge instance, then lay out, solve and encode its
-    pre-merge join: (outside_hypothesis, edge rows, solve, graph6)."""
-    outside = _validate_merge(n, k, n1, n2, l_parts, force)
-    return (outside, *_solved_join([n1, n2, *l_parts], True, tol))
-
-
 def _merged_parts(k: int, n1: int, n2: int,
                   l_parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted([n1 + n2 - (k + 1), k + 1, *l_parts], reverse=True))
@@ -338,21 +329,24 @@ def verify_lemma2(n: int, k: int, n1: int, n2: int,
     """Certify that merging the two leading paths raises the spectral radius.
 
     Compares rho of hubs+P_{n1}+P_{n2}+L against hubs+P_{n1+n2-(k+1)}+P_{k+1}+L
-    (hub edge present in both). Also records the swap-based Rayleigh lower
-    bound for the gap as a diagnostic: the pre-merge Perron vector plugged
-    into the post-swap graph.
+    (hub edge present in both) on their root-stage enclosures. Also records
+    the swap-based Rayleigh lower bound for the gap as a diagnostic: the
+    pre-merge Perron vector plugged into the post-swap graph.
     """
-    pre = _pre_merge(n, k, n1, n2, l_parts, tol, force)
-    post = _solved_join(_merged_parts(k, n1, n2, l_parts), True, tol)
-    return _lemma2(n, k, n1, n2, l_parts, tol, pre, post)
+    pre = (_validate_merge(n, k, n1, n2, l_parts, force),
+           *_solved_join([n1, n2, *l_parts], True, tol))
+    merged = _merged_parts(k, n1, n2, l_parts)
+    before, = hub_join_radii([[n1, n2, *l_parts]], True, tol)
+    after, = hub_join_radii([merged], True, tol)
+    return _lemma2(n, k, n1, n2, l_parts, tol, pre, before, after,
+                   graph6_from_edges(n, join_edges(merged, True)))
 
 
 def _lemma2(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
-            tol: float, pre, post) -> VerificationReport:
+            tol: float, pre, before, after, after_g6) -> VerificationReport:
     outside, edges, r1, before_g6 = pre
-    _, r2, after_g6 = post
-    gap = r2.rho - r1.rho
-    slack = 10.0 * (tol + tol)
+    rho1, lo1, hi1, _ = before
+    rho2, lo2, hi2, _ = after
 
     c1, c2 = _chain_indices(n1)
     t1, t2 = _pick_swap_indices(k, r1.vector, c1, c2)
@@ -366,9 +360,9 @@ def _lemma2(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
     return VerificationReport(
         check_id="lemma2",
         params=params,
-        holds=enclosure_verdict(gap - slack, gap + slack),
-        margins={"rho_gap": float(gap), "swap_lower_bound": float(swap_bound),
-                 "rho_before": float(r1.rho), "rho_after": float(r2.rho)},
+        holds=enclosure_verdict(lo2 - hi1, hi2 - lo1),
+        margins={"rho_gap": rho2 - rho1, "swap_lower_bound": float(swap_bound),
+                 "rho_before": rho1, "rho_after": rho2},
         artifacts={"join_before": before_g6, "join_after": after_g6},
         tol=tol,
     )
@@ -394,8 +388,9 @@ def verify_claim33(n: int, k: int, n1: int, n2: int,
     for i <= min(floor((k+3)/2), floor(n2/2)). Skipped indices are counted
     in params["skipped"].
     """
-    return _claim33(n, k, n1, n2, l_parts, tol,
-                    _pre_merge(n, k, n1, n2, l_parts, tol, force))
+    pre = (_validate_merge(n, k, n1, n2, l_parts, force),
+           *_solved_join([n1, n2, *l_parts], True, tol))
+    return _claim33(n, k, n1, n2, l_parts, tol, pre)
 
 
 def _claim33(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
@@ -486,23 +481,27 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
     """Merge + interval checks over every split n1 >= n2 >= k+2 of n-2.
 
     The residual forest is empty throughout (the two paths carry all of
-    n-2), so every split merges into the same join (n-k-3, k+1): each
-    pre-merge join and that one post-merge join are solved and encoded
+    n-2), so every split merges into the same join (n-k-3, k+1). One
+    `hub_join_radii` batch encloses it and every pre-merge join; each
+    join is encoded once, and each pre-merge join solved for its vector
     once. Returns the lemma2 and claim33 reports interleaved per split.
-    An n with no split is refused; the first split's checks refuse a
-    negative k, or an n below the order threshold without `force`.
+    An n with no split, a negative k, or an n below the order threshold
+    without `force` is refused before anything is solved: the first
+    split's checks stand for all of them.
     """
     if n - 2 < 2 * (k + 2):
         raise ValueError(f"no split n1 >= n2 >= k+2 = {k + 2} of "
                          f"n-2 = {n - 2}")
+    splits = [(n - 2 - n2, n2) for n2 in range(k + 2, (n - 2) // 2 + 1)]
+    outside = _validate_merge(n, k, *splits[0], (), force)
+    merged = _merged_parts(k, *splits[0], ())
+    after, *befores = hub_join_radii([merged, *splits], True, tol)
+    after_g6 = graph6_from_edges(n, join_edges(merged, True))
     reports = []
-    post = None
-    for n2 in range(k + 2, (n - 2) // 2 + 1):
-        n1 = n - 2 - n2
-        pre = _pre_merge(n, k, n1, n2, (), tol, force)
-        if post is None:
-            post = _solved_join(_merged_parts(k, n1, n2, ()), True, tol)
-        reports.append(_lemma2(n, k, n1, n2, (), tol, pre, post))
+    for (n1, n2), before in zip(splits, befores):
+        pre = (outside, *_solved_join([n1, n2], True, tol))
+        reports.append(_lemma2(n, k, n1, n2, (), tol, pre, before, after,
+                               after_g6))
         reports.append(_claim33(n, k, n1, n2, (), tol, pre)[0])
     return reports
 

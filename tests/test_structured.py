@@ -23,9 +23,8 @@ from spexplanar import (ConvergenceError, argmax_sweep, complete_bipartite,
                         recognize_hub_join, spectral_radius, to_graph6)
 from spexplanar import spectral
 from spexplanar.cli import main
-from spexplanar.verify import (lemma1_sweep, lemma2_sweep, verify_claim33,
-                               verify_entry_bounds, verify_lemma1,
-                               verify_lemma2)
+from spexplanar.verify import (lemma1_sweep, verify_claim33,
+                               verify_entry_bounds, verify_lemma1)
 from spexplanar.spectral import adjacency_matrix
 
 import oracles
@@ -191,12 +190,14 @@ def test_max_iterations_caps_the_root_finder_too(monkeypatch, capsys):
     assert_every_entry_point_raises((9, 4, 2), True, capsys)
 
 
-def test_batched_radii_match_single_solves_bit_for_bit(monkeypatch):
-    monkeypatch.setattr(spectral, "BATCH_ROWS", 7)
+def test_batched_radii_match_single_solves_bit_for_bit():
     forests = [lf.parts for a in range(4) for lf in enumerate_lna(24, a)]
     for hub_edge in (True, False):
         rows = hub_join_radii(forests, hub_edge)
         assert len(rows) == len(forests)
+        # a row's bits do not depend on the rows batched with it
+        assert hub_join_radii(forests[0::2], hub_edge) == rows[0::2]
+        assert hub_join_radii(forests[1::2], hub_edge) == rows[1::2]
         for parts, row in zip(forests, rows):
             rho, lo, hi, steps = row
             assert hub_join_radii([parts], hub_edge) == [row]
@@ -528,8 +529,8 @@ def test_an_enclosure_wider_than_tol_raises():
 
 
 def test_the_vector_stage_runs_no_enclosure(monkeypatch, capsys):
-    # entry bounds, claim33, lemma2 and --emit-vector read Perron entries
-    # and keep their residual gate, with no enclosure besides
+    # entry bounds, claim33 and --emit-vector read Perron entries and keep
+    # their residual gate, with no enclosure besides
     def enclosure(*args):
         raise AssertionError("an enclosure ran")
 
@@ -537,8 +538,6 @@ def test_the_vector_stage_runs_no_enclosure(monkeypatch, capsys):
         monkeypatch.setattr(spectral, name, enclosure)
     verify_entry_bounds(22, [16, 3, 1])
     verify_claim33(300, 0, 149, 149)
-    verify_lemma2(300, 0, 160, 138, [])
-    lemma2_sweep(40, 0, force=True)
     assert main(["rho", "k2+[150,60,47]", "--emit-vector"]) == 0
     assert main(["rho", "k2+[2,1]", "--emit-vector"]) == 0
     capsys.readouterr()

@@ -51,21 +51,28 @@ def shifted_radii(monkeypatch, shift):
     monkeypatch.setattr(verify, "hub_join_radii", moved)
 
 
+def radius_comparisons():
+    """lemma1, lemma1_pair, argmax and lemma2 (one instance, one sweep
+    report): the reports that compare spectral radii."""
+    return [verify_lemma1(40, 2, 1, [34, 2, 2], [36, 2]),
+            lemma1_sweep(40)[1], argmax_sweep(30, 0, 3, force=True).report,
+            verify_lemma2(300, 0, 160, 138),
+            lemma2_sweep(40, 0, force=True)[0]]
+
+
 def test_radius_comparisons_are_decided_on_enclosures(monkeypatch):
-    # lemma1, lemma1_pair and argmax prove their order on the enclosures:
-    # overlapping ones decide nothing, reversed ones prove a violation,
-    # and the float margins stay what they were
-    base = [verify_lemma1(40, 2, 1, [34, 2, 2], [36, 2]),
-            lemma1_sweep(40)[1], argmax_sweep(30, 0, 3, force=True).report]
-    assert [r.holds for r in base] == ["certified"] * 3
+    # lemma1, lemma1_pair, argmax and lemma2 prove their order on the
+    # enclosures: overlapping ones decide nothing, reversed ones prove a
+    # violation, and the float margins stay what they were
+    base = radius_comparisons()
+    assert [r.holds for r in base] == ["certified"] * 5
+    assert base[4].check_id == "lemma2"
     shifted_radii(monkeypatch, lambda parts: (-1.0, 1.0))
-    wide = [verify_lemma1(40, 2, 1, [34, 2, 2], [36, 2]),
-            lemma1_sweep(40)[1], argmax_sweep(30, 0, 3, force=True).report]
-    assert [r.holds for r in wide] == ["indeterminate"] * 3
-    assert [r.margins["rho_max"] for r in wide[2:]] == [
-        r.margins["rho_max"] for r in base[2:]]
-    for b, w in zip(base[:2], wide[:2]):
-        assert w.margins == b.margins
+    wide = radius_comparisons()
+    assert [r.holds for r in wide] == ["indeterminate"] * 5
+    assert wide[2].margins["rho_max"] == base[2].margins["rho_max"]
+    for i in (0, 1, 3, 4):
+        assert wide[i].margins == base[i].margins
     assert len(wide[2].params["ties"]) == wide[2].params["candidates"]
     monkeypatch.undo()
     # the family with fewer parts pushed below the other one
@@ -73,6 +80,13 @@ def test_radius_comparisons_are_decided_on_enclosures(monkeypatch):
                   else (0.0, 0.0))
     assert verify_lemma1(40, 2, 1, [34, 2, 2], [36, 2]).holds == "violated"
     assert lemma1_sweep(40)[1].holds == "violated"
+    monkeypatch.undo()
+    # the merged join pushed below the pre-merge one: with k = 0 and no
+    # residual forest, only the merged join has a part of order 1
+    shifted_radii(monkeypatch, lambda parts: (-1.0, -1.0) if 1 in parts
+                  else (0.0, 0.0))
+    assert verify_lemma2(300, 0, 160, 138).holds == "violated"
+    assert lemma2_sweep(40, 0, force=True)[0].holds == "violated"
 
 
 def test_lemma1_preconditions():
@@ -259,25 +273,51 @@ def test_lemma2_sweep_interleaves_reports():
                       (12, 6), (11, 7), (10, 8), (9, 9)]
 
 
-def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
-    from spexplanar import verify
-    solved, encoded = [], []
-    solve, encode = verify.hub_join_spectrum, verify.graph6_from_edges
+def counting_vector_stage(monkeypatch):
+    """Record the (parts, hub_edge) of every vector-stage solve."""
+    from spexplanar import spectral
+    solved = []
+    solve = spectral._hub_join_spectrum
 
     def counting_solve(parts, hub_edge, tol):
         solved.append((tuple(parts), hub_edge))
         return solve(parts, hub_edge, tol)
 
+    monkeypatch.setattr(spectral, "_hub_join_spectrum", counting_solve)
+    return solved
+
+
+def test_lemma2_reads_the_vector_of_the_pre_merge_join_alone(monkeypatch):
+    solved = counting_vector_stage(monkeypatch)
+    rep = verify_lemma2(300, 0, 150, 100, [1, 47])
+    assert rep.holds == "certified"
+    assert solved == [((150, 100, 1, 47), True)]
+
+
+def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
+    from spexplanar import verify
+    encoded, enclosed = [], []
+    encode, radii = verify.graph6_from_edges, verify.hub_join_radii
+
     def counting_encode(n, edges):
         encoded.append(encode(n, edges))
         return encoded[-1]
 
-    monkeypatch.setattr(verify, "hub_join_spectrum", counting_solve)
+    def counting_radii(forests, hub_edge, tol):
+        enclosed.append([tuple(parts) for parts in forests])
+        return radii(forests, hub_edge, tol)
+
+    solved = counting_vector_stage(monkeypatch)
     monkeypatch.setattr(verify, "graph6_from_edges", counting_encode)
+    monkeypatch.setattr(verify, "hub_join_radii", counting_radii)
     reports = lemma2_sweep(20, 0, force=True)
-    # 8 pre-merge joins plus the one post-merge join (16, 1) they share
-    assert len(solved) == len(set(solved)) == 9
+    # 8 pre-merge joins are solved for their vectors; they and the one
+    # post-merge join (17, 1) they share are encoded once each, and
+    # enclosed in one batch
+    assert len(solved) == len(set(solved)) == 8
+    assert (17, 1) not in {parts for parts, _ in solved}
     assert len(encoded) == len(set(encoded)) == 9
+    assert enclosed == [[(17, 1)] + [(18 - n2, n2) for n2 in range(2, 10)]]
     monkeypatch.undo()
     singles = []
     for n2 in range(2, 10):
