@@ -34,8 +34,8 @@ import sys
 from typing import Optional
 
 from . import gridconfig
-from .cycles import (SearchBudgetExceeded, cycle_spectrum, in_gnk,
-                     DEFAULT_BUDGET)
+from .cycles import (SearchBudgetExceeded, cycle_spectrum, hub_join_member,
+                     in_gnk, DEFAULT_BUDGET)
 from .families import (LinearForest, build_linear_forest, extremal_forest,
                        k2_join, complete_bipartite, complete_graph,
                        cycle_graph, path_graph, recognize_hub_join)
@@ -193,8 +193,12 @@ def cmd_spectrum(a: argparse.Namespace) -> int:
 
 
 def cmd_member(a: argparse.Namespace) -> int:
-    g = load_graph(a.graph)
-    member, witness = in_gnk(g, a.k, budget=a.budget)
+    # a join string is answered from its part list, with no graph built
+    forest = parse_join(a.graph)
+    if forest is not None:
+        member, witness = hub_join_member(forest.parts, True, a.k)
+    else:
+        member, witness = in_gnk(load_graph(a.graph), a.k, budget=a.budget)
     _emit({"member": member, "witness": witness})
     return 0
 

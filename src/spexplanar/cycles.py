@@ -29,10 +29,13 @@ first, so `in_gnk` after `cycle_spectrum` of the same graph searches
 nothing. A budget outcome is not memoized.
 
 Hub joins, two hubs over a linear forest with or without the hub edge,
-get a constructive fast path: such a graph has every cycle length from 3
-up to n1+n2+2 (two largest path orders plus the hubs) and nothing longer,
-except that K_{2,m} (no hub edge, no forest edge) has length 4 only. The
-certificate is written down directly instead of searched for.
+need no search. Their cycle lengths are exactly `hub_cycle_lengths`:
+every length from 3 up to n1+n2+2 (two largest path orders plus the
+hubs), except that K_{2,m} (no hub edge, no forest edge) starts at 4 and
+so has length 4 only. `cycle_spectrum` writes each certificate down
+directly (`hub_forest_cycle`), and membership is read off that range in
+O(number of parts) (`hub_join_member`): `in_gnk` on a recognized join
+builds no certificate.
 """
 
 from __future__ import annotations
@@ -260,23 +263,50 @@ def _search_anchor(g: Graph, alive: bytearray, s: int, want: set[int],
 # --- constructive certificates for hub joins ---------------------------------
 
 
+def hub_cycle_lengths(n1: int, n2: int, hub_edge: bool) -> range:
+    """The cycle lengths of a hub join whose two longest paths have n1 and
+    n2 vertices (n2 = 0 for a single path): exactly first..last, where
+    last = n1 + n2 + 2 and first = 3, except first = 4 for K_{2,m} (no hub
+    edge and every part a singleton). `hub_forest_cycle` constructs a
+    cycle of each of these lengths; none is longer, since a cycle meets
+    the forest in at most two segments, one per pass between the hubs."""
+    return range(3 if hub_edge or n1 > 1 else 4, n1 + n2 + 3)
+
+
+def hub_join_member(parts: Sequence[int], hub_edge: bool,
+                    k: int) -> tuple[bool, Optional[int]]:
+    """`in_gnk` of the hub join of `parts` (longest first), read off
+    `hub_cycle_lengths` in O(len(parts)): the join misses length 3 when
+    its lengths start at 4, else it misses last + 1 when that is at most
+    n - k, else nothing in [3, n - k]."""
+    n = sum(parts) + 2
+    _check_k(n, k)
+    lengths = hub_cycle_lengths(parts[0], parts[1] if len(parts) > 1 else 0,
+                                hub_edge)
+    if lengths.start > 3:
+        return True, 3
+    if lengths.stop <= n - k:
+        return True, lengths.stop
+    return False, None
+
+
 def hub_forest_cycle(hub1: int, hub2: int, paths: list[list[int]],
                      ell: int, hub_edge: bool = True) -> Optional[list[int]]:
     """Cycle of length `ell` in the hub join over `paths` (longest first);
-    None when the join has no such cycle.
+    None when `ell` is not in `hub_cycle_lengths`.
 
     With the hub edge the cycle runs through both hubs and prefixes of the
-    two longest paths (the second possibly empty), for 3 <= ell <= n1+n2+2.
-    Without it, length 3 is a hub plus a forest edge, and length ell >= 4
-    takes two non-empty segments: prefixes of the two longest paths, or two
-    consecutive pieces of a single path.
+    two longest paths (the second possibly empty). Without it, length 3 is
+    a hub plus a forest edge, and length ell >= 4 takes two non-empty
+    segments: prefixes of the two longest paths, or two consecutive pieces
+    of a single path.
     """
     n1 = len(paths[0])
     n2 = len(paths[1]) if len(paths) > 1 else 0
-    if ell < 3 or ell > n1 + n2 + 2:
+    if ell not in hub_cycle_lengths(n1, n2, hub_edge):
         return None
     if ell == 3 and not hub_edge:
-        return [hub1] + paths[0][:2] if n1 >= 2 else None
+        return [hub1] + paths[0][:2]
     a = min(n1, ell - 2 if hub_edge else ell - 3)
     second = paths[1] if n2 else paths[0][a:]
     return [hub1] + paths[0][:a] + [hub2] + second[:ell - 2 - a]
@@ -370,25 +400,33 @@ def _cycle_records(g: Graph, ell_max: int, budget: int,
         yield CycleRecord(ell, "absent" if cyc is None else "present", cyc)
 
 
+def _check_k(n: int, k: int) -> None:
+    if not 0 <= k <= n - 3:
+        raise ValueError(f"need 0 <= k <= n-3 = {n - 3}, got k={k}")
+
+
 def in_gnk(g: Graph, k: int,
            budget: int = DEFAULT_BUDGET) -> tuple[bool, Optional[int]]:
     """Does g miss some cycle length in [3, n-k]? (planar inputs only)
 
     Returns (member, witness): witness is the smallest missing length when
-    member is True. Non-planar input is rejected; a budget outcome at any
-    length that could still be the witness raises SearchBudgetExceeded.
-    Lengths are settled in order, each read from the graph's memo or, when
-    not yet settled there, by `find_cycle` (so after `cycle_spectrum` of the
-    same graph nothing is searched), and the walk stops at the first absent
-    or unsettled one. A recognized hub join skips the planarity test: it is
-    a spanning subgraph of K2 + P_{n-2}, which is maximal planar.
+    member is True. A recognized hub join is answered by `hub_join_member`
+    from its part lengths: no certificate, no search, and no planarity
+    test (it is a spanning subgraph of K2 + P_{n-2}, which is maximal
+    planar). Any other non-planar input is rejected. Otherwise lengths are
+    settled in order, each read from the graph's memo or, when not yet
+    settled there, by `find_cycle` (so after `cycle_spectrum` of the same
+    graph nothing is searched), and the walk stops at the first absent or
+    unsettled one; a budget outcome at a length that could still be the
+    witness raises SearchBudgetExceeded.
     """
-    if not 0 <= k <= g.n - 3:
-        raise ValueError(f"need 0 <= k <= n-3 = {g.n - 3}, got k={k}")
     hub = recognize_hub_join(g)
-    if hub is None and not is_planar(g):
+    if hub is not None:
+        return hub_join_member([len(p) for p in hub[2]], hub[3], k)
+    _check_k(g.n, k)
+    if not is_planar(g):
         raise ValueError("membership is defined for planar graphs only")
-    for rec in _cycle_records(g, g.n - k, budget, hub):
+    for rec in _cycle_records(g, g.n - k, budget, None):
         if rec.status == "absent":
             return True, rec.ell
         if rec.status == "budget":

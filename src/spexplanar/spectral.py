@@ -68,7 +68,6 @@ scaled by rho^i): a margin within it is indeterminate, never rounded.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Sequence
@@ -182,7 +181,10 @@ def _dense_solve(g: Graph, tol: float) -> SpectralResult:
 
 def _part_groups(parts: Sequence[int]) -> list[tuple[int, int]]:
     """One forest's (path order, count) pairs, longest path first."""
-    return sorted(Counter(parts).items(), reverse=True)
+    counts: dict[int, int] = {}
+    for p in parts:
+        counts[p] = counts.get(p, 0) + 1
+    return sorted(counts.items(), reverse=True)
 
 
 def _part_matrix(groups: Sequence[Sequence[tuple[int, int]]]

@@ -311,6 +311,47 @@ def test_member_non_member(capsys):
     assert json.loads(out) == {"member": False, "witness": None}
 
 
+def test_member_answers_a_join_string_without_building_it(capsys,
+                                                          monkeypatch):
+    from spexplanar import cli
+
+    def refuse(arg):
+        raise AssertionError(f"load_graph({arg!r})")
+
+    monkeypatch.setattr(cli, "load_graph", refuse)
+    for argv, want in (
+            (("k2+[16000,8000,7998]", "--k", "0"), (True, 24003)),
+            (("extremal(10,1)", "--k", "1"), (True, 9)),
+            (("K2+[6]", "--k", "0"), (False, None)),
+            # above the size ceiling: answered from the parts, as rho is
+            (("extremal(100000000,0)", "--k", "0"), (True, 100000000))):
+        code, out, _ = run(capsys, "member", *argv)
+        assert code == 0
+        member, witness = want
+        assert json.loads(out) == {"member": member, "witness": witness}
+
+
+@pytest.mark.parametrize("join", ["k2+[1]", "k2+[2]", "k2+[1,1]", "k2+[3,1]",
+                                  "k2+[4,4]", "k2+[5,2,1]", "k2+[1,1,1,1]",
+                                  "extremal(12,1)"])
+def test_member_of_a_join_string_matches_its_graph6(capsys, join):
+    # K3, K4 and K2 + 2K1 are joins the recognizer does not tell apart:
+    # their graph6 goes through the search, with the same answer
+    code, g6, _ = run(capsys, "build", join)
+    assert code == 0
+    n = from_graph6(g6.strip()).n
+    for k in range(-1, n - 1):
+        assert (run(capsys, "member", join, "--k", str(k))
+                == run(capsys, "member", g6.strip(), "--k", str(k)))
+
+
+def test_member_of_a_join_string_checks_k(capsys):
+    for k in ("9", "-1"):
+        code, out, err = run(capsys, "member", "k2+[3,1]", "--k", k)
+        assert code == 2 and out == ""
+        assert err == f"error: need 0 <= k <= n-3 = 3, got k={k}\n"
+
+
 def test_member_budget_exhaustion_exits_one(capsys):
     # an odd cycle, so length 3 takes a search (in a bipartite graph such
     # as C30 it is absent without one)

@@ -11,7 +11,8 @@ from spexplanar import (Graph, SearchBudgetExceeded, complete_bipartite,
                         extremal_graph, find_cycle, from_edges, from_graph6,
                         in_gnk, k2_join, path_graph,
                         recognize_hub_join, to_graph6, validate_cycle)
-from spexplanar.cycles import DEFAULT_BUDGET, hub_forest_cycle
+from spexplanar import cycles
+from spexplanar.cycles import DEFAULT_BUDGET, hub_forest_cycle, hub_join_member
 from spexplanar.families import (LinearForest, enumerate_lna, extremal_forest,
                                  join_with_paths)
 
@@ -362,10 +363,12 @@ def test_in_gnk_rejects_bad_input():
         with pytest.raises(ValueError,
                            match="membership is defined for planar graphs"):
             in_gnk(g, 0)
-    with pytest.raises(ValueError, match="0 <= k <= n-3"):
-        in_gnk(cycle_graph(6), 4)
-    with pytest.raises(ValueError, match="0 <= k <= n-3"):
-        in_gnk(cycle_graph(6), -1)
+    # a recognized join is checked by the closed form, with the same message
+    for g in (cycle_graph(6), k2_join([3, 1])):
+        with pytest.raises(ValueError, match="0 <= k <= n-3"):
+            in_gnk(g, 4)
+        with pytest.raises(ValueError, match="0 <= k <= n-3"):
+            in_gnk(g, -1)
 
 
 def test_in_gnk_stops_at_the_first_absent_length(monkeypatch):
@@ -399,6 +402,60 @@ def test_in_gnk_skips_planarity_on_hub_joins(monkeypatch):
     assert tested == []
     assert in_gnk(cycle_graph(6), 0) == (True, 3)
     assert tested == [6]
+
+
+def _walk(g, k, budget=DEFAULT_BUDGET):
+    """in_gnk's length-by-length search walk, with the recognizer bypassed."""
+    for rec in cycles._cycle_records(g, g.n - k, budget, None):
+        if rec.status == "budget":
+            raise SearchBudgetExceeded(rec.ell, budget)
+        if rec.status == "absent":
+            return True, rec.ell
+    return False, None
+
+
+def test_join_membership_matches_the_search_walk():
+    # every join of forest order 1..10, both hub states, every k: the
+    # closed form, alone and through in_gnk on the built join, gives the
+    # first absent length of the search
+    cases, witnesses = 0, set()
+    for m in range(1, 11):
+        for a in range(m):
+            for lf in enumerate_lna(m + 2, a):
+                for hub_edge in (True, False):
+                    g = k2_join(lf, dominating_edge=hub_edge)
+                    for k in range(m):
+                        want = _walk(g, k)
+                        assert hub_join_member(lf.parts, hub_edge, k) == want
+                        assert in_gnk(g, k) == want, (lf.parts, hub_edge, k)
+                        cases += 1
+                        if not hub_edge and lf.parts[0] == 1:
+                            witnesses.add(want[1])  # K_{2,m}: no triangle
+    assert cases == 2212
+    assert witnesses == {3}
+    # without the hub edge the search exhausts its budget on the Hamiltonian
+    # length 80, which the closed form settles as absent
+    g = k2_join([76, 1, 1], dominating_edge=False)
+    for k in range(1, 78):
+        assert hub_join_member((76, 1, 1), False, k) == _walk(g, k) \
+            == (False, None)
+    assert hub_join_member((76, 1, 1), False, 0) == (True, 80)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        _walk(g, 0, budget=10 ** 5)
+    assert exc.value.ell == 80
+
+
+def test_in_gnk_on_a_recognized_join_constructs_and_searches_nothing(
+        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no certificate and no search on a join")
+
+    for name in ("hub_forest_cycle", "find_cycle", "_search"):
+        monkeypatch.setattr(cycles, name, refuse)
+    assert in_gnk(extremal_graph(2051, 3), 3) == (True, 2048)
+    assert in_gnk(k2_join([76, 1, 1], dominating_edge=False), 0) == (True, 80)
+    assert in_gnk(complete_bipartite(2, 7), 0) == (True, 3)
+    assert in_gnk(k2_join([6]), 0) == (False, None)
 
 
 def test_in_gnk_budget_propagates():
