@@ -41,19 +41,22 @@ A hub join is solved from its part list in one or two stages:
   it raises ConvergenceError. It costs O(n), and only `hub_join_spectrum`
   and `spectral_radius` run it, with no enclosure.
 
-Newton's root and the enclosure each come in two versions, picked by row
-count alone. One row takes the scalar loops `_secular_root` and
-`_enclose_root` in Python floats, more rows (all of a call in one batch)
-the numpy `_secular_roots` and `_enclose_roots`. Each pair does the same
-IEEE operations in the same order (math.sqrt and math.nextafter round
-like np.sqrt and np.nextafter; a batch's zero-count padding adds an
-exact +0.0 to Newton's sums and is skipped in the enclosure's), so the
-two return the same rho, Newton steps, lo and hi bit for bit. Below
-SECULAR_ORDER both stages build the join and let `spectral_radius` pick
-the engine, and the root stage encloses that rho by Collatz-Wielandt
-bounds on its Perron vector; from SECULAR_ORDER on every join is
-recognized. So every entry point gives a join the same rho and Newton
-steps bit for bit, and every root-stage entry point the same enclosure.
+Each formula of the root stage is written once: f with f' (`_secular`)
+and the outward-rounded bound on f (`_secular_bound`). Each kernel is
+generic in its number type: Python floats for one join (`_Floats`), float
+arrays with one entry per join for a batch (`_Arrays`). The type supplies
+only sqrt, nextafter, max, a select (for a batch's zero-count padding)
+and u^m by repeated squaring; math.sqrt and math.nextafter round like
+np.sqrt and np.nextafter, so a join gets the same bits alone and in any
+batch. Two drivers hold the control flow, picked by row count alone: one
+row takes `_secular_root` and `_enclose_root`, more rows (all of a call
+in one batch) `_secular_roots` and `_enclose_roots`. They return the same
+rho, Newton steps, lo and hi bit for bit. Below SECULAR_ORDER both
+stages build the join and let `spectral_radius` pick the engine, and the
+root stage encloses that rho by Collatz-Wielandt bounds on its Perron
+vector; from SECULAR_ORDER on every join is recognized. So every entry
+point gives a join the same rho and Newton steps bit for bit, and every
+root-stage entry point the same enclosure.
 
 One function gives every verdict, `enclosure_verdict(lo, hi)` on an
 interval [lo, hi] that holds a margin: certified when lo > 0, violated
@@ -170,13 +173,18 @@ def _dense_solve(g: Graph, tol: float) -> SpectralResult:
 
 # --- the secular engine for hub joins ----------------------------------------
 #
-# A batch is a pair of int arrays (m, cnt) of shape (B, P): one forest per
-# row, its distinct path orders in decreasing order and how many paths have
-# each, zero-padded (a zero count adds nothing). Grouping equal orders
+# Each formula is written once, over a forest's groups: its distinct path
+# orders in decreasing order, each with how many paths have it (grouping
 # keeps the sum over paths short, so its rounding stays far below tol on
-# forests of thousands of paths. Only +, -, *, / and sqrt act on a row,
-# each elementwise, and the columns are summed left to right, so a row's
-# result does not depend on the batch it is computed in.
+# forests of thousands of paths). One forest's groups are int pairs
+# (`_part_groups`) and its values Python floats (`_Floats`). A batch is a
+# pair of int arrays (m, cnt) of shape (B, P), one forest per row,
+# zero-padded (`_part_matrix`); its groups are the columns (`_columns`)
+# and its values float arrays of shape (B,) (`_Arrays`). Only +, -, *, /
+# and sqrt act on a value, each elementwise and correctly rounded in both
+# types, and the groups are summed left to right, so a forest's result
+# does not depend on the batch it is computed in, nor on whether it is
+# computed alone.
 
 
 def _part_groups(parts: Sequence[int]) -> list[tuple[int, int]]:
@@ -196,48 +204,81 @@ def _part_matrix(groups: Sequence[Sequence[tuple[int, int]]]
     return m, cnt
 
 
-def _exponent_bits(expo: np.ndarray) -> np.ndarray:
-    """The binary digits of integer exponents expo >= 0, lowest first: one
-    boolean mask of expo's shape per digit, for `_ipow`."""
-    digits = np.arange(int(expo.max()).bit_length())
-    return (expo >> digits[:, None, None]) & 1 == 1
+def _columns(m: np.ndarray, cnt: np.ndarray
+             ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A batch's groups: the columns of (m, cnt), longest path first."""
+    return list(zip(m.T, cnt.T))
 
 
-def _ipow(base: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """base ** expo by repeated squaring, from the digits of expo
-    (`_exponent_bits`); a digit mask that is all False changes nothing."""
-    out = np.ones(np.broadcast_shapes(base.shape, bits.shape[1:]))
-    for bit in bits:
-        out = np.where(bit, out * base, out)
-        base = base * base
-    return out
+class _Floats:
+    """The number type of one forest: Python floats."""
+
+    sqrt = staticmethod(math.sqrt)
+    nextafter = staticmethod(math.nextafter)
+    max = staticmethod(max)
+
+    @staticmethod
+    def select(keep, a, b):
+        return a if keep else b
+
+    @staticmethod
+    def pow(base, expo, rnd=None):
+        """base ** expo by repeated squaring, `rnd` (if given) applied to
+        each product."""
+        out = 1.0
+        while expo:
+            if expo & 1:
+                out = out * base if rnd is None else rnd(out * base)
+            base = base * base if rnd is None else rnd(base * base)
+            expo >>= 1
+        return out
 
 
-def _secular(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray, e: float,
-             bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f(rho) and f'(rho) per row, for rho > 2.
+class _Arrays:
+    """The number type of a batch: float arrays with one entry per row.
+    np.sqrt and np.nextafter round like math.sqrt and math.nextafter."""
+
+    sqrt = staticmethod(np.sqrt)
+    nextafter = staticmethod(np.nextafter)
+    max = staticmethod(np.maximum)
+    select = staticmethod(np.where)
+
+    @staticmethod
+    def pow(base, expo, rnd=None):
+        """`_Floats.pow` per row, to that row's exponent: a digit above a
+        row's highest leaves its power as it is."""
+        out = np.ones_like(base)
+        for digit in range(int(expo.max()).bit_length()):
+            prod = out * base if rnd is None else rnd(out * base)
+            out = np.where((expo >> digit) & 1 == 1, prod, out)
+            base = base * base if rnd is None else rnd(base * base)
+        return out
+
+
+def _secular(groups, rho, e: float, num):
+    """f(rho) and f'(rho), for rho > 2, of a forest (or batch) given as its
+    groups, in number type `num` (section comment).
 
     Per path of order m, with D = 1 + u^(m+1) and z = (rho I - A)^{-1} 1:
     S_m = 1'z = [m - W1] / (rho - 2) and z'z = [m - 2 W1 + W2] / (rho - 2)^2,
     where W1 = 2(1 - u^m)/((t - 1) D) is sum_i w_i / D and W2 is
     sum_i w_i^2 / D^2, for w_i = u^i + u^(m+1-i). f' = 1 + 2 sum_j z'z.
-    `bits` holds the digits of m (`_exponent_bits`).
+    A batch's zero-count padding adds an exact +0.0 to both sums.
     """
-    r = rho[:, None]
-    t = (r + np.sqrt(r * r - 4.0)) / 2.0
+    t = (rho + num.sqrt(rho * rho - 4.0)) / 2.0
     u = 1.0 / t
-    um = _ipow(u, bits)
-    d = 1.0 + um * u
-    c = 1.0 / (r - 2.0)
-    w1 = 2.0 * (1.0 - um) / ((t - 1.0) * d)
-    w2 = (2.0 * u * u * (1.0 - um * um) / (1.0 - u * u)
-          + 2.0 * m * um * u) / (d * d)
-    s = cnt * (c * (m - w1))
-    q = cnt * (c * c * (m - 2.0 * w1 + w2))
-    s_sum, q_sum = s[:, 0], q[:, 0]
-    for j in range(1, m.shape[1]):
-        s_sum = s_sum + s[:, j]
-        q_sum = q_sum + q[:, j]
+    c = 1.0 / (rho - 2.0)
+    # the factors that do not depend on m, once: each is the same float
+    # that the per-path formulas below would round it to
+    t1, u2, v2, c2 = t - 1.0, 2.0 * u * u, 1.0 - u * u, c * c
+    s_sum = q_sum = 0.0  # 0.0 + x is x for the first group's terms
+    for m, k in groups:
+        um = num.pow(u, m)
+        d = 1.0 + um * u
+        w1 = 2.0 * (1.0 - um) / (t1 * d)
+        w2 = (u2 * (1.0 - um * um) / v2 + 2.0 * m * um * u) / (d * d)
+        s_sum = s_sum + k * (c * (m - w1))
+        q_sum = q_sum + k * (c2 * (m - 2.0 * w1 + w2))
     return rho - e - 2.0 * s_sum, 1.0 + 2.0 * q_sum
 
 
@@ -256,12 +297,11 @@ def _secular_roots(m: np.ndarray, cnt: np.ndarray, e: float
     rho = (e + np.sqrt(e * e + 8.0 * (m * cnt).sum(axis=1))) / 2.0
     steps = np.zeros(len(rho), dtype=np.int64)
     active = np.ones(len(rho), dtype=bool)
-    bits = _exponent_bits(m)
     for _ in range(NEWTON_CAP):
         rows = np.flatnonzero(active)
         if not len(rows):
             break
-        f, df = _secular(m[rows], cnt[rows], rho[rows], e, bits[:, rows])
+        f, df = _secular(_columns(m[rows], cnt[rows]), rho[rows], e, _Arrays)
         step = f / df
         rho[rows] = rho[rows] - step
         steps[rows] += 1
@@ -270,41 +310,15 @@ def _secular_roots(m: np.ndarray, cnt: np.ndarray, e: float
     return rho, steps
 
 
-def _secular_at(groups: Sequence[tuple[int, int]], rho: float, e: float
-                ) -> tuple[float, float]:
-    """f(rho) and f'(rho) of one forest given as its (path order, count)
-    pairs (`_part_groups`), in Python floats: `_secular` on a batch of
-    that one row, bit for bit, by the same operations in the same order
-    (u^m by the same repeated squaring)."""
-    t = (rho + math.sqrt(rho * rho - 4.0)) / 2.0
-    u = 1.0 / t
-    c = 1.0 / (rho - 2.0)
-    s_sum = q_sum = 0.0  # 0.0 + x is x for the first group's terms
-    for m, k in groups:
-        um, base, digits = 1.0, u, m
-        while digits:
-            if digits & 1:
-                um = um * base
-            base = base * base
-            digits >>= 1
-        d = 1.0 + um * u
-        w1 = 2.0 * (1.0 - um) / ((t - 1.0) * d)
-        w2 = (2.0 * u * u * (1.0 - um * um) / (1.0 - u * u)
-              + 2.0 * m * um * u) / (d * d)
-        s_sum = s_sum + k * (c * (m - w1))
-        q_sum = q_sum + k * (c * c * (m - 2.0 * w1 + w2))
-    return rho - e - 2.0 * s_sum, 1.0 + 2.0 * q_sum
-
-
 def _secular_root(groups: Sequence[tuple[int, int]], e: float
                   ) -> tuple[float, int]:
     """(rho, Newton steps) of one forest: `_secular_roots` on a batch of
-    that one row, bit for bit, with `_secular_at` for `_secular` and the
-    same start and stopping rule (NEWTON_STOP and NEWTON_CAP included)."""
+    that one row, bit for bit, with `_secular` in `_Floats` and the same
+    start and stopping rule (NEWTON_STOP and NEWTON_CAP included)."""
     rho = (e + math.sqrt(e * e + 8.0 * sum(m * k for m, k in groups))) / 2.0
     steps = 0
     for _ in range(NEWTON_CAP):
-        f, df = _secular_at(groups, rho, e)
+        f, df = _secular(groups, rho, e, _Floats)
         step = f / df
         rho = rho - step
         steps += 1
@@ -416,11 +430,10 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
 # --- the root stage's enclosure -----------------------------------------------
 
 
-def _secular_bound_at(groups: Sequence[tuple[int, int]], rho: float,
-                      e: float, toward: float) -> float:
-    """A bound on f(rho), for a float rho > 2, of one forest given as its
-    (path order, count) pairs: an upper bound for `toward` -inf, a lower
-    one for +inf.
+def _secular_bound(groups, rho, e: float, toward: float, num):
+    """A bound on f(rho), for float rho > 2, of a forest (or batch) given as
+    its groups, in number type `num`: an upper bound for `toward` -inf, a
+    lower one for +inf.
 
     f is `_secular`'s. The path sums S_m are bounded toward `toward` (r)
     and f the other way (q): each rounded +, -, *, / and sqrt is followed
@@ -428,60 +441,27 @@ def _secular_bound_at(groups: Sequence[tuple[int, int]], rho: float,
     are exact), so each bound uses the ends of its operands' bounds that
     make it extreme, and u^m comes from repeated squaring of u's bound. A
     lower bound that falls below 0 for a positive quantity (u^m after
-    underflow, S_m) is still a lower bound. `_secular_bound` is this on a
-    batch, bit for bit.
+    underflow, S_m) is still a lower bound. A batch's zero-count padding
+    leaves the sum as it is.
     """
+    nextafter = num.nextafter
+
     def r(x):
-        return math.nextafter(x, toward)
+        return nextafter(x, toward)
 
     def q(x):
-        return math.nextafter(x, -toward)
+        return nextafter(x, -toward)
 
-    t_r = r(rho + r(math.sqrt(max(r(r(rho * rho) - 4.0), 0.0)))) / 2.0
-    t_q = q(rho + q(math.sqrt(max(q(q(rho * rho) - 4.0), 0.0)))) / 2.0
+    t_r = r(rho + r(num.sqrt(num.max(r(r(rho * rho) - 4.0), 0.0)))) / 2.0
+    t_q = q(rho + q(num.sqrt(num.max(q(q(rho * rho) - 4.0), 0.0)))) / 2.0
     u = r(1.0 / t_q)
     tm = r(t_r - 1.0)
     c = r(1.0 / q(rho - 2.0))
     s = 0.0
     for m, k in groups:
-        um, base, digits = 1.0, u, m
-        while digits:
-            if digits & 1:
-                um = r(um * base)
-            base = r(base * base)
-            digits >>= 1
+        um = num.pow(u, m, r)
         w1 = q(2.0 * q(1.0 - um) / r(tm * r(1.0 + r(um * u))))
-        s = r(s + r(k * r(c * r(m - w1))))
-    return q(q(rho - e) - 2.0 * s)
-
-
-def _secular_bound(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray,
-                   e: float, bits: np.ndarray, toward: float) -> np.ndarray:
-    """`_secular_bound_at` per row of a batch, bit for bit: the same
-    operations in the same order, with np.nextafter; a zero-count column
-    leaves the sum as it is."""
-    def r(x):
-        return np.nextafter(x, toward)
-
-    def q(x):
-        return np.nextafter(x, -toward)
-
-    x = rho[:, None]
-    t_r = r(x + r(np.sqrt(np.maximum(r(r(x * x) - 4.0), 0.0)))) / 2.0
-    t_q = q(x + q(np.sqrt(np.maximum(q(q(x * x) - 4.0), 0.0)))) / 2.0
-    u = r(1.0 / t_q)
-    tm = r(t_r - 1.0)
-    c = r(1.0 / q(x - 2.0))
-    um = np.ones(m.shape)
-    base = u
-    for bit in bits:
-        um = np.where(bit, r(um * base), um)
-        base = r(base * base)
-    w1 = q(2.0 * q(1.0 - um) / r(tm * r(1.0 + r(um * u))))
-    add = r(cnt * r(c * r(m - w1)))
-    s = np.zeros(len(rho))
-    for j in range(m.shape[1]):
-        s = np.where(cnt[:, j] > 0, r(s + add[:, j]), s)
+        s = num.select(k > 0, r(s + r(k * r(c * r(m - w1)))), s)
     return q(q(rho - e) - 2.0 * s)
 
 
@@ -495,15 +475,16 @@ def _check_width(lo: float, hi: float, rho: float, tol: float) -> None:
 def _enclose_root(groups: Sequence[tuple[int, int]], rho: float, e: float,
                   tol: float) -> tuple[float, float]:
     """(lo, hi) around one forest's Newton root `rho` with f(lo) < 0 < f(hi)
-    proven by `_secular_bound_at`: ENCLOSE_ULPS ulps of rho either side,
-    doubled until the signs hold, or ConvergenceError from `_check_width`.
-    `_enclose_roots` is this on a batch, bit for bit."""
+    proven by `_secular_bound` in `_Floats`: ENCLOSE_ULPS ulps of rho
+    either side, doubled until the signs hold, or ConvergenceError from
+    `_check_width`. `_enclose_roots` is this on a batch, bit for bit."""
     half = ENCLOSE_ULPS * math.ulp(rho)
     while True:
         lo, hi = rho - half, rho + half
         _check_width(lo, hi, rho, tol)
-        if (lo > 2.0 and _secular_bound_at(groups, lo, e, -math.inf) < 0.0
-                < _secular_bound_at(groups, hi, e, math.inf)):
+        if (lo > 2.0
+                and _secular_bound(groups, lo, e, -math.inf, _Floats) < 0.0
+                < _secular_bound(groups, hi, e, math.inf, _Floats)):
             return lo, hi
         half *= 2.0
 
@@ -514,7 +495,6 @@ def _enclose_roots(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray, e: float,
     the others double."""
     lo, hi = np.empty_like(rho), np.empty_like(rho)
     half = ENCLOSE_ULPS * np.spacing(rho)
-    bits = _exponent_bits(m)
     rows = np.arange(len(rho))
     # a row whose lo is at most 2 fails, as in the scalar loop, whatever
     # its (then meaningless) bounds come to
@@ -525,10 +505,10 @@ def _enclose_roots(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray, e: float,
             if wide.any():  # `_check_width`, row by row
                 raise ConvergenceError(float((b - a)[wide][0]), tol,
                                        "enclosure width")
-            sub = m[rows], cnt[rows]
+            cols = _columns(m[rows], cnt[rows])
             ok = ((a > 2.0)
-                  & (_secular_bound(*sub, a, e, bits[:, rows], -np.inf) < 0.0)
-                  & (_secular_bound(*sub, b, e, bits[:, rows], np.inf) > 0.0))
+                  & (_secular_bound(cols, a, e, -np.inf, _Arrays) < 0.0)
+                  & (_secular_bound(cols, b, e, np.inf, _Arrays) > 0.0))
             lo[rows[ok]], hi[rows[ok]] = a[ok], b[ok]
             rows = rows[~ok]
             half[rows] *= 2.0

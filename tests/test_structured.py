@@ -172,11 +172,11 @@ def test_residual_miss_raises_from_every_entry_point(monkeypatch, capsys):
     for miss in (1.0, math.nan):
         monkeypatch.setattr(spectral, "_join_residual",
                             lambda y, idx, part, rho, e: miss)
-        monkeypatch.setattr(spectral, "_secular_bound_at",
-                            lambda groups, rho, e, toward: miss)
+        # one kernel for both number types: a float rho gives the float
+        # miss, an array of rho an array of it
         monkeypatch.setattr(
             spectral, "_secular_bound",
-            lambda m, cnt, rho, e, bits, toward: np.full(len(rho), miss))
+            lambda groups, rho, e, toward, num: rho * 0.0 + miss)
         for hub_edge in (True, False):
             assert_every_entry_point_raises((6, 3, 1), hub_edge, capsys)
 
@@ -345,15 +345,16 @@ def test_scalar_secular_matches_the_batch_bit_for_bit():
     rng = random.Random(20261021)
     groups = seeded_groups()
     m, cnt = spectral._part_matrix(groups)
-    bits = spectral._exponent_bits(m)
+    cols = spectral._columns(m, cnt)
     for e in (0.0, 1.0):
         root, _ = spectral._secular_roots(m, cnt, e)
         for scale in (0.5, 0.9, 1.0, 1.3):
             rho = 2.0 + (root - 2.0) * scale * np.array(
                 [rng.uniform(0.99, 1.01) for _ in groups])
-            f, df = spectral._secular(m, cnt, rho, e, bits)
+            f, df = spectral._secular(cols, rho, e, spectral._Arrays)
             for i, grp in enumerate(groups):
-                assert spectral._secular_at(grp, float(rho[i]), e) == (
+                assert spectral._secular(
+                    grp, float(rho[i]), e, spectral._Floats) == (
                     f[i], df[i]), (grp, e, rho[i])
 
 
@@ -502,22 +503,23 @@ def test_scalar_secular_bound_matches_the_batch_bit_for_bit():
     rng = random.Random(20261022)
     groups = seeded_groups()
     m, cnt = spectral._part_matrix(groups)
-    bits = spectral._exponent_bits(m)
+    cols = spectral._columns(m, cnt)
+    arrays, floats = spectral._Arrays, spectral._Floats
     for e in (0.0, 1.0):
         root, _ = spectral._secular_roots(m, cnt, e)
         for scale in (0.5, 1.0, 1.3):
             rho = 2.0 + (root - 2.0) * scale * np.array(
                 [rng.uniform(0.99, 1.01) for _ in groups])
-            upper = spectral._secular_bound(m, cnt, rho, e, bits, -np.inf)
-            lower = spectral._secular_bound(m, cnt, rho, e, bits, np.inf)
-            f, _ = spectral._secular(m, cnt, rho, e, bits)
+            upper = spectral._secular_bound(cols, rho, e, -np.inf, arrays)
+            lower = spectral._secular_bound(cols, rho, e, np.inf, arrays)
+            f, _ = spectral._secular(cols, rho, e, arrays)
             assert np.all((lower <= f) & (f <= upper))
             for i, grp in enumerate(groups):
                 x = float(rho[i])
-                assert spectral._secular_bound_at(grp, x, e, -math.inf) == (
-                    upper[i]), (grp, e, x)
-                assert spectral._secular_bound_at(grp, x, e, math.inf) == (
-                    lower[i]), (grp, e, x)
+                assert spectral._secular_bound(
+                    grp, x, e, -math.inf, floats) == upper[i], (grp, e, x)
+                assert spectral._secular_bound(
+                    grp, x, e, math.inf, floats) == lower[i], (grp, e, x)
 
 
 def test_an_enclosure_wider_than_tol_raises():
