@@ -65,7 +65,9 @@ is decided on the float differences of their root-stage enclosures'
 ends: a proof, up to the correctness of IEEE rounding. Margins on Perron
 entries (claim33, entry bounds) have no enclosure yet and pass
 [margin - slack, margin + slack], slack 10 * tol (times rho^i on a band
-scaled by rho^i): a margin within it is indeterminate, never rounded.
+scaled by rho^i). In claim33 a margin within the slack is indeterminate;
+entry bounds have no indeterminate state yet and report such a margin
+certified.
 """
 
 from __future__ import annotations
@@ -535,18 +537,6 @@ def _small_join_radius(parts: Sequence[int], hub_edge: bool, tol: float
     hi = math.nextafter(float(max(ratios)), math.inf)
     _check_width(lo, hi, res.rho, tol)
     return res.rho, lo, hi, res.iterations
-
-
-def edge_quotient(edges: np.ndarray, x: np.ndarray) -> float:
-    """The Rayleigh quotient at x of the graph whose edges are the rows
-    (u, v) of `edges`. The terms x_u x_v are added to 0.0 one at a time in
-    row order (`np.cumsum` is sequential), so sorted rows give the bits of
-    a loop over `Graph.edges`."""
-    denom = float(x @ x)
-    if denom == 0.0:
-        raise ValueError("Rayleigh quotient of the zero vector is undefined")
-    terms = np.concatenate(([0.0], x[edges[:, 0]] * x[edges[:, 1]]))
-    return 2.0 * float(np.cumsum(terms)[-1]) / denom
 
 
 # --- verdicts -----------------------------------------------------------------

@@ -10,12 +10,14 @@ interval [lo, hi] that holds the margin (`spectral` module docstring).
 lemma1, lemma1_pair, lemma2 and argmax compare spectral radii, and decide
 on the root stage's proven enclosures lo < rho < hi (`hub_join_radii`):
 a strict inequality between two radii is certified when their
-enclosures are disjoint the right way round, not by a tolerance (lemma2's
-swap bound reads a Perron vector, and decides nothing). claim33 and
-entry_bounds read Perron entries, which have no enclosure yet, and decide
-on [margin - slack, margin + slack] with slack 10 * tol: certified when
-the margin clears the slack, violated when it falls below -slack,
-indeterminate in between.
+enclosures are disjoint the right way round, not by a tolerance. They
+read no Perron vector. claim33 and entry_bounds read Perron entries,
+which have no enclosure yet, and pass [margin - slack, margin + slack]
+with slack 10 * tol to the verdict. claim33 is certified when the
+margin clears the slack, violated when it falls below -slack, and
+indeterminate in between. entry_bounds has no indeterminate state yet:
+it is violated only below -slack, and a margin within the slack is
+reported certified.
 
 The checks, by what they establish:
 
@@ -49,13 +51,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .families import (LinearForest, _partitions_desc, enumerate_lna,
                        join_edges)
 from .graphs import graph6_from_edges
-from .spectral import (DEFAULT_TOL, SpectralResult, edge_quotient,
-                       enclosure_verdict, hub_join_radii, hub_join_spectrum)
+from .spectral import (DEFAULT_TOL, SpectralResult, enclosure_verdict,
+                       hub_join_radii, hub_join_spectrum)
 
 _WORST = {"certified": 0, "indeterminate": 1, "violated": 2}
 _RANK = ["certified", "indeterminate", "violated"]
@@ -122,13 +122,12 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
 
 
 def _solved_join(parts: Sequence[int], hub_edge: bool, tol: float
-                 ) -> tuple[np.ndarray, SpectralResult, str]:
-    """The hub join of `parts` as its edge rows (`families.join_edges`),
-    its solve (from the part list, in the join's layout) and its graph6,
-    encoded from the edge rows: no graph is built."""
-    edges = join_edges(parts, hub_edge)
-    return (edges, hub_join_spectrum(parts, hub_edge, tol),
-            graph6_from_edges(sum(parts) + 2, edges))
+                 ) -> tuple[SpectralResult, str]:
+    """The hub join of `parts` solved from its part list (in the join's
+    layout) and its graph6, encoded from its edge rows
+    (`families.join_edges`): no graph is built."""
+    return (hub_join_spectrum(parts, hub_edge, tol),
+            graph6_from_edges(sum(parts) + 2, join_edges(parts, hub_edge)))
 
 
 # --- lemma1: family ordering under the part count ---------------------------
@@ -284,40 +283,6 @@ def _chain_indices(n1: int):
     return (lambda i: 1 + i), (lambda j: 1 + n1 + j)
 
 
-def _pick_swap_indices(k: int, x, c1, c2) -> tuple[int, int]:
-    """Where to cut the two chains so the glued paths have the target orders.
-
-    t1 + t2 = k + 1 always; for odd k the cut is symmetric, for even k it
-    leans toward the chain with the smaller entry at depth (k+2)/2 so the
-    swap's Rayleigh bound comes out nonnegative.
-    """
-    if k % 2 == 1:
-        return (k + 1) // 2, (k + 1) // 2
-    d = (k + 2) // 2
-    if x[c1(d)] >= x[c2(d)]:
-        return k // 2, (k + 2) // 2
-    return (k + 2) // 2, k // 2
-
-
-def _swapped_edges(edges: np.ndarray, n1: int, t1: int, t2: int
-                   ) -> np.ndarray:
-    """A pre-merge join's sorted edge rows (u, v), u < v, with the cut edges
-    at t1/t2 deleted and the chain pieces cross-glued, again sorted.
-
-    Each chain vertex c(t) sits before c(t + 1) and chain 1 before chain 2,
-    so every pair below is already (u, v) with u < v.
-    """
-    c1, c2 = _chain_indices(n1)
-    for t, c in ((t1, c1), (t2, c2)):
-        if t >= 1:
-            edges = edges[(edges[:, 0] != c(t)) | (edges[:, 1] != c(t + 1))]
-    glue = [(c1(t1 + 1), c2(t2 + 1))]
-    if t1 >= 1 and t2 >= 1:
-        glue.append((c1(t1), c2(t2)))
-    edges = np.concatenate((edges, glue))
-    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-
-
 def _merged_parts(k: int, n1: int, n2: int,
                   l_parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted([n1 + n2 - (k + 1), k + 1, *l_parts], reverse=True))
@@ -329,40 +294,48 @@ def verify_lemma2(n: int, k: int, n1: int, n2: int,
     """Certify that merging the two leading paths raises the spectral radius.
 
     Compares rho of hubs+P_{n1}+P_{n2}+L against hubs+P_{n1+n2-(k+1)}+P_{k+1}+L
-    (hub edge present in both) on their root-stage enclosures. Also records
-    the swap-based Rayleigh lower bound for the gap as a diagnostic: the
-    pre-merge Perron vector plugged into the post-swap graph.
+    (hub edge present in both) on their root-stage enclosures, and reads
+    no Perron vector. Why the merge raises rho: with rho = t + 1/t and
+    u = 1/t, each path sum S_m of the secular equation splits into a part
+    linear in the path order m and c * h(m), with c > 0 and
+    h(m) = u^m (1 + u) / (1 + u^(m+1)) strictly convex in m at every
+    rho > 2. Both joins have the same order and part count and share L,
+    so only the h terms of the two merged paths differ. As
+    k + 1 < n2 <= n1, (n1+n2-k-1, k+1) strictly majorizes (n1, n2), and
+    Karamata's inequality puts the merged join's secular function below
+    the pre-merge one, so its root lies above: for every k, every
+    residual forest L and either hub state.
+
+    The params t1 = ceil(k/2) and t2 = floor(k/2) + 1 name where the
+    merge cuts the chains: chain 1 after its t1-th vertex and chain 2
+    after its t2-th; the heads glue into P_{k+1} and the tails into
+    P_{n1+n2-(k+1)}.
     """
-    pre = (_validate_merge(n, k, n1, n2, l_parts, force),
-           *_solved_join([n1, n2, *l_parts], True, tol))
+    outside = _validate_merge(n, k, n1, n2, l_parts, force)
+    parts = (n1, n2, *l_parts)
     merged = _merged_parts(k, n1, n2, l_parts)
-    before, = hub_join_radii([[n1, n2, *l_parts]], True, tol)
+    before, = hub_join_radii([parts], True, tol)
     after, = hub_join_radii([merged], True, tol)
-    return _lemma2(n, k, n1, n2, l_parts, tol, pre, before, after,
-                   graph6_from_edges(n, join_edges(merged, True)))
+    return _lemma2(n, k, n1, n2, l_parts, tol, outside, before, after,
+                   *(graph6_from_edges(n, join_edges(p, True))
+                     for p in (parts, merged)))
 
 
 def _lemma2(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
-            tol: float, pre, before, after, after_g6) -> VerificationReport:
-    outside, edges, r1, before_g6 = pre
+            tol: float, outside: bool, before, after, before_g6: str,
+            after_g6: str) -> VerificationReport:
     rho1, lo1, hi1, _ = before
     rho2, lo2, hi2, _ = after
-
-    c1, c2 = _chain_indices(n1)
-    t1, t2 = _pick_swap_indices(k, r1.vector, c1, c2)
-    rq = edge_quotient(_swapped_edges(edges, n1, t1, t2), r1.vector)
-    swap_bound = rq - r1.rho
-
     params = {"n": n, "k": k, "n1": n1, "n2": n2, "l": list(l_parts),
-              "t1": t1, "t2": t2, "dominating_edge": True}
+              "t1": (k + 1) // 2, "t2": k // 2 + 1, "dominating_edge": True}
     if outside:
         params["outside_hypothesis"] = True
     return VerificationReport(
         check_id="lemma2",
         params=params,
         holds=enclosure_verdict(lo2 - hi1, hi2 - lo1),
-        margins={"rho_gap": rho2 - rho1, "swap_lower_bound": float(swap_bound),
-                 "rho_before": rho1, "rho_after": rho2},
+        margins={"rho_gap": rho2 - rho1, "rho_before": rho1,
+                 "rho_after": rho2},
         artifacts={"join_before": before_g6, "join_after": after_g6},
         tol=tol,
     )
@@ -388,15 +361,14 @@ def verify_claim33(n: int, k: int, n1: int, n2: int,
     for i <= min(floor((k+3)/2), floor(n2/2)). Skipped indices are counted
     in params["skipped"].
     """
-    pre = (_validate_merge(n, k, n1, n2, l_parts, force),
-           *_solved_join([n1, n2, *l_parts], True, tol))
-    return _claim33(n, k, n1, n2, l_parts, tol, pre)
+    outside = _validate_merge(n, k, n1, n2, l_parts, force)
+    return _claim33(n, k, n1, n2, l_parts, tol, outside,
+                    *_solved_join([n1, n2, *l_parts], True, tol))
 
 
 def _claim33(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
-             tol: float, pre
+             tol: float, outside: bool, res: SpectralResult, g6: str
              ) -> tuple[VerificationReport, list[IntervalWitness]]:
-    outside, _, res, g6 = pre
     rho, x = res.rho, res.vector
     c1, c2 = _chain_indices(n1)
 
@@ -482,9 +454,11 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
 
     The residual forest is empty throughout (the two paths carry all of
     n-2), so every split merges into the same join (n-k-3, k+1). One
-    `hub_join_radii` batch encloses it and every pre-merge join; each
-    join is encoded once, and each pre-merge join solved for its vector
-    once. Returns the lemma2 and claim33 reports interleaved per split.
+    `hub_join_radii` batch encloses it and every pre-merge join, and
+    lemma2 compares those enclosures alone; each join is encoded once,
+    and each pre-merge join solved once for the Perron vector that
+    claim33 reads. Returns the lemma2 and claim33 reports interleaved
+    per split.
     An n with no split, a negative k, or an n below the order threshold
     without `force` is refused before anything is solved: the first
     split's checks stand for all of them.
@@ -499,10 +473,11 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
     after_g6 = graph6_from_edges(n, join_edges(merged, True))
     reports = []
     for (n1, n2), before in zip(splits, befores):
-        pre = (outside, *_solved_join([n1, n2], True, tol))
-        reports.append(_lemma2(n, k, n1, n2, (), tol, pre, before, after,
-                               after_g6))
-        reports.append(_claim33(n, k, n1, n2, (), tol, pre)[0])
+        res, before_g6 = _solved_join([n1, n2], True, tol)
+        reports.append(_lemma2(n, k, n1, n2, (), tol, outside, before, after,
+                               before_g6, after_g6))
+        reports.append(_claim33(n, k, n1, n2, (), tol, outside, res,
+                                before_g6)[0])
     return reports
 
 
@@ -518,7 +493,7 @@ def verify_entry_bounds(n: int, parts: Sequence[int],
     lf = LinearForest(tuple(parts))
     if lf.order != n - 2:
         raise ValueError(f"forest order {lf.order} != n-2 = {n - 2}")
-    _, res, g6 = _solved_join(lf.parts, False, tol)
+    res, g6 = _solved_join(lf.parts, False, tol)
     rho, x = res.rho, res.vector
     lo = 2.0 / rho
     hi = 2.0 / rho + 8.0 / rho ** 2

@@ -28,7 +28,6 @@ from spexplanar import (DEFAULT_TOL, Graph, LinearForest, enclosure_verdict,
                         from_edges, k2_join, spectral_radius, validate_cycle)
 from spexplanar.cycles import hub_forest_cycle
 from spexplanar.graphs import edge_array
-from spexplanar.spectral import edge_quotient
 
 
 def dense_rho(g: Graph) -> float:
@@ -395,11 +394,19 @@ def spectral_radius_any(g: Graph, tol: float = DEFAULT_TOL) -> float:
 
 
 def rayleigh_quotient(g: Graph, x) -> float:
-    """x'Ax / x'x  =  2 * sum over edges of x_u x_v, over sum of squares."""
+    """x'Ax / x'x  =  2 * sum over edges of x_u x_v, over sum of squares.
+    The terms x_u x_v are added to 0.0 one at a time in sorted edge order
+    (`np.cumsum` is sequential), so the bits are those of a loop over
+    `Graph.edges`."""
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ValueError(f"vector has shape {x.shape}, graph has {g.n} vertices")
-    return edge_quotient(edge_array(g), x)
+    denom = float(x @ x)
+    if denom == 0.0:
+        raise ValueError("Rayleigh quotient of the zero vector is undefined")
+    edges = edge_array(g)
+    terms = np.concatenate(([0.0], x[edges[:, 0]] * x[edges[:, 1]]))
+    return 2.0 * float(np.cumsum(terms)[-1]) / denom
 
 
 def join_cycle_certificate(forest, ell: int):

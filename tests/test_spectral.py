@@ -164,8 +164,8 @@ def test_rayleigh_quotient_variational():
 
 
 def test_rayleigh_quotient_sums_edges_in_sorted_order():
-    # one term at a time over sorted edges: criterion 8 and lemma2's
-    # swap_lower_bound keep their bits
+    # one term at a time over sorted edges: criterion 8's Rayleigh
+    # quotients keep their bits
     rng = random.Random(9)
     for n in (2, 5, 30, 200):
         g = oracles.random_connected(rng, n, extra=2 * n)

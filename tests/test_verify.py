@@ -4,18 +4,17 @@ import json
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from spexplanar import (admissible_forests, argmax_sweep, enumerate_lna,
-                        from_edges, from_graph6, lemma1_sweep, lemma2_sweep,
+                        from_graph6, lemma1_sweep, lemma2_sweep,
                         merge_threshold, recognize_hub_join,
                         reports_to_csv, rerun,
                         spectral_radius, verify_claim33,
                         verify_entry_bounds, verify_lemma1, verify_lemma2)
 from spexplanar import gridconfig
 from spexplanar.families import join_with_paths
-from spexplanar.graphs import edge_array
-from spexplanar.spectral import edge_quotient
 from spexplanar.verify import entry_bounds_sample
 
 import oracles
@@ -133,28 +132,40 @@ def test_lemma2_symmetric_split():
     assert rep.holds == "certified"
     assert rep.margins["rho_gap"] > 0
     assert rep.margins["rho_after"] > rep.margins["rho_before"]
-    # the swap lower bound is a Rayleigh-quotient statement: may be tiny
-    # but never meaningfully negative
-    assert rep.margins["swap_lower_bound"] >= -2e-11
-    assert rep.params["t1"] + rep.params["t2"] == 1  # k+1 pieces
+    assert (rep.params["t1"], rep.params["t2"]) == (0, 1)
 
 
-def test_lemma2_swap_graph_is_the_merged_join():
-    # the cut-and-glue surgery must produce exactly the merged part profile
-    from spexplanar.verify import (_chain_indices, _pick_swap_indices,
-                                   _swapped_edges)
-    g = join_with_paths([149, 149], dominating_edge=True)
-    res = spectral_radius(g)
-    c1, c2 = _chain_indices(149)
-    t1, t2 = _pick_swap_indices(0, res.vector, c1, c2)
-    edges = _swapped_edges(edge_array(g), 149, t1, t2)
-    swapped = from_edges(g.n, map(tuple, edges))
-    assert edges.tolist() == [list(e) for e in swapped.edges()]  # sorted
-    got = recognize_hub_join(swapped)
-    assert got is not None
-    assert sorted(len(p) for p in got[2]) == [1, 297]
-    assert (edge_quotient(edges, res.vector)
-            == oracles.rayleigh_quotient(swapped, res.vector))
+@pytest.mark.parametrize("l_parts", [(), (2, 1)])
+@pytest.mark.parametrize("longer", [0, 3])
+@pytest.mark.parametrize("k", range(4))
+def test_lemma2_cut_at_t1_t2_glues_the_merged_join(k, longer, l_parts):
+    # t1/t2 name the merge as surgery on the pre-merge join: cut chain 1
+    # after its t1-th vertex and chain 2 after its t2-th, glue heads to
+    # heads and tails to tails, and the merged join comes out
+    n2 = k + 4
+    n1 = n2 + longer
+    rep = verify_lemma2(2 + n1 + n2 + sum(l_parts), k, n1, n2, l_parts,
+                        force=True)
+    t1, t2 = rep.params["t1"], rep.params["t2"]
+    assert t1 + t2 == k + 1
+    h = nx.from_graph6_bytes(rep.artifacts["join_before"].encode())
+    c1, c2 = (lambda i: 1 + i), (lambda j: 1 + n1 + j)
+    for t, c in ((t1, c1), (t2, c2)):
+        if t >= 1:
+            h.remove_edge(c(t), c(t + 1))
+    h.add_edge(c1(t1 + 1), c2(t2 + 1))
+    if t1 >= 1 and t2 >= 1:
+        h.add_edge(c1(t1), c2(t2))
+
+    def profile(g):
+        _, _, paths, hub_edge = recognize_hub_join(g)
+        return hub_edge, [len(p) for p in paths]
+
+    merged = [n1 + n2 - k - 1, k + 1, *l_parts]
+    assert profile(oracles.from_nx(h)) == profile(
+        join_with_paths(merged, dominating_edge=True)) == profile(
+        from_graph6(rep.artifacts["join_after"])) == (
+        True, sorted(merged, reverse=True))
 
 
 def test_lemma2_threshold_guard_and_force():
@@ -287,11 +298,11 @@ def counting_vector_stage(monkeypatch):
     return solved
 
 
-def test_lemma2_reads_the_vector_of_the_pre_merge_join_alone(monkeypatch):
+def test_lemma2_reads_no_vector(monkeypatch):
     solved = counting_vector_stage(monkeypatch)
     rep = verify_lemma2(300, 0, 150, 100, [1, 47])
     assert rep.holds == "certified"
-    assert solved == [((150, 100, 1, 47), True)]
+    assert solved == []
 
 
 def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
