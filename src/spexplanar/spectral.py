@@ -41,17 +41,17 @@ A hub join is solved from its part list in one or two stages:
   it raises ConvergenceError. It costs O(n), and only `hub_join_spectrum`
   and `spectral_radius` run it, with no enclosure.
 
-Each formula of the root stage is written once: f with f' (`_secular`)
-and the outward-rounded bound on f (`_secular_bound`). Each kernel is
-generic in its number type: Python floats for one join (`_Floats`), float
-arrays with one entry per join for a batch (`_Arrays`). The type supplies
-only sqrt, nextafter, max, a select (for a batch's zero-count padding)
-and u^m by repeated squaring; math.sqrt and math.nextafter round like
-np.sqrt and np.nextafter, so a join gets the same bits alone and in any
-batch. Two drivers hold the control flow, picked by row count alone: one
-row takes `_secular_root` and `_enclose_root`, more rows (all of a call
-in one batch) `_secular_roots` and `_enclose_roots`. They return the same
-rho, Newton steps, lo and hi bit for bit. Below SECULAR_ORDER both
+Each formula of the root stage is written once, and so is each driver
+around them: f with f' (`_secular`), the outward-rounded bound on f
+(`_secular_bound`), the Newton driver (`_secular_root`) and the
+enclosure driver (`_enclose_root`). Each is generic in its number type:
+Python floats for one join (`_Floats`), float arrays with one entry per
+join for a batch (`_Arrays`, all of a call in one batch). The type
+supplies only sqrt, nextafter, ulp, max, any, a select (for a batch's
+zero-count padding and its finished rows) and u^m by repeated squaring;
+math.sqrt, math.nextafter and math.ulp round like np.sqrt, np.nextafter
+and np.spacing, so a join gets the same rho, Newton steps, lo and hi bit
+for bit alone and in any batch. Below SECULAR_ORDER both
 stages build the join and let `spectral_radius` pick the engine, and the
 root stage encloses that rho by Collatz-Wielandt bounds on its Perron
 vector; from SECULAR_ORDER on every join is recognized. So every entry
@@ -175,18 +175,19 @@ def _dense_solve(g: Graph, tol: float) -> SpectralResult:
 
 # --- the secular engine for hub joins ----------------------------------------
 #
-# Each formula is written once, over a forest's groups: its distinct path
-# orders in decreasing order, each with how many paths have it (grouping
-# keeps the sum over paths short, so its rounding stays far below tol on
-# forests of thousands of paths). One forest's groups are int pairs
-# (`_part_groups`) and its values Python floats (`_Floats`). A batch is a
-# pair of int arrays (m, cnt) of shape (B, P), one forest per row,
-# zero-padded (`_part_matrix`); its groups are the columns (`_columns`)
-# and its values float arrays of shape (B,) (`_Arrays`). Only +, -, *, /
-# and sqrt act on a value, each elementwise and correctly rounded in both
-# types, and the groups are summed left to right, so a forest's result
-# does not depend on the batch it is computed in, nor on whether it is
-# computed alone.
+# Each formula and each driver is written once, over a forest's groups: its
+# distinct path orders in decreasing order, each with how many paths have
+# it (grouping keeps the sum over paths short, so its rounding stays far
+# below tol on forests of thousands of paths). One forest's groups are int
+# pairs (`_part_groups`) and its values Python floats (`_Floats`). A
+# batch's groups are the columns of a pair of zero-padded int arrays
+# (m, cnt) of shape (B, P), one forest per row (`_columns`), and its values
+# float arrays of shape (B,) (`_Arrays`). Only +, -, *, / and sqrt act on a
+# value, each elementwise and correctly rounded in both types, and the
+# groups are summed left to right. A driver runs every row of a batch each
+# round and a finished row keeps its values through `select`, so a
+# forest's result does not depend on the batch it is computed in, nor on
+# whether it is computed alone.
 
 
 def _part_groups(parts: Sequence[int]) -> list[tuple[int, int]]:
@@ -197,18 +198,14 @@ def _part_groups(parts: Sequence[int]) -> list[tuple[int, int]]:
     return sorted(counts.items(), reverse=True)
 
 
-def _part_matrix(groups: Sequence[Sequence[tuple[int, int]]]
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _columns(groups: Sequence[Sequence[tuple[int, int]]]
+             ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A batch's groups: the columns of the zero-padded (B, P) int arrays
+    (m, cnt), one forest per row, longest path first."""
     m = np.zeros((len(groups), max(map(len, groups))), dtype=np.int64)
     cnt = np.zeros_like(m)
     for row, grp in enumerate(groups):
         m[row, :len(grp)], cnt[row, :len(grp)] = zip(*grp)
-    return m, cnt
-
-
-def _columns(m: np.ndarray, cnt: np.ndarray
-             ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A batch's groups: the columns of (m, cnt), longest path first."""
     return list(zip(m.T, cnt.T))
 
 
@@ -217,7 +214,9 @@ class _Floats:
 
     sqrt = staticmethod(math.sqrt)
     nextafter = staticmethod(math.nextafter)
+    ulp = staticmethod(math.ulp)
     max = staticmethod(max)
+    any = staticmethod(bool)
 
     @staticmethod
     def select(keep, a, b):
@@ -242,7 +241,9 @@ class _Arrays:
 
     sqrt = staticmethod(np.sqrt)
     nextafter = staticmethod(np.nextafter)
+    ulp = staticmethod(np.spacing)  # math.ulp for rho > 0
     max = staticmethod(np.maximum)
+    any = staticmethod(np.any)
     select = staticmethod(np.where)
 
     @staticmethod
@@ -284,47 +285,31 @@ def _secular(groups, rho, e: float, num):
     return rho - e - 2.0 * s_sum, 1.0 + 2.0 * q_sum
 
 
-def _secular_roots(m: np.ndarray, cnt: np.ndarray, e: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, Newton steps) per row.
+def _secular_root(groups, e: float, num):
+    """(rho, Newton steps) of a forest (or batch) given as its groups, in
+    number type `num`.
 
     Starts from the root for all-singleton parts, (e + sqrt(e^2 + 8M))/2
     with M the forest order, a lower bound by subgraph monotonicity. f is
     increasing and concave above 2, so the iterates rise to the root while
     f < 0: a row is done once f >= 0 (rounding noise at the root) or the
-    step falls below NEWTON_STOP relative, or after NEWTON_CAP steps. The
-    start is above 2 on every join `recognize_hub_join` accepts (not K3
-    or C4 = K_{2,2}, whose start is 2) and from SECULAR_ORDER on.
+    step falls below NEWTON_STOP relative, or after NEWTON_CAP steps, and
+    a done row keeps its rho and steps while the others go on. The start
+    is above 2 on every join `recognize_hub_join` accepts (not K3 or
+    C4 = K_{2,2}, whose start is 2) and from SECULAR_ORDER on.
     """
-    rho = (e + np.sqrt(e * e + 8.0 * (m * cnt).sum(axis=1))) / 2.0
-    steps = np.zeros(len(rho), dtype=np.int64)
-    active = np.ones(len(rho), dtype=bool)
+    order = sum(m * k for m, k in groups)
+    rho = (e + num.sqrt(e * e + 8.0 * order)) / 2.0
+    steps = 0 * order  # an int, or an int array with one entry per row
+    active = steps == 0
     for _ in range(NEWTON_CAP):
-        rows = np.flatnonzero(active)
-        if not len(rows):
-            break
-        f, df = _secular(_columns(m[rows], cnt[rows]), rho[rows], e, _Arrays)
+        f, df = _secular(groups, rho, e, num)
         step = f / df
-        rho[rows] = rho[rows] - step
-        steps[rows] += 1
-        done = (step >= 0.0) | (-step <= NEWTON_STOP * rho[rows])
-        active[rows[done]] = False
-    return rho, steps
-
-
-def _secular_root(groups: Sequence[tuple[int, int]], e: float
-                  ) -> tuple[float, int]:
-    """(rho, Newton steps) of one forest: `_secular_roots` on a batch of
-    that one row, bit for bit, with `_secular` in `_Floats` and the same
-    start and stopping rule (NEWTON_STOP and NEWTON_CAP included)."""
-    rho = (e + math.sqrt(e * e + 8.0 * sum(m * k for m, k in groups))) / 2.0
-    steps = 0
-    for _ in range(NEWTON_CAP):
-        f, df = _secular(groups, rho, e, _Floats)
-        step = f / df
-        rho = rho - step
-        steps += 1
-        if step >= 0.0 or -step <= NEWTON_STOP * rho:
+        rho = num.select(active, rho - step, rho)
+        steps = steps + active
+        done = (step >= 0.0) | (-step <= NEWTON_STOP * rho)
+        active = num.select(done, False, active)
+        if not num.any(active):
             break
     return rho, steps
 
@@ -336,7 +321,7 @@ def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool, tol: float
     which raises ConvergenceError unless the residual is at most `tol`
     (NaN is not). No other solver runs, and no enclosure."""
     e = float(hub_edge)
-    rho, steps = _secular_root(_part_groups(parts), e)
+    rho, steps = _secular_root(_part_groups(parts), e, _Floats)
     # paths longest first: the residual's sums round in this order
     p = np.asarray(parts, dtype=np.int64)
     order = np.argsort(-p, kind="stable")
@@ -401,10 +386,10 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
     root stage alone, with lo < rho < hi proven for the join's spectral
     radius rho (module docstring).
 
-    All forests must have the same order. From SECULAR_ORDER on, one
-    forest takes the scalar root and enclosure, more go through the numpy
-    ones in a single batch, and no graph is built; below it each forest
-    is `_small_join_radius`. rho and the steps are those of
+    All forests must have the same order. From SECULAR_ORDER on, both
+    drivers run once, in Python floats for one forest and in numpy arrays
+    for more, and no graph is built; below it each forest is
+    `_small_join_radius`. rho and the steps are those of
     `hub_join_spectrum`. Raises ConvergenceError once an enclosure gets
     wider than tol * max(1, rho).
     """
@@ -419,14 +404,12 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
             raise ValueError(f"path order must be >= 1, got {p}")
     e = float(hub_edge)
     if len(forests) == 1:
-        groups = _part_groups(forests[0])
-        rho, steps = _secular_root(groups, e)
-        return [(rho, *_enclose_root(groups, rho, e, tol), steps)]
-    m, cnt = _part_matrix([_part_groups(parts) for parts in forests])
-    rho, steps = _secular_roots(m, cnt, e)
-    lo, hi = _enclose_roots(m, cnt, rho, e, tol)
-    return list(zip(rho.tolist(), lo.tolist(), hi.tolist(),
-                    steps.tolist()))
+        groups, num = _part_groups(forests[0]), _Floats
+    else:
+        groups, num = _columns([_part_groups(p) for p in forests]), _Arrays
+    rho, steps = _secular_root(groups, e, num)
+    out = (rho, *_enclose_root(groups, rho, e, tol, num), steps)
+    return [out] if num is _Floats else list(zip(*(x.tolist() for x in out)))
 
 
 # --- the root stage's enclosure -----------------------------------------------
@@ -467,54 +450,35 @@ def _secular_bound(groups, rho, e: float, toward: float, num):
     return q(q(rho - e) - 2.0 * s)
 
 
-def _check_width(lo: float, hi: float, rho: float, tol: float) -> None:
-    """Raise ConvergenceError if [lo, hi] is wider than tol * max(1, rho)
-    (or NaN)."""
-    if not hi - lo <= tol * max(1.0, rho):
-        raise ConvergenceError(hi - lo, tol, "enclosure width")
+def _check_width(lo, hi, rho, tol: float, num) -> None:
+    """Raise ConvergenceError on the first row whose [lo, hi] is wider
+    than tol * max(1, rho) (or NaN)."""
+    width = hi - lo
+    wide = num.select(width <= tol * num.max(1.0, rho), False, True)
+    if num.any(wide):
+        raise ConvergenceError(float(np.ravel(width)[np.ravel(wide)][0]),
+                               tol, "enclosure width")
 
 
-def _enclose_root(groups: Sequence[tuple[int, int]], rho: float, e: float,
-                  tol: float) -> tuple[float, float]:
-    """(lo, hi) around one forest's Newton root `rho` with f(lo) < 0 < f(hi)
-    proven by `_secular_bound` in `_Floats`: ENCLOSE_ULPS ulps of rho
-    either side, doubled until the signs hold, or ConvergenceError from
-    `_check_width`. `_enclose_roots` is this on a batch, bit for bit."""
-    half = ENCLOSE_ULPS * math.ulp(rho)
+def _enclose_root(groups, rho, e: float, tol: float, num):
+    """(lo, hi) around the Newton root `rho` of a forest (or batch), with
+    f(lo) < 0 < f(hi) proven by `_secular_bound` in number type `num`:
+    ENCLOSE_ULPS ulps of rho either side, doubled on each row until its
+    signs hold (then it keeps lo and hi), or ConvergenceError from
+    `_check_width`. A row with lo <= 2 fails; its lower bound is taken at
+    rho instead, where the bound's formulas hold."""
+    half = ENCLOSE_ULPS * num.ulp(rho)
     while True:
         lo, hi = rho - half, rho + half
-        _check_width(lo, hi, rho, tol)
-        if (lo > 2.0
-                and _secular_bound(groups, lo, e, -math.inf, _Floats) < 0.0
-                < _secular_bound(groups, hi, e, math.inf, _Floats)):
+        _check_width(lo, hi, rho, tol, num)
+        above = lo > 2.0
+        held = (above
+                & (_secular_bound(groups, num.select(above, lo, rho), e,
+                                  -math.inf, num) < 0.0)
+                & (_secular_bound(groups, hi, e, math.inf, num) > 0.0))
+        if not num.any(num.select(held, False, True)):
             return lo, hi
-        half *= 2.0
-
-
-def _enclose_roots(m: np.ndarray, cnt: np.ndarray, rho: np.ndarray, e: float,
-                   tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_enclose_root` per row of a batch: a row whose signs hold is done,
-    the others double."""
-    lo, hi = np.empty_like(rho), np.empty_like(rho)
-    half = ENCLOSE_ULPS * np.spacing(rho)
-    rows = np.arange(len(rho))
-    # a row whose lo is at most 2 fails, as in the scalar loop, whatever
-    # its (then meaningless) bounds come to
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while len(rows):
-            a, b = rho[rows] - half[rows], rho[rows] + half[rows]
-            wide = ~(b - a <= tol * np.maximum(1.0, rho[rows]))
-            if wide.any():  # `_check_width`, row by row
-                raise ConvergenceError(float((b - a)[wide][0]), tol,
-                                       "enclosure width")
-            cols = _columns(m[rows], cnt[rows])
-            ok = ((a > 2.0)
-                  & (_secular_bound(cols, a, e, -np.inf, _Arrays) < 0.0)
-                  & (_secular_bound(cols, b, e, np.inf, _Arrays) > 0.0))
-            lo[rows[ok]], hi[rows[ok]] = a[ok], b[ok]
-            rows = rows[~ok]
-            half[rows] *= 2.0
-    return lo, hi
+        half = num.select(held, half, 2.0 * half)
 
 
 def _small_join_radius(parts: Sequence[int], hub_edge: bool, tol: float
@@ -535,7 +499,7 @@ def _small_join_radius(parts: Sequence[int], hub_edge: bool, tol: float
     ratios = [a / b for a, b in zip(ax, x)]
     lo = math.nextafter(float(min(ratios)), -math.inf)
     hi = math.nextafter(float(max(ratios)), math.inf)
-    _check_width(lo, hi, res.rho, tol)
+    _check_width(lo, hi, res.rho, tol, _Floats)
     return res.rho, lo, hi, res.iterations
 
 

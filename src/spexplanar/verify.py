@@ -584,10 +584,11 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
     Every candidate is enclosed by the root stage on its part list
     (`hub_join_radii`, no graph built), and rows come back in enumeration
     order. The leader has the largest rho. Its ties are the candidates
-    whose upper end reaches the leader's lower end, the leader included:
-    the maximum is certified unique when that is the leader alone, and
-    holds = "indeterminate" otherwise. The argmax join's artifact is
-    encoded from its part list.
+    whose upper end reaches the leader's lower end, the leader included.
+    holds is `enclosure_verdict` on the float differences of the ends of
+    the leader's and its rivals' enclosures: certified (the leader ties
+    alone, or is the lone candidate) or indeterminate. The argmax join's
+    artifact is encoded from its part list.
     """
     if max_parts < 3:
         raise ValueError(f"max_parts must be >= 3, got {max_parts}")
@@ -605,7 +606,6 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
     ties = [r[0] for r in rows if r[3] >= best[2]]
     others = [r for r in rows if r is not best]
     expected = (n - 2 * k - 4, k + 1, k + 1)
-    holds = "certified" if len(ties) == 1 else "indeterminate"
     params = {"n": n, "k": k, "max_parts": max_parts,
               "candidates": len(rows), "argmax": list(best[0]),
               "expected": list(expected),
@@ -614,9 +614,12 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
     if outside:
         params["outside_hypothesis"] = True
     margins = {"rho_max": float(best[1])}
+    holds = "certified"
     if others:  # a lone candidate has no runner-up to measure a gap to
         margins["runner_up_gap"] = float(best[1] - max(r[1] for r in others))
         margins["enclosure_gap"] = float(best[2] - max(r[3] for r in others))
+        holds = enclosure_verdict(margins["enclosure_gap"],
+                                  best[3] - max(r[2] for r in others))
     report = VerificationReport(
         check_id="argmax",
         params=params,

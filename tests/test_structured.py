@@ -266,8 +266,9 @@ def seeded_joins():
 
 def test_secular_roots_keep_their_bits(capsys):
     # pinned (rho, Newton steps): a change in the order of the Newton
-    # step's floating-point operations shows here. A single join takes
-    # the scalar root, a batch of two rows the numpy kernel.
+    # step's floating-point operations shows here. One Newton driver runs
+    # a single join in Python floats and a batch of two rows in numpy
+    # arrays.
     assert rho_cli(capsys, "k2+[150,60,47]")[::3] == (24.165636165113284, 5)
     assert rho_cli(capsys, "extremal(2051,3)")[::3] == (65.51612262518913, 4)
     for rows in (1, 2):
@@ -329,14 +330,21 @@ def seeded_groups():
 def test_scalar_root_matches_the_batch_bit_for_bit(monkeypatch, cap):
     if cap is not None:
         monkeypatch.setattr(spectral, "NEWTON_CAP", cap)
+    # the one Newton driver in Python floats per row against the same
+    # driver in numpy arrays on the batch's columns
     groups = seeded_groups()
-    m, cnt = spectral._part_matrix(groups)
+    cols = spectral._columns(groups)
     for e in (0.0, 1.0):
-        rho, steps = spectral._secular_roots(m, cnt, e)
+        rho, steps = spectral._secular_root(cols, e, spectral._Arrays)
         for grp, want in zip(groups, zip(rho.tolist(), steps.tolist())):
-            assert spectral._secular_root(grp, e) == want, (grp, e)
+            assert spectral._secular_root(
+                grp, e, spectral._Floats) == want, (grp, e)
         if cap is not None:
             assert steps.max() == cap
+        else:
+            # rows that finish early keep their rho and steps while the
+            # others go on
+            assert len(set(steps.tolist())) >= 2
 
 
 def test_scalar_secular_matches_the_batch_bit_for_bit():
@@ -344,10 +352,9 @@ def test_scalar_secular_matches_the_batch_bit_for_bit():
     # in rounding that the converged rho absorbs still shows here
     rng = random.Random(20261021)
     groups = seeded_groups()
-    m, cnt = spectral._part_matrix(groups)
-    cols = spectral._columns(m, cnt)
+    cols = spectral._columns(groups)
     for e in (0.0, 1.0):
-        root, _ = spectral._secular_roots(m, cnt, e)
+        root, _ = spectral._secular_root(cols, e, spectral._Arrays)
         for scale in (0.5, 0.9, 1.0, 1.3):
             rho = 2.0 + (root - 2.0) * scale * np.array(
                 [rng.uniform(0.99, 1.01) for _ in groups])
@@ -365,11 +372,11 @@ def small_joins():
 
 
 def test_entry_points_agree_bit_for_bit(capsys):
-    # the root stage: the join's row of a batch (numpy root and enclosure),
-    # the join alone (scalar ones), the family string (hubs adjacent) and a
-    # relabelled graph6 of the join that the recognizer accepts. The
-    # vector stage: the single-join solve from parts and the built join,
-    # on the same rho and Newton steps
+    # the root stage: the join's row of a batch (both drivers in numpy
+    # arrays), the join alone (in Python floats), the family string (hubs
+    # adjacent) and a relabelled graph6 of the join that the recognizer
+    # accepts. The vector stage: the single-join solve from parts and the
+    # built join, on the same rho and Newton steps
     rng = random.Random(7)
     for parts in [*small_joins(), *seeded_joins()]:
         total = sum(parts)
@@ -489,24 +496,29 @@ def test_the_n2051_argmax_is_proven_by_disjoint_enclosures():
 def test_scalar_enclosure_matches_the_batch_bit_for_bit(monkeypatch, ulps):
     # from one ulp out, most rows double a few times before they hold
     monkeypatch.setattr(spectral, "ENCLOSE_ULPS", ulps)
+    arrays, floats = spectral._Arrays, spectral._Floats
     groups = seeded_groups()
-    m, cnt = spectral._part_matrix(groups)
+    cols = spectral._columns(groups)
     for e in (0.0, 1.0):
-        rho, _ = spectral._secular_roots(m, cnt, e)
-        lo, hi = spectral._enclose_roots(m, cnt, rho, e, TOL)
+        rho, _ = spectral._secular_root(cols, e, arrays)
+        lo, hi = spectral._enclose_root(cols, rho, e, TOL, arrays)
         for i, grp in enumerate(groups):
-            assert spectral._enclose_root(grp, float(rho[i]), e, TOL) == (
+            assert spectral._enclose_root(
+                grp, float(rho[i]), e, TOL, floats) == (
                 lo[i], hi[i]), (grp, e)
+        # rows that hold early keep their lo and hi while the others
+        # double: the widths, in units of the first, take two or more values
+        widths = (hi - lo) / (2 * ulps * np.spacing(rho))
+        assert len(set(widths.tolist())) >= 2, ulps
 
 
 def test_scalar_secular_bound_matches_the_batch_bit_for_bit():
     rng = random.Random(20261022)
     groups = seeded_groups()
-    m, cnt = spectral._part_matrix(groups)
-    cols = spectral._columns(m, cnt)
+    cols = spectral._columns(groups)
     arrays, floats = spectral._Arrays, spectral._Floats
     for e in (0.0, 1.0):
-        root, _ = spectral._secular_roots(m, cnt, e)
+        root, _ = spectral._secular_root(cols, e, arrays)
         for scale in (0.5, 1.0, 1.3):
             rho = 2.0 + (root - 2.0) * scale * np.array(
                 [rng.uniform(0.99, 1.01) for _ in groups])
@@ -536,7 +548,7 @@ def test_the_vector_stage_runs_no_enclosure(monkeypatch, capsys):
     def enclosure(*args):
         raise AssertionError("an enclosure ran")
 
-    for name in ("_enclose_root", "_enclose_roots", "_small_join_radius"):
+    for name in ("_enclose_root", "_small_join_radius"):
         monkeypatch.setattr(spectral, name, enclosure)
     verify_entry_bounds(22, [16, 3, 1])
     verify_claim33(300, 0, 149, 149)
