@@ -77,9 +77,10 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def _tarjan_blocks(self) -> Iterator[tuple[frozenset[int], list, bool]]:
-        """Yield (vertices, edges, bipartite) of each block with >= 3
-        vertices, each edge given once, as (ancestor, descendant) in the DFS.
+    @cached_property
+    def _tarjan_blocks(self) -> tuple[tuple[frozenset[int], int, bool], ...]:
+        """(vertices, edge count, bipartite) of each block with >= 3
+        vertices, read by `blocks`, `odd_blocks` and `planar`.
 
         Every cycle lies inside one block (Hopcroft & Tarjan, CACM 16(6),
         1973), so these are the only places a cycle search has to look;
@@ -95,6 +96,7 @@ class Graph:
         disc = [0] * self.n  # discovery time, 0 = unvisited
         low = [0] * self.n
         depth = [0] * self.n
+        out = []
         clock = 0
         for root in range(self.n):
             if disc[root]:
@@ -129,27 +131,23 @@ class Graph:
                         block = edges[mark:]
                         del edges[mark:]
                         if len(block) > 1:  # one edge is a bridge
-                            yield (frozenset(chain.from_iterable(block)),
-                                   block,
-                                   all((depth[a] ^ depth[b]) & 1
-                                       for a, b in block))
-
-    @cached_property
-    def _block_parity(self) -> tuple[tuple[frozenset[int], bool], ...]:
-        """(vertices, bipartite) of each block; its edges are not kept."""
-        return tuple((b, bip) for b, _, bip in self._tarjan_blocks())
+                            out.append((frozenset(chain.from_iterable(block)),
+                                        len(block),
+                                        all((depth[a] ^ depth[b]) & 1
+                                            for a, b in block)))
+        return tuple(out)
 
     @cached_property
     def blocks(self) -> tuple[frozenset[int], ...]:
         """Vertex sets of the biconnected blocks with at least 3 vertices,
         in the order the Tarjan pass (`_tarjan_blocks`) closes them."""
-        return tuple(b for b, _ in self._block_parity)
+        return tuple(b for b, _, _ in self._tarjan_blocks)
 
     @cached_property
     def odd_blocks(self) -> tuple[frozenset[int], ...]:
         """The non-bipartite blocks: an odd cycle lies inside one block, and
         a bipartite block has none."""
-        return tuple(b for b, bip in self._block_parity if not bip)
+        return tuple(b for b, _, bip in self._tarjan_blocks if not bip)
 
     @cached_property
     def planar(self) -> bool:
@@ -158,18 +156,16 @@ class Graph:
         A graph is planar iff each of its blocks is, and by Kuratowski a
         non-planar block contains a subdivision of K5 or K3,3, so its cycle
         rank m - n + 1 is at least 4 (6 for K5, 4 for K3,3; subdividing
-        keeps the rank). A block of rank >= 4 is reduced to its kernel
-        (`_kernel`), which is planar iff the block is, and the kernel is
+        keeps the rank; m is the Tarjan pass's). A block of rank >= 4 is
+        reduced to its kernel (`_kernel`) of the adjacency restricted to it
+        (`_block_adjacency`), planar iff the block is, and the kernel is
         decided: one with <= 4 vertices is a subgraph of K4, so planar; one
         with m > 3n - 6 edges breaks Euler's bound, so non-planar; only the
-        rest go to networkx's left-right test, the one place networkx is
-        imported. Each block's edges come from a fresh Tarjan pass, so none
-        are kept.
+        rest go to networkx's left-right test, the one place it is imported.
         """
-        for block, edges, _ in self._tarjan_blocks():
-            if len(edges) - len(block) + 1 < 4:
-                continue
-            kernel = _kernel(edges)
+        ranked = [b for b, m, _ in self._tarjan_blocks if m - len(b) + 1 >= 4]
+        for nbrs in _block_adjacency(self.adj, ranked):
+            kernel = _kernel(nbrs)
             n = len(kernel)
             if n <= 4:
                 continue
@@ -177,10 +173,8 @@ class Graph:
             if m > 3 * n - 6:
                 return False
             import networkx as nx
-            h = nx.Graph()
-            h.add_edges_from((u, v) for u, nbrs in kernel.items()
-                             for v in nbrs if u < v)
-            if not nx.check_planarity(h, counterexample=False)[0]:
+            if not nx.check_planarity(nx.from_dict_of_lists(kernel),
+                                      counterexample=False)[0]:
                 return False
         return True
 
@@ -217,12 +211,31 @@ class Graph:
         return out
 
 
-def _kernel(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
-    """The kernel of the simple graph with these edges, as neighbour sets:
-    delete each vertex of degree <= 1 and replace each vertex of degree 2
-    by an edge between its two neighbours (dropped if they are already
-    adjacent), until every vertex left has degree >= 3. One worklist, each
-    vertex removed at most once: O(number of edges).
+def _block_adjacency(adj, blocks: list[frozenset[int]]
+                     ) -> list[dict[int, set[int]]]:
+    """Each block's neighbour sets: `adj` restricted to it. Two blocks
+    share at most one vertex, so an edge is the one block's that holds
+    both its ends. Each vertex's neighbours are read once, not once per
+    block that holds it: O(n + m) in all."""
+    owner: dict[int, set[int]] = {}
+    for i, block in enumerate(blocks):
+        for v in block:
+            owner.setdefault(v, set()).add(i)
+    out: list[dict[int, set[int]]] = [{} for _ in blocks]
+    for v, mine in owner.items():
+        for w in adj[v]:
+            if w in owner:
+                for i in mine & owner[w]:
+                    out[i].setdefault(v, set()).add(w)
+    return out
+
+
+def _kernel(nbrs: dict[int, set[int]]) -> dict[int, set[int]]:
+    """The kernel of the simple graph with neighbour sets `nbrs`, reduced
+    in place: delete each vertex of degree <= 1 and replace each vertex of
+    degree 2 by an edge between its two neighbours (dropped if they are
+    already adjacent), until every vertex left has degree >= 3. One
+    worklist, each vertex removed at most once: O(number of edges).
 
     Planarity survives both steps in both directions. A subgraph of a
     planar graph is planar, and a vertex of degree <= 1 can be drawn back
@@ -234,10 +247,6 @@ def _kernel(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
     Kuratowski) one is planar iff the other is. Degrees only fall, so a
     vertex put on the worklist stays below 3 until it is removed.
     """
-    nbrs: dict[int, set[int]] = {}
-    for u, v in edges:
-        nbrs.setdefault(u, set()).add(v)
-        nbrs.setdefault(v, set()).add(u)
     work = [v for v, s in nbrs.items() if len(s) < 3]
     while work:
         v = work.pop()

@@ -34,12 +34,12 @@ A hub join is solved from its part list in one or two stages:
   tol * max(1, rho) the solve raises ConvergenceError. It costs
   O(distinct part orders) per join, and it is all that `hub_join_radii`
   runs (every radius gap, and `spex rho` without --emit-vector).
-* The vector stage (`_hub_join_spectrum`): the scalar Newton root, the
-  Perron entries in closed form per path block and their residual
+* The vector stage (`_hub_join_spectrum`), at a Newton root it is
+  handed (the scalar `_secular_root`, or a batch row: the same bits):
+  the Perron entries in closed form per path block and their residual
   ||Ax - rho x||_inf from the join's structure, in 1-D arrays with the
   paths longest first, then scattered once into block order; above `tol`
-  it raises ConvergenceError. It costs O(n), and only `hub_join_spectrum`
-  and `spectral_radius` run it, with no enclosure.
+  it raises ConvergenceError. It costs O(n) and encloses nothing.
 
 Each formula of the root stage is written once, and so is each driver
 around them: f with f' (`_secular`), the outward-rounded bound on f
@@ -145,7 +145,9 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
                 f"graph with {g.n} vertices is not connected")
         return _dense_solve(g, tol)
     hub1, hub2, paths, hub_edge = hub
-    res = _hub_join_spectrum([len(p) for p in paths], hub_edge, tol)
+    parts = [len(p) for p in paths]
+    res = _hub_join_spectrum(parts, hub_edge, *_secular_root(
+        _part_groups(parts), float(hub_edge), _Floats), tol)
     # res.vector has the recognized paths as its blocks, in order
     x = np.empty(g.n)
     x[[hub1, hub2]] = res.vector[:2]
@@ -314,14 +316,13 @@ def _secular_root(groups, e: float, num):
     return rho, steps
 
 
-def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool, tol: float
-                       ) -> SpectralResult:
-    """The vector stage of join_with_paths(parts, hub_edge): the scalar
-    Newton root, the Perron vector in that layout and the residual gate,
-    which raises ConvergenceError unless the residual is at most `tol`
-    (NaN is not). No other solver runs, and no enclosure."""
+def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool, rho: float,
+                       steps: int, tol: float) -> SpectralResult:
+    """The vector stage of join_with_paths(parts, hub_edge) at the Newton
+    root `rho` it is handed, reached in `steps` steps: the Perron vector in
+    that layout and the residual gate, which raises ConvergenceError
+    unless the residual is at most `tol` (NaN is not)."""
     e = float(hub_edge)
-    rho, steps = _secular_root(_part_groups(parts), e, _Floats)
     # paths longest first: the residual's sums round in this order
     p = np.asarray(parts, dtype=np.int64)
     order = np.argsort(-p, kind="stable")
@@ -376,7 +377,8 @@ def hub_join_spectrum(parts: Sequence[int], hub_edge: bool,
     """
     if join_order(parts, hub_edge) + 2 < SECULAR_ORDER:
         return spectral_radius(join_with_paths(parts, hub_edge), tol)
-    return _hub_join_spectrum(parts, hub_edge, tol)
+    return _hub_join_spectrum(parts, hub_edge, *_secular_root(
+        _part_groups(parts), float(hub_edge), _Floats), tol)
 
 
 def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,

@@ -54,8 +54,8 @@ from typing import Iterable, Sequence
 from .families import (LinearForest, _partitions_desc, enumerate_lna,
                        join_edges)
 from .graphs import graph6_from_edges
-from .spectral import (DEFAULT_TOL, SpectralResult, enclosure_verdict,
-                       hub_join_radii, hub_join_spectrum)
+from .spectral import (DEFAULT_TOL, SpectralResult, _hub_join_spectrum,
+                       enclosure_verdict, hub_join_radii, hub_join_spectrum)
 
 _WORST = {"certified": 0, "indeterminate": 1, "violated": 2}
 _RANK = ["certified", "indeterminate", "violated"]
@@ -454,11 +454,11 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
 
     The residual forest is empty throughout (the two paths carry all of
     n-2), so every split merges into the same join (n-k-3, k+1). One
-    `hub_join_radii` batch encloses it and every pre-merge join, and
-    lemma2 compares those enclosures alone; each join is encoded once,
-    and each pre-merge join solved once for the Perron vector that
-    claim33 reads. Returns the lemma2 and claim33 reports interleaved
-    per split.
+    `hub_join_radii` batch solves and encloses it and every pre-merge
+    join. lemma2 compares those enclosures alone; claim33 reads the Perron
+    vector at the pre-merge join's batch row, which is its scalar Newton
+    root bit for bit. Each join is encoded once. Returns the lemma2 and
+    claim33 reports interleaved per split.
     An n with no split, a negative k, or an n below the order threshold
     without `force` is refused before anything is solved: the first
     split's checks stand for all of them.
@@ -473,7 +473,8 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
     after_g6 = graph6_from_edges(n, join_edges(merged, True))
     reports = []
     for (n1, n2), before in zip(splits, befores):
-        res, before_g6 = _solved_join([n1, n2], True, tol)
+        before_g6 = graph6_from_edges(n, join_edges((n1, n2), True))
+        res = _hub_join_spectrum((n1, n2), True, before[0], before[3], tol)
         reports.append(_lemma2(n, k, n1, n2, (), tol, outside, before, after,
                                before_g6, after_g6))
         reports.append(_claim33(n, k, n1, n2, (), tol, outside, res,

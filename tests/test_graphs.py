@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from functools import cached_property
 
 import networkx as nx
 import pytest
@@ -13,7 +14,8 @@ from spexplanar import (Graph, Graph6Error, GraphConstructionError,
                         is_planar, parse_edge_list, to_graph6)
 from spexplanar.families import (complete_bipartite, complete_graph,
                                  cycle_graph, join_with_paths, path_graph)
-from spexplanar.graphs import _kernel
+from spexplanar.cycles import cycle_spectrum
+from spexplanar.graphs import _block_adjacency, _kernel
 
 import oracles
 
@@ -269,10 +271,39 @@ def test_blocks_match_networkx(g, chords):
     assert sorted(g.blocks, key=sorted) == sorted(want, key=sorted)
     odd = [c for c in want if not nx.is_bipartite(h.subgraph(c))]
     assert sorted(g.odd_blocks, key=sorted) == sorted(odd, key=sorted)
-    for block, edges, _ in g._tarjan_blocks():
-        assert len(edges) == len(set(map(frozenset, edges)))
-        assert ({frozenset(e) for e in edges}
-                == {frozenset(e) for e in h.subgraph(block).edges()})
+    # the recorded edge counts, and the restricted adjacency that planarity
+    # reads, against networkx's block edges
+    for (block, m, _), nbrs in zip(g._tarjan_blocks,
+                                   _block_adjacency(g.adj, g.blocks)):
+        want = {frozenset(e) for e in h.subgraph(block).edges()}
+        assert m == len(want)
+        assert set(nbrs) == block
+        assert {frozenset((v, w)) for v, ws in nbrs.items()
+                for w in ws} == want
+        assert all(v in nbrs[w] for v, ws in nbrs.items() for w in ws)
+
+
+@pytest.mark.parametrize("first_planarity", [True, False])
+def test_planarity_and_cycle_search_share_one_tarjan_pass(
+        monkeypatch, first_planarity):
+    tarjan = Graph.__dict__["_tarjan_blocks"]
+    passes = []
+
+    def counting(self):
+        passes.append(self)
+        return tarjan.func(self)
+
+    counted = cached_property(counting)
+    counted.__set_name__(Graph, "_tarjan_blocks")
+    monkeypatch.setattr(Graph, "_tarjan_blocks", counted)
+    # a 12-cycle with four chords: one block of rank 5, so planarity reads
+    # its edges, and one pendant edge
+    g = from_edges(13, [(i, (i + 1) % 12) for i in range(12)]
+                   + [(0, 6), (1, 4), (7, 10), (2, 9), (11, 12)])
+    steps = [is_planar, cycle_spectrum]
+    for step in steps if first_planarity else steps[::-1]:
+        step(g)
+    assert g.planar and passes == [g]
 
 
 def test_windmill_blocks_parity_and_planarity_match_networkx():
@@ -394,7 +425,7 @@ def test_theta_graph_needs_no_left_right_test(monkeypatch):
         edges += zip(path, path[1:])
     g = from_edges(inner, edges)
     assert len(g.blocks) == 1 and g.edge_count() - g.n + 1 == 4
-    assert _kernel(edges) == {}
+    assert _kernel(_block_adjacency(g.adj, g.blocks)[0]) == {}
     assert is_planar(g) and tested == []
 
 

@@ -285,16 +285,18 @@ def test_lemma2_sweep_interleaves_reports():
 
 
 def counting_vector_stage(monkeypatch):
-    """Record the (parts, hub_edge) of every vector-stage solve."""
-    from spexplanar import spectral
+    """Record the (parts, hub_edge) of every vector-stage evaluation,
+    through spectral's binding and the one verify imports."""
+    from spexplanar import spectral, verify
     solved = []
     solve = spectral._hub_join_spectrum
 
-    def counting_solve(parts, hub_edge, tol):
+    def counting_solve(parts, hub_edge, rho, steps, tol):
         solved.append((tuple(parts), hub_edge))
-        return solve(parts, hub_edge, tol)
+        return solve(parts, hub_edge, rho, steps, tol)
 
-    monkeypatch.setattr(spectral, "_hub_join_spectrum", counting_solve)
+    for module in (spectral, verify):
+        monkeypatch.setattr(module, "_hub_join_spectrum", counting_solve)
     return solved
 
 
@@ -306,9 +308,14 @@ def test_lemma2_reads_no_vector(monkeypatch):
 
 
 def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
-    from spexplanar import verify
-    encoded, enclosed = [], []
+    from spexplanar import spectral, verify
+    encoded, enclosed, rooted = [], [], []
     encode, radii = verify.graph6_from_edges, verify.hub_join_radii
+    root = spectral._secular_root
+
+    def counting_root(groups, e, num):
+        rooted.append(num)
+        return root(groups, e, num)
 
     def counting_encode(n, edges):
         encoded.append(encode(n, edges))
@@ -321,20 +328,34 @@ def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
     solved = counting_vector_stage(monkeypatch)
     monkeypatch.setattr(verify, "graph6_from_edges", counting_encode)
     monkeypatch.setattr(verify, "hub_join_radii", counting_radii)
+    monkeypatch.setattr(spectral, "_secular_root", counting_root)
     reports = lemma2_sweep(20, 0, force=True)
-    # 8 pre-merge joins are solved for their vectors; they and the one
-    # post-merge join (17, 1) they share are encoded once each, and
-    # enclosed in one batch
+    # the 8 pre-merge joins and the one post-merge join (17, 1) they share
+    # are encoded once each, and solved and enclosed in one batch: one
+    # Newton root call; the 8 vectors are evaluated at their batch rows
+    assert rooted == [spectral._Arrays]
     assert len(solved) == len(set(solved)) == 8
     assert (17, 1) not in {parts for parts, _ in solved}
     assert len(encoded) == len(set(encoded)) == 9
     assert enclosed == [[(17, 1)] + [(18 - n2, n2) for n2 in range(2, 10)]]
-    monkeypatch.undo()
-    singles = []
-    for n2 in range(2, 10):
-        singles.append(verify_lemma2(20, 0, 18 - n2, n2, force=True))
-        singles.append(verify_claim33(20, 0, 18 - n2, n2, force=True)[0])
-    assert [r.to_json() for r in reports] == [r.to_json() for r in singles]
+    assert len(reports) == 16  # equal to the single checks: the test below
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_lemma2_sweep_reports_equal_single_checks_at_forced_orders(k):
+    # every forced order from n = 6 (k = 0) on, below the secular order
+    # too: a sweep's claim33 vector is evaluated at its join's batch row,
+    # a single check's at its own scalar Newton root, and the reports are
+    # the same bytes
+    for n in range(2 * k + 6, 41):
+        reports = lemma2_sweep(n, k, force=True)
+        singles = []
+        for n2 in range(k + 2, (n - 2) // 2 + 1):
+            singles.append(verify_lemma2(n, k, n - 2 - n2, n2, force=True))
+            singles.append(
+                verify_claim33(n, k, n - 2 - n2, n2, force=True)[0])
+        assert [r.to_json() for r in reports] == \
+            [r.to_json() for r in singles], n
 
 
 # --- entry bounds --------------------------------------------------------------
