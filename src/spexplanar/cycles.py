@@ -1,8 +1,10 @@
 """Fixed-length cycle search, constructive certificates, cycle spectra.
 
 `find_cycle` is an exact backtracking search: a returned certificate is a
-real cycle (revalidated before return) and `None` means a completed proof of
-absence. Exhaustion of the node budget is a third outcome, raised as
+real cycle (a path over the adjacency lists whose last vertex is a
+neighbour of the first, so a cycle by construction; `validate_cycle`
+checks one from outside) and `None` means a completed proof of absence.
+Exhaustion of the node budget is a third outcome, raised as
 SearchBudgetExceeded, never folded into "absent".
 
 There is one search kernel, `_search`: a pass that settles a set of wanted
@@ -80,7 +82,9 @@ def find_cycle(g: Graph, ell: int,
 
     Returns the cycle as a vertex list (smallest vertex first) or None when
     none exists: the search pass `_search` with the one wanted length
-    `ell`. Raises SearchBudgetExceeded when its node budget runs out before
+    `ell`, whose certificate is a cycle by construction and is not
+    re-checked at run time (`validate_cycle` checks one from outside).
+    Raises SearchBudgetExceeded when its node budget runs out before
     either outcome is proven. A settled length is kept in the graph's memo
     (`Graph.settled_cycles`) and answered from it on later calls, whatever
     their budget, as a fresh list; a budget outcome is not kept.
@@ -170,9 +174,6 @@ def _search(g: Graph, lengths: Iterable[int],
         open_.difference_update(settled)
     else:
         settled.update(dict.fromkeys(open_))
-    for cyc in settled.values():
-        if cyc is not None:
-            validate_cycle(g, cyc)
     return settled
 
 

@@ -160,8 +160,12 @@ class Graph:
         reduced to its kernel (`_kernel`) of the adjacency restricted to it
         (`_block_adjacency`), planar iff the block is, and the kernel is
         decided: one with <= 4 vertices is a subgraph of K4, so planar; one
-        with m > 3n - 6 edges breaks Euler's bound, so non-planar; only the
-        rest go to networkx's left-right test, the one place it is imported.
+        with m > 3n - 6 edges breaks Euler's bound, so non-planar; one with
+        5 vertices is then planar, since K5 (10 > 9 edges) is the only
+        non-planar graph on 5 vertices; only the rest go to networkx's
+        left-right test, the one place it is imported. The K4 test comes
+        first because 3n - 6 <= 0 below 3 vertices: the kernel K2 of a
+        theta graph would break the bound.
         """
         ranked = [b for b, m, _ in self._tarjan_blocks if m - len(b) + 1 >= 4]
         for nbrs in _block_adjacency(self.adj, ranked):
@@ -172,6 +176,8 @@ class Graph:
             m = sum(map(len, kernel.values())) // 2
             if m > 3 * n - 6:
                 return False
+            if n == 5:
+                continue
             import networkx as nx
             if not nx.check_planarity(nx.from_dict_of_lists(kernel),
                                       counterexample=False)[0]:

@@ -16,9 +16,18 @@ Each graph gets exactly one of two engines, chosen before any solve:
   Perron vector is written down per path block in closed form.
 * Everything else takes one dense symmetric solve: the all-ones vector on
   regular graphs (an exact eigenvector there), otherwise the top
-  eigenvector of `numpy.linalg.eigh`, max-normalized. Its residual is
-  O(u ||A||) by backward stability; above `tol` it raises
-  ConvergenceError, above DENSE_MAX_ORDER vertices ValueError at once.
+  eigenvector of `numpy.linalg.eigh`, max-normalized. A bipartite graph
+  (no odd block, `Graph.odd_blocks`) with colour classes X, the smaller,
+  and Y has A = [[0, B], [B', 0]] for B = A[X, Y], so rho^2 is the top
+  eigenvalue of B B' (Brouwer & Haemers, "Spectra of Graphs", 2012):
+  `eigh` runs at order |X| <= n/2, about 1/8 of the flops, with x_X its
+  top eigenvector and x_Y = B' x_X / rho. The graph is connected, so
+  rho is simple and B B' irreducible. Either way rho is the Rayleigh
+  quotient and the residual is taken on the full A; it is O(u ||A||) by
+  backward stability (on the bipartite route the X block is
+  (B B' x_X - rho^2 x_X) / rho, the Y block zero up to rounding). Above
+  `tol` it raises ConvergenceError, and above DENSE_MAX_ORDER vertices
+  (checked on n, bipartite or not) ValueError at once.
 
 A hub join is solved from its part list in one or two stages:
 
@@ -88,7 +97,10 @@ NEWTON_STOP = 1e-14   # relative Newton step at which the root is taken
 NEWTON_CAP = 100      # Newton steps before the residual decides (<= 6 seen)
 ENCLOSE_ULPS = 8      # first half-width of a root enclosure, in ulps of rho
 SECULAR_ORDER = 7     # join order from which the part list alone picks secular
-DENSE_MAX_ORDER = 5000  # P5000 peaks at 1.0 GB RSS in eigh (16 s, 2 cores)
+# Checked on n for every graph. A non-bipartite graph of order 5000 peaks
+# at 1.0 GB RSS in eigh (16 s, 2 cores); P5000, bipartite, decomposes at
+# order 2500: 0.52 GB and 1.4 s.
+DENSE_MAX_ORDER = 5000
 
 
 class DisconnectedGraphError(ValueError):
@@ -132,9 +144,11 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest adjacency eigenvalue of a connected graph, with Perron vector.
 
     Deterministic: hub joins take the secular engine, everything else the
-    dense solve. Raises DisconnectedGraphError on disconnected input,
-    ValueError above DENSE_MAX_ORDER on the dense route, and
-    ConvergenceError if the residual of either solve misses `tol`.
+    dense solve, which decomposes a bipartite graph's B B' at the order of
+    its smaller colour class and any other non-regular graph's A at n
+    (module docstring). Raises DisconnectedGraphError on disconnected
+    input, ValueError above DENSE_MAX_ORDER vertices on the dense route,
+    and ConvergenceError if the residual of either solve misses `tol`.
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
@@ -165,7 +179,10 @@ def _dense_solve(g: Graph, tol: float) -> SpectralResult:
     z = a @ x
     if z.min() < z.max():
         # not regular: the all-ones residual max|deg - mean deg| is >= 1/2
-        x = np.abs(np.linalg.eigh(a)[1][:, -1])
+        if g.odd_blocks:
+            x = np.abs(np.linalg.eigh(a)[1][:, -1])
+        else:
+            x = _bipartite_perron(g, a)
         x = x / x.max()
         z = a @ x
     rho = float(x @ z) / float(x @ x)
@@ -173,6 +190,31 @@ def _dense_solve(g: Graph, tol: float) -> SpectralResult:
     if resid > tol:
         raise ConvergenceError(resid, tol)
     return SpectralResult(rho, x, resid, 1, "dense")
+
+
+def _bipartite_perron(g: Graph, a: np.ndarray) -> np.ndarray:
+    """The Perron vector of the connected bipartite graph g with adjacency
+    `a`: its colour classes from one BFS, X the smaller (vertex 0's on a
+    tie) and Y; for B = A[X, Y], rho^2 is the top eigenvalue of B B' with
+    eigenvector x_X, and x_Y = B' x_X / rho."""
+    side = [-1] * g.n
+    side[0] = 0
+    order = [0]
+    for v in order:
+        for w in g.adj[v]:
+            if side[w] < 0:
+                side[w] = side[v] ^ 1
+                order.append(w)
+    in_y = np.array(side, dtype=bool)
+    if 2 * int(in_y.sum()) < g.n:
+        in_y = ~in_y
+    cx, cy = np.flatnonzero(~in_y), np.flatnonzero(in_y)
+    b = a[np.ix_(cx, cy)]
+    w, v = np.linalg.eigh(b @ b.T)
+    x = np.empty(g.n)
+    x[cx] = np.abs(v[:, -1])
+    x[cy] = b.T @ x[cx] / math.sqrt(w[-1])
+    return x
 
 
 # --- the secular engine for hub joins ----------------------------------------

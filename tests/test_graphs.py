@@ -366,6 +366,21 @@ def test_planarity_tests_rank_four_blocks_once(monkeypatch):
     assert is_planar(cycle_graph(40)) and tested == [6]
 
 
+def test_five_vertex_kernels_need_no_left_right_test(monkeypatch):
+    tested = _count_lr_tests(monkeypatch)
+    # the wheel W4 (rank 4) is its own kernel: 5 vertices, 8 <= 9 edges,
+    # and K5 is the only non-planar graph on 5 vertices
+    w4 = (5, [(0, i) for i in range(1, 5)]
+          + [(i, i % 4 + 1) for i in range(1, 5)])
+    assert is_planar(from_edges(*w4))
+    # subdividing a spoke and a rim edge leaves the kernel W4
+    inner = [1, 0, 0, 0, 0, 2, 0, 0]
+    assert is_planar(from_edges(*oracles.subdivide(*w4, inner)))
+    # K5 has 10 > 9 edges: Euler's bound refuses it before the 5-vertex rule
+    assert not is_planar(complete_graph(5))
+    assert tested == []
+
+
 def _shuffled(n: int, edges, rng: random.Random):
     perm = list(range(n))
     rng.shuffle(perm)

@@ -24,6 +24,13 @@ from oracles import rayleigh_quotient, spectral_radius_any, surgery_compare
 TOL = 1e-12
 
 
+def _grid(a: int, b: int):
+    return from_edges(a * b, [(i * b + j, i * b + j + 1) for i in range(a)
+                              for j in range(b - 1)]
+                      + [(i * b + j, (i + 1) * b + j) for i in range(a - 1)
+                         for j in range(b)])
+
+
 def test_dense_solve_matches_closed_forms():
     for n in range(2, 13):
         assert spectral_radius(path_graph(n)).rho == pytest.approx(
@@ -37,6 +44,51 @@ def test_dense_solve_matches_closed_forms():
     for b in range(1, 30, 4):
         assert spectral_radius(complete_bipartite(2, b)).rho == pytest.approx(
             math.sqrt(2 * b), abs=1e-10)
+    # non-regular bipartite graphs decompose B B' at their smaller colour
+    # class: paths, stars, K_{a,b} with a != b, grids
+    closed = [(path_graph(n), 2.0 * math.cos(math.pi / (n + 1)))
+              for n in (57, 400)]
+    closed += [(complete_bipartite(a, b), math.sqrt(a * b))
+               for a, b in ((1, 9), (3, 5), (4, 11))]
+    closed += [(_grid(a, b), 2.0 * math.cos(math.pi / (a + 1))
+                + 2.0 * math.cos(math.pi / (b + 1)))
+               for a, b in ((2, 3), (3, 7), (6, 6), (5, 20))]
+    for g, rho in closed:
+        res = spectral_radius(g)
+        assert abs(res.rho - rho) <= 1e-12 and res.residual <= TOL
+        assert res.solver == "dense"
+
+
+def test_bipartite_route_vector_matches_dense_oracle():
+    rng = random.Random(24)
+    for _ in range(30):
+        g = oracles.random_connected(rng, rng.randint(3, 40), extra=0)
+        res = spectral_radius(g)
+        assert (res.vector > 0).all() and res.vector.max() == 1.0
+        assert np.max(np.abs(res.vector - oracles.dense_perron(g))) < 1e-8
+
+
+def test_bipartite_graphs_decompose_at_the_smaller_class(monkeypatch):
+    orders = []
+    eigh = np.linalg.eigh
+
+    def recording(m):
+        orders.append(len(m))
+        return eigh(m)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    spectral_radius(complete_bipartite(3, 8))
+    spectral_radius(_grid(3, 5))    # classes of 8 and 7
+    spectral_radius(path_graph(9))  # classes of 5 and 4
+    assert orders == [3, 7, 4]
+    # a non-bipartite, non-regular graph decomposes A itself
+    g = from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+    assert g.odd_blocks
+    spectral_radius(g)
+    assert orders[3:] == [5]
+    # a regular graph, bipartite or not, needs no decomposition
+    spectral_radius(cycle_graph(8))
+    spectral_radius(cycle_graph(7))
+    assert len(orders) == 4
 
 
 def test_power_iteration_matches_dense_oracle_random():
