@@ -4,9 +4,11 @@ Vertices are always consecutive integers starting at 0; an edge is an
 unordered pair of distinct vertices. Graphs are value objects: construction
 validates, after that nothing mutates, so they can be hashed, compared and
 used as dict keys by the layers above. Derived structure that several
-layers need (the biconnected blocks with their parity, planarity, the
-cycle lengths settled so far) is computed on first use and cached on the
-instance; it takes no part in equality, hashing or pickling.
+layers need is computed on first use and cached on the instance, and takes
+no part in equality, hashing or pickling: one depth-first pass gives the
+biconnected blocks with their parity, the connectivity and each vertex's
+depth parity (the colour classes of a bipartite graph); planarity is
+decided on those blocks; and the cycle lengths settled so far are kept.
 """
 
 from __future__ import annotations
@@ -75,32 +77,39 @@ class Graph:
                     yield (u, v)
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        """At most one DFS tree in the Tarjan pass (`_tarjan_pass`): the
+        graph with no vertex counts as connected."""
+        return self._tarjan_pass[1] <= 1
 
     @cached_property
-    def _tarjan_blocks(self) -> tuple[tuple[frozenset[int], int, bool], ...]:
-        """(vertices, edge count, bipartite) of each block with >= 3
-        vertices, read by `blocks`, `odd_blocks` and `planar`.
+    def _tarjan_pass(self) -> tuple[tuple[tuple[frozenset[int], int, bool],
+                                          ...], int, bytes]:
+        """(blocks, trees, parity) of one Tarjan low-point pass in
+        O(n + m), over an explicit stack (no recursion): the one walk of
+        the graph, read by `blocks`, `odd_blocks`, `planar`,
+        `is_connected` and the dense solve's bipartite route.
 
-        Every cycle lies inside one block (Hopcroft & Tarjan, CACM 16(6),
-        1973), so these are the only places a cycle search has to look;
-        bridges and isolated vertices belong to none of them. One Tarjan
-        low-point pass in O(n + m), over an explicit stack (no recursion),
-        that stacks tree and back edges: a child v of u whose subtree
+        `blocks` holds (vertices, edge count, bipartite) per block with >= 3
+        vertices. Every cycle lies inside one block (Hopcroft & Tarjan,
+        CACM 16(6), 1973); bridges and isolated vertices belong to none.
+        The pass stacks tree and back edges: a child v of u whose subtree
         reaches no higher than u closes the block made of the edges stacked
-        since the tree edge (u, v). The block's tree edges span it, so it
-        is bipartite iff none of its edges joins two vertices whose DFS
-        depths have the same parity.
+        since the tree edge (u, v). `trees` counts the DFS trees, one per
+        component. `parity` is each vertex's DFS depth mod 2, one byte per
+        vertex, with vertex 0 a root. A block's tree edges span it, so it
+        is bipartite iff no edge of it joins two vertices of one parity;
+        on a connected bipartite graph the parities are its 2-colouring.
         """
         adj = self.adj
         disc = [0] * self.n  # discovery time, 0 = unvisited
         low = [0] * self.n
-        depth = [0] * self.n
+        parity = bytearray(self.n)
         out = []
-        clock = 0
+        clock = trees = 0
         for root in range(self.n):
             if disc[root]:
                 continue
+            trees += 1
             clock += 1
             disc[root] = low[root] = clock
             edges = []  # edges not yet assigned to a block
@@ -113,7 +122,7 @@ class Graph:
                     if not disc[w]:
                         clock += 1
                         disc[w] = low[w] = clock
-                        depth[w] = depth[v] + 1
+                        parity[w] = parity[v] ^ 1
                         stack.append((w, v, iter(adj[w]), len(edges)))
                         edges.append((v, w))
                         break
@@ -133,21 +142,21 @@ class Graph:
                         if len(block) > 1:  # one edge is a bridge
                             out.append((frozenset(chain.from_iterable(block)),
                                         len(block),
-                                        all((depth[a] ^ depth[b]) & 1
+                                        all(parity[a] ^ parity[b]
                                             for a, b in block)))
-        return tuple(out)
+        return tuple(out), trees, bytes(parity)
 
     @cached_property
     def blocks(self) -> tuple[frozenset[int], ...]:
         """Vertex sets of the biconnected blocks with at least 3 vertices,
-        in the order the Tarjan pass (`_tarjan_blocks`) closes them."""
-        return tuple(b for b, _, _ in self._tarjan_blocks)
+        in the order the Tarjan pass (`_tarjan_pass`) closes them."""
+        return tuple(b for b, _, _ in self._tarjan_pass[0])
 
     @cached_property
     def odd_blocks(self) -> tuple[frozenset[int], ...]:
         """The non-bipartite blocks: an odd cycle lies inside one block, and
         a bipartite block has none."""
-        return tuple(b for b, _, bip in self._tarjan_blocks if not bip)
+        return tuple(b for b, _, bip in self._tarjan_pass[0] if not bip)
 
     @cached_property
     def planar(self) -> bool:
@@ -167,7 +176,8 @@ class Graph:
         first because 3n - 6 <= 0 below 3 vertices: the kernel K2 of a
         theta graph would break the bound.
         """
-        ranked = [b for b, m, _ in self._tarjan_blocks if m - len(b) + 1 >= 4]
+        ranked = [b for b, m, _ in self._tarjan_pass[0]
+                  if m - len(b) + 1 >= 4]
         for nbrs in _block_adjacency(self.adj, ranked):
             kernel = _kernel(nbrs)
             n = len(kernel)
@@ -194,27 +204,6 @@ class Graph:
     def __getstate__(self):
         # the cached properties live in __dict__; pickle the value alone
         return {"n": self.n, "adj": self.adj}
-
-    def components(self) -> list[list[int]]:
-        """Connected components, each sorted, ordered by smallest vertex."""
-        seen = bytearray(self.n)
-        out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            seen[s] = 1
-            comp = [s]
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for v in self.adj[u]:
-                    if not seen[v]:
-                        seen[v] = 1
-                        comp.append(v)
-                        stack.append(v)
-            comp.sort()
-            out.append(comp)
-        return out
 
 
 def _block_adjacency(adj, blocks: list[frozenset[int]]

@@ -14,20 +14,23 @@ Each graph gets exactly one of two engines, chosen before any solve:
   Rev. 15, 1973). Newton's method from the all-singleton lower bound
   converges monotonically (f is increasing and concave there), and the
   Perron vector is written down per path block in closed form.
-* Everything else takes one dense symmetric solve: the all-ones vector on
-  regular graphs (an exact eigenvector there), otherwise the top
+* Everything else takes the dense route: ValueError above DENSE_MAX_ORDER
+  vertices (on n, bipartite or not), then DisconnectedGraphError unless
+  the graph's Tarjan pass grew one DFS tree. A regular graph of degree d
+  gets rho = d and the all-ones vector, an exact eigenvector, residual 0
+  and no matrix. Any other graph takes one dense symmetric solve: the top
   eigenvector of `numpy.linalg.eigh`, max-normalized. A bipartite graph
   (no odd block, `Graph.odd_blocks`) with colour classes X, the smaller,
-  and Y has A = [[0, B], [B', 0]] for B = A[X, Y], so rho^2 is the top
-  eigenvalue of B B' (Brouwer & Haemers, "Spectra of Graphs", 2012):
-  `eigh` runs at order |X| <= n/2, about 1/8 of the flops, with x_X its
-  top eigenvector and x_Y = B' x_X / rho. The graph is connected, so
-  rho is simple and B B' irreducible. Either way rho is the Rayleigh
-  quotient and the residual is taken on the full A; it is O(u ||A||) by
-  backward stability (on the bipartite route the X block is
-  (B B' x_X - rho^2 x_X) / rho, the Y block zero up to rounding). Above
-  `tol` it raises ConvergenceError, and above DENSE_MAX_ORDER vertices
-  (checked on n, bipartite or not) ValueError at once.
+  and Y, read off the same pass's DFS depth parities, has
+  A = [[0, B], [B', 0]] for B = A[X, Y], so rho^2 is the top eigenvalue
+  of B B' (Brouwer & Haemers, "Spectra of Graphs", 2012): `eigh` runs at
+  order |X| <= n/2, about 1/8 of the flops, with x_X its top eigenvector
+  and x_Y = B' x_X / rho. The graph is connected, so rho is simple and
+  B B' irreducible. Either way rho is the Rayleigh quotient and the
+  residual is taken on the full A; it is O(u ||A||) by backward stability
+  (on the bipartite route the X block is (B B' x_X - rho^2 x_X) / rho,
+  the Y block zero up to rounding). Above `tol` it raises
+  ConvergenceError.
 
 A hub join is solved from its part list in one or two stages:
 
@@ -144,19 +147,17 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest adjacency eigenvalue of a connected graph, with Perron vector.
 
     Deterministic: hub joins take the secular engine, everything else the
-    dense solve, which decomposes a bipartite graph's B B' at the order of
-    its smaller colour class and any other non-regular graph's A at n
-    (module docstring). Raises DisconnectedGraphError on disconnected
-    input, ValueError above DENSE_MAX_ORDER vertices on the dense route,
-    and ConvergenceError if the residual of either solve misses `tol`.
+    dense solve, which answers a regular graph from its degree, decomposes
+    a bipartite graph's B B' at the order of its smaller colour class and
+    any other graph's A at n (module docstring). Raises ValueError on a
+    graph with no vertex, then on the dense route, in this order,
+    ValueError above DENSE_MAX_ORDER vertices and DisconnectedGraphError
+    on disconnected input; ConvergenceError if a residual misses `tol`.
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
     hub = recognize_hub_join(g)
     if hub is None:
-        if not g.is_connected():
-            raise DisconnectedGraphError(
-                f"graph with {g.n} vertices is not connected")
         return _dense_solve(g, tol)
     hub1, hub2, paths, hub_edge = hub
     parts = [len(p) for p in paths]
@@ -171,20 +172,24 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
 
 
 def _dense_solve(g: Graph, tol: float) -> SpectralResult:
+    """The dense route of `spectral_radius` (module docstring) for a graph
+    with >= 1 vertex: a regular graph builds no matrix."""
     if g.n > DENSE_MAX_ORDER:
         raise ValueError(f"dense solve of {g.n} vertices exceeds "
                          f"DENSE_MAX_ORDER {DENSE_MAX_ORDER}")
+    if not g.is_connected():
+        raise DisconnectedGraphError(
+            f"graph with {g.n} vertices is not connected")
+    degree = len(g.adj[0])
+    if all(len(row) == degree for row in g.adj):
+        return SpectralResult(float(degree), np.ones(g.n), 0.0, 1, "dense")
     a = adjacency_matrix(g)
-    x = np.ones(g.n)
+    if g.odd_blocks:
+        x = np.abs(np.linalg.eigh(a)[1][:, -1])
+    else:
+        x = _bipartite_perron(g, a)
+    x = x / x.max()
     z = a @ x
-    if z.min() < z.max():
-        # not regular: the all-ones residual max|deg - mean deg| is >= 1/2
-        if g.odd_blocks:
-            x = np.abs(np.linalg.eigh(a)[1][:, -1])
-        else:
-            x = _bipartite_perron(g, a)
-        x = x / x.max()
-        z = a @ x
     rho = float(x @ z) / float(x @ x)
     resid = float(np.max(np.abs(z - rho * x)))
     if resid > tol:
@@ -194,18 +199,11 @@ def _dense_solve(g: Graph, tol: float) -> SpectralResult:
 
 def _bipartite_perron(g: Graph, a: np.ndarray) -> np.ndarray:
     """The Perron vector of the connected bipartite graph g with adjacency
-    `a`: its colour classes from one BFS, X the smaller (vertex 0's on a
-    tie) and Y; for B = A[X, Y], rho^2 is the top eigenvalue of B B' with
+    `a`: its colour classes are the DFS depth parities of the Tarjan pass
+    (`Graph._tarjan_pass`), X the smaller (vertex 0's, parity 0, on a tie)
+    and Y; for B = A[X, Y], rho^2 is the top eigenvalue of B B' with
     eigenvector x_X, and x_Y = B' x_X / rho."""
-    side = [-1] * g.n
-    side[0] = 0
-    order = [0]
-    for v in order:
-        for w in g.adj[v]:
-            if side[w] < 0:
-                side[w] = side[v] ^ 1
-                order.append(w)
-    in_y = np.array(side, dtype=bool)
+    in_y = np.frombuffer(g._tarjan_pass[2], np.uint8).astype(bool)
     if 2 * int(in_y.sum()) < g.n:
         in_y = ~in_y
     cx, cy = np.flatnonzero(~in_y), np.flatnonzero(in_y)

@@ -124,10 +124,16 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
 def _solved_join(parts: Sequence[int], hub_edge: bool, tol: float
                  ) -> tuple[SpectralResult, str]:
     """The hub join of `parts` solved from its part list (in the join's
-    layout) and its graph6, encoded from its edge rows
-    (`families.join_edges`): no graph is built."""
+    layout) and its graph6 (`_join_graph6`): no graph is built."""
     return (hub_join_spectrum(parts, hub_edge, tol),
-            graph6_from_edges(sum(parts) + 2, join_edges(parts, hub_edge)))
+            _join_graph6(parts, hub_edge))
+
+
+def _join_graph6(parts: Sequence[int], hub_edge: bool) -> str:
+    """The graph6 of the hub join of `parts`, encoded from its edge rows
+    (`families.join_edges`): every join artifact of a report is this
+    string, and no graph is built."""
+    return graph6_from_edges(sum(parts) + 2, join_edges(parts, hub_edge))
 
 
 # --- lemma1: family ordering under the part count ---------------------------
@@ -168,8 +174,7 @@ def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
     lf2 = _check_lna(n, a2, l2, "l2")
     (rho1, lo1, hi1, _), = hub_join_radii([lf1.parts], False, tol)
     (rho2, lo2, hi2, _), = hub_join_radii([lf2.parts], False, tol)
-    g6_1, g6_2 = (graph6_from_edges(n, join_edges(lf.parts, False))
-                  for lf in (lf1, lf2))
+    g6_1, g6_2 = (_join_graph6(lf.parts, False) for lf in (lf1, lf2))
     return VerificationReport(
         check_id="lemma1",
         params={"n": n, "a1": a1, "a2": a2, "l1": list(lf1.parts),
@@ -229,10 +234,8 @@ def _lemma1_pair(n: int, a1: int, a2: int, fam1, fam2,
         margins={"min_pair_gap": float(gap),
                  "max_rho_l1": float(hi_rho),
                  "min_rho_l2": float(lo_rho)},
-        artifacts={"worst_join_l1": graph6_from_edges(
-                       n, join_edges(hi_parts, False)),
-                   "worst_join_l2": graph6_from_edges(
-                       n, join_edges(lo_parts, False))},
+        artifacts={"worst_join_l1": _join_graph6(hi_parts, False),
+                   "worst_join_l2": _join_graph6(lo_parts, False)},
         tol=tol,
     )
 
@@ -317,8 +320,7 @@ def verify_lemma2(n: int, k: int, n1: int, n2: int,
     before, = hub_join_radii([parts], True, tol)
     after, = hub_join_radii([merged], True, tol)
     return _lemma2(n, k, n1, n2, l_parts, tol, outside, before, after,
-                   *(graph6_from_edges(n, join_edges(p, True))
-                     for p in (parts, merged)))
+                   *(_join_graph6(p, True) for p in (parts, merged)))
 
 
 def _lemma2(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
@@ -470,10 +472,10 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
     outside = _validate_merge(n, k, *splits[0], (), force)
     merged = _merged_parts(k, *splits[0], ())
     after, *befores = hub_join_radii([merged, *splits], True, tol)
-    after_g6 = graph6_from_edges(n, join_edges(merged, True))
+    after_g6 = _join_graph6(merged, True)
     reports = []
     for (n1, n2), before in zip(splits, befores):
-        before_g6 = graph6_from_edges(n, join_edges((n1, n2), True))
+        before_g6 = _join_graph6((n1, n2), True)
         res = _hub_join_spectrum((n1, n2), True, before[0], before[3], tol)
         reports.append(_lemma2(n, k, n1, n2, (), tol, outside, before, after,
                                before_g6, after_g6))
@@ -626,8 +628,7 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
         params=params,
         holds=holds,
         margins=margins,
-        artifacts={"argmax_join": graph6_from_edges(
-            n, join_edges(best[0], True))},
+        artifacts={"argmax_join": _join_graph6(best[0], True)},
         tol=tol,
     )
     return ArgmaxSweepResult(report, tuple(rows))

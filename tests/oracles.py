@@ -387,7 +387,7 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
 def spectral_radius_any(g: Graph, tol: float = DEFAULT_TOL) -> float:
     """Spectral radius of a possibly disconnected graph (max over components)."""
     best = 0.0
-    for comp in g.components():
+    for comp in nx.connected_components(to_nx(g)):
         sub = induced_subgraph(g, comp)
         best = max(best, spectral_radius(sub, tol).rho)
     return best

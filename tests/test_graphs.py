@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from functools import cached_property
+from itertools import permutations
 
 import networkx as nx
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from spexplanar import (Graph, Graph6Error, GraphConstructionError,
                         format_edge_list, from_edges, from_graph6,
-                        is_planar, parse_edge_list, to_graph6)
+                        is_planar, parse_edge_list, spectral_radius,
+                        to_graph6)
 from spexplanar.families import (complete_bipartite, complete_graph,
                                  cycle_graph, join_with_paths, path_graph)
 from spexplanar.cycles import cycle_spectrum
@@ -72,7 +74,6 @@ def test_cached_properties_leave_value_semantics_alone():
 def test_connectivity_and_components():
     g = from_edges(5, [(0, 1), (1, 2), (3, 4)])
     assert not g.is_connected()
-    assert g.components() == [[0, 1, 2], [3, 4]]
     assert from_edges(1, []).is_connected()
     assert from_edges(0, []).is_connected()
     assert path_graph(6).is_connected()
@@ -273,7 +274,7 @@ def test_blocks_match_networkx(g, chords):
     assert sorted(g.odd_blocks, key=sorted) == sorted(odd, key=sorted)
     # the recorded edge counts, and the restricted adjacency that planarity
     # reads, against networkx's block edges
-    for (block, m, _), nbrs in zip(g._tarjan_blocks,
+    for (block, m, _), nbrs in zip(g._tarjan_pass[0],
                                    _block_adjacency(g.adj, g.blocks)):
         want = {frozenset(e) for e in h.subgraph(block).edges()}
         assert m == len(want)
@@ -286,7 +287,7 @@ def test_blocks_match_networkx(g, chords):
 @pytest.mark.parametrize("first_planarity", [True, False])
 def test_planarity_and_cycle_search_share_one_tarjan_pass(
         monkeypatch, first_planarity):
-    tarjan = Graph.__dict__["_tarjan_blocks"]
+    tarjan = Graph.__dict__["_tarjan_pass"]
     passes = []
 
     def counting(self):
@@ -294,16 +295,60 @@ def test_planarity_and_cycle_search_share_one_tarjan_pass(
         return tarjan.func(self)
 
     counted = cached_property(counting)
-    counted.__set_name__(Graph, "_tarjan_blocks")
-    monkeypatch.setattr(Graph, "_tarjan_blocks", counted)
+    counted.__set_name__(Graph, "_tarjan_pass")
+    monkeypatch.setattr(Graph, "_tarjan_pass", counted)
     # a 12-cycle with four chords: one block of rank 5, so planarity reads
-    # its edges, and one pendant edge
-    g = from_edges(13, [(i, (i + 1) % 12) for i in range(12)]
-                   + [(0, 6), (1, 4), (7, 10), (2, 9), (11, 12)])
-    steps = [is_planar, cycle_spectrum]
-    for step in steps if first_planarity else steps[::-1]:
-        step(g)
-    assert g.planar and passes == [g]
+    # its edges, and one pendant edge; neither a hub join nor regular, so
+    # the radius takes the dense route, which reads the pass for
+    # connectivity and odd blocks. Chord (0, 6) closes an odd cycle (eigh
+    # of A); with (0, 7) instead the graph is bipartite and its colour
+    # classes are the pass's parities.
+    steps = [is_planar, spectral_radius, cycle_spectrum]
+    for chord in ((0, 6), (0, 7)):
+        for order in permutations(steps):
+            if (order.index(is_planar) < order.index(cycle_spectrum)
+                    ) != first_planarity:
+                continue
+            passes.clear()
+            g = from_edges(13, [(i, (i + 1) % 12) for i in range(12)]
+                           + [chord, (1, 4), (7, 10), (2, 9), (11, 12)])
+            for step in order:
+                step(g)
+            assert g.planar and passes == [g]
+            assert bool(g.odd_blocks) == (chord == (0, 6))
+
+
+def test_connectivity_and_parity_match_networkx():
+    # random forests (some vertices left isolated, or starting a new tree)
+    # plus random chords, kept between the tree's colour classes on half of
+    # them
+    rng = random.Random(25)
+    disconnected = bipartite = 0
+    for i in range(620):
+        n = i % 31
+        stay = rng.choice((1.0, 0.97, 0.8, 0.5))
+        edges, colour = set(), [0] * n
+        for v in range(1, n):
+            if rng.random() < stay:
+                u = rng.randrange(v)
+                edges.add((u, v))
+                colour[v] = colour[u] ^ 1
+        two_coloured = rng.random() < 0.5
+        for _ in range(rng.randrange(n + 1) if n >= 2 else 0):
+            u, v = rng.sample(range(n), 2)
+            if not two_coloured or colour[u] != colour[v]:
+                edges.add((u, v))
+        g = from_edges(n, edges)
+        h = oracles.to_nx(g)
+        assert g.is_connected() == (n == 0 or nx.is_connected(h))
+        parity = g._tarjan_pass[2]
+        assert len(parity) == n
+        disconnected += not g.is_connected()
+        if n and g.is_connected() and nx.is_bipartite(h):
+            bipartite += 1
+            assert parity[0] == 0
+            assert all(parity[u] != parity[v] for u, v in g.edges())
+    assert disconnected > 100 and bipartite > 100
 
 
 def test_windmill_blocks_parity_and_planarity_match_networkx():

@@ -91,6 +91,24 @@ def test_bipartite_graphs_decompose_at_the_smaller_class(monkeypatch):
     assert len(orders) == 4
 
 
+def test_regular_graphs_are_answered_from_their_degree(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a regular graph built or decomposed a matrix")
+    monkeypatch.setattr(spectral, "adjacency_matrix", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    graphs = [(cycle_graph(n), 2) for n in (3, 4, 5, 12)]
+    graphs += [(complete_graph(n), n - 1) for n in (1, 2, 4, 6)]
+    graphs += [(complete_bipartite(3, 3), 3),
+               (oracles.from_nx(nx.petersen_graph()), 3),
+               (oracles.from_nx(nx.octahedral_graph()), 4),
+               (oracles.from_nx(nx.hypercube_graph(3)), 3)]
+    for g, degree in graphs:
+        res = spectral_radius(g)
+        assert res.rho == degree and res.residual == 0.0
+        assert res.vector.tolist() == [1.0] * g.n
+        assert (res.solver, res.iterations) == ("dense", 1)
+
+
 def test_power_iteration_matches_dense_oracle_random():
     rng = random.Random(20260817)
     for _ in range(100):
@@ -181,6 +199,9 @@ def test_dense_solve_refuses_orders_above_its_ceiling(monkeypatch, capsys):
     assert main(["rho", f"P{spectral.DENSE_MAX_ORDER + 1}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # the ceiling is checked before connectivity, with no traversal
+    with pytest.raises(ValueError, match="DENSE_MAX_ORDER"):
+        spectral_radius(from_edges(spectral.DENSE_MAX_ORDER + 1, []))
     # a hub join of any order takes the secular engine, not the dense one
     big = join_with_paths([spectral.DENSE_MAX_ORDER, 7], True)
     assert spectral_radius(big).solver == "secular"
