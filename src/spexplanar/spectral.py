@@ -51,7 +51,14 @@ A hub join is solved from its part list in one or two stages:
   the Perron entries in closed form per path block and their residual
   ||Ax - rho x||_inf from the join's structure, in 1-D arrays with the
   paths longest first, then scattered once into block order; above `tol`
-  it raises ConvergenceError. It costs O(n) and encloses nothing.
+  it raises ConvergenceError. It costs O(n) and encloses nothing. Only
+  `spectral_radius` of a recognized join (so `spex rho --emit-vector`)
+  and `_small_join_radius` run it.
+
+The checks on Perron entries (claim33, entry bounds) read O(k) entries,
+not the vector: `_closed_forms` evaluates the closed form of each entry
+or entry step they read over the root stage's [lo, hi], with rounding
+placed as in the enclosure.
 
 Each formula of the root stage is written once, and so is each driver
 around them: f with f' (`_secular`), the outward-rounded bound on f
@@ -74,12 +81,9 @@ One function gives every verdict, `enclosure_verdict(lo, hi)` on an
 interval [lo, hi] that holds a margin: certified when lo > 0, violated
 when hi < 0, indeterminate when it holds 0. Every gap between two radii
 is decided on the float differences of their root-stage enclosures'
-ends: a proof, up to the correctness of IEEE rounding. Margins on Perron
-entries (claim33, entry bounds) have no enclosure yet and pass
-[margin - slack, margin + slack], slack 10 * tol (times rho^i on a band
-scaled by rho^i). In claim33 a margin within the slack is indeterminate;
-entry bounds have no indeterminate state yet and report such a margin
-certified.
+ends, and every margin on Perron entries on the outward-rounded sums of
+its closed forms' bounds over the same enclosure: a proof, up to the
+correctness of IEEE rounding.
 """
 
 from __future__ import annotations
@@ -173,7 +177,8 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
 
 def _dense_solve(g: Graph, tol: float) -> SpectralResult:
     """The dense route of `spectral_radius` (module docstring) for a graph
-    with >= 1 vertex: a regular graph builds no matrix."""
+    with >= 1 vertex: a regular graph builds no matrix, and a bipartite
+    one only B (`_bipartite_perron`)."""
     if g.n > DENSE_MAX_ORDER:
         raise ValueError(f"dense solve of {g.n} vertices exceeds "
                          f"DENSE_MAX_ORDER {DENSE_MAX_ORDER}")
@@ -183,13 +188,13 @@ def _dense_solve(g: Graph, tol: float) -> SpectralResult:
     degree = len(g.adj[0])
     if all(len(row) == degree for row in g.adj):
         return SpectralResult(float(degree), np.ones(g.n), 0.0, 1, "dense")
-    a = adjacency_matrix(g)
     if g.odd_blocks:
+        a = adjacency_matrix(g)
         x = np.abs(np.linalg.eigh(a)[1][:, -1])
+        x = x / x.max()
+        z = a @ x
     else:
-        x = _bipartite_perron(g, a)
-    x = x / x.max()
-    z = a @ x
+        x, z = _bipartite_perron(g)
     rho = float(x @ z) / float(x @ x)
     resid = float(np.max(np.abs(z - rho * x)))
     if resid > tol:
@@ -197,22 +202,31 @@ def _dense_solve(g: Graph, tol: float) -> SpectralResult:
     return SpectralResult(rho, x, resid, 1, "dense")
 
 
-def _bipartite_perron(g: Graph, a: np.ndarray) -> np.ndarray:
-    """The Perron vector of the connected bipartite graph g with adjacency
-    `a`: its colour classes are the DFS depth parities of the Tarjan pass
-    (`Graph._tarjan_pass`), X the smaller (vertex 0's, parity 0, on a tie)
-    and Y; for B = A[X, Y], rho^2 is the top eigenvalue of B B' with
-    eigenvector x_X, and x_Y = B' x_X / rho."""
+def _bipartite_perron(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The max-normalized Perron vector x of the connected bipartite graph
+    g, and Ax, with no n x n matrix: its colour classes are the DFS depth
+    parities of the Tarjan pass (`Graph._tarjan_pass`), X the smaller
+    (vertex 0's, parity 0, on a tie) and Y, and B = A[X, Y] is laid out
+    from the edge rows. rho^2 is the top eigenvalue of B B' with
+    eigenvector x_X, x_Y = B' x_X / rho, and Ax = (B x_Y, B' x_X)."""
     in_y = np.frombuffer(g._tarjan_pass[2], np.uint8).astype(bool)
     if 2 * int(in_y.sum()) < g.n:
         in_y = ~in_y
     cx, cy = np.flatnonzero(~in_y), np.flatnonzero(in_y)
-    b = a[np.ix_(cx, cy)]
-    w, v = np.linalg.eigh(b @ b.T)
+    pos = np.empty(g.n, np.int64)
+    pos[cx], pos[cy] = np.arange(len(cx)), np.arange(len(cy))
+    u, v = edge_array(g).T
+    u_in_y = in_y[u]  # every edge has one end in each class
+    b = np.zeros((len(cx), len(cy)))
+    b[pos[np.where(u_in_y, v, u)], pos[np.where(u_in_y, u, v)]] = 1.0
+    w, vec = np.linalg.eigh(b @ b.T)
     x = np.empty(g.n)
-    x[cx] = np.abs(v[:, -1])
+    x[cx] = np.abs(vec[:, -1])
     x[cy] = b.T @ x[cx] / math.sqrt(w[-1])
-    return x
+    x = x / x.max()
+    z = np.empty(g.n)
+    z[cx], z[cy] = b @ x[cy], b.T @ x[cx]
+    return x, z
 
 
 # --- the secular engine for hub joins ----------------------------------------
@@ -265,14 +279,22 @@ class _Floats:
         return a if keep else b
 
     @staticmethod
-    def pow(base, expo, rnd=None):
-        """base ** expo by repeated squaring, `rnd` (if given) applied to
-        each product."""
+    def pow(base, expo, toward=None):
+        """base ** expo by repeated squaring, each product moved one ulp
+        toward `toward` if it is given."""
         out = 1.0
+        if toward is None:
+            while expo:
+                if expo & 1:
+                    out *= base
+                base *= base
+                expo >>= 1
+            return out
+        nextafter = math.nextafter
         while expo:
             if expo & 1:
-                out = out * base if rnd is None else rnd(out * base)
-            base = base * base if rnd is None else rnd(base * base)
+                out = nextafter(out * base, toward)
+            base = nextafter(base * base, toward)
             expo >>= 1
         return out
 
@@ -289,14 +311,16 @@ class _Arrays:
     select = staticmethod(np.where)
 
     @staticmethod
-    def pow(base, expo, rnd=None):
+    def pow(base, expo, toward=None):
         """`_Floats.pow` per row, to that row's exponent: a digit above a
         row's highest leaves its power as it is."""
+        def rnd(x):
+            return x if toward is None else np.nextafter(x, toward)
         out = np.ones_like(base)
         for digit in range(int(expo.max()).bit_length()):
-            prod = out * base if rnd is None else rnd(out * base)
+            prod = rnd(out * base)
             out = np.where((expo >> digit) & 1 == 1, prod, out)
-            base = base * base if rnd is None else rnd(base * base)
+            base = rnd(base * base)
         return out
 
 
@@ -486,7 +510,7 @@ def _secular_bound(groups, rho, e: float, toward: float, num):
     c = r(1.0 / q(rho - 2.0))
     s = 0.0
     for m, k in groups:
-        um = num.pow(u, m, r)
+        um = num.pow(u, m, toward)
         w1 = q(2.0 * q(1.0 - um) / r(tm * r(1.0 + r(um * u))))
         s = num.select(k > 0, r(s + r(k * r(c * r(m - w1)))), s)
     return q(q(rho - e) - 2.0 * s)
@@ -521,6 +545,90 @@ def _enclose_root(groups, rho, e: float, tol: float, num):
         if not num.any(num.select(held, False, True)):
             return lo, hi
         half = num.select(held, half, 2.0 * half)
+
+
+def _closed_forms(forms, rho: float, lo: float, hi: float) -> list:
+    """[float at rho, lower bound, upper bound] over rho in [lo, hi] of each
+    closed form of a hub join's Perron entries (hub entries 1) in `forms`.
+
+    A form (k, p, a, b, c, m) is k rho^p C (1 - u^a) u^b (1 - u^c) /
+    (1 + u^(m+1)), with C = 2/(rho - 2) and u = 1/t as in `_secular`, and
+    (k, p, 0, 0, 0, 0) is k rho^p alone. A forest vertex v has
+    rho y_v = 2 + (its path neighbours' entries), so on a path of order m
+    y_j = C (1 - u^j)(1 - u^(m+1-j)) / (1 + u^(m+1)) is
+    (1, 0, j, 0, m+1-j, m) and
+    y_(i+1) - y_i = C (1 - u) u^i (1 - u^(m-2i)) / (1 + u^(m+1)) is
+    (1, 0, 1, i, m-2i, m): products of factors >= 0, each monotone in u
+    (which falls as rho rises), so no difference of near-equal floats is
+    taken. Each bound is `_forms_toward`. C4, whose rho is 2, needs no C:
+    its singleton entries are 2/rho.
+    """
+    return list(zip(_forms_toward(forms, rho, rho, None),
+                    _forms_toward(forms, lo, hi, -math.inf),
+                    _forms_toward(forms, lo, hi, math.inf)))
+
+
+def _forms_toward(forms, lo: float, hi: float, toward) -> list[float]:
+    """Each form of `_closed_forms` bounded toward `toward` (-inf: lower,
+    +inf: upper) over rho in [lo, hi], in Python floats (`_Floats`); for
+    `toward` None, its plain float at rho = lo = hi.
+
+    Each factor is bounded toward `toward` at the end of [lo, hi] that
+    makes it extreme, with rounding placed by hand as in `_secular_bound`:
+    a result rounded toward `toward` (r), or the other way (q) where it is
+    subtracted or divides. u^(m+1) is u^c u^(m+1-c), and a lower bound of a
+    factor >= 0 that falls below 0 after underflow is still one.
+    """
+    if toward is None:
+        def r(x):
+            return x
+
+        def pow_(base, expo, toward):
+            return base ** expo
+        q, away, rho_r, rho_q = r, None, lo, lo
+    else:
+        pow_ = _Floats.pow
+        nextafter, away = math.nextafter, -toward
+
+        def r(x):
+            return nextafter(x, toward)
+
+        def q(x):
+            return nextafter(x, away)
+        # a function falling in rho is bounded toward `toward` at rho_r
+        rho_r, rho_q = (hi, lo) if toward < 0 else (lo, hi)
+    t_q = q(rho_r + q(math.sqrt(max(q(q(rho_r * rho_r) - 4.0), 0.0)))) / 2.0
+    t_r = r(rho_q + r(math.sqrt(max(r(r(rho_q * rho_q) - 4.0), 0.0)))) / 2.0
+    u_r, u_q = r(1.0 / t_q), q(1.0 / t_r)
+    c0 = r(2.0 / max(q(rho_r - 2.0), 5e-324))
+    # u^e <= tail < 2^-54 for e >= e_big, where 1 - u^e and 1 + u^e round
+    # as 1 - tail and 1 + tail do: tail bounds u^e from above, 0 from below
+    e_big, tail = 1, max(u_r, u_q)
+    while 2.0 ** -54 <= tail < 1.0 and e_big < 1024:
+        e_big, tail = 2 * e_big, math.nextafter(tail * tail, math.inf)
+    if tail >= 2.0 ** -54:  # u near 1 (C4's rho = 2): no power is replaced
+        e_big = math.inf
+    if away != math.inf:
+        tail = 0.0
+
+    def u_pow(e):  # u^e bounded away from `toward`
+        return u_q if e == 1 else tail if e >= e_big else pow_(u_q, e, away)
+    out = []
+    for k, p, a, b, c, m in forms:
+        f = (k if p == 0 else r(k * pow_(rho_q, p, toward)) if p > 0
+             else r(k / pow_(rho_r, -p, away)))
+        if m:
+            # the middle entry has c = a or a + 1: one power serves both
+            ua = u_pow(a)
+            uc = ua if c == a else q(ua * u_q) if c == a + 1 else u_pow(c)
+            ue = ua if a + c == m + 1 else u_pow(m + 1 - c)
+            g = r(c0 * r(1.0 - ua))
+            if b:
+                g = r(g * (u_r if b == 1 else pow_(u_r, b, toward)))
+            g = r(r(g * r(1.0 - uc)) / q(1.0 + q(uc * ue)))
+            f = g if k == 1.0 and p == 0 else r(f * g)
+        out.append(f)
+    return out
 
 
 def _small_join_radius(parts: Sequence[int], hub_edge: bool, tol: float

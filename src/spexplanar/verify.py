@@ -7,17 +7,15 @@ byte for byte.
 
 One rule decides `holds`: `spectral.enclosure_verdict(lo, hi)` on an
 interval [lo, hi] that holds the margin (`spectral` module docstring).
-lemma1, lemma1_pair, lemma2 and argmax compare spectral radii, and decide
-on the root stage's proven enclosures lo < rho < hi (`hub_join_radii`):
-a strict inequality between two radii is certified when their
-enclosures are disjoint the right way round, not by a tolerance. They
-read no Perron vector. claim33 and entry_bounds read Perron entries,
-which have no enclosure yet, and pass [margin - slack, margin + slack]
-with slack 10 * tol to the verdict. claim33 is certified when the
-margin clears the slack, violated when it falls below -slack, and
-indeterminate in between. entry_bounds has no indeterminate state yet:
-it is violated only below -slack, and a margin within the slack is
-reported certified.
+Every check starts from the root stage's proven enclosure lo < rho < hi
+(`hub_join_radii`) and reads no Perron vector. lemma1, lemma1_pair,
+lemma2 and argmax compare spectral radii: a strict inequality between
+two radii is certified when their enclosures are disjoint the right way
+round, not by a tolerance. claim33 and entry_bounds read a few Perron
+entries in closed form (`spectral._closed_forms`), each bounded over
+[lo, hi], and decide each margin on the outward-rounded sums of those
+bounds (`_margin`): certified, violated, or indeterminate when the
+enclosure holds 0. Each reported margin is its float at rho.
 
 The checks, by what they establish:
 
@@ -54,8 +52,8 @@ from typing import Iterable, Sequence
 from .families import (LinearForest, _partitions_desc, enumerate_lna,
                        join_edges)
 from .graphs import graph6_from_edges
-from .spectral import (DEFAULT_TOL, SpectralResult, _hub_join_spectrum,
-                       enclosure_verdict, hub_join_radii, hub_join_spectrum)
+from .spectral import (DEFAULT_TOL, _closed_forms, _forms_toward,
+                       enclosure_verdict, hub_join_radii)
 
 _WORST = {"certified": 0, "indeterminate": 1, "violated": 2}
 _RANK = ["certified", "indeterminate", "violated"]
@@ -119,14 +117,6 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
         if not rep.margins:
             lines.append(f"{rep.check_id},{inst},,,{rep.holds}")
     return "\n".join(lines) + "\n"
-
-
-def _solved_join(parts: Sequence[int], hub_edge: bool, tol: float
-                 ) -> tuple[SpectralResult, str]:
-    """The hub join of `parts` solved from its part list (in the join's
-    layout) and its graph6 (`_join_graph6`): no graph is built."""
-    return (hub_join_spectrum(parts, hub_edge, tol),
-            _join_graph6(parts, hub_edge))
 
 
 def _join_graph6(parts: Sequence[int], hub_edge: bool) -> str:
@@ -281,11 +271,6 @@ def _validate_merge(n: int, k: int, n1: int, n2: int,
     return _outside_hypothesis(n, k, force)
 
 
-def _chain_indices(n1: int):
-    """Vertex index helpers for layout [hubs, chain1 block, chain2 block, ..]."""
-    return (lambda i: 1 + i), (lambda j: 1 + n1 + j)
-
-
 def _merged_parts(k: int, n1: int, n2: int,
                   l_parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted([n1 + n2 - (k + 1), k + 1, *l_parts], reverse=True))
@@ -364,43 +349,109 @@ def verify_claim33(n: int, k: int, n1: int, n2: int,
     in params["skipped"].
     """
     outside = _validate_merge(n, k, n1, n2, l_parts, force)
-    return _claim33(n, k, n1, n2, l_parts, tol, outside,
-                    *_solved_join([n1, n2, *l_parts], True, tol))
+    parts = (n1, n2, *l_parts)
+    radius, = hub_join_radii([parts], True, tol)
+    return _claim33(n, k, n1, n2, l_parts, tol, outside, radius,
+                    _join_graph6(parts, True))
+
+
+def _margin(plus, minus=()) -> tuple[float, str]:
+    """sum(plus) - sum(minus) over closed forms, each given as (float at
+    rho, lower bound, upper bound) (`spectral._closed_forms`): its float at
+    rho, and `enclosure_verdict` on the enclosure that the bounds give it,
+    summed with each result moved one ulp outward."""
+    value = sum(a[0] for a in plus) - sum(a[0] for a in minus)
+    lo = hi = 0.0
+    for _, a_lo, a_hi in plus:
+        lo = math.nextafter(lo + a_lo, -math.inf)
+        hi = math.nextafter(hi + a_hi, math.inf)
+    for _, a_lo, a_hi in minus:
+        lo = math.nextafter(lo - a_hi, -math.inf)
+        hi = math.nextafter(hi - a_lo, math.inf)
+    return value, enclosure_verdict(lo, hi)
+
+
+def _entry(j: int, m: int) -> tuple:
+    """The `_closed_forms` form of y_j on a path of order m >= 2."""
+    return (1.0, 0, j, 0, m + 1 - j, m)
+
+
+def _power(k: float, p: int) -> tuple:
+    """The `_closed_forms` form of k rho^p."""
+    return (k, p, 0, 0, 0, 0)
+
+
+def _hubs_carry_max(parts: Sequence[int], radius, ymax=None) -> str:
+    """The verdict on "the hubs carry the max entry 1" for the join of
+    `parts` (longest first) with root-stage row `radius`, hub entries 1.
+    Every forest entry lies below C = 2/(rho - 2), which is at most 1 once
+    rho >= 4. A singleton's entry is 2/rho <= 1, since the join contains
+    K_{2,2} and so rho >= 2 (C4 ties). Else the largest entry, at the
+    middle of a longest path (`ymax`, its closed form), is compared with 1.
+    """
+    rho, lo, hi, _ = radius
+    m = parts[0]
+    if lo >= 4.0 or m == 1:
+        return "certified"
+    if ymax is None:
+        ymax, = _closed_forms([_entry((m + 1) // 2, m)], rho, lo, hi)
+    return _margin([(1.0, 1.0, 1.0)], [ymax])[1]
 
 
 def _claim33(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
-             tol: float, outside: bool, res: SpectralResult, g6: str
+             tol: float, outside: bool, radius, g6: str
              ) -> tuple[VerificationReport, list[IntervalWitness]]:
-    rho, x = res.rho, res.vector
-    c1, c2 = _chain_indices(n1)
+    """The claim33 report of the pre-merge join with root-stage row
+    `radius` = (rho, lo, hi, steps). Each margin is the float at rho of
+    its closed forms, and each verdict `_margin` on their bounds over
+    [lo, hi]. The vector is max-normalized at the hubs once the hubs are
+    proven to carry the max; until then the report is indeterminate.
+
+    A band on rho^i times an entry difference holds exactly when the band
+    divided by rho^i does, so the verdicts read y_i and y_(i+1) - y_i of
+    each chain against powers of 1/rho, and y_(i+1) of one chain minus y_i
+    of the other as a step plus the difference of two y_i.
+    """
+    rho, lo, hi, _ = radius
+    i_max_step = (k + 2) // 2
+    i_max_cross = (k + 3) // 2
+    orders = (n1, n2)
+    forms = {}
+    for i in range(1, i_max_cross + 1):
+        forms["eight", i] = _power(8.0 * 2.0 ** i, -(i + 2))
+        for c, m in enumerate(orders):
+            forms["y", i, c] = _entry(i, m)
+    for i in range(1, i_max_step + 1):
+        forms["lead", i] = _power(2.0, -(i + 1))
+        for c, m in enumerate(orders):
+            forms["step", i, c] = (1.0, 0, 1, i, m - 2 * i, m)
+    at = dict(zip(forms, _closed_forms(list(forms.values()), rho, lo, hi)))
 
     witnesses: list[IntervalWitness] = []
     margins: dict = {"rho": float(rho)}
     states: list[str] = []
     skipped = 0
-    slack_x = 10.0 * tol
 
-    def band(i, value, lo, hi, kind, label, slack):
-        value = float(value)
-        below, above = value - lo, hi - value
-        st = _combine(enclosure_verdict(below - slack, below + slack),
-                      enclosure_verdict(above - slack, above + slack))
+    def band(i, value, lo_b, hi_b, kind, label, below, above):
+        # below and above: the verdicts on value - lo_b and hi_b - value
+        st = _combine(below, above)
         states.append(st)
         witnesses.append(IntervalWitness(
-            i, value, lo, hi, kind, label, st != "violated"))
+            i, value, lo_b, hi_b, kind, label, st != "violated"))
 
-    i_max_step = (k + 2) // 2
-    i_max_cross = (k + 3) // 2
-
+    steps = {}  # (i, chain): the step's margin against its lower bound
     for i in range(1, i_max_step + 1):
         scale = rho ** i
         half = 8.0 * (2.0 ** i) / rho ** 2
-        for label, cidx, order in (("chain1", c1, n1), ("chain2", c2, n2)):
+        lead, eight = at["lead", i], at["eight", i]
+        for c, (label, order) in enumerate((("chain1", n1), ("chain2", n2))):
             if order < i + 2:
                 skipped += 1
                 continue
-            band(i, scale * (x[cidx(i + 1)] - x[cidx(i)]), 2.0 / rho - half,
-                 2.0 / rho + half, "A", label, 10.0 * tol * scale)
+            step = at["step", i, c]
+            steps[i, c] = _margin([step, eight], [lead])
+            band(i, scale * step[0], 2.0 / rho - half, 2.0 / rho + half,
+                 "A", label, steps[i, c][1], _margin([lead, eight], [step])[1])
 
     for i in range(1, i_max_cross + 1):
         if n2 < 2 * i:
@@ -408,27 +459,34 @@ def _claim33(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
             continue
         scale = rho ** i
         half = 8.0 * (2.0 ** i) / rho ** 2
-        band(i, scale * (x[c1(i)] - x[c2(i)]), -half, half, "B", "cross",
-             10.0 * tol * scale)
+        y1, y2, eight = at["y", i, 0], at["y", i, 1], at["eight", i]
+        band(i, scale * (y1[0] - y2[0]), -half, half, "B", "cross",
+             _margin([y1, eight], [y2])[1], _margin([y2, eight], [y1])[1])
 
     # monotonicity: steps beat an explicit positive bound, heads interleave
     for i in range(1, i_max_step + 1):
-        step_bound = 2.0 / rho ** (i + 1) - 8.0 * 2.0 ** i / rho ** (i + 2)
-        cross_bound = 2.0 / rho ** (i + 1) - 16.0 * 2.0 ** i / rho ** (i + 2)
-        for name, guard, u, v, bound in (
-                ("chain1_step", n1 >= i + 2, c1(i + 1), c1(i), step_bound),
-                ("chain1_over_chain2", n1 >= i + 2 and n2 >= 2 * i,
-                 c1(i + 1), c2(i), cross_bound),
-                ("chain2_step", n2 >= i + 2, c2(i + 1), c2(i), step_bound),
-                ("chain2_over_chain1", n2 >= i + 2 and n2 >= 2 * i,
-                 c2(i + 1), c1(i), cross_bound)):
+        # 16 2^i/rho^(i+2), each bound twice eight's: doubling is exact
+        lead, sixteen = at["lead", i], [2.0 * e for e in at["eight", i]]
+        for name, guard, a, b in (
+                ("chain1_step", n1 >= i + 2, 0, None),
+                ("chain1_over_chain2", n1 >= i + 2 and n2 >= 2 * i, 0, 1),
+                ("chain2_step", n2 >= i + 2, 1, None),
+                ("chain2_over_chain1", n2 >= i + 2 and n2 >= 2 * i, 1, 0)):
             if not guard:
                 skipped += 1
                 continue
-            d = float(x[u] - x[v])
-            margins[f"{name}_i{i}"] = d - bound
-            least = min(d - bound, d)
-            states.append(enclosure_verdict(least - slack_x, least + slack_x))
+            step = at["step", i, a]
+            if b is None:  # d = the step: 2/rho^(i+1) - 8 2^i/rho^(i+2)
+                value, st = steps[i, a]
+                d = enclosure_verdict(step[1], step[2])
+            else:  # d = y_(i+1) of chain a - y_i of chain b, 16 2^i
+                plus, minus = [step, at["y", i, a]], [at["y", i, b]]
+                value, st = _margin(plus + [sixteen], minus + [lead])
+                # d > lead - sixteen > 0 is proven once st is certified
+                d = (st if lead[1] > sixteen[2]
+                     else _margin(plus, minus)[1])
+            margins[f"{name}_i{i}"] = value
+            states.append(_combine(st, d))
 
     if witnesses:
         margins["min_band_slack"] = float(min(
@@ -439,10 +497,12 @@ def _claim33(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
               "dominating_edge": True}
     if outside:
         params["outside_hypothesis"] = True
+    hubs = _hubs_carry_max(orders, radius)
     report = VerificationReport(
         check_id="claim33",
         params=params,
-        holds=_combine(*states),
+        holds=_combine(*states, hubs if hubs == "certified"
+                       else "indeterminate"),
         margins=margins,
         artifacts={"join": g6},
         tol=tol,
@@ -457,10 +517,10 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
     The residual forest is empty throughout (the two paths carry all of
     n-2), so every split merges into the same join (n-k-3, k+1). One
     `hub_join_radii` batch solves and encloses it and every pre-merge
-    join. lemma2 compares those enclosures alone; claim33 reads the Perron
-    vector at the pre-merge join's batch row, which is its scalar Newton
-    root bit for bit. Each join is encoded once. Returns the lemma2 and
-    claim33 reports interleaved per split.
+    join. lemma2 compares those enclosures alone; claim33 reads its closed
+    forms over the pre-merge join's batch row, which is its scalar root
+    and enclosure bit for bit. Each join is encoded once. Returns the
+    lemma2 and claim33 reports interleaved per split.
     An n with no split, a negative k, or an n below the order threshold
     without `force` is refused before anything is solved: the first
     split's checks stand for all of them.
@@ -476,10 +536,9 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
     reports = []
     for (n1, n2), before in zip(splits, befores):
         before_g6 = _join_graph6((n1, n2), True)
-        res = _hub_join_spectrum((n1, n2), True, before[0], before[3], tol)
         reports.append(_lemma2(n, k, n1, n2, (), tol, outside, before, after,
                                before_g6, after_g6))
-        reports.append(_claim33(n, k, n1, n2, (), tol, outside, res,
+        reports.append(_claim33(n, k, n1, n2, (), tol, outside, before,
                                 before_g6)[0])
     return reports
 
@@ -490,30 +549,52 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
 def verify_entry_bounds(n: int, parts: Sequence[int],
                         tol: float = DEFAULT_TOL) -> VerificationReport:
     """Forest entries of the hub join (no hub edge) sit in
-    [2/rho, 2/rho + 8/rho^2]; hubs carry the max entry 1."""
+    [2/rho, 2/rho + 8/rho^2]; hubs carry the max entry 1.
+
+    Reads the closed forms (`spectral._closed_forms`) of two entries at
+    the root stage's rho, with the hub entries 1: the largest forest entry,
+    at the middle vertex of a longest path, and the smallest, at vertex 1
+    of a shortest path. The lower bound needs no numerics once the hubs
+    carry the max: rho y_1 = 2 + y_2, so the smallest entry is 2/rho on a
+    singleton and 2/rho + y_2/rho above it. Neither does the rest once
+    lo >= 4: every forest entry lies below C = 2/(rho - 2), and
+    C <= min(1, 2/rho + 8/rho^2) exactly when rho >= 4. Below that the
+    largest entry is bounded over [lo, hi] against 1 and 2/rho + 8/rho^2.
+    Each margin is its float at rho in the max-normalized vector.
+    """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     lf = LinearForest(tuple(parts))
     if lf.order != n - 2:
         raise ValueError(f"forest order {lf.order} != n-2 = {n - 2}")
-    res, g6 = _solved_join(lf.parts, False, tol)
-    rho, x = res.rho, res.vector
-    lo = 2.0 / rho
-    hi = 2.0 / rho + 8.0 / rho ** 2
-    slack = 10.0 * tol
-    forest = x[2:]
-    lower_slack = float(forest.min() - lo)
-    upper_slack = float(hi - forest.max())
-    hub_dev = float(max(abs(x[0] - 1.0), abs(x[1] - 1.0)))
-    ok = all(enclosure_verdict(m - slack, m + slack) != "violated"
-             for m in (lower_slack, upper_slack, -hub_dev))
+    radius, = hub_join_radii([lf.parts], False, tol)
+    rho, lo, hi, _ = radius
+    longest, shortest = lf.parts[0], lf.parts[-1]
+    forms = [_power(2.0, -1), _power(8.0, -2),
+             _power(2.0, -1) if longest == 1
+             else _entry((longest + 1) // 2, longest)]
+    if shortest > 1:  # vertex 1's path neighbour
+        forms.append(_entry(2, shortest))
+    two, eight, y_max, *rest = _forms_toward(forms, rho, rho, None)
+    nbr = sum(rest)  # y_2, or 0.0 on a singleton
+    if lo >= 4.0:
+        holds = "certified"
+    else:
+        atoms = _closed_forms(forms[:3], rho, lo, hi)
+        # the forest max of the max-normalized vector is min(y_max, 1)
+        upper = _margin(atoms[:2], [tuple(min(b, 1.0) for b in atoms[2])])
+        holds = _combine(_hubs_carry_max(lf.parts, radius, atoms[2]),
+                         upper[1])
+    lower_slack = (nbr / rho if y_max <= 1.0
+                   else (2.0 + nbr) / rho / y_max - 2.0 / rho)
     return VerificationReport(
         check_id="entry_bounds",
         params={"n": n, "parts": list(lf.parts), "dominating_edge": False},
-        holds="certified" if ok else "violated",
+        holds=holds,
         margins={"rho": float(rho), "lower_slack": lower_slack,
-                 "upper_slack": upper_slack, "hub_dev": hub_dev},
-        artifacts={"join": g6},
+                 "upper_slack": two + eight - min(y_max, 1.0),
+                 "hub_dev": max(0.0, 1.0 - 1.0 / y_max)},
+        artifacts={"join": _join_graph6(lf.parts, False)},
         tol=tol,
     )
 

@@ -91,6 +91,24 @@ def test_bipartite_graphs_decompose_at_the_smaller_class(monkeypatch):
     assert len(orders) == 4
 
 
+def test_bipartite_route_builds_no_adjacency_matrix(monkeypatch):
+    # B is laid out from the edge rows and Ax is (B x_Y, B' x_X): a
+    # caterpillar (a bipartite non-join) is solved with no n x n matrix
+    spine, legs = 30, range(0, 30, 3)
+    g = from_edges(spine + len(legs),
+                   [(v, v + 1) for v in range(spine - 1)]
+                   + [(v, spine + j) for j, v in enumerate(legs)])
+    want = oracles.dense_perron(g)
+
+    def refuse(*args):
+        raise AssertionError("the n x n adjacency matrix was built")
+    monkeypatch.setattr(spectral, "adjacency_matrix", refuse)
+    res = spectral_radius(g)
+    assert res.solver == "dense" and res.residual <= TOL
+    assert res.rho == pytest.approx(oracles.dense_rho(g), abs=1e-12)
+    assert np.max(np.abs(res.vector - want)) < 1e-8
+
+
 def test_regular_graphs_are_answered_from_their_degree(monkeypatch):
     def refuse(*args):
         raise AssertionError("a regular graph built or decomposed a matrix")

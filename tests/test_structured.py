@@ -23,7 +23,8 @@ from spexplanar import (ConvergenceError, argmax_sweep, complete_bipartite,
                         recognize_hub_join, spectral_radius, to_graph6)
 from spexplanar import spectral
 from spexplanar.cli import main
-from spexplanar.verify import (lemma1_sweep, verify_claim33,
+from spexplanar.verify import (entry_bounds_sample, lemma1_sweep,
+                               lemma2_sweep, verify_claim33,
                                verify_entry_bounds, verify_lemma1)
 from spexplanar.spectral import adjacency_matrix
 
@@ -435,8 +436,10 @@ def test_join_solves_build_and_recognize_nothing(monkeypatch, capsys):
     for argv in (["k2+[150,60,47]"], ["extremal(2051,3)", "--emit-vector"]):
         assert main(["rho", *argv]) == 0
     capsys.readouterr()
-    # verify encodes each join's graph6 from its edge rows
-    verify._solved_join([9, 4, 2], False, TOL)
+    # the vector stage solves from the part list, and verify encodes each
+    # join's graph6 from its edge rows
+    hub_join_spectrum([9, 4, 2], False, TOL)
+    verify._join_graph6([9, 4, 2], False)
     verify.verify_lemma1(40, 2, 0, [30, 4, 4], [38])
     verify.lemma1_sweep(40)
     verify.argmax_sweep(30, 0, force=True)
@@ -543,15 +546,13 @@ def test_an_enclosure_wider_than_tol_raises():
 
 
 def test_the_vector_stage_runs_no_enclosure(monkeypatch, capsys):
-    # entry bounds, claim33 and --emit-vector read Perron entries and keep
-    # their residual gate, with no enclosure besides
+    # --emit-vector reads the Perron vector and keeps its residual gate,
+    # with no enclosure besides
     def enclosure(*args):
         raise AssertionError("an enclosure ran")
 
     for name in ("_enclose_root", "_small_join_radius"):
         monkeypatch.setattr(spectral, name, enclosure)
-    verify_entry_bounds(22, [16, 3, 1])
-    verify_claim33(300, 0, 149, 149)
     assert main(["rho", "k2+[150,60,47]", "--emit-vector"]) == 0
     assert main(["rho", "k2+[2,1]", "--emit-vector"]) == 0
     capsys.readouterr()
@@ -571,3 +572,117 @@ def test_the_root_stage_builds_no_vector(monkeypatch, capsys):
     assert main(["rho", "k2+[150,60,47]"]) == 0
     assert main(["rho", to_graph6(join_with_paths([9, 4, 2], False))]) == 0
     capsys.readouterr()
+
+
+# --- closed-form Perron entries over the root enclosure ---------------------
+
+
+def closed_form_joins():
+    # every forest below order 7 (C4 among them), then 1,000 seeded
+    # forests at n = 7..120, each with and without the hub edge
+    rng = random.Random(26)
+    forests = [lf.parts for n in range(4, 7) for a in range(n - 2)
+               for lf in enumerate_lna(n, a)]
+    for _ in range(1000):
+        left, parts = rng.randint(5, 118), []
+        while left:
+            parts.append(rng.randint(1, min(left, rng.choice([3, left]))))
+            left -= parts[-1]
+        forests.append(tuple(sorted(parts, reverse=True)))
+    return [(parts, hub_edge) for parts in forests
+            for hub_edge in (True, False)]
+
+
+def entry_form(j, m):
+    # y_j of a path of order m; a singleton's is 2/rho, with no C
+    return (2.0, -1, 0, 0, 0, 0) if m == 1 else (1.0, 0, j, 0, m + 1 - j, m)
+
+
+def test_closed_forms_match_the_vector_where_the_checks_read_it():
+    # y_1 rises with the path order and y_j peaks mid-path, so the smallest
+    # forest entry is vertex 1 of a shortest path and the largest the
+    # middle vertex of a longest one; claim33 reads y_j and y_(j+1) - y_j
+    # at the heads of the two longest paths. Each form's float at rho is
+    # the vector's entry, with hub entries 1, and its bounds over [lo, hi]
+    # hold it, a few ulps wide
+    joins = closed_form_joins()
+    assert len(joins) >= 2000
+    worst = 0.0
+    for parts, hub_edge in joins:
+        # below order 7 the vector is the dense solve's, good to ~1e-15
+        agree = 1e-15 if sum(parts) + 2 >= spectral.SECULAR_ORDER else 1e-14
+        (rho, lo, hi, _), = hub_join_radii([parts], hub_edge)
+        x = hub_join_spectrum(parts, hub_edge).vector
+        y = x[2:] / x[0]
+        forms, want = [], []
+        m_max, m_min = parts[0], parts[-1]
+        forms += [entry_form((m_max + 1) // 2, m_max), entry_form(1, m_min)]
+        want += [y.max(), y.min()]
+        start = 0
+        for m in parts[:2]:
+            for j in range(1, min(m, 4) + 1):
+                forms.append(entry_form(j, m))
+                want.append(y[start + j - 1])
+                if 2 * j <= m:  # the step y_(j+1) - y_j
+                    forms.append((1.0, 0, 1, j, m - 2 * j, m))
+                    want.append(y[start + j] - y[start + j - 1])
+            start += m
+        for (value, low, high), entry in zip(
+                spectral._closed_forms(forms, rho, lo, hi), want):
+            worst = max(worst, abs(value - entry))
+            assert abs(value - entry) <= agree, (parts, hub_edge)
+            assert low <= value <= high and high - low <= 1e-13, (
+                parts, hub_edge)
+    assert worst > 0.0  # the comparison is made in floats, not by identity
+
+
+def test_verify_runs_no_vector_stage(monkeypatch):
+    # entry bounds and claim33, single and swept, read closed forms over
+    # the root stage's enclosure: the vector stage and its residual gate
+    # are never reached from order 7 on
+    def refused(*args):
+        raise AssertionError("the vector stage ran")
+
+    for name in ("_hub_join_spectrum", "_join_residual"):
+        monkeypatch.setattr(spectral, name, refused)
+    assert verify_entry_bounds(22, [16, 3, 1]).holds == "certified"
+    assert verify_entry_bounds(7, [4, 1]).holds == "certified"  # lo < 4
+    assert verify_claim33(300, 0, 149, 149)[0].holds == "certified"
+    assert verify_claim33(2051, 3, 1025, 1024)[0].holds == "certified"
+    assert {r.holds for r in lemma2_sweep(300, 0)} == {"certified"}
+    assert {r.holds for r in entry_bounds_sample(50, 7, 100, seed=3)} == {
+        "certified"}
+
+
+def test_closed_form_bounds_hold_the_200_bit_values():
+    # every form's bounds hold its value at 200 bits at both ends of the
+    # enclosure and at rho: a bound rounded to nearest, or taken at the
+    # wrong end of [lo, hi], misses some of these
+    mp = pytest.importorskip("mpmath").mp
+    rng = random.Random(27)
+    joins = rng.sample([j for j in closed_form_joins() if sum(j[0]) >= 5],
+                       80)
+
+    def exact(form, x):
+        k, p, a, b, c, m = form
+        f = k * x ** p
+        if m:
+            u = 2 / (x + mp.sqrt(x * x - 4))
+            f *= (2 / (x - 2) * (1 - u ** a) * u ** b * (1 - u ** c)
+                  / (1 + u ** (m + 1)))
+        return f
+
+    with mp.workprec(200):
+        for parts, hub_edge in joins:
+            (rho, lo, hi, _), = hub_join_radii([parts], hub_edge)
+            m1, m2 = parts[0], parts[-1]
+            forms = [(2.0, -1, 0, 0, 0, 0), (8.0, -2, 0, 0, 0, 0),
+                     (32.0, -3, 0, 0, 0, 0), entry_form(1, m2),
+                     entry_form((m1 + 1) // 2, m1), entry_form(2, m1)]
+            forms += [(1.0, 0, 1, i, m1 - 2 * i, m1)
+                      for i in (1, 2) if 2 * i <= m1]
+            for form, (_, low, high) in zip(
+                    forms, spectral._closed_forms(forms, rho, lo, hi)):
+                for x in (lo, rho, hi):
+                    assert low <= exact(form, mp.mpf(x)) <= high, (
+                        parts, hub_edge, form)

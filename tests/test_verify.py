@@ -286,8 +286,8 @@ def test_lemma2_sweep_interleaves_reports():
 
 def counting_vector_stage(monkeypatch):
     """Record the (parts, hub_edge) of every vector-stage evaluation,
-    through spectral's binding and the one verify imports."""
-    from spexplanar import spectral, verify
+    through spectral's binding (verify imports none)."""
+    from spexplanar import spectral
     solved = []
     solve = spectral._hub_join_spectrum
 
@@ -295,8 +295,7 @@ def counting_vector_stage(monkeypatch):
         solved.append((tuple(parts), hub_edge))
         return solve(parts, hub_edge, rho, steps, tol)
 
-    for module in (spectral, verify):
-        monkeypatch.setattr(module, "_hub_join_spectrum", counting_solve)
+    monkeypatch.setattr(spectral, "_hub_join_spectrum", counting_solve)
     return solved
 
 
@@ -332,10 +331,10 @@ def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
     reports = lemma2_sweep(20, 0, force=True)
     # the 8 pre-merge joins and the one post-merge join (17, 1) they share
     # are encoded once each, and solved and enclosed in one batch: one
-    # Newton root call; the 8 vectors are evaluated at their batch rows
+    # Newton root call; claim33 reads closed forms over the batch rows and
+    # evaluates no vector
     assert rooted == [spectral._Arrays]
-    assert len(solved) == len(set(solved)) == 8
-    assert (17, 1) not in {parts for parts, _ in solved}
+    assert solved == []
     assert len(encoded) == len(set(encoded)) == 9
     assert enclosed == [[(17, 1)] + [(18 - n2, n2) for n2 in range(2, 10)]]
     assert len(reports) == 16  # equal to the single checks: the test below
@@ -385,6 +384,66 @@ def test_entry_bounds_fails_when_rho_is_small():
     rep = verify_entry_bounds(5, [3])
     assert rep.holds == "violated"
     assert rep.margins["hub_dev"] > 1e-11
+
+
+def test_entry_bounds_of_c4_hold_on_its_tie():
+    # C4 = K_{2,2}: rho = 2 and every entry 1. The hubs carry the max and
+    # the singletons sit on 2/rho exactly, which the closed forms prove
+    # without C = 2/(rho - 2)
+    rep = verify_entry_bounds(4, [1, 1])
+    assert rep.holds == "certified"
+    assert rep.margins == {"rho": 2.0, "lower_slack": 0.0,
+                           "upper_slack": 2.0, "hub_dev": 0.0}
+
+
+def test_entry_bounds_lower_slack_is_exact_on_singletons():
+    # rho y_1 = 2 + y_2: 0.0 on a singleton, y_2/rho > 0 above it
+    rep = verify_entry_bounds(30, [14, 10, 3, 1])
+    assert rep.margins["lower_slack"] == 0.0
+    assert verify_entry_bounds(30, [14, 10, 4]).margins["lower_slack"] > 0
+
+
+def widen_radii(monkeypatch, half):
+    """Make verify's root stage report [rho - half, rho + half]: still an
+    enclosure of rho, a wider one."""
+    from spexplanar import verify
+    radii = verify.hub_join_radii
+
+    def widened(forests, hub_edge, tol):
+        return [(rho, rho - half, rho + half, steps)
+                for rho, _, _, steps in radii(forests, hub_edge, tol)]
+    monkeypatch.setattr(verify, "hub_join_radii", widened)
+
+
+def test_an_enclosure_that_straddles_a_bound_is_indeterminate(monkeypatch):
+    # each verdict is read off the closed forms' bounds over [lo, hi]: at
+    # n = 7 rho is below 4, where entry bounds compares y_max with 1, and
+    # widened to +-0.2 its bounds straddle 1, as claim33's bands straddle
+    # their ends. The margins stay their floats at rho
+    def checks():
+        return [verify_entry_bounds(7, [4, 1]),
+                verify_claim33(300, 0, 149, 149)[0],
+                verify_claim33(300, 0, 160, 138)[0]]
+
+    exact = checks()
+    assert [r.holds for r in exact] == ["certified"] * 3
+    widen_radii(monkeypatch, 1e-6)
+    assert [r.to_json() for r in checks()] == [r.to_json() for r in exact]
+    widen_radii(monkeypatch, 0.2)
+    wide = checks()
+    assert [r.holds for r in wide] == ["indeterminate"] * 3
+    assert [r.margins for r in wide] == [r.margins for r in exact]
+
+
+def test_a_proven_hub_deviation_is_violated(monkeypatch):
+    # below rho = 4 the middle of a longest path can outweigh the hubs:
+    # K4 minus an edge, K2 + P3 and K2 + P4 (no hub edge), proven by
+    # y_max's bounds above 1; widened to +-0.5 they straddle 1
+    for n, parts in ((4, [2]), (5, [3]), (6, [4])):
+        rep = verify_entry_bounds(n, parts)
+        assert rep.holds == "violated" and rep.margins["hub_dev"] > 0.01
+    widen_radii(monkeypatch, 0.5)
+    assert verify_entry_bounds(6, [4]).holds == "indeterminate"
 
 
 def test_entry_bounds_preconditions():
