@@ -217,6 +217,19 @@ def enumerate_lna(n: int, a: int) -> Iterator[LinearForest]:
         yield LinearForest(tuple(parts))
 
 
+def lna_sizes(n: int, a_max: int) -> list[int]:
+    """|L_{n,a}| for a = 0..a_max in O(n * a_max) steps: a partition of n-2
+    into exactly t = a+1 parts, less 1 from each part and conjugated, is
+    one of n-2-t into parts of size at most t, as `ways` counts them."""
+    ways = [1] + [0] * (n - 2)
+    sizes = []
+    for t in range(1, a_max + 2):
+        for s in range(t, n - 1):
+            ways[s] += ways[s - t]
+        sizes.append(ways[n - 2 - t] if t <= n - 2 else 0)
+    return sizes
+
+
 def _partitions_desc(total: int, k: int, cap: int) -> Iterator[list[int]]:
     """Partitions of `total` into exactly `k` parts, each <= cap,
     non-increasing within each partition, in reverse-lex order."""

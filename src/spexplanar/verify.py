@@ -21,7 +21,12 @@ The checks, by what they establish:
 
 * lemma1   — among hub joins (hubs NOT adjacent) over linear forests of a
              fixed order, moving to a family with fewer parts strictly
-             raises the spectral radius.
+             raises the spectral radius. A family pair is decided by two
+             joins, not by enumeration: within L_{n,a} the secular
+             functions differ by c * sum h over the parts (c > 0, h
+             strictly convex), a strictly Schur-convex sum, so the most
+             spread forest has the largest rho and the most balanced the
+             smallest (`lemma1_sweep`).
 * lemma2   — with hubs adjacent, merging the two leading paths into one
              path of their combined order minus a fixed tail, plus that
              tail, strictly raises the spectral radius.
@@ -47,10 +52,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .families import (LinearForest, _partitions_desc, enumerate_lna,
-                       join_edges)
+from .families import LinearForest, _partitions_desc, join_edges, lna_sizes
 from .graphs import graph6_from_edges
 from .spectral import (DEFAULT_TOL, _closed_forms, _forms_toward,
                        enclosure_verdict, hub_join_radii)
@@ -162,8 +166,8 @@ def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
             f"need a1 <= sqrt(2n-4)/4 = {_a_limit(n):.4f}, got a1={a1}")
     lf1 = _check_lna(n, a1, l1, "l1")
     lf2 = _check_lna(n, a2, l2, "l2")
-    (rho1, lo1, hi1, _), = hub_join_radii([lf1.parts], False, tol)
-    (rho2, lo2, hi2, _), = hub_join_radii([lf2.parts], False, tol)
+    (rho1, lo1, hi1, _), (rho2, lo2, hi2, _) = hub_join_radii(
+        [lf1.parts, lf2.parts], False, tol)
     g6_1, g6_2 = (_join_graph6(lf.parts, False) for lf in (lf1, lf2))
     return VerificationReport(
         check_id="lemma1",
@@ -179,55 +183,56 @@ def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
 def lemma1_sweep(n: int, tol: float = DEFAULT_TOL) -> list[VerificationReport]:
     """All-pairs family comparison at order n, one report per (a1, a2).
 
-    Encloses rho once per forest (the root stage, no graph built), then
-    certifies every (L1, L2) pair in one shot: when the smallest lower end
-    over the smaller family exceeds the largest upper end over the larger
-    one, every L2 beats every L1.
+    Each family pair is decided by two extreme joins, with no enumeration.
+    With rho = t + 1/t and u = 1/t, each path sum S_m of the secular equation
+    splits into a part linear in the path order m and c * h(m), with
+    c > 0 and h(m) = u^m (1 + u) / (1 + u^(m+1)) strictly convex in m at
+    every rho > 2 (`verify_lemma2`). The forests of L_{n,a} share their
+    order and part count, so their secular functions differ only in
+    c * sum h over the parts, and sum h is strictly Schur-convex
+    (Marshall, Olkin and Arnold, Inequalities: Theory of Majorization,
+    ch. 3). A forest that majorizes another has the larger sum, hence the
+    smaller secular function and the larger root. The most spread forest
+    T_a = (n-2-a, 1, ..., 1) majorizes every member of L_{n,a}, and the
+    most balanced B_a (parts ceil and floor of (n-2)/(a+1)) is majorized
+    by every member: T_a has the largest rho in its family and B_a the
+    smallest. So rho(B_a2) > rho(T_a1), decided on the two enclosures,
+    covers every pair of L_{n,a2} x L_{n,a1}.
     """
     if n < 10:  # below 10, sqrt(2n-4)/4 < 1 admits no a1 >= 1
         raise ValueError(f"need n >= 10 for a family pair, got n={n}")
     a_max = int(_a_limit(n))
-    fams = [_lna_radii(n, a, tol) for a in range(a_max + 1)]
-    return [_lemma1_pair(n, a1, a2, fams[a1], fams[a2], tol)
-            for a1 in range(1, a_max + 1) for a2 in range(a1)]
+    return list(_lemma1_pairs(n, [(a1, a2) for a1 in range(1, a_max + 1)
+                                  for a2 in range(a1)], tol))
 
 
-def _lna_radii(n: int, a: int, tol: float
-               ) -> list[tuple[float, tuple, float, float]]:
-    """(rho, parts, lo, hi) of the hub join (no hub edge) of every forest
-    in L_{n,a}: rho and its enclosure."""
-    forests = [lf.parts for lf in enumerate_lna(n, a)]
-    radii = hub_join_radii(forests, hub_edge=False, tol=tol)
-    return [(rho, parts, lo, hi)
-            for (rho, lo, hi, _), parts in zip(radii, forests)]
-
-
-def _lemma1_pair(n: int, a1: int, a2: int, fam1, fam2,
-                 tol: float) -> VerificationReport:
-    """The lemma1_pair report of (a1, a2) from the two families' radii.
-
-    min rho over L2 lies in [min lo, min hi] and max rho over L1 in
-    [max lo, max hi], so their difference is enclosed by differences of
-    those ends."""
-    hi_rho, hi_parts, _, _ = max(fam1)   # worst L1: largest rho
-    lo_rho, lo_parts, _, _ = min(fam2)   # worst L2: smallest rho
-    gap = lo_rho - hi_rho
-    min_lo2, min_hi2 = min(r[2] for r in fam2), min(r[3] for r in fam2)
-    max_lo1, max_hi1 = max(r[2] for r in fam1), max(r[3] for r in fam1)
-    return VerificationReport(
-        check_id="lemma1_pair",
-        params={"n": n, "a1": a1, "a2": a2,
-                "pairs": len(fam1) * len(fam2),
-                "worst_l1": list(hi_parts), "worst_l2": list(lo_parts),
-                "dominating_edge": False},
-        holds=enclosure_verdict(min_lo2 - max_hi1, min_hi2 - max_lo1),
-        margins={"min_pair_gap": float(gap),
-                 "max_rho_l1": float(hi_rho),
-                 "min_rho_l2": float(lo_rho)},
-        artifacts={"worst_join_l1": _join_graph6(hi_parts, False),
-                   "worst_join_l2": _join_graph6(lo_parts, False)},
-        tol=tol,
-    )
+def _lemma1_pairs(n: int, pairs: Sequence[tuple[int, int]],
+                  tol: float) -> Iterator[VerificationReport]:
+    """The lemma1_pair reports of `pairs`, each (a1, a2) decided on T_a1
+    and B_a2 (`lemma1_sweep`), all enclosed in one batch."""
+    sizes = lna_sizes(n, max(a1 for a1, _ in pairs))
+    # B_a2's parts floor((n-2+i)/(a2+1)), i = a2..0, sum to n-2 (Hermite)
+    ends = [((n - 2 - a1,) + (1,) * a1,
+             tuple((n - 2 + i) // (a2 + 1) for i in range(a2, -1, -1)))
+            for a1, a2 in pairs]
+    forests = list(dict.fromkeys(f for end in ends for f in end))
+    rows = {f: (rho, lo, hi, _join_graph6(f, False)) for f, (rho, lo, hi, _)
+            in zip(forests, hub_join_radii(forests, False, tol))}
+    for (a1, a2), (top, bottom) in zip(pairs, ends):
+        rho1, lo1, hi1, g6_1 = rows[top]
+        rho2, lo2, hi2, g6_2 = rows[bottom]
+        yield VerificationReport(
+            check_id="lemma1_pair",
+            params={"n": n, "a1": a1, "a2": a2,
+                    "pairs": sizes[a1] * sizes[a2],
+                    "worst_l1": list(top), "worst_l2": list(bottom),
+                    "dominating_edge": False},
+            holds=enclosure_verdict(lo2 - hi1, hi2 - lo1),
+            margins={"min_pair_gap": rho2 - rho1, "max_rho_l1": rho1,
+                     "min_rho_l2": rho2},
+            artifacts={"worst_join_l1": g6_1, "worst_join_l2": g6_2},
+            tol=tol,
+        )
 
 
 # --- lemma2 and claim33: the merge comparison and its entry intervals -------
@@ -742,8 +747,7 @@ def rerun(report: VerificationReport) -> VerificationReport:
         n, a1, a2 = p["n"], p["a1"], p["a2"]
         if n < 4 or not 0 <= a2 < a1 <= _a_limit(n):
             raise ValueError(f"pair (a1={a1}, a2={a2}) not in sweep")
-        return _lemma1_pair(n, a1, a2, _lna_radii(n, a1, report.tol),
-                            _lna_radii(n, a2, report.tol), report.tol)
+        return next(_lemma1_pairs(n, [(a1, a2)], report.tol))
     if report.check_id == "argmax":
         return argmax_sweep(p["n"], p["k"], p["max_parts"], report.tol,
                             force=force).report

@@ -8,24 +8,29 @@ search, Johnson's algorithm in networkx) so agreement is meaningful.
 The last section is different: it holds the comparisons that only the tests
 make with the package's own solvers (the Rayleigh quotient of a Graph, the
 spectral radius of a possibly disconnected graph, the edge-surgery
-comparison of acceptance criterion 8, and the constructive cycle of a
-canonical hub join that criterion 3 checks against the search). No verdict,
-sweep or CLI command reads them.
+comparison of acceptance criterion 8, the constructive cycle of a
+canonical hub join that criterion 3 checks against the search, and the
+lemma1 family pair decided over every forest of both families). No
+verdict, sweep or CLI command reads them.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
-from spexplanar import (DEFAULT_TOL, Graph, LinearForest, enclosure_verdict,
-                        from_edges, k2_join, spectral_radius, validate_cycle)
+from spexplanar import (DEFAULT_TOL, Graph, LinearForest, VerificationReport,
+                        enclosure_verdict, enumerate_lna, from_edges,
+                        hub_join_radii, k2_join, spectral_radius, to_graph6,
+                        validate_cycle)
 from spexplanar.cycles import hub_forest_cycle
 from spexplanar.graphs import edge_array
 
@@ -78,6 +83,29 @@ def join_nx(parts, hub_edge: bool) -> nx.Graph:
 def cycle_lengths(g: Graph) -> set[int]:
     """Set of simple-cycle lengths, via networkx (small graphs only)."""
     return {len(c) for c in nx.simple_cycles(to_nx(g))}
+
+
+def mp_secular_root(parts, hub_edge: bool, rho0, prec: int = 200):
+    """The root of the join's secular equation at `prec` bits, near
+    `rho0`, with each path sum taken over the path's own eigenpairs (an
+    independent route to S_m): for P_m, lambda_j = 2 cos(j pi/(m+1)) and
+    (1'v_j)^2 = 2/(m+1) cot^2(j pi/(2(m+1))) for odd j, 0 for even j."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workprec(prec):
+        terms = []
+        for m, k in Counter(parts).items():
+            for j in range(1, m + 1, 2):
+                theta = mp.pi * j / (m + 1)
+                terms.append((k * 2 * mp.cot(theta / 2) ** 2 / (m + 1),
+                              2 * mp.cos(theta)))
+
+        def f(rho):
+            return rho - hub_edge - 2 * mp.fsum(w / (rho - lam)
+                                                for w, lam in terms)
+
+        root = mp.findroot(f, mp.mpf(rho0))
+        assert abs(f(root)) < mp.mpf(2) ** (50 - prec)
+        return root
 
 
 # --- seeded random graphs ----------------------------------------------------
@@ -462,4 +490,43 @@ def surgery_compare(g: Graph, gp: Graph,
         surgery_margin=rq - res.rho,
         variational_gap=gap,
         bound_holds=enclosure_verdict(gap - slack, gap + slack) != "violated",
+    )
+
+
+def lna_radii(n: int, a: int, tol: float = DEFAULT_TOL
+              ) -> list[tuple[float, tuple, float, float]]:
+    """(rho, parts, lo, hi) of the hub join (no hub edge) of every forest
+    in L_{n,a}, by enumeration: rho and its enclosure."""
+    forests = [lf.parts for lf in enumerate_lna(n, a)]
+    radii = hub_join_radii(forests, hub_edge=False, tol=tol)
+    return [(rho, parts, lo, hi)
+            for (rho, lo, hi, _), parts in zip(radii, forests)]
+
+
+def lemma1_pair_by_enumeration(n: int, a1: int, a2: int, fam1, fam2,
+                               tol: float = DEFAULT_TOL) -> VerificationReport:
+    """The lemma1_pair report of (a1, a2) from the radii of every forest
+    of both families (`lna_radii`): the float max over L_{n,a1} and the
+    float min over L_{n,a2}, ties broken by part list.
+
+    min rho over L2 lies in [min lo, min hi] and max rho over L1 in
+    [max lo, max hi], so their difference is enclosed by differences of
+    those ends."""
+    hi_rho, hi_parts, _, _ = max(fam1)   # worst L1: largest rho
+    lo_rho, lo_parts, _, _ = min(fam2)   # worst L2: smallest rho
+    min_lo2, min_hi2 = min(r[2] for r in fam2), min(r[3] for r in fam2)
+    max_lo1, max_hi1 = max(r[2] for r in fam1), max(r[3] for r in fam1)
+    return VerificationReport(
+        check_id="lemma1_pair",
+        params={"n": n, "a1": a1, "a2": a2,
+                "pairs": len(fam1) * len(fam2),
+                "worst_l1": list(hi_parts), "worst_l2": list(lo_parts),
+                "dominating_edge": False},
+        holds=enclosure_verdict(min_lo2 - max_hi1, min_hi2 - max_lo1),
+        margins={"min_pair_gap": lo_rho - hi_rho,
+                 "max_rho_l1": hi_rho,
+                 "min_rho_l2": lo_rho},
+        artifacts={"worst_join_l1": to_graph6(k2_join(hi_parts, False)),
+                   "worst_join_l2": to_graph6(k2_join(lo_parts, False))},
+        tol=tol,
     )

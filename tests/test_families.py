@@ -9,7 +9,7 @@ import pytest
 from spexplanar import (LinearForest, build_linear_forest, complete_bipartite,
                         enumerate_lna, extremal_graph, is_planar,
                         join_with_paths, k2_join, path_graph)
-from spexplanar.families import join_edges
+from spexplanar.families import join_edges, lna_sizes
 from spexplanar.graphs import graph6_from_edges
 
 import oracles
@@ -145,12 +145,17 @@ def test_enumerate_lna_preconditions():
 
 
 def test_count_lna_matches_partition_recurrence():
-    for n in range(4, 41, 3):
-        for a in range(0, 5):
-            if n < a + 3:
-                continue
-            count = sum(1 for _ in enumerate_lna(n, a))
-            assert count == oracles.partition_count(n - 2, a + 1)
+    for n in range(3, 81):
+        sizes = lna_sizes(n, n - 3)
+        assert sizes == [oracles.partition_count(n - 2, a + 1)
+                         for a in range(n - 2)]
+        for a in range(min(5, n - 2)):
+            assert sizes[a] == sum(1 for _ in enumerate_lna(n, a))
+    # at n = 2051 the count is a loop, not a recursion: p(m, 1) = 1,
+    # p(m, 2) = floor(m/2), p(m, 3) = round(m^2/12)
+    sizes = lna_sizes(2051, 16)
+    assert sizes[:3] == [1, 1024, 349867]
+    assert len(sizes) == 17 and 2e25 < sizes[16] < 2.1e25
 
 
 def test_enumerate_lna_matches_brute_force_sets():

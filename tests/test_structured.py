@@ -448,30 +448,23 @@ def test_join_solves_build_and_recognize_nothing(monkeypatch, capsys):
     verify.verify_claim33(300, 0, 200, 98)
 
 
+def test_lemma1_enumerates_no_family(monkeypatch, capsys):
+    # each family is decided by its two extreme joins: the sweep, a rerun
+    # of a pair and the CLI at n = 515 (|L_{515,7}| = 5.3e10) enumerate
+    # nothing
+    from spexplanar import families, verify
+    forbid(monkeypatch, families.enumerate_lna)
+    forbid(monkeypatch, families._partitions_desc)
+    rep = lemma1_sweep(80)[4]
+    assert verify.rerun(rep).to_json() == rep.to_json()
+    assert main(["verify", "lemma1", "--n", "515"]) == 0
+    out = capsys.readouterr().out
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == 36
+    assert {r["holds"] for r in reports} == {"certified"}
+
+
 # --- root enclosures ------------------------------------------------------------
-
-
-def mp_secular_root(parts, hub_edge, rho0):
-    """The root of the join's secular equation at 200 bits, with each path
-    sum taken over the path's own eigenpairs (an independent route to
-    S_m): for P_m, lambda_j = 2 cos(j pi/(m+1)) and (1'v_j)^2 =
-    2/(m+1) cot^2(j pi/(2(m+1))) for odd j, 0 for even j."""
-    mp = pytest.importorskip("mpmath").mp
-    with mp.workprec(200):
-        terms = []
-        for m, k in spectral._part_groups(parts):
-            for j in range(1, m + 1, 2):
-                theta = mp.pi * j / (m + 1)
-                terms.append((k * 2 * mp.cot(theta / 2) ** 2 / (m + 1),
-                              2 * mp.cos(theta)))
-
-        def f(rho):
-            return rho - hub_edge - 2 * mp.fsum(w / (rho - lam)
-                                                for w, lam in terms)
-
-        root = mp.findroot(f, mp.mpf(rho0))
-        assert abs(f(root)) < mp.mpf(2) ** -150
-        return root
 
 
 def test_enclosures_hold_the_200_bit_root():
@@ -480,7 +473,7 @@ def test_enclosures_hold_the_200_bit_root():
     for parts in forests:
         for hub_edge in (True, False):
             (rho, lo, hi, _), = hub_join_radii([parts], hub_edge)
-            root = mp_secular_root(parts, hub_edge, rho)
+            root = oracles.mp_secular_root(parts, hub_edge, rho)
             assert lo < root < hi, (parts, hub_edge)
             assert hi - lo <= TOL * rho
 

@@ -13,7 +13,7 @@ from spexplanar import (admissible_forests, argmax_sweep, enumerate_lna,
                         reports_to_csv, rerun,
                         spectral_radius, verify_claim33,
                         verify_entry_bounds, verify_lemma1, verify_lemma2)
-from spexplanar import gridconfig
+from spexplanar import gridconfig, hub_join_radii
 from spexplanar.families import join_with_paths
 from spexplanar.verify import entry_bounds_sample
 
@@ -116,6 +116,77 @@ def test_lemma1_sweep_certifies_every_family_pair():
             assert from_graph6(rep.artifacts[f"worst_join_{side}"]) == \
                 oracles.from_nx(oracles.join_nx(rep.params[f"worst_{side}"],
                                                 False))
+
+
+# the 198 pair reports at these orders are checked against the enumeration
+LEMMA1_ORDERS = [*range(10, 81), 100, 120]
+# the 12 of them, as (n, a1, a2), where the enumeration's float minimum over
+# L_{n,a2} is not the most balanced forest B_a2 but another forest, whose
+# float rho lies 1-2 ulps below B_a2's
+FLOAT_TIES = [(68, 2, 1), (69, 2, 1), (70, 2, 1), (75, 3, 2), (76, 3, 2),
+              (77, 2, 1), (77, 3, 1), (77, 3, 2), (100, 3, 2), (120, 2, 1),
+              (120, 3, 1), (120, 3, 2)]
+
+
+@pytest.fixture(scope="module")
+def lemma1_families():
+    """(rho, parts, lo, hi) of every forest of every family L_{n,a} that
+    lemma1_sweep(n) compares at LEMMA1_ORDERS, by enumeration: 56,008
+    forests. Each family comes in reverse-lex order, the most spread
+    forest T_a first and the most balanced B_a last."""
+    return {(n, a): oracles.lna_radii(n, a) for n in LEMMA1_ORDERS
+            for a in range(int(math.sqrt(2 * n - 4) / 4) + 1)}
+
+
+def test_extreme_joins_bound_their_families(lemma1_families):
+    for (n, a), fam in lemma1_families.items():
+        top, bottom = fam[0][1], fam[-1][1]
+        (rho_t, lo_t, hi_t, _), (rho_b, lo_b, hi_b, _) = hub_join_radii(
+            [top, bottom], False)
+        # T_a is the family's float maximum, bit for bit, and B_a is
+        # within a few ulps of its float minimum
+        assert max(fam) == (rho_t, top, lo_t, hi_t), (n, a)
+        assert abs(rho_b - min(fam)[0]) <= 4 * math.ulp(rho_b), (n, a)
+        # and their enclosures hold every member's rho between them
+        assert all(lo_b <= hi and lo <= hi_t for _, _, lo, hi in fam), (n, a)
+
+
+def test_lemma1_pairs_match_the_enumeration(lemma1_families):
+    changed = []
+    for n in LEMMA1_ORDERS:
+        for rep in lemma1_sweep(n):
+            a1, a2 = rep.params["a1"], rep.params["a2"]
+            fam1, fam2 = lemma1_families[n, a1], lemma1_families[n, a2]
+            want = oracles.lemma1_pair_by_enumeration(n, a1, a2, fam1, fam2)
+            assert rep.holds == want.holds == "certified"
+            assert rep.params["worst_l1"] == list(fam1[0][1])
+            assert rep.params["worst_l2"] == list(fam2[-1][1])
+            if rep.to_json() == want.to_json():
+                continue
+            changed.append((n, a1, a2))
+            # B_a2 in place of a float tie: only its rho and its join move
+            same = {"worst_l2": want.params["worst_l2"]}
+            assert {**rep.params, **same} == want.params
+            assert rep.artifacts["worst_join_l1"] == \
+                want.artifacts["worst_join_l1"]
+            assert rep.margins["max_rho_l1"] == want.margins["max_rho_l1"]
+            for key in ("min_pair_gap", "min_rho_l2"):
+                assert abs(rep.margins[key] - want.margins[key]) <= \
+                    4 * math.ulp(rep.margins["min_rho_l2"])
+    assert changed == FLOAT_TIES
+
+
+def test_balanced_forests_lie_below_their_float_ties():
+    # the true order of each tie in FLOAT_TIES: B_a2's root lies below the
+    # enumeration's pick by 4.5e-27 down to 1.1e-70 (at n = 120), which
+    # 200 bits cannot resolve
+    for n, _, a2 in FLOAT_TIES:
+        fam = oracles.lna_radii(n, a2)
+        rho, pick, _, _ = min(fam)
+        bottom = fam[-1][1]
+        assert pick != bottom
+        assert oracles.mp_secular_root(bottom, False, rho, 600) < \
+            oracles.mp_secular_root(pick, False, rho, 600), (n, a2)
 
 
 # --- lemma2 and the merge machinery -------------------------------------------
@@ -554,8 +625,9 @@ def test_rerun_of_a_pair_solves_only_its_two_families(monkeypatch):
         return radii(forests, hub_edge=hub_edge, tol=tol)
 
     monkeypatch.setattr(verify, "hub_join_radii", counting)
+    # T_3 and B_1 alone, enclosed in one batch
     assert rerun(rep).to_json() == rep.to_json()
-    assert solved == [{4}, {2}]
+    assert solved == [{4, 2}]
     with pytest.raises(ValueError, match="not in sweep"):
         rerun(type(rep)(rep.check_id, {**rep.params, "a1": 4}, rep.holds,
                         rep.margins, rep.artifacts, rep.tol))
