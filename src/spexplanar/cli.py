@@ -1,15 +1,16 @@
 """spex: command-line front end.
 
 Subcommands: build, rho, spectrum, member, verify, sweep.
-Exit codes: 0 success, 1 when any check reports "violated" (or a
-computation misses --tol or its search budget), 2 for usage errors (a
-flag the chosen subcommand or mode would not read among them), for
-inputs too large to fit in memory, above the size ceiling
-(`graphs.MAX_SIZE`) or for the dense solve (`spectral.DENSE_MAX_ORDER`)
-and for output files that cannot be written (a --csv file is opened
-before any work), 141 (128 + SIGPIPE, what a shell reports for a writer
-killed by that signal) when stdout is closed before the output is
-written, as in `spex verify entry-bounds | head`.
+Exit codes: 0 success, an "indeterminate" verdict included; 1 when any
+check reports "violated" (or a computation misses its tolerance, set by
+`rho --tol` alone, or a cycle search its budget); 2 for usage errors (a
+flag the chosen subcommand or mode would not read among them, such as
+--tol on `verify` or `sweep`), for inputs too large to fit in memory,
+above the size ceiling (`graphs.MAX_SIZE`) or for the dense solve
+(`spectral.DENSE_MAX_ORDER`) and for output files that cannot be written
+(a --csv file is opened before any work), 141 (128 + SIGPIPE, what a
+shell reports for a writer killed by that signal) when stdout is closed
+before the output is written, as in `spex verify entry-bounds | head`.
 
 Graph arguments accept, in this order of interpretation:
   * a family string:  P12  P4+P1+P1  C6  K7  K2,18  k2+[4,1,1]  extremal(8,0)
@@ -230,24 +231,23 @@ def _verify_reports(a: argparse.Namespace) -> tuple[list, list]:
                 raise UsageError(
                     "single lemma1 check needs --a1 --a2 --l1 --l2")
             reports.append(V.verify_lemma1(
-                a.n, a.a1, a.a2, _parse_parts(a.l1), _parse_parts(a.l2),
-                a.tol))
+                a.n, a.a1, a.a2, _parse_parts(a.l1), _parse_parts(a.l2)))
         else:
-            reports.extend(V.lemma1_sweep(a.n, a.tol))
+            reports.extend(V.lemma1_sweep(a.n))
     elif a.check == "lemma2":
         if a.n1 is not None or a.n2 is not None or a.l:
             if a.n1 is None or a.n2 is None:
                 raise UsageError("single lemma2 check needs both --n1 --n2")
             l = _parse_parts(a.l) if a.l else ()
             reports.append(V.verify_lemma2(
-                a.n, a.k, a.n1, a.n2, l, a.tol, a.force))
+                a.n, a.k, a.n1, a.n2, l, a.force))
         else:
-            reports.extend(V.lemma2_sweep(a.n, a.k, a.tol, a.force))
+            reports.extend(V.lemma2_sweep(a.n, a.k, a.force))
     elif a.check == "claim33":
         if a.n1 is None or a.n2 is None:
             raise UsageError("claim33 needs --n1 and --n2")
         l = _parse_parts(a.l) if a.l else ()
-        rep, wits = V.verify_claim33(a.n, a.k, a.n1, a.n2, l, a.tol, a.force)
+        rep, wits = V.verify_claim33(a.n, a.k, a.n1, a.n2, l, a.force)
         reports.append(rep)
         witness_lines.extend(w.as_dict() for w in wits)
     elif a.check == "entry-bounds":
@@ -256,7 +256,7 @@ def _verify_reports(a: argparse.Namespace) -> tuple[list, list]:
                 raise UsageError(
                     "sampling flags apply only to the sampled run (no --parts)")
             reports.append(V.verify_entry_bounds(
-                a.n, _parse_parts(a.parts), a.tol))
+                a.n, _parse_parts(a.parts)))
         else:
             if a.n is not None:
                 raise UsageError(
@@ -266,7 +266,7 @@ def _verify_reports(a: argparse.Namespace) -> tuple[list, list]:
             s.update((k, v) for k, v in vars(a).items()
                      if k in s and v is not None)
             reports.extend(V.entry_bounds_sample(
-                s["count"], s["n_lo"], s["n_hi"], s["seed"], a.tol))
+                s["count"], s["n_lo"], s["n_hi"], s["seed"]))
     return reports, witness_lines
 
 
@@ -274,7 +274,7 @@ def cmd_sweep(a: argparse.Namespace) -> int:
     if a.what != "argmax":
         raise UsageError(f"unknown sweep {a.what!r}; available: argmax")
     with _open_csv(a.csv) as csv:
-        result = V.argmax_sweep(a.n, a.k, a.parts, a.tol, force=a.force)
+        result = V.argmax_sweep(a.n, a.k, a.parts, force=a.force)
         if not a.summary_only:
             sys.stdout.write(result.rows_jsonl())
         print(result.report.to_json())
@@ -313,15 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "Perron computation, cycle spectra, inequality sweeps")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def add_tol(p):
-        # NaN or inf would skip the gates and print non-JSON
-        tol = _checked(float, lambda t: 0 < t < math.inf,
-                       "a finite number > 0")
-        p.add_argument("--tol", type=tol, default=DEFAULT_TOL,
-                       help="a hub join's proven rho enclosure may be at "
-                            "most TOL*max(1, rho) wide, a Perron vector's "
-                            "residual at most TOL (default 1e-12)")
-
     def add_budget(p):
         budget = _checked(int, lambda b: b >= 1, "an integer >= 1")
         p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET,
@@ -336,7 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="spectral radius of a graph")
     p.add_argument("graph", nargs="?", default="-")
-    add_tol(p)
+    # NaN or inf would skip the gates and print non-JSON
+    p.add_argument("--tol", type=_checked(float, lambda t: 0 < t < math.inf,
+                                          "a finite number > 0"),
+                   default=DEFAULT_TOL,
+                   help="a hub join's proven rho enclosure may be at most "
+                        "TOL*max(1, rho) wide, a Perron vector's residual "
+                        "at most TOL (default 1e-12)")
     p.add_argument("--emit-vector", nargs="?", const="-", default=None,
                    metavar="FILE",
                    help="write the Perron vector as CSV (default stdout)")
@@ -367,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                               usage=f"%(prog)s {name} [options]")
         c.add_argument("--n", type=int, help=n_help)
         c.add_argument("--csv", help="also write a CSV margin table to FILE")
-        add_tol(c)
         return c
 
     c = add_check("lemma1", "one ordered family pair, or all at --n")
@@ -405,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary-only", action="store_true",
                    help="suppress per-candidate JSONL rows")
     p.add_argument("--csv", help="write per-candidate CSV to FILE")
-    add_tol(p)
     p.set_defaults(fn=cmd_sweep)
 
     return ap

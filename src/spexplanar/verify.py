@@ -2,8 +2,8 @@
 
 Every check returns a VerificationReport whose `holds` field is one of
 "certified", "violated", or "indeterminate". Reports are plain data:
-re-running a check with the recorded params and tol reproduces the report
-byte for byte.
+a report is a function of its check_id and params, and re-running the
+check with the recorded params reproduces it byte for byte.
 
 One rule decides `holds`: `spectral.enclosure_verdict(lo, hi)` on an
 interval [lo, hi] that holds the margin (`spectral` module docstring).
@@ -56,8 +56,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .families import LinearForest, _partitions_desc, join_edges, lna_sizes
 from .graphs import graph6_from_edges
-from .spectral import (DEFAULT_TOL, _closed_forms, _forms_toward,
-                       enclosure_verdict, hub_join_radii)
+from .spectral import (_closed_forms, _forms_toward, enclosure_verdict,
+                       hub_join_radii)
 
 _WORST = {"certified": 0, "indeterminate": 1, "violated": 2}
 _RANK = ["certified", "indeterminate", "violated"]
@@ -90,7 +90,6 @@ class VerificationReport:
     holds: str
     margins: dict
     artifacts: dict
-    tol: float
 
     def to_json(self) -> str:
         return json.dumps({
@@ -99,7 +98,6 @@ class VerificationReport:
             "holds": self.holds,
             "margins": self.margins,
             "artifacts": self.artifacts,
-            "tol": self.tol,
         }, separators=(",", ":"))
 
 
@@ -149,7 +147,7 @@ def _check_lna(n: int, a: int, parts: Sequence[int], name: str) -> LinearForest:
 
 
 def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
-                  l2: Sequence[int], tol: float = DEFAULT_TOL) -> VerificationReport:
+                  l2: Sequence[int]) -> VerificationReport:
     """Certify rho(join(L2)) > rho(join(L1)) for forests with a2 < a1 parts-1.
 
     Joins are without the hub edge, solved by the root stage alone and
@@ -167,7 +165,7 @@ def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
     lf1 = _check_lna(n, a1, l1, "l1")
     lf2 = _check_lna(n, a2, l2, "l2")
     (rho1, lo1, hi1, _), (rho2, lo2, hi2, _) = hub_join_radii(
-        [lf1.parts, lf2.parts], False, tol)
+        [lf1.parts, lf2.parts], False)
     g6_1, g6_2 = (_join_graph6(lf.parts, False) for lf in (lf1, lf2))
     return VerificationReport(
         check_id="lemma1",
@@ -176,11 +174,10 @@ def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
         holds=enclosure_verdict(lo2 - hi1, hi2 - lo1),
         margins={"rho_gap": rho2 - rho1, "rho_l1": rho1, "rho_l2": rho2},
         artifacts={"join_l1": g6_1, "join_l2": g6_2},
-        tol=tol,
     )
 
 
-def lemma1_sweep(n: int, tol: float = DEFAULT_TOL) -> list[VerificationReport]:
+def lemma1_sweep(n: int) -> list[VerificationReport]:
     """All-pairs family comparison at order n, one report per (a1, a2).
 
     Each family pair is decided by two extreme joins, with no enumeration.
@@ -203,11 +200,11 @@ def lemma1_sweep(n: int, tol: float = DEFAULT_TOL) -> list[VerificationReport]:
         raise ValueError(f"need n >= 10 for a family pair, got n={n}")
     a_max = int(_a_limit(n))
     return list(_lemma1_pairs(n, [(a1, a2) for a1 in range(1, a_max + 1)
-                                  for a2 in range(a1)], tol))
+                                  for a2 in range(a1)]))
 
 
-def _lemma1_pairs(n: int, pairs: Sequence[tuple[int, int]],
-                  tol: float) -> Iterator[VerificationReport]:
+def _lemma1_pairs(n: int, pairs: Sequence[tuple[int, int]]
+                  ) -> Iterator[VerificationReport]:
     """The lemma1_pair reports of `pairs`, each (a1, a2) decided on T_a1
     and B_a2 (`lemma1_sweep`), all enclosed in one batch."""
     sizes = lna_sizes(n, max(a1 for a1, _ in pairs))
@@ -217,7 +214,7 @@ def _lemma1_pairs(n: int, pairs: Sequence[tuple[int, int]],
             for a1, a2 in pairs]
     forests = list(dict.fromkeys(f for end in ends for f in end))
     rows = {f: (rho, lo, hi, _join_graph6(f, False)) for f, (rho, lo, hi, _)
-            in zip(forests, hub_join_radii(forests, False, tol))}
+            in zip(forests, hub_join_radii(forests, False))}
     for (a1, a2), (top, bottom) in zip(pairs, ends):
         rho1, lo1, hi1, g6_1 = rows[top]
         rho2, lo2, hi2, g6_2 = rows[bottom]
@@ -231,7 +228,6 @@ def _lemma1_pairs(n: int, pairs: Sequence[tuple[int, int]],
             margins={"min_pair_gap": rho2 - rho1, "max_rho_l1": rho1,
                      "min_rho_l2": rho2},
             artifacts={"worst_join_l1": g6_1, "worst_join_l2": g6_2},
-            tol=tol,
         )
 
 
@@ -282,22 +278,22 @@ def _merged_parts(k: int, n1: int, n2: int,
 
 
 def verify_lemma2(n: int, k: int, n1: int, n2: int,
-                  l_parts: Sequence[int] = (), tol: float = DEFAULT_TOL,
-                  force: bool = False) -> VerificationReport:
+                  l_parts: Sequence[int] = (), force: bool = False
+                  ) -> VerificationReport:
     """Certify that merging the two leading paths raises the spectral radius.
 
     Compares rho of hubs+P_{n1}+P_{n2}+L against hubs+P_{n1+n2-(k+1)}+P_{k+1}+L
-    (hub edge present in both) on their root-stage enclosures, and reads
-    no Perron vector. Why the merge raises rho: with rho = t + 1/t and
-    u = 1/t, each path sum S_m of the secular equation splits into a part
-    linear in the path order m and c * h(m), with c > 0 and
-    h(m) = u^m (1 + u) / (1 + u^(m+1)) strictly convex in m at every
-    rho > 2. Both joins have the same order and part count and share L,
-    so only the h terms of the two merged paths differ. As
-    k + 1 < n2 <= n1, (n1+n2-k-1, k+1) strictly majorizes (n1, n2), and
-    Karamata's inequality puts the merged join's secular function below
-    the pre-merge one, so its root lies above: for every k, every
-    residual forest L and either hub state.
+    (hub edge present in both) on their root-stage enclosures, both from
+    one `hub_join_radii` batch, and reads no Perron vector. Why the merge
+    raises rho: with rho = t + 1/t and u = 1/t, each path sum S_m of the
+    secular equation splits into a part linear in the path order m and
+    c * h(m), with c > 0 and h(m) = u^m (1 + u) / (1 + u^(m+1)) strictly
+    convex in m at every rho > 2. Both joins have the same order and part
+    count and share L, so only the h terms of the two merged paths
+    differ. As k + 1 < n2 <= n1, (n1+n2-k-1, k+1) strictly majorizes
+    (n1, n2), and Karamata's inequality puts the merged join's secular
+    function below the pre-merge one, so its root lies above: for every
+    k, every residual forest L and either hub state.
 
     The params t1 = ceil(k/2) and t2 = floor(k/2) + 1 name where the
     merge cuts the chains: chain 1 after its t1-th vertex and chain 2
@@ -307,15 +303,14 @@ def verify_lemma2(n: int, k: int, n1: int, n2: int,
     outside = _validate_merge(n, k, n1, n2, l_parts, force)
     parts = (n1, n2, *l_parts)
     merged = _merged_parts(k, n1, n2, l_parts)
-    before, = hub_join_radii([parts], True, tol)
-    after, = hub_join_radii([merged], True, tol)
-    return _lemma2(n, k, n1, n2, l_parts, tol, outside, before, after,
+    before, after = hub_join_radii([parts, merged], True)
+    return _lemma2(n, k, n1, n2, l_parts, outside, before, after,
                    *(_join_graph6(p, True) for p in (parts, merged)))
 
 
 def _lemma2(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
-            tol: float, outside: bool, before, after, before_g6: str,
-            after_g6: str) -> VerificationReport:
+            outside: bool, before, after, before_g6: str, after_g6: str
+            ) -> VerificationReport:
     rho1, lo1, hi1, _ = before
     rho2, lo2, hi2, _ = after
     params = {"n": n, "k": k, "n1": n1, "n2": n2, "l": list(l_parts),
@@ -329,13 +324,11 @@ def _lemma2(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
         margins={"rho_gap": rho2 - rho1, "rho_before": rho1,
                  "rho_after": rho2},
         artifacts={"join_before": before_g6, "join_after": after_g6},
-        tol=tol,
     )
 
 
 def verify_claim33(n: int, k: int, n1: int, n2: int,
-                   l_parts: Sequence[int] = (), tol: float = DEFAULT_TOL,
-                   force: bool = False
+                   l_parts: Sequence[int] = (), force: bool = False
                    ) -> tuple[VerificationReport, list[IntervalWitness]]:
     """Interval containment for scaled Perron-entry differences.
 
@@ -355,8 +348,8 @@ def verify_claim33(n: int, k: int, n1: int, n2: int,
     """
     outside = _validate_merge(n, k, n1, n2, l_parts, force)
     parts = (n1, n2, *l_parts)
-    radius, = hub_join_radii([parts], True, tol)
-    return _claim33(n, k, n1, n2, l_parts, tol, outside, radius,
+    radius, = hub_join_radii([parts], True)
+    return _claim33(n, k, n1, n2, l_parts, outside, radius,
                     _join_graph6(parts, True))
 
 
@@ -404,7 +397,7 @@ def _hubs_carry_max(parts: Sequence[int], radius, ymax=None) -> str:
 
 
 def _claim33(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
-             tol: float, outside: bool, radius, g6: str
+             outside: bool, radius, g6: str
              ) -> tuple[VerificationReport, list[IntervalWitness]]:
     """The claim33 report of the pre-merge join with root-stage row
     `radius` = (rho, lo, hi, steps). Each margin is the float at rho of
@@ -510,13 +503,12 @@ def _claim33(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
                        else "indeterminate"),
         margins=margins,
         artifacts={"join": g6},
-        tol=tol,
     )
     return report, witnesses
 
 
-def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
-                 force: bool = False) -> list[VerificationReport]:
+def lemma2_sweep(n: int, k: int, force: bool = False
+                 ) -> list[VerificationReport]:
     """Merge + interval checks over every split n1 >= n2 >= k+2 of n-2.
 
     The residual forest is empty throughout (the two paths carry all of
@@ -536,14 +528,14 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
     splits = [(n - 2 - n2, n2) for n2 in range(k + 2, (n - 2) // 2 + 1)]
     outside = _validate_merge(n, k, *splits[0], (), force)
     merged = _merged_parts(k, *splits[0], ())
-    after, *befores = hub_join_radii([merged, *splits], True, tol)
+    after, *befores = hub_join_radii([merged, *splits], True)
     after_g6 = _join_graph6(merged, True)
     reports = []
     for (n1, n2), before in zip(splits, befores):
         before_g6 = _join_graph6((n1, n2), True)
-        reports.append(_lemma2(n, k, n1, n2, (), tol, outside, before, after,
+        reports.append(_lemma2(n, k, n1, n2, (), outside, before, after,
                                before_g6, after_g6))
-        reports.append(_claim33(n, k, n1, n2, (), tol, outside, before,
+        reports.append(_claim33(n, k, n1, n2, (), outside, before,
                                 before_g6)[0])
     return reports
 
@@ -551,8 +543,7 @@ def lemma2_sweep(n: int, k: int, tol: float = DEFAULT_TOL,
 # --- entry bounds ------------------------------------------------------------
 
 
-def verify_entry_bounds(n: int, parts: Sequence[int],
-                        tol: float = DEFAULT_TOL) -> VerificationReport:
+def verify_entry_bounds(n: int, parts: Sequence[int]) -> VerificationReport:
     """Forest entries of the hub join (no hub edge) sit in
     [2/rho, 2/rho + 8/rho^2]; hubs carry the max entry 1.
 
@@ -572,7 +563,7 @@ def verify_entry_bounds(n: int, parts: Sequence[int],
     lf = LinearForest(tuple(parts))
     if lf.order != n - 2:
         raise ValueError(f"forest order {lf.order} != n-2 = {n - 2}")
-    radius, = hub_join_radii([lf.parts], False, tol)
+    radius, = hub_join_radii([lf.parts], False)
     rho, lo, hi, _ = radius
     longest, shortest = lf.parts[0], lf.parts[-1]
     forms = [_power(2.0, -1), _power(8.0, -2),
@@ -600,12 +591,11 @@ def verify_entry_bounds(n: int, parts: Sequence[int],
                  "upper_slack": two + eight - min(y_max, 1.0),
                  "hub_dev": max(0.0, 1.0 - 1.0 / y_max)},
         artifacts={"join": _join_graph6(lf.parts, False)},
-        tol=tol,
     )
 
 
-def entry_bounds_sample(count: int, n_lo: int, n_hi: int, seed: int,
-                        tol: float = DEFAULT_TOL) -> list[VerificationReport]:
+def entry_bounds_sample(count: int, n_lo: int, n_hi: int,
+                        seed: int) -> list[VerificationReport]:
     """Entry-bound checks on `count` seeded random (n, forest) draws."""
     if count < 1 or not 4 <= n_lo <= n_hi:
         raise ValueError(f"need count >= 1 and 4 <= n_lo <= n_hi, got "
@@ -621,7 +611,7 @@ def entry_bounds_sample(count: int, n_lo: int, n_hi: int, seed: int,
             p = rng.randint(1, remaining)
             parts.append(p)
             remaining -= p
-        reports.append(verify_entry_bounds(n, parts, tol))
+        reports.append(verify_entry_bounds(n, parts))
     return reports
 
 
@@ -665,7 +655,6 @@ class ArgmaxSweepResult:
 
 
 def argmax_sweep(n: int, k: int, max_parts: int = 3,
-                 tol: float = DEFAULT_TOL,
                  force: bool = False) -> ArgmaxSweepResult:
     """Find the admissible forest maximizing rho of its hub join (hub edge
     present), and certify uniqueness of the maximum.
@@ -689,7 +678,7 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
         raise ValueError(f"no admissible forests for n={n}, k={k}, "
                          f"max_parts={max_parts}")
     rows = [(parts, *solved) for parts, solved
-            in zip(cands, hub_join_radii(cands, hub_edge=True, tol=tol))]
+            in zip(cands, hub_join_radii(cands, hub_edge=True))]
 
     best = max(rows, key=lambda r: r[1])
     ties = [r[0] for r in rows if r[3] >= best[2]]
@@ -715,7 +704,6 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
         holds=holds,
         margins=margins,
         artifacts={"argmax_join": _join_graph6(best[0], True)},
-        tol=tol,
     )
     return ArgmaxSweepResult(report, tuple(rows))
 
@@ -724,7 +712,7 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
 
 
 def rerun(report: VerificationReport) -> VerificationReport:
-    """Recompute a report from its own recorded params at its recorded tol.
+    """Recompute a report from its own check_id and recorded params.
 
     Certified reports must reproduce byte for byte; this is the
     self-containment contract for everything the verifier emits.
@@ -732,23 +720,21 @@ def rerun(report: VerificationReport) -> VerificationReport:
     p = report.params
     force = bool(p.get("outside_hypothesis", False))
     if report.check_id == "lemma1":
-        return verify_lemma1(p["n"], p["a1"], p["a2"], p["l1"], p["l2"],
-                             report.tol)
+        return verify_lemma1(p["n"], p["a1"], p["a2"], p["l1"], p["l2"])
     if report.check_id == "lemma2":
         return verify_lemma2(p["n"], p["k"], p["n1"], p["n2"], tuple(p["l"]),
-                             report.tol, force)
+                             force)
     if report.check_id == "claim33":
         rep, _ = verify_claim33(p["n"], p["k"], p["n1"], p["n2"],
-                                tuple(p["l"]), report.tol, force)
+                                tuple(p["l"]), force)
         return rep
     if report.check_id == "entry_bounds":
-        return verify_entry_bounds(p["n"], p["parts"], report.tol)
+        return verify_entry_bounds(p["n"], p["parts"])
     if report.check_id == "lemma1_pair":
         n, a1, a2 = p["n"], p["a1"], p["a2"]
         if n < 4 or not 0 <= a2 < a1 <= _a_limit(n):
             raise ValueError(f"pair (a1={a1}, a2={a2}) not in sweep")
-        return next(_lemma1_pairs(n, [(a1, a2)], report.tol))
+        return next(_lemma1_pairs(n, [(a1, a2)]))
     if report.check_id == "argmax":
-        return argmax_sweep(p["n"], p["k"], p["max_parts"], report.tol,
-                            force=force).report
+        return argmax_sweep(p["n"], p["k"], p["max_parts"], force=force).report
     raise ValueError(f"cannot rerun reports of kind {report.check_id!r}")

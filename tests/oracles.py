@@ -493,18 +493,17 @@ def surgery_compare(g: Graph, gp: Graph,
     )
 
 
-def lna_radii(n: int, a: int, tol: float = DEFAULT_TOL
-              ) -> list[tuple[float, tuple, float, float]]:
+def lna_radii(n: int, a: int) -> list[tuple[float, tuple, float, float]]:
     """(rho, parts, lo, hi) of the hub join (no hub edge) of every forest
     in L_{n,a}, by enumeration: rho and its enclosure."""
     forests = [lf.parts for lf in enumerate_lna(n, a)]
-    radii = hub_join_radii(forests, hub_edge=False, tol=tol)
+    radii = hub_join_radii(forests, hub_edge=False)
     return [(rho, parts, lo, hi)
             for (rho, lo, hi, _), parts in zip(radii, forests)]
 
 
-def lemma1_pair_by_enumeration(n: int, a1: int, a2: int, fam1, fam2,
-                               tol: float = DEFAULT_TOL) -> VerificationReport:
+def lemma1_pair_by_enumeration(n: int, a1: int, a2: int, fam1,
+                               fam2) -> VerificationReport:
     """The lemma1_pair report of (a1, a2) from the radii of every forest
     of both families (`lna_radii`): the float max over L_{n,a1} and the
     float min over L_{n,a2}, ties broken by part list.
@@ -528,5 +527,4 @@ def lemma1_pair_by_enumeration(n: int, a1: int, a2: int, fam1, fam2,
                  "min_rho_l2": lo_rho},
         artifacts={"worst_join_l1": to_graph6(k2_join(hi_parts, False)),
                    "worst_join_l2": to_graph6(k2_join(lo_parts, False))},
-        tol=tol,
     )

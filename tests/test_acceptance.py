@@ -142,7 +142,7 @@ def test_criterion_5_merge_and_intervals_sweep():
         else:
             p = rep.params
             again, wits = verify_claim33(p["n"], p["k"], p["n1"], p["n2"],
-                                         tuple(p["l"]), rep.tol)
+                                         tuple(p["l"]))
             assert again.to_json() == rep.to_json()  # reproducible
             assert all(w.contained for w in wits)
             witnesses += len(wits)

@@ -76,6 +76,17 @@ def test_forest_family_with_an_empty_path_exits_two(capsys):
     assert err == "error: path order must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rho", "C2"], "cycle needs n >= 3, got 2"),
+    (["rho", "K0,3"], "need both sides nonempty, got 0, 3"),
+    (["sweep", "argmax", "--n", "259", "--k", "-1"], "k must be >= 0, got -1"),
+    (["verify", "lemma2", "--n", "300", "--n1", "150", "--n2", "140",
+      "--l", "0,8"], "residual part must be >= 1, got 0"),
+])
+def test_precondition_errors_exit_two_with_one_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_build_reads_an_edge_list_on_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("4\n0 1\n1 2\n2 3\n"))
     code, out, _ = run(capsys, "build")
@@ -426,6 +437,15 @@ def test_verify_instance_flags_never_silently_ignored(capsys):
     # build reads one graph argument and --out, like rho and spectrum
     (["build", "P5", "--n", "9", "--k", "3", "--parts", "4,4"],
      "spex: error: unrecognized arguments: --n 9 --k 3 --parts 4,4"),
+    # a verdict is read off proven enclosures, which no tolerance moves:
+    # --tol belongs to rho alone
+    *[(argv + ["--tol", "1e-12"],
+       "spex: error: unrecognized arguments: --tol 1e-12") for argv in (
+        ["verify", "lemma1", "--n", "40"],
+        ["verify", "lemma2", "--n", "300"],
+        ["verify", "claim33", "--n", "300", "--n1", "149", "--n2", "149"],
+        ["verify", "entry-bounds"],
+        ["sweep", "argmax", "--n", "259"])],
 ])
 def test_unread_flags_exit_two_naming_them(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err + "\n")
@@ -654,8 +674,8 @@ def test_argparse_usage_errors_exit_two(capsys):
     ["rho", "P12", "--tol", "-1"],
     ["rho", "P12", "--tol", "0"],
     ["rho", "P12", "--tol", "abc"],
-    ["sweep", "argmax", "--n", "259", "--tol", "nan"],
-    ["verify", "entry-bounds", "--tol", "1e999"],  # overflows to inf
+    ["rho", "P12", "--tol", "1e-400"],  # underflows to 0
+    ["rho", "P12", "--tol", "1e999"],  # overflows to inf
     ["spectrum", "K4", "--budget", "-5"],
     ["spectrum", "K4", "--budget", "0"],
     ["member", "K4", "--k", "0", "--budget", "1.5"],

@@ -10,7 +10,8 @@ from spexplanar import (Graph, SearchBudgetExceeded, complete_bipartite,
                         complete_graph, cycle_graph, cycle_spectrum,
                         extremal_graph, find_cycle, from_edges, from_graph6,
                         in_gnk, k2_join, path_graph,
-                        recognize_hub_join, to_graph6, validate_cycle)
+                        recognize_hub_join, spectral_radius, to_graph6,
+                        validate_cycle)
 from spexplanar import cycles
 from spexplanar.cycles import DEFAULT_BUDGET, hub_forest_cycle, hub_join_member
 from spexplanar.families import (LinearForest, enumerate_lna, extremal_forest,
@@ -229,6 +230,25 @@ def test_recognize_hub_join_negative():
     # two hubs over a cycle is not a hub-over-forest graph
     assert recognize_hub_join(oracles.from_nx(nx.full_join(
         nx.complete_graph(2), nx.cycle_graph(4), rename=("hub", "c")))) is None
+
+
+@pytest.mark.parametrize("hub_edge", [True, False])
+def test_a_forest_vertex_of_forest_degree_three_is_no_join(hub_edge):
+    # two hubs over K_{1,3} + P3 (n = 9): the star's centre has degree 5,
+    # below the hub degree, and three forest neighbours
+    hubs = nx.complete_graph(2) if hub_edge else nx.empty_graph(2)
+    g = oracles.from_nx(nx.full_join(
+        hubs, nx.disjoint_union(nx.star_graph(3), nx.path_graph(3)),
+        rename=("h", "f")))
+    assert g.n == 9 and sorted(map(len, g.adj))[-3:] == (
+        [5, 8, 8] if hub_edge else [5, 7, 7])
+    assert recognize_hub_join(g) is None
+    res = spectral_radius(g)
+    assert res.solver == "dense"
+    assert abs(res.rho - oracles.dense_rho(g)) <= 1e-10
+    spec = cycle_spectrum(g)
+    assert set(spec.present_lengths()) == oracles.cycle_lengths(g)
+    assert all(r.status in ("present", "absent") for r in spec.records)
 
 
 def test_hub_forest_cycle_construction():

@@ -13,7 +13,8 @@ from spexplanar import (admissible_forests, argmax_sweep, enumerate_lna,
                         reports_to_csv, rerun,
                         spectral_radius, verify_claim33,
                         verify_entry_bounds, verify_lemma1, verify_lemma2)
-from spexplanar import gridconfig, hub_join_radii
+from spexplanar import VerificationReport, gridconfig, hub_join_radii
+from spexplanar.cli import main
 from spexplanar.families import join_with_paths
 from spexplanar.verify import entry_bounds_sample
 
@@ -42,10 +43,10 @@ def shifted_radii(monkeypatch, shift):
     from spexplanar import verify
     radii = verify.hub_join_radii
 
-    def moved(forests, hub_edge, tol):
+    def moved(forests, hub_edge):
         return [(rho, lo + shift(parts)[0], hi + shift(parts)[1], steps)
                 for parts, (rho, lo, hi, steps)
-                in zip(forests, radii(forests, hub_edge, tol))]
+                in zip(forests, radii(forests, hub_edge))]
 
     monkeypatch.setattr(verify, "hub_join_radii", moved)
 
@@ -377,6 +378,25 @@ def test_lemma2_reads_no_vector(monkeypatch):
     assert solved == []
 
 
+def test_lemma2_encloses_its_two_joins_in_one_batch(monkeypatch):
+    from spexplanar import verify
+    radii = verify.hub_join_radii
+    # a batch row has the bits of the join's scalar root and enclosure
+    rows = [radii([parts], True)[0] for parts in ((160, 138), (297, 1))]
+    enclosed = []
+
+    def counting_radii(forests, hub_edge):
+        enclosed.append([tuple(parts) for parts in forests])
+        return radii(forests, hub_edge)
+
+    monkeypatch.setattr(verify, "hub_join_radii", counting_radii)
+    rep = verify_lemma2(300, 0, 160, 138)
+    assert enclosed == [[(160, 138), (297, 1)]]
+    assert [rep.margins["rho_before"], rep.margins["rho_after"]] == [
+        rho for rho, *_ in rows]
+    assert rep.margins["rho_gap"] == rows[1][0] - rows[0][0]
+
+
 def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
     from spexplanar import spectral, verify
     encoded, enclosed, rooted = [], [], []
@@ -391,9 +411,9 @@ def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
         encoded.append(encode(n, edges))
         return encoded[-1]
 
-    def counting_radii(forests, hub_edge, tol):
+    def counting_radii(forests, hub_edge):
         enclosed.append([tuple(parts) for parts in forests])
-        return radii(forests, hub_edge, tol)
+        return radii(forests, hub_edge)
 
     solved = counting_vector_stage(monkeypatch)
     monkeypatch.setattr(verify, "graph6_from_edges", counting_encode)
@@ -480,9 +500,9 @@ def widen_radii(monkeypatch, half):
     from spexplanar import verify
     radii = verify.hub_join_radii
 
-    def widened(forests, hub_edge, tol):
+    def widened(forests, hub_edge):
         return [(rho, rho - half, rho + half, steps)
-                for rho, _, _, steps in radii(forests, hub_edge, tol)]
+                for rho, _, _, steps in radii(forests, hub_edge)]
     monkeypatch.setattr(verify, "hub_join_radii", widened)
 
 
@@ -613,6 +633,26 @@ def test_reports_reproduce_byte_for_byte():
         assert rerun(rep).to_json() == rep.to_json(), rep.check_id
 
 
+@pytest.mark.parametrize("argv", [
+    "verify lemma1 --n 40 --a1 2 --a2 1 --l1 36,1,1 --l2 37,1",
+    "verify lemma1 --n 40",
+    "verify lemma2 --n 300 --n1 150 --n2 100 --l 1,47",
+    "verify claim33 --n 300 --n1 149 --n2 149",
+    "verify entry-bounds --n 4 --parts 2",
+    "sweep argmax --n 40 --k 11 --force --summary-only",
+], ids=["lemma1", "lemma1_pair", "lemma2", "claim33", "entry_bounds",
+        "argmax"])
+def test_a_printed_report_reruns_from_its_check_id_and_params(capsys, argv):
+    # a report line holds nothing that rerun needs beyond check_id and
+    # params, so the line itself rebuilds it
+    main(argv.split())
+    line = capsys.readouterr().out.splitlines()[0]
+    blob = json.loads(line)
+    assert list(blob) == ["check_id", "params", "holds", "margins",
+                          "artifacts"]
+    assert rerun(VerificationReport(**blob)).to_json() == line
+
+
 def test_rerun_of_a_pair_solves_only_its_two_families(monkeypatch):
     from spexplanar import verify
     rep = lemma1_sweep(80)[4]
@@ -620,9 +660,9 @@ def test_rerun_of_a_pair_solves_only_its_two_families(monkeypatch):
     solved = []
     radii = verify.hub_join_radii
 
-    def counting(forests, hub_edge, tol):
+    def counting(forests, hub_edge):
         solved.append({len(parts) for parts in forests})
-        return radii(forests, hub_edge=hub_edge, tol=tol)
+        return radii(forests, hub_edge=hub_edge)
 
     monkeypatch.setattr(verify, "hub_join_radii", counting)
     # T_3 and B_1 alone, enclosed in one batch
@@ -630,13 +670,13 @@ def test_rerun_of_a_pair_solves_only_its_two_families(monkeypatch):
     assert solved == [{4, 2}]
     with pytest.raises(ValueError, match="not in sweep"):
         rerun(type(rep)(rep.check_id, {**rep.params, "a1": 4}, rep.holds,
-                        rep.margins, rep.artifacts, rep.tol))
+                        rep.margins, rep.artifacts))
 
 
 def test_rerun_rejects_unknown_kind():
     rep = verify_entry_bounds(20, [18])
     bogus = type(rep)(check_id="wat", params={}, holds="certified",
-                      margins={}, artifacts={}, tol=1e-12)
+                      margins={}, artifacts={})
     with pytest.raises(ValueError, match="cannot rerun"):
         rerun(bogus)
 
@@ -645,8 +685,7 @@ def test_report_json_shape():
     rep = verify_entry_bounds(20, [18])
     blob = json.loads(rep.to_json())
     assert set(blob) == {"check_id", "params", "holds", "margins",
-                         "artifacts", "tol"}
-    assert blob["tol"] == 1e-12
+                         "artifacts"}
     assert math.isfinite(blob["margins"]["rho"])
 
 
