@@ -18,6 +18,7 @@ graph6 without building a Graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -206,42 +207,65 @@ def enumerate_lna(n: int, a: int) -> Iterator[LinearForest]:
 
     Equivalently the partitions of n-2 into exactly a+1 positive parts,
     yielded with parts non-increasing, in reverse-lexicographic order
-    (so [m-a, 1, ..., 1] comes first and the most balanced split last).
-    Requires n >= a+3 so the family is nonempty.
+    (so [m-a, 1, ..., 1] comes first and the most balanced split last):
+    the rows of `partitions`. Requires n >= a+3 so the family is nonempty.
     """
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
     if n < a + 3:
         raise ValueError(f"need n >= a+3 = {a + 3}, got n={n}")
-    for parts in _partitions_desc(n - 2, a + 1, n - 2):
+    for parts in partitions(n - 2, a + 1, n - 2).tolist():
         yield LinearForest(tuple(parts))
 
 
-def lna_sizes(n: int, a_max: int) -> list[int]:
-    """|L_{n,a}| for a = 0..a_max in O(n * a_max) steps: a partition of n-2
-    into exactly t = a+1 parts, less 1 from each part and conjugated, is
-    one of n-2-t into parts of size at most t, as `ways` counts them."""
-    ways = [1] + [0] * (n - 2)
-    sizes = []
-    for t in range(1, a_max + 2):
-        for s in range(t, n - 1):
+def part_counts(total: int) -> Iterator[int]:
+    """The number of partitions of `total` into exactly t parts, for
+    t = 1, 2, ..., each in O(total) steps: such a partition, less 1 from
+    each part and conjugated, is one of total-t into parts of size at most
+    t, as `ways` counts them."""
+    ways = [1] + [0] * total
+    for t in count(1):
+        for s in range(t, total + 1):
             ways[s] += ways[s - t]
-        sizes.append(ways[n - 2 - t] if t <= n - 2 else 0)
-    return sizes
+        yield ways[total - t] if t <= total else 0
 
 
-def _partitions_desc(total: int, k: int, cap: int) -> Iterator[list[int]]:
-    """Partitions of `total` into exactly `k` parts, each <= cap,
-    non-increasing within each partition, in reverse-lex order."""
+def lna_sizes(n: int, a_max: int) -> list[int]:
+    """|L_{n,a}| for a = 0..a_max in O(n * a_max) steps (`part_counts`)."""
+    return list(islice(part_counts(n - 2), a_max + 1))
+
+
+def partitions(total: int, k: int, cap: int) -> np.ndarray:
+    """The partitions of `total` into exactly `k` parts, each at most
+    `cap`, as the rows of a (C, k) int64 array: parts non-increasing along
+    a row, rows in reverse-lexicographic order.
+
+    All rows grow one part at a time. A prefix with `left` still to place
+    in `slots` parts below its last part `top` takes each next part p from
+    min(top, left - (slots-1)) down to max(ceil(left/slots), 1), the
+    highest first, so every prefix completes and the order is kept. Each
+    step keeps only its new parts and the prefix each extends; the rows
+    are read back through those links at the end.
+    """
     if k == 0:
-        if total == 0:
-            yield []
-        return
-    if total < k:
-        return
-    # first part from largest feasible down; the rest must fit k-1 parts
-    hi = min(cap, total - (k - 1))
-    lo = -(-total // k)  # ceil(total/k) keeps the sequence non-increasing
-    for p in range(hi, lo - 1, -1):
-        for rest in _partitions_desc(total - p, k - 1, p):
-            yield [p] + rest
+        return np.zeros((int(total == 0), 0), np.int64)
+    left = np.array([total], np.int64)
+    top = np.array([cap], np.int64)
+    steps = []
+    for slots in range(k, 0, -1):
+        hi = np.minimum(top, left - (slots - 1))
+        lo = np.maximum(-(-left // slots), 1)
+        width = np.maximum(hi - lo + 1, 0)
+        prefix = np.repeat(np.arange(len(left)), width)
+        # the i-th extension of a prefix is its hi less i
+        top = hi[prefix] - (np.arange(len(prefix))
+                            - np.repeat(np.cumsum(width) - width, width))
+        left = left[prefix] - top
+        steps.append((prefix, top))
+    rows = np.empty((len(left), k), np.int64)
+    row = np.arange(len(left))
+    for j in range(k - 1, -1, -1):
+        prefix, part = steps[j]
+        rows[:, j] = part[row]
+        row = prefix[row]
+    return rows

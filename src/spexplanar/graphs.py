@@ -30,6 +30,11 @@ class GraphConstructionError(ValueError):
 # before allocating, so `spex rho P100000000` or `K200000` is refused at
 # once. P500000 (10^6 vertices plus edges) builds in about a second.
 MAX_SIZE = 1_000_000
+# The ceiling on the forests an argmax sweep lists (`verify.argmax_sweep`),
+# counted before any is listed, so `spex sweep argmax --n 100000` is
+# refused at once. Three-part sweeps reach it at n = 4,900; at n = 4,099
+# (1.4 million forests) a sweep peaks at about 0.45 GB RSS.
+MAX_CANDIDATES = 2_000_000
 
 
 def check_size(n: int, m: int = 0, error=None) -> None:

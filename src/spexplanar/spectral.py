@@ -235,11 +235,14 @@ def _bipartite_perron(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 # distinct path orders in decreasing order, each with how many paths have
 # it (grouping keeps the sum over paths short, so its rounding stays far
 # below tol on forests of thousands of paths). One forest's groups are int
-# pairs (`_part_groups`) and its values Python floats (`_Floats`). A
-# batch's groups are the columns of a pair of zero-padded int arrays
-# (m, cnt) of shape (B, P), one forest per row (`_columns`), and its values
-# float arrays of shape (B,) (`_Arrays`). Only +, -, *, / and sqrt act on a
-# value, each elementwise and correctly rounded in both types, and the
+# pairs (`_part_groups`) and its values Python floats (`_Floats`). A batch
+# is a zero-padded (B, P) int array of part lists, one forest per row with
+# its parts non-increasing (`_parts_array` pads and sorts part lists); its
+# groups are the rows of two zero-padded (G, B) int arrays (m, cnt), group
+# j of forest b being (m[j, b], cnt[j, b]), the j-th run of equal parts in
+# row b, read off by run-length encoding (`_columns`), and its values
+# float arrays of shape (B,) (`_Arrays`). Only +, -, *, / and sqrt act on
+# a value, each elementwise and correctly rounded in both types, and the
 # groups are summed left to right. A driver runs every row of a batch each
 # round and a finished row keeps its values through `select`, so a
 # forest's result does not depend on the batch it is computed in, nor on
@@ -254,15 +257,30 @@ def _part_groups(parts: Sequence[int]) -> list[tuple[int, int]]:
     return sorted(counts.items(), reverse=True)
 
 
-def _columns(groups: Sequence[Sequence[tuple[int, int]]]
-             ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A batch's groups: the columns of the zero-padded (B, P) int arrays
-    (m, cnt), one forest per row, longest path first."""
-    m = np.zeros((len(groups), max(map(len, groups))), dtype=np.int64)
-    cnt = np.zeros_like(m)
-    for row, grp in enumerate(groups):
-        m[row, :len(grp)], cnt[row, :len(grp)] = zip(*grp)
-    return list(zip(m.T, cnt.T))
+def _parts_array(forests: Sequence[Sequence[int]]) -> np.ndarray:
+    """The batch of part lists: a zero-padded (B, P) int64 array, one
+    forest per row, its parts non-increasing."""
+    out = np.zeros((len(forests), max(map(len, forests))), np.int64)
+    for row, parts in zip(out, forests):
+        row[:len(parts)] = sorted(parts, reverse=True)
+    return out
+
+
+def _columns(parts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A batch's groups from its zero-padded (B, P) part array, each row
+    non-increasing: the rows of the zero-padded (G, B) int arrays
+    (m, cnt), column b holding row b's runs of equal parts in order, so
+    longest path first (`_part_groups` of that row), by run-length
+    encoding: a part's run is the number of runs started up to it."""
+    live = parts > 0
+    start = live.copy()
+    start[:, 1:] &= parts[:, 1:] != parts[:, :-1]
+    run = np.cumsum(start, axis=1)[live] - 1
+    row = np.nonzero(live)[0]
+    m = np.zeros((int(run.max()) + 1, len(parts)), np.int64)
+    m[run, row] = parts[live]
+    cnt = np.bincount(run * len(parts) + row, minlength=m.size)
+    return list(zip(m, cnt.reshape(m.shape)))
 
 
 class _Floats:
@@ -453,11 +471,12 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
     radius rho (module docstring).
 
     All forests must have the same order. From SECULAR_ORDER on, both
-    drivers run once, in Python floats for one forest and in numpy arrays
-    for more, and no graph is built; below it each forest is
-    `_small_join_radius`. rho and the steps are those of
-    `hub_join_spectrum`. Raises ConvergenceError once an enclosure gets
-    wider than tol * max(1, rho).
+    drivers run once, in Python floats for one forest and, for more, in
+    numpy arrays over the batch's columns (`hub_join_radii_arrays`), and
+    no graph is built; below it each forest is `_small_join_radius`, in
+    the layout given. rho and the steps are those of `hub_join_spectrum`.
+    Raises ConvergenceError once an enclosure gets wider than
+    tol * max(1, rho).
     """
     if len({sum(parts) for parts in forests}) > 1:
         raise ValueError("hub_join_radii needs forests of a single order")
@@ -468,14 +487,31 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
     for p in chain.from_iterable(forests):
         if p < 1:
             raise ValueError(f"path order must be >= 1, got {p}")
+    if len(forests) > 1:
+        return list(zip(*(x.tolist() for x in hub_join_radii_arrays(
+            _parts_array(forests), hub_edge, tol))))
     e = float(hub_edge)
-    if len(forests) == 1:
-        groups, num = _part_groups(forests[0]), _Floats
-    else:
-        groups, num = _columns([_part_groups(p) for p in forests]), _Arrays
-    rho, steps = _secular_root(groups, e, num)
-    out = (rho, *_enclose_root(groups, rho, e, tol, num), steps)
-    return [out] if num is _Floats else list(zip(*(x.tolist() for x in out)))
+    groups = _part_groups(forests[0])
+    rho, steps = _secular_root(groups, e, _Floats)
+    return [(rho, *_enclose_root(groups, rho, e, tol, _Floats), steps)]
+
+
+def hub_join_radii_arrays(parts: np.ndarray, hub_edge: bool,
+                          tol: float = DEFAULT_TOL
+                          ) -> tuple[np.ndarray, ...]:
+    """`hub_join_radii` of a batch given as its zero-padded (B, P) int64
+    part array, each row non-increasing and of one order, B >= 1: the
+    arrays (rho, lo, hi, Newton steps) of shape (B,), each row the bits of
+    that forest solved alone. The batch's columns are read off the array
+    (`_columns`); below SECULAR_ORDER each row is `_small_join_radius`."""
+    if int(parts[0].sum()) + 2 < SECULAR_ORDER:
+        rows = [_small_join_radius([p for p in row if p], hub_edge, tol)
+                for row in parts.tolist()]
+        return tuple(map(np.array, zip(*rows)))
+    e = float(hub_edge)
+    groups = _columns(parts)
+    rho, steps = _secular_root(groups, e, _Arrays)
+    return (rho, *_enclose_root(groups, rho, e, tol, _Arrays), steps)
 
 
 # --- the root stage's enclosure -----------------------------------------------

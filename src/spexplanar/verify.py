@@ -52,12 +52,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .families import LinearForest, _partitions_desc, join_edges, lna_sizes
-from .graphs import graph6_from_edges
+import numpy as np
+
+from .families import (LinearForest, join_edges, lna_sizes, part_counts,
+                       partitions)
+from .graphs import MAX_CANDIDATES, check_size, graph6_from_edges
 from .spectral import (_closed_forms, _forms_toward, enclosure_verdict,
-                       hub_join_radii)
+                       hub_join_radii, hub_join_radii_arrays)
 
 _WORST = {"certified": 0, "indeterminate": 1, "violated": 2}
 _RANK = ["certified", "indeterminate", "violated"]
@@ -621,37 +625,88 @@ def entry_bounds_sample(count: int, n_lo: int, n_hi: int,
 def admissible_forests(n: int, k: int, max_parts: int) -> list[tuple[int, ...]]:
     """Forest part lists of order n-2 with <= max_parts parts whose two
     largest parts sum to at most n-k-3 (so the join misses a cycle length
-    in [3, n-k]). Deterministic order: by part count, then reverse-lex."""
-    out = []
+    in [3, n-k]). Deterministic order: by part count, then reverse-lex.
+    The rows of `_candidates`, as tuples of ints."""
+    return list(map(tuple, _part_lists(_candidates(n, k, max_parts))))
+
+
+def _candidates(n: int, k: int, max_parts: int) -> np.ndarray:
+    """The admissible forests (`admissible_forests`) as the rows of a
+    zero-padded (C, P) int64 array, P = max_parts: the rows of
+    `families.partitions` for each part count, kept by the sum of their
+    first two parts."""
+    blocks = []
     for t in range(1, max_parts + 1):
-        for parts in _partitions_desc(n - 2, t, n - 2):
-            n1 = parts[0]
-            n2 = parts[1] if t > 1 else 0
-            if n1 + n2 <= n - k - 3:
-                out.append(tuple(parts))
-    return out
+        rows = partitions(n - 2, t, n - 2)
+        rows = rows[rows[:, :2].sum(axis=1) <= n - k - 3]
+        blocks.append(np.pad(rows, ((0, 0), (0, max_parts - t))))
+    return np.concatenate(blocks)
+
+
+def _part_lists(parts: np.ndarray) -> list[list[int]]:
+    """Each row of a zero-padded part array as a list of Python ints,
+    its padding dropped (only rows that end in 0 are cut)."""
+    rows = parts.tolist()
+    short = np.flatnonzero(parts[:, -1] == 0)
+    for i, t in zip(short.tolist(),
+                    np.count_nonzero(parts[short], axis=1).tolist()):
+        rows[i] = rows[i][:t]
+    return rows
+
+
+def _count_candidates(n: int, max_parts: int) -> int:
+    """The forests of order n-2 with at most max_parts parts, admissible or
+    not, counted by part count (`families.part_counts`) before any is
+    listed; the count stops once it passes MAX_CANDIDATES, so it costs
+    O(n) per part count and no more part counts than the ceiling takes.
+    Every candidate join has n vertices and at least 3(n-2) - max_parts + 1
+    edges, so an n above `graphs.MAX_SIZE` is refused first, by its size."""
+    check_size(n, 3 * (n - 2) - min(max_parts, n - 2) + 1)
+    total = 0
+    for size in islice(part_counts(n - 2), max_parts):
+        total += size
+        if total > MAX_CANDIDATES:
+            break
+    return total
 
 
 @dataclass(frozen=True)
 class ArgmaxSweepResult:
+    """The argmax report and the sweep's rows as arrays: `parts`, the
+    zero-padded (C, P) candidate array, and rho, lo, hi and Newton steps
+    of shape (C,), in candidate order."""
+
     report: VerificationReport
-    rows: tuple[tuple, ...] = field(repr=False)  # (parts, rho, lo, hi, iters)
+    parts: np.ndarray = field(repr=False)
+    rho: np.ndarray = field(repr=False)
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    steps: np.ndarray = field(repr=False)
+
+    def _row_values(self):
+        return zip(_part_lists(self.parts), self.rho.tolist(),
+                   self.lo.tolist(), self.hi.tolist(), self.steps.tolist())
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """(parts, rho, lo, hi, iterations) per candidate, in Python ints
+        and floats, built on each call."""
+        return tuple((tuple(parts), *rest)
+                     for parts, *rest in self._row_values())
 
     def rows_jsonl(self) -> str:
-        lines = []
-        for parts, rho, lo, hi, iters in self.rows:
-            lines.append(json.dumps({
-                "parts": list(parts), "rho": rho, "rho_lo": lo, "rho_hi": hi,
-                "iterations": iters,
-            }, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
+        """One compact JSON object per candidate. A float's repr is json's
+        own format for it, so each line is `json.dumps(row, separators=(",",
+        ":"))`."""
+        return "".join(
+            f'{{"parts":[{",".join(map(str, parts))}],"rho":{rho!r},'
+            f'"rho_lo":{lo!r},"rho_hi":{hi!r},"iterations":{steps}}}\n'
+            for parts, rho, lo, hi, steps in self._row_values())
 
     def rows_csv(self) -> str:
-        lines = ["parts,rho,rho_lo,rho_hi,iterations"]
-        for parts, rho, lo, hi, iters in self.rows:
-            lines.append(f"\"{' '.join(map(str, parts))}\",{rho!r},{lo!r},"
-                         f"{hi!r},{iters}")
-        return "\n".join(lines) + "\n"
+        return "parts,rho,rho_lo,rho_hi,iterations\n" + "".join(
+            f"\"{' '.join(map(str, parts))}\",{rho!r},{lo!r},{hi!r},{steps}\n"
+            for parts, rho, lo, hi, steps in self._row_values())
 
 
 def argmax_sweep(n: int, k: int, max_parts: int = 3,
@@ -659,53 +714,64 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
     """Find the admissible forest maximizing rho of its hub join (hub edge
     present), and certify uniqueness of the maximum.
 
-    Every candidate is enclosed by the root stage on its part list
-    (`hub_join_radii`, no graph built), and rows come back in enumeration
-    order. The leader has the largest rho. Its ties are the candidates
-    whose upper end reaches the leader's lower end, the leader included.
-    holds is `enclosure_verdict` on the float differences of the ends of
-    the leader's and its rivals' enclosures: certified (the leader ties
-    alone, or is the lone candidate) or indeterminate. The argmax join's
-    artifact is encoded from its part list.
+    The candidates are counted first and refused above MAX_CANDIDATES
+    (`_count_candidates`). They are listed as the rows of one zero-padded
+    int array (`_candidates`), and each is enclosed by the root stage on
+    its row, all in one batch over that array's columns
+    (`hub_join_radii_arrays`, no graph built); rows stay in enumeration
+    order. The leader has the largest rho, the first on a tie. Its ties
+    are the candidates whose upper end reaches the leader's lower end,
+    the leader included. holds is `enclosure_verdict` on the float
+    differences of the ends of the leader's and its rivals' enclosures:
+    certified (the leader ties alone, or is the lone candidate) or
+    indeterminate. The argmax join's artifact is encoded from its part
+    list. The report carries Python ints and floats only.
     """
     if max_parts < 3:
         raise ValueError(f"max_parts must be >= 3, got {max_parts}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     outside = _outside_hypothesis(n, k, force)
-    cands = admissible_forests(n, k, max_parts)
-    if not cands:
+    count = _count_candidates(n, max_parts)
+    if count > MAX_CANDIDATES:
+        raise ValueError(
+            f"the argmax sweep at n={n} lists at least {count} forests of "
+            f"at most {max_parts} parts, above the ceiling MAX_CANDIDATES = "
+            f"{MAX_CANDIDATES}")
+    cands = _candidates(n, k, max_parts)
+    if not len(cands):
         raise ValueError(f"no admissible forests for n={n}, k={k}, "
                          f"max_parts={max_parts}")
-    rows = [(parts, *solved) for parts, solved
-            in zip(cands, hub_join_radii(cands, hub_edge=True))]
+    rho, lo, hi, steps = hub_join_radii_arrays(cands, hub_edge=True)
 
-    best = max(rows, key=lambda r: r[1])
-    ties = [r[0] for r in rows if r[3] >= best[2]]
-    others = [r for r in rows if r is not best]
-    expected = (n - 2 * k - 4, k + 1, k + 1)
+    best = int(np.argmax(rho))  # the first maximum, as max() picks
+    lead, lead_lo, lead_hi = rho[best].item(), lo[best].item(), hi[best].item()
+    argmax, = _part_lists(cands[best:best + 1])
+    expected = [n - 2 * k - 4, k + 1, k + 1]
     params = {"n": n, "k": k, "max_parts": max_parts,
-              "candidates": len(rows), "argmax": list(best[0]),
-              "expected": list(expected),
-              "matches_expected": tuple(best[0]) == expected,
-              "ties": [list(t) for t in ties], "dominating_edge": True}
+              "candidates": len(cands), "argmax": argmax,
+              "expected": expected, "matches_expected": argmax == expected,
+              "ties": _part_lists(cands[hi >= lead_lo]),
+              "dominating_edge": True}
     if outside:
         params["outside_hypothesis"] = True
-    margins = {"rho_max": float(best[1])}
+    margins = {"rho_max": lead}
     holds = "certified"
-    if others:  # a lone candidate has no runner-up to measure a gap to
-        margins["runner_up_gap"] = float(best[1] - max(r[1] for r in others))
-        margins["enclosure_gap"] = float(best[2] - max(r[3] for r in others))
+    if len(cands) > 1:  # a lone candidate has no runner-up to measure a gap to
+        rival_rho, rival_lo, rival_hi = np.delete(
+            np.stack((rho, lo, hi)), best, axis=1).max(axis=1).tolist()
+        margins["runner_up_gap"] = lead - rival_rho
+        margins["enclosure_gap"] = lead_lo - rival_hi
         holds = enclosure_verdict(margins["enclosure_gap"],
-                                  best[3] - max(r[2] for r in others))
+                                  lead_hi - rival_lo)
     report = VerificationReport(
         check_id="argmax",
         params=params,
         holds=holds,
         margins=margins,
-        artifacts={"argmax_join": _join_graph6(best[0], True)},
+        artifacts={"argmax_join": _join_graph6(argmax, True)},
     )
-    return ArgmaxSweepResult(report, tuple(rows))
+    return ArgmaxSweepResult(report, cands, rho, lo, hi, steps)
 
 
 # --- re-running reports --------------------------------------------------------

@@ -17,6 +17,7 @@ verdict, sweep or CLI command reads them.
 from __future__ import annotations
 
 import heapq
+import json
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -316,6 +317,25 @@ def partitions_exact(m: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def partitions_desc(total: int, k: int, cap: int):
+    """Partitions of `total` into exactly `k` parts, each <= cap,
+    non-increasing within each partition, in reverse-lex order, by
+    recursion on the first part (the generator `families.partitions`
+    replaced)."""
+    if k == 0:
+        if total == 0:
+            yield []
+        return
+    if total < k:
+        return
+    # first part from largest feasible down; the rest must fit k-1 parts
+    hi = min(cap, total - (k - 1))
+    lo = -(-total // k)  # ceil(total/k) keeps the sequence non-increasing
+    for p in range(hi, lo - 1, -1):
+        for rest in partitions_desc(total - p, k - 1, p):
+            yield [p] + rest
+
+
 # --- planarity by Kuratowski subdivision search -------------------------------
 #
 # Exact for any n: a graph is planar iff it contains no subdivision of K5 or
@@ -528,3 +548,38 @@ def lemma1_pair_by_enumeration(n: int, a1: int, a2: int, fam1,
         artifacts={"worst_join_l1": to_graph6(k2_join(hi_parts, False)),
                    "worst_join_l2": to_graph6(k2_join(lo_parts, False))},
     )
+
+
+def argmax_leader(rows) -> tuple[list, list, dict, str]:
+    """(argmax, ties, margins, holds) of an argmax sweep from its rows
+    (parts, rho, lo, hi, iterations), by `max` and list scans: the
+    leader is the first row of largest rho, its ties every row whose hi
+    reaches the leader's lo."""
+    best = max(rows, key=lambda r: r[1])
+    others = [r for r in rows if r is not best]
+    margins = {"rho_max": best[1]}
+    holds = "certified"
+    if others:
+        margins["runner_up_gap"] = best[1] - max(r[1] for r in others)
+        margins["enclosure_gap"] = best[2] - max(r[3] for r in others)
+        holds = enclosure_verdict(margins["enclosure_gap"],
+                                  best[3] - max(r[2] for r in others))
+    return (list(best[0]), [list(r[0]) for r in rows if r[3] >= best[2]],
+            margins, holds)
+
+
+def argmax_rows_jsonl(rows) -> str:
+    """The sweep's JSONL rows, one `json.dumps` per row."""
+    return "".join(json.dumps({
+        "parts": list(parts), "rho": rho, "rho_lo": lo, "rho_hi": hi,
+        "iterations": iters}, separators=(",", ":")) + "\n"
+        for parts, rho, lo, hi, iters in rows)
+
+
+def argmax_rows_csv(rows) -> str:
+    """The sweep's CSV rows, one formatted line per row."""
+    lines = ["parts,rho,rho_lo,rho_hi,iterations"]
+    for parts, rho, lo, hi, iters in rows:
+        lines.append(f"\"{' '.join(map(str, parts))}\",{rho!r},{lo!r},"
+                     f"{hi!r},{iters}")
+    return "\n".join(lines) + "\n"

@@ -82,6 +82,12 @@ def test_forest_family_with_an_empty_path_exits_two(capsys):
     (["sweep", "argmax", "--n", "259", "--k", "-1"], "k must be >= 0, got -1"),
     (["verify", "lemma2", "--n", "300", "--n1", "150", "--n2", "140",
       "--l", "0,8"], "residual part must be >= 1, got 0"),
+    (["sweep", "argmax", "--n", "259", "--parts", "259"],
+     "the argmax sweep at n=259 lists at least 15835879 forests of at most "
+     "259 parts, above the ceiling MAX_CANDIDATES = 2000000"),
+    (["sweep", "argmax", "--n", "100000"],
+     "the argmax sweep at n=100000 lists at least 833350000 forests of at "
+     "most 3 parts, above the ceiling MAX_CANDIDATES = 2000000"),
 ])
 def test_precondition_errors_exit_two_with_one_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")

@@ -9,7 +9,7 @@ import pytest
 from spexplanar import (LinearForest, build_linear_forest, complete_bipartite,
                         enumerate_lna, extremal_graph, is_planar,
                         join_with_paths, k2_join, path_graph)
-from spexplanar.families import join_edges, lna_sizes
+from spexplanar.families import join_edges, lna_sizes, partitions
 from spexplanar.graphs import graph6_from_edges
 
 import oracles
@@ -135,6 +135,18 @@ def test_enumerate_lna_order_and_shape():
         # reverse-lexicographic: each partition strictly precedes the next
         assert all(seen[i] > seen[i + 1] for i in range(len(seen) - 1))
         assert seen[0] == (n - 2 - a,) + (1,) * a
+
+
+def test_partitions_match_the_recursive_generator():
+    # every row, in order, with a lower limit of 1 on each part: total 0
+    # into one part has no partition, and into none has the empty one
+    for total in range(31):
+        for k in range(7):
+            for cap in (total, total - 3, 1):
+                rows = partitions(total, k, cap)
+                assert rows.dtype == np.int64 and rows.shape[1] == k
+                assert rows.tolist() == list(
+                    oracles.partitions_desc(total, k, cap)), (total, k, cap)
 
 
 def test_enumerate_lna_preconditions():

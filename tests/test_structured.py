@@ -322,9 +322,35 @@ def seeded_forests(rng, count):
         yield parts
 
 
-def seeded_groups():
-    return [spectral._part_groups(parts)
-            for parts in seeded_forests(random.Random(20261020), 150)]
+def seeded_batch():
+    # each forest's groups, and the columns of the batch of all of them
+    forests = list(seeded_forests(random.Random(20261020), 150))
+    return ([spectral._part_groups(parts) for parts in forests],
+            spectral._columns(spectral._parts_array(forests)))
+
+
+def test_columns_are_the_part_groups_of_each_row():
+    # read off a batch's part array by run-length encoding, the columns
+    # hold each row's (path order, count) pairs longest first, then zero
+    # padding: on repeated parts, the admissible forests of 4 to 6 parts
+    # (rows padded with 0) and rows of 2,000 singletons
+    from spexplanar import verify
+    rng = random.Random(20261023)
+    repeated = [[rng.choice([1, 2, 3, 7]) for _ in range(rng.randint(1, 12))]
+                for _ in range(200)]
+    singletons = [[1] * 2000, [2] + [1] * 1998, [3] * 500 + [1] * 500,
+                  [1000, 1000], [1999, 1]]
+    batches = [spectral._parts_array(repeated),
+               verify._candidates(22, 0, 6)[-300:],
+               spectral._parts_array(singletons)]
+    for parts in batches:
+        rows = [[p for p in row if p] for row in parts.tolist()]
+        want = [spectral._part_groups(row) for row in rows]
+        cols = spectral._columns(parts)
+        assert len(cols) == max(map(len, want))
+        for i, groups in enumerate(want):
+            got = [(int(m[i]), int(cnt[i])) for m, cnt in cols]
+            assert got == groups + [(0, 0)] * (len(cols) - len(groups))
 
 
 @pytest.mark.parametrize("cap", [None, 1, 2])
@@ -333,8 +359,7 @@ def test_scalar_root_matches_the_batch_bit_for_bit(monkeypatch, cap):
         monkeypatch.setattr(spectral, "NEWTON_CAP", cap)
     # the one Newton driver in Python floats per row against the same
     # driver in numpy arrays on the batch's columns
-    groups = seeded_groups()
-    cols = spectral._columns(groups)
+    groups, cols = seeded_batch()
     for e in (0.0, 1.0):
         rho, steps = spectral._secular_root(cols, e, spectral._Arrays)
         for grp, want in zip(groups, zip(rho.tolist(), steps.tolist())):
@@ -352,8 +377,7 @@ def test_scalar_secular_matches_the_batch_bit_for_bit():
     # f and f' themselves, not only the root Newton settles on: a change
     # in rounding that the converged rho absorbs still shows here
     rng = random.Random(20261021)
-    groups = seeded_groups()
-    cols = spectral._columns(groups)
+    groups, cols = seeded_batch()
     for e in (0.0, 1.0):
         root, _ = spectral._secular_root(cols, e, spectral._Arrays)
         for scale in (0.5, 0.9, 1.0, 1.3):
@@ -454,7 +478,7 @@ def test_lemma1_enumerates_no_family(monkeypatch, capsys):
     # nothing
     from spexplanar import families, verify
     forbid(monkeypatch, families.enumerate_lna)
-    forbid(monkeypatch, families._partitions_desc)
+    forbid(monkeypatch, families.partitions)
     rep = lemma1_sweep(80)[4]
     assert verify.rerun(rep).to_json() == rep.to_json()
     assert main(["verify", "lemma1", "--n", "515"]) == 0
@@ -493,8 +517,7 @@ def test_scalar_enclosure_matches_the_batch_bit_for_bit(monkeypatch, ulps):
     # from one ulp out, most rows double a few times before they hold
     monkeypatch.setattr(spectral, "ENCLOSE_ULPS", ulps)
     arrays, floats = spectral._Arrays, spectral._Floats
-    groups = seeded_groups()
-    cols = spectral._columns(groups)
+    groups, cols = seeded_batch()
     for e in (0.0, 1.0):
         rho, _ = spectral._secular_root(cols, e, arrays)
         lo, hi = spectral._enclose_root(cols, rho, e, TOL, arrays)
@@ -510,8 +533,7 @@ def test_scalar_enclosure_matches_the_batch_bit_for_bit(monkeypatch, ulps):
 
 def test_scalar_secular_bound_matches_the_batch_bit_for_bit():
     rng = random.Random(20261022)
-    groups = seeded_groups()
-    cols = spectral._columns(groups)
+    groups, cols = seeded_batch()
     arrays, floats = spectral._Arrays, spectral._Floats
     for e in (0.0, 1.0):
         root, _ = spectral._secular_root(cols, e, arrays)

@@ -5,6 +5,7 @@ import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from spexplanar import (admissible_forests, argmax_sweep, enumerate_lna,
@@ -15,7 +16,9 @@ from spexplanar import (admissible_forests, argmax_sweep, enumerate_lna,
                         verify_entry_bounds, verify_lemma1, verify_lemma2)
 from spexplanar import VerificationReport, gridconfig, hub_join_radii
 from spexplanar.cli import main
+from spexplanar import verify
 from spexplanar.families import join_with_paths
+from spexplanar.graphs import MAX_CANDIDATES
 from spexplanar.verify import entry_bounds_sample
 
 import oracles
@@ -38,17 +41,25 @@ def test_lemma1_worked_example():
 
 
 def shifted_radii(monkeypatch, shift):
-    """Make verify's root stage report each enclosure moved by
-    `shift(parts)`, a pair (to lo, to hi), with rho as it is."""
+    """Make verify's root stage, on part lists and on a part array, report
+    each enclosure moved by `shift(parts)`, a pair (to lo, to hi), with
+    rho as it is."""
     from spexplanar import verify
-    radii = verify.hub_join_radii
+    radii, arrays = verify.hub_join_radii, verify.hub_join_radii_arrays
 
     def moved(forests, hub_edge):
         return [(rho, lo + shift(parts)[0], hi + shift(parts)[1], steps)
                 for parts, (rho, lo, hi, steps)
                 in zip(forests, radii(forests, hub_edge))]
 
+    def moved_arrays(parts, hub_edge):
+        rho, lo, hi, steps = arrays(parts, hub_edge)
+        to_lo, to_hi = np.array(
+            [shift(p) for p in verify._part_lists(parts)]).T
+        return rho, lo + to_lo, hi + to_hi, steps
+
     monkeypatch.setattr(verify, "hub_join_radii", moved)
+    monkeypatch.setattr(verify, "hub_join_radii_arrays", moved_arrays)
 
 
 def radius_comparisons():
@@ -605,6 +616,80 @@ def test_argmax_sweep_small_forced():
     csv = result.rows_csv().strip().split("\n")
     assert csv[0] == "parts,rho,rho_lo,rho_hi,iterations"
     assert len(csv) == len(result.rows) + 1
+
+
+@pytest.mark.parametrize("n, k, max_parts", [
+    (5, 0, 3), (9, 0, 3), (30, 0, 3), (40, 11, 3), (20, 0, 6)])
+def test_sweep_rows_are_the_single_solves(n, k, max_parts):
+    # each row of the one batch is its forest solved alone, bit for bit
+    # (below order 7, the built join's); the leader, its ties and its gaps
+    # are those of max() and list scans over the rows; the JSONL rows are
+    # one json.dumps per row and the CSV one formatted line per row
+    result = argmax_sweep(n, k, max_parts, force=True)
+    rows = result.rows
+    assert [r[0] for r in rows] == admissible_forests(n, k, max_parts)
+    for parts, *got in rows:
+        want = hub_join_radii([parts], True)[0]
+        assert list(map(repr, got)) == list(map(repr, want)), parts
+    rep = result.report
+    argmax, ties, margins, holds = oracles.argmax_leader(rows)
+    assert (rep.params["argmax"], rep.params["ties"], rep.holds) == (
+        argmax, ties, holds)
+    assert json.dumps(rep.margins) == json.dumps(margins)
+    assert result.rows_jsonl() == oracles.argmax_rows_jsonl(rows)
+    assert result.rows_csv() == oracles.argmax_rows_csv(rows)
+
+
+def test_the_n40_k11_argmax_is_a_two_way_tie():
+    rep = argmax_sweep(40, 11, force=True).report
+    assert rep.params["ties"] == [[14, 12, 12], [13, 13, 12]]
+    assert rep.holds == "indeterminate"
+
+
+def test_a_sweep_carries_python_scalars_only():
+    # the report serializes with no json default, and every number of it,
+    # of the rows and of the admissible list is a Python int or float
+    def walk(x):
+        if isinstance(x, (list, tuple)):
+            for y in x:
+                walk(y)
+        elif isinstance(x, dict):
+            for y in x.values():
+                walk(y)
+        else:
+            assert type(x) in (int, float, bool, str), (x, type(x))
+
+    result = argmax_sweep(20, 0, 6, force=True)
+    rep = result.report
+    json.dumps([rep.check_id, rep.params, rep.holds, rep.margins,
+                rep.artifacts])
+    walk([rep.params, rep.margins, rep.artifacts, result.rows,
+          admissible_forests(20, 0, 6)])
+
+
+def test_candidates_are_counted_from_the_part_counts():
+    for n in range(3, 40):
+        for max_parts in range(3, 8):
+            count = verify._count_candidates(n, max_parts)
+            assert count == sum(oracles.partition_count(n - 2, t)
+                                for t in range(1, max_parts + 1))
+            assert count >= len(admissible_forests(n, 0, max_parts))
+    # 1 + 2,048 + round(4097^2 / 12) forests at n = 4,099: below the ceiling
+    assert verify._count_candidates(4099, 3) == 1_400_833 <= MAX_CANDIDATES
+
+
+@pytest.mark.parametrize("n, max_parts, count", [
+    (259, 259, 15835879), (100000, 3, 833350000)])
+def test_argmax_refuses_above_the_ceiling_before_listing(
+        monkeypatch, n, max_parts, count):
+    # p(257) = 3.9e14 forests, and 8.3e8: refused by their count, which
+    # stops once past the ceiling, and nothing is listed
+    def refused(*args):
+        raise AssertionError("a forest was listed")
+    monkeypatch.setattr(verify, "partitions", refused)
+    with pytest.raises(ValueError, match=(
+            f"at least {count} forests .* MAX_CANDIDATES = {MAX_CANDIDATES}")):
+        argmax_sweep(n, 0, max_parts)
 
 
 def test_argmax_sweep_preconditions():
