@@ -15,7 +15,7 @@ from .families import (LinearForest, build_linear_forest, join_with_paths,
                        complete_bipartite, recognize_hub_join)
 from .spectral import (SpectralResult, DisconnectedGraphError,
                        ConvergenceError, spectral_radius, hub_join_radii,
-                       hub_join_spectrum, enclosure_verdict, DEFAULT_TOL)
+                       hub_join_spectrum, enclosure_verdict, TOL)
 from .cycles import (CycleRecord, CycleSpectrum, SearchBudgetExceeded,
                      find_cycle, validate_cycle, cycle_spectrum, in_gnk,
                      DEFAULT_BUDGET)

@@ -2,15 +2,16 @@
 
 Subcommands: build, rho, spectrum, member, verify, sweep.
 Exit codes: 0 success, an "indeterminate" verdict included; 1 when any
-check reports "violated" (or a computation misses its tolerance, set by
-`rho --tol` alone, or a cycle search its budget); 2 for usage errors (a
-flag the chosen subcommand or mode would not read among them, such as
---tol on `verify` or `sweep`), for inputs too large to fit in memory,
-above the size ceiling (`graphs.MAX_SIZE`) or for the dense solve
-(`spectral.DENSE_MAX_ORDER`) and for output files that cannot be written
-(a --csv file is opened before any work), 141 (128 + SIGPIPE, what a
-shell reports for a writer killed by that signal) when stdout is closed
-before the output is written, as in `spex verify entry-bounds | head`.
+check reports "violated" (or a solve misses its gate, a residual or
+enclosure width above `spectral.TOL` * max(1, rho), or a cycle search its
+budget); 2 for usage errors (a flag the chosen subcommand or mode would
+not read among them, such as --tol, which no subcommand takes), for
+inputs too large to fit in memory, above the size ceiling
+(`graphs.MAX_SIZE`) or for the dense solve (`spectral.DENSE_MAX_ORDER`)
+and for output files that cannot be written (a --csv file is opened
+before any work), 141 (128 + SIGPIPE, what a shell reports for a writer
+killed by that signal) when stdout is closed before the output is
+written, as in `spex verify entry-bounds | head`.
 
 Graph arguments accept, in this order of interpretation:
   * a family string:  P12  P4+P1+P1  C6  K7  K2,18  k2+[4,1,1]  extremal(8,0)
@@ -28,7 +29,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -42,8 +42,8 @@ from .families import (LinearForest, build_linear_forest, extremal_forest,
                        cycle_graph, path_graph, recognize_hub_join)
 from .graphs import (Graph, Graph6Error, from_graph6, parse_edge_list,
                      format_edge_list, to_graph6)
-from .spectral import (DEFAULT_TOL, ConvergenceError, hub_join_radii,
-                       hub_join_spectrum, spectral_radius)
+from .spectral import (ConvergenceError, hub_join_radii, hub_join_spectrum,
+                       spectral_radius)
 from . import verify as V
 
 
@@ -160,12 +160,11 @@ def cmd_rho(a: argparse.Namespace) -> int:
         n, join = g.n, hub and ([len(p) for p in hub[2]], hub[3])
     if join and a.emit_vector is None:
         # the root stage alone: rho and its proven enclosure
-        (rho, lo, hi, steps), = hub_join_radii([join[0]], join[1], a.tol)
+        (rho, lo, hi, steps), = hub_join_radii([join[0]], join[1])
         _emit({"n": n, "rho": rho, "rho_lo": lo, "rho_hi": hi,
-               "iterations": steps, "tol": a.tol})
+               "iterations": steps})
         return 0
-    res = (spectral_radius(g, a.tol) if g is not None
-           else hub_join_spectrum(*join, a.tol))
+    res = spectral_radius(g) if g is not None else hub_join_spectrum(*join)
     if a.emit_vector is not None:
         lines = ["vertex,entry"]
         lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(res.vector))
@@ -176,7 +175,7 @@ def cmd_rho(a: argparse.Namespace) -> int:
         with open(a.emit_vector, "w") as fh:
             fh.write(text)
     _emit({"n": n, "rho": res.rho, "residual": res.residual,
-           "iterations": res.iterations, "tol": a.tol})
+           "iterations": res.iterations})
     return 0
 
 
@@ -327,13 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="spectral radius of a graph")
     p.add_argument("graph", nargs="?", default="-")
-    # NaN or inf would skip the gates and print non-JSON
-    p.add_argument("--tol", type=_checked(float, lambda t: 0 < t < math.inf,
-                                          "a finite number > 0"),
-                   default=DEFAULT_TOL,
-                   help="a hub join's proven rho enclosure may be at most "
-                        "TOL*max(1, rho) wide, a Perron vector's residual "
-                        "at most TOL (default 1e-12)")
     p.add_argument("--emit-vector", nargs="?", const="-", default=None,
                    metavar="FILE",
                    help="write the Perron vector as CSV (default stdout)")

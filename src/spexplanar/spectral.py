@@ -29,8 +29,7 @@ Each graph gets exactly one of two engines, chosen before any solve:
   B B' irreducible. Either way rho is the Rayleigh quotient and the
   residual is taken on the full A; it is O(u ||A||) by backward stability
   (on the bipartite route the X block is (B B' x_X - rho^2 x_X) / rho,
-  the Y block zero up to rounding). Above `tol` it raises
-  ConvergenceError.
+  the Y block zero up to rounding), and is gated like every solve below.
 
 A hub join is solved from its part list in one or two stages:
 
@@ -42,18 +41,24 @@ A hub join is solved from its part list in one or two stages:
   with nextafter: running-error interval arithmetic (Rump, "Verification
   methods: Rigorous results using floating-point arithmetic", Acta
   Numerica 19, 2010). [lo, hi] starts ENCLOSE_ULPS ulps either side of
-  the Newton root and doubles until the signs hold; once hi - lo passes
-  tol * max(1, rho) the solve raises ConvergenceError. It costs
-  O(distinct part orders) per join, and it is all that `hub_join_radii`
-  runs (every radius gap, and `spex rho` without --emit-vector).
+  the Newton root and doubles until the signs hold, so its bits never
+  depend on the gate below. It costs O(distinct part orders) per join,
+  and it is all that `hub_join_radii` runs (every radius gap, and
+  `spex rho` without --emit-vector).
 * The vector stage (`_hub_join_spectrum`), at a Newton root it is
   handed (the scalar `_secular_root`, or a batch row: the same bits):
   the Perron entries in closed form per path block and their residual
   ||Ax - rho x||_inf from the join's structure, in 1-D arrays with the
-  paths longest first, then scattered once into block order; above `tol`
-  it raises ConvergenceError. It costs O(n) and encloses nothing. Only
-  `spectral_radius` of a recognized join (so `spex rho --emit-vector`)
-  and `_small_join_radius` run it.
+  paths longest first, then scattered once into block order. It costs
+  O(n) and encloses nothing. Only `spectral_radius` of a recognized join
+  (so `spex rho --emit-vector`) and `_small_join_radius` run it.
+
+Every solve passes one gate (`_gate`): a root enclosure's width hi - lo,
+or a Perron vector's residual, is at most TOL * max(1, rho), or the solve
+raises ConvergenceError (NaN is not). ||A||_2 = rho for an adjacency
+matrix, so this is the backward-stability scale of a residual. The root
+stage stops as soon as its signs hold and no vector reads TOL, so the
+gate changes no value, only whether one is returned.
 
 The checks on Perron entries (claim33, entry bounds) read O(k) entries,
 not the vector: `_closed_forms` evaluates the closed form of each entry
@@ -65,8 +70,8 @@ around them: f with f' (`_secular`), the outward-rounded bound on f
 (`_secular_bound`), the Newton driver (`_secular_root`) and the
 enclosure driver (`_enclose_root`). Each is generic in its number type:
 Python floats for one join (`_Floats`), float arrays with one entry per
-join for a batch (`_Arrays`, all of a call in one batch). The type
-supplies only sqrt, nextafter, ulp, max, any, a select (for a batch's
+join for a batch (`_Arrays`, a call's rows in slices of SLICE_ROWS). The
+type supplies only sqrt, nextafter, ulp, max, any, a select (for a batch's
 zero-count padding and its finished rows) and u^m by repeated squaring;
 math.sqrt, math.nextafter and math.ulp round like np.sqrt, np.nextafter
 and np.spacing, so a join gets the same rho, Newton steps, lo and hi bit
@@ -99,11 +104,12 @@ from .families import (join_edges, join_order, join_with_paths,
                        recognize_hub_join)
 from .graphs import Graph, edge_array
 
-DEFAULT_TOL = 1e-12
+TOL = 1e-12           # a solve's gate, relative to max(1, rho) (`_gate`)
 NEWTON_STOP = 1e-14   # relative Newton step at which the root is taken
 NEWTON_CAP = 100      # Newton steps before the residual decides (<= 6 seen)
 ENCLOSE_ULPS = 8      # first half-width of a root enclosure, in ulps of rho
 SECULAR_ORDER = 7     # join order from which the part list alone picks secular
+SLICE_ROWS = 16384    # rows per batch solve: its temporaries stay in cache
 # Checked on n for every graph. A non-bipartite graph of order 5000 peaks
 # at 1.0 GB RSS in eigh (16 s, 2 cores); P5000, bipartite, decomposes at
 # order 2500: 0.52 GB and 1.4 s.
@@ -115,14 +121,26 @@ class DisconnectedGraphError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A solve that misses `tol`: by the residual of its Perron vector, or
-    by the width of its root enclosure (`measure`)."""
+    """A solve whose `measure`, the residual of its Perron vector or the
+    width of its root enclosure, is `value` above `bound` (`_gate`)."""
 
-    def __init__(self, value: float, tol: float, measure: str = "residual"):
-        super().__init__(f"{measure} {value:.3e} misses tol {tol:.1e}")
+    def __init__(self, value: float, bound: float, measure: str):
+        super().__init__(f"{measure} {value:.3e} misses bound {bound:.3e}")
         self.value = value
-        self.tol = tol
+        self.bound = bound
         self.measure = measure
+
+
+def _gate(value, rho, measure: str, num) -> None:
+    """Raise ConvergenceError on the first row (one, for `_Floats`) whose
+    `value` is not at most TOL * max(1, rho), in number type `num`: NaN
+    is not."""
+    bound = TOL * num.max(1.0, rho)
+    miss = num.select(value <= bound, False, True)
+    if num.any(miss):
+        first = np.flatnonzero(miss)[0]
+        raise ConvergenceError(float(np.ravel(value)[first]),
+                               float(np.ravel(bound)[first]), measure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +165,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
+def spectral_radius(g: Graph) -> SpectralResult:
     """Largest adjacency eigenvalue of a connected graph, with Perron vector.
 
     Deterministic: hub joins take the secular engine, everything else the
@@ -156,17 +174,18 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     any other graph's A at n (module docstring). Raises ValueError on a
     graph with no vertex, then on the dense route, in this order,
     ValueError above DENSE_MAX_ORDER vertices and DisconnectedGraphError
-    on disconnected input; ConvergenceError if a residual misses `tol`.
+    on disconnected input; ConvergenceError if the residual misses the
+    gate (`_gate`).
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
     hub = recognize_hub_join(g)
     if hub is None:
-        return _dense_solve(g, tol)
+        return _dense_solve(g)
     hub1, hub2, paths, hub_edge = hub
     parts = [len(p) for p in paths]
     res = _hub_join_spectrum(parts, hub_edge, *_secular_root(
-        _part_groups(parts), float(hub_edge), _Floats), tol)
+        _part_groups(parts), float(hub_edge), _Floats))
     # res.vector has the recognized paths as its blocks, in order
     x = np.empty(g.n)
     x[[hub1, hub2]] = res.vector[:2]
@@ -175,7 +194,7 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     return replace(res, vector=x)
 
 
-def _dense_solve(g: Graph, tol: float) -> SpectralResult:
+def _dense_solve(g: Graph) -> SpectralResult:
     """The dense route of `spectral_radius` (module docstring) for a graph
     with >= 1 vertex: a regular graph builds no matrix, and a bipartite
     one only B (`_bipartite_perron`)."""
@@ -197,8 +216,7 @@ def _dense_solve(g: Graph, tol: float) -> SpectralResult:
         x, z = _bipartite_perron(g)
     rho = float(x @ z) / float(x @ x)
     resid = float(np.max(np.abs(z - rho * x)))
-    if resid > tol:
-        raise ConvergenceError(resid, tol)
+    _gate(resid, rho, "residual", _Floats)
     return SpectralResult(rho, x, resid, 1, "dense")
 
 
@@ -234,7 +252,7 @@ def _bipartite_perron(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 # Each formula and each driver is written once, over a forest's groups: its
 # distinct path orders in decreasing order, each with how many paths have
 # it (grouping keeps the sum over paths short, so its rounding stays far
-# below tol on forests of thousands of paths). One forest's groups are int
+# below TOL on forests of thousands of paths). One forest's groups are int
 # pairs (`_part_groups`) and its values Python floats (`_Floats`). A batch
 # is a zero-padded (B, P) int array of part lists, one forest per row with
 # its parts non-increasing (`_parts_array` pads and sorts part lists); its
@@ -399,11 +417,10 @@ def _secular_root(groups, e: float, num):
 
 
 def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool, rho: float,
-                       steps: int, tol: float) -> SpectralResult:
+                       steps: int) -> SpectralResult:
     """The vector stage of join_with_paths(parts, hub_edge) at the Newton
     root `rho` it is handed, reached in `steps` steps: the Perron vector in
-    that layout and the residual gate, which raises ConvergenceError
-    unless the residual is at most `tol` (NaN is not)."""
+    that layout, its residual through `_gate`."""
     e = float(hub_edge)
     # paths longest first: the residual's sums round in this order
     p = np.asarray(parts, dtype=np.int64)
@@ -413,8 +430,7 @@ def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool, rho: float,
     idx = np.arange(len(part)) + 1 - np.repeat(np.cumsum(span) - span, span)
     y = _forest_entries(idx, part, rho)
     resid = _join_residual(y, idx, part, rho, e)
-    if not resid <= tol:
-        raise ConvergenceError(resid, tol)
+    _gate(resid, rho, "residual", _Floats)
     x = np.empty(len(y) + 2)
     x[:2] = 1.0
     x[2:][np.repeat((np.cumsum(p) - p)[order], span) + idx - 1] = y
@@ -445,26 +461,24 @@ def _join_residual(y: np.ndarray, idx: np.ndarray, part: np.ndarray,
     return float(np.maximum(forest, hubs) / np.maximum(1.0, y.max()))
 
 
-def hub_join_spectrum(parts: Sequence[int], hub_edge: bool,
-                      tol: float = DEFAULT_TOL) -> SpectralResult:
-    """`spectral_radius(join_with_paths(parts, hub_edge), tol)`, bit for
-    bit, from the part list: the Perron vector is in that join's layout.
+def hub_join_spectrum(parts: Sequence[int], hub_edge: bool) -> SpectralResult:
+    """`spectral_radius(join_with_paths(parts, hub_edge))`, bit for bit, from
+    the part list: the Perron vector is in that join's layout.
 
     From SECULAR_ORDER on no forest vertex (degree <= 4) reaches the hub
     degree n - 2, so `recognize_hub_join` accepts every join and
     `spectral_radius` would take the secular solve done here, which
-    certifies `tol` or raises ConvergenceError. Below that order the join
+    passes the gate or raises ConvergenceError. Below that order the join
     is built and `spectral_radius` picks the solver. A part below 1, or a
     join above `graphs.MAX_SIZE` vertices plus edges, is a ValueError.
     """
     if join_order(parts, hub_edge) + 2 < SECULAR_ORDER:
-        return spectral_radius(join_with_paths(parts, hub_edge), tol)
+        return spectral_radius(join_with_paths(parts, hub_edge))
     return _hub_join_spectrum(parts, hub_edge, *_secular_root(
-        _part_groups(parts), float(hub_edge), _Floats), tol)
+        _part_groups(parts), float(hub_edge), _Floats))
 
 
-def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
-                   tol: float = DEFAULT_TOL
+def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool
                    ) -> list[tuple[float, float, float, int]]:
     """(rho, lo, hi, Newton steps) of the hub join of each forest: the
     root stage alone, with lo < rho < hi proven for the join's spectral
@@ -475,43 +489,45 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool,
     numpy arrays over the batch's columns (`hub_join_radii_arrays`), and
     no graph is built; below it each forest is `_small_join_radius`, in
     the layout given. rho and the steps are those of `hub_join_spectrum`.
-    Raises ConvergenceError once an enclosure gets wider than
-    tol * max(1, rho).
+    Raises ConvergenceError once an enclosure misses the gate (`_gate`).
     """
     if len({sum(parts) for parts in forests}) > 1:
         raise ValueError("hub_join_radii needs forests of a single order")
     if not forests:
         return []
     if sum(forests[0]) + 2 < SECULAR_ORDER:
-        return [_small_join_radius(parts, hub_edge, tol) for parts in forests]
+        return [_small_join_radius(parts, hub_edge) for parts in forests]
     for p in chain.from_iterable(forests):
         if p < 1:
             raise ValueError(f"path order must be >= 1, got {p}")
     if len(forests) > 1:
         return list(zip(*(x.tolist() for x in hub_join_radii_arrays(
-            _parts_array(forests), hub_edge, tol))))
+            _parts_array(forests), hub_edge))))
     e = float(hub_edge)
     groups = _part_groups(forests[0])
     rho, steps = _secular_root(groups, e, _Floats)
-    return [(rho, *_enclose_root(groups, rho, e, tol, _Floats), steps)]
+    return [(rho, *_enclose_root(groups, rho, e, _Floats), steps)]
 
 
-def hub_join_radii_arrays(parts: np.ndarray, hub_edge: bool,
-                          tol: float = DEFAULT_TOL
+def hub_join_radii_arrays(parts: np.ndarray, hub_edge: bool
                           ) -> tuple[np.ndarray, ...]:
     """`hub_join_radii` of a batch given as its zero-padded (B, P) int64
     part array, each row non-increasing and of one order, B >= 1: the
     arrays (rho, lo, hi, Newton steps) of shape (B,), each row the bits of
-    that forest solved alone. The batch's columns are read off the array
-    (`_columns`); below SECULAR_ORDER each row is `_small_join_radius`."""
+    that forest solved alone. Both drivers run on slices of SLICE_ROWS
+    rows, each slice's columns read off the array (`_columns`); below
+    SECULAR_ORDER each row is `_small_join_radius`."""
     if int(parts[0].sum()) + 2 < SECULAR_ORDER:
-        rows = [_small_join_radius([p for p in row if p], hub_edge, tol)
+        rows = [_small_join_radius([p for p in row if p], hub_edge)
                 for row in parts.tolist()]
         return tuple(map(np.array, zip(*rows)))
     e = float(hub_edge)
-    groups = _columns(parts)
-    rho, steps = _secular_root(groups, e, _Arrays)
-    return (rho, *_enclose_root(groups, rho, e, tol, _Arrays), steps)
+    out = []
+    for start in range(0, len(parts), SLICE_ROWS):
+        groups = _columns(parts[start:start + SLICE_ROWS])
+        rho, steps = _secular_root(groups, e, _Arrays)
+        out.append((rho, *_enclose_root(groups, rho, e, _Arrays), steps))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 # --- the root stage's enclosure -----------------------------------------------
@@ -552,27 +568,17 @@ def _secular_bound(groups, rho, e: float, toward: float, num):
     return q(q(rho - e) - 2.0 * s)
 
 
-def _check_width(lo, hi, rho, tol: float, num) -> None:
-    """Raise ConvergenceError on the first row whose [lo, hi] is wider
-    than tol * max(1, rho) (or NaN)."""
-    width = hi - lo
-    wide = num.select(width <= tol * num.max(1.0, rho), False, True)
-    if num.any(wide):
-        raise ConvergenceError(float(np.ravel(width)[np.ravel(wide)][0]),
-                               tol, "enclosure width")
-
-
-def _enclose_root(groups, rho, e: float, tol: float, num):
+def _enclose_root(groups, rho, e: float, num):
     """(lo, hi) around the Newton root `rho` of a forest (or batch), with
     f(lo) < 0 < f(hi) proven by `_secular_bound` in number type `num`:
     ENCLOSE_ULPS ulps of rho either side, doubled on each row until its
-    signs hold (then it keeps lo and hi), or ConvergenceError from
-    `_check_width`. A row with lo <= 2 fails; its lower bound is taken at
+    signs hold (then it keeps lo and hi), or ConvergenceError once its
+    width misses the gate (`_gate`). A row with lo <= 2 fails; its lower bound is taken at
     rho instead, where the bound's formulas hold."""
     half = ENCLOSE_ULPS * num.ulp(rho)
     while True:
         lo, hi = rho - half, rho + half
-        _check_width(lo, hi, rho, tol, num)
+        _gate(hi - lo, rho, "enclosure width", num)
         above = lo > 2.0
         held = (above
                 & (_secular_bound(groups, num.select(above, lo, rho), e,
@@ -667,25 +673,25 @@ def _forms_toward(forms, lo: float, hi: float, toward) -> list[float]:
     return out
 
 
-def _small_join_radius(parts: Sequence[int], hub_edge: bool, tol: float
+def _small_join_radius(parts: Sequence[int], hub_edge: bool
                        ) -> tuple[float, float, float, int]:
     """The root stage below SECULAR_ORDER: `hub_join_spectrum` of the built
     join, its rho enclosed by Collatz-Wielandt bounds on its Perron vector
     x > 0 (for a connected graph, min_v (Ax)_v / x_v <= rho <= max_v
     (Ax)_v / x_v), in exact rationals, rounded outward."""
     from fractions import Fraction  # only these few joins need it
-    res = hub_join_spectrum(parts, hub_edge, tol)
+    res = hub_join_spectrum(parts, hub_edge)
     x = [Fraction(v) for v in res.vector.tolist()]
     ax = [Fraction(0)] * len(x)
     for u, v in join_edges(parts, hub_edge).tolist():
         ax[u] += x[v]
         ax[v] += x[u]
-    if min(x) <= 0:
-        raise ConvergenceError(math.inf, tol, "enclosure width")
+    if min(x) <= 0:  # bounds nothing: an infinite width
+        _gate(math.inf, res.rho, "enclosure width", _Floats)
     ratios = [a / b for a, b in zip(ax, x)]
     lo = math.nextafter(float(min(ratios)), -math.inf)
     hi = math.nextafter(float(max(ratios)), math.inf)
-    _check_width(lo, hi, res.rho, tol, _Floats)
+    _gate(hi - lo, res.rho, "enclosure width", _Floats)
     return res.rho, lo, hi, res.iterations
 
 

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spexplanar import (DEFAULT_TOL, Graph, LinearForest, VerificationReport,
+from spexplanar import (Graph, LinearForest, VerificationReport,
                         enclosure_verdict, enumerate_lna, from_edges,
                         hub_join_radii, k2_join, spectral_radius, to_graph6,
                         validate_cycle)
@@ -432,12 +432,12 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     return from_edges(len(keep), edges)
 
 
-def spectral_radius_any(g: Graph, tol: float = DEFAULT_TOL) -> float:
+def spectral_radius_any(g: Graph) -> float:
     """Spectral radius of a possibly disconnected graph (max over components)."""
     best = 0.0
     for comp in nx.connected_components(to_nx(g)):
         sub = induced_subgraph(g, comp)
-        best = max(best, spectral_radius(sub, tol).rho)
+        best = max(best, spectral_radius(sub).rho)
     return best
 
 
@@ -487,22 +487,22 @@ class SurgeryReport:
     bound_holds: bool
 
 
-def surgery_compare(g: Graph, gp: Graph,
-                    tol: float = DEFAULT_TOL) -> SurgeryReport:
+def surgery_compare(g: Graph, gp: Graph) -> SurgeryReport:
     """Evaluate an edge-surgery comparison through the variational principle.
 
     Plugs the Perron vector x of G into G' : rho(G') >= x'A(G')x / x'x holds
     for any nonzero x, so `bound_holds` failing beyond tolerance would mean a
     computation bug, not a property of the graphs. When the surgery margin
     (the Rayleigh quotient minus rho(G)) is positive, rho(G') > rho(G) follows
-    with no further computation.
+    with no further computation. The variational gap is read with a slack
+    of 2e-11, ten times two residuals of 1e-12.
     """
     if g.n != gp.n:
         raise ValueError(f"vertex counts differ: {g.n} vs {gp.n}")
-    res = spectral_radius(g, tol)
+    res = spectral_radius(g)
     rq = rayleigh_quotient(gp, res.vector)
-    rho_gp = spectral_radius_any(gp, tol)
-    gap, slack = rho_gp - rq, 10.0 * (tol + tol)
+    rho_gp = spectral_radius_any(gp)
+    gap, slack = rho_gp - rq, 2e-11
     return SurgeryReport(
         rho_g=res.rho,
         rho_gp=rho_gp,

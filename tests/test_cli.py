@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import spexplanar
-from spexplanar import (VerificationReport, build_linear_forest,
+from spexplanar import (TOL, VerificationReport, build_linear_forest,
                         complete_graph, cycle_graph, extremal_graph,
                         from_edges, from_graph6, k2_join, path_graph,
-                        reports_to_csv, rerun, to_graph6)
+                        reports_to_csv, rerun, spectral, to_graph6)
 from spexplanar.cli import build_parser, main, parse_family
 
 
@@ -129,14 +129,14 @@ def test_rho_complete_bipartite(capsys):
     assert blob["n"] == 20
     assert "residual" not in blob
     assert blob["rho_lo"] < 6.0 < blob["rho_hi"]
-    assert blob["rho_hi"] - blob["rho_lo"] <= blob["tol"] * 6.0
+    assert blob["rho_hi"] - blob["rho_lo"] <= TOL * max(1.0, blob["rho"])
 
 
 def test_rho_of_a_non_join_reports_its_residual(capsys):
     code, out, _ = run(capsys, "rho", "P5")
     assert code == 0
     blob = json.loads(out)
-    assert blob["residual"] <= blob["tol"]
+    assert blob["residual"] <= TOL * max(1.0, blob["rho"])
     assert "rho_lo" not in blob
 
 
@@ -265,11 +265,15 @@ def test_rho_rejects_non_ascii_graph6(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_rho_tol_below_rounding_exits_one(capsys):
-    code, out, err = run(capsys, "rho", "P12", "--tol", "1e-300")
+def test_rho_tol_below_rounding_exits_one(monkeypatch, capsys):
+    # a gate below the rounding floor: the dense solve cannot meet it
+    monkeypatch.setattr(spectral, "TOL", 1e-300)
+    code, out, err = run(capsys, "rho", "P12")
     assert code == 1
     assert out == ""
-    assert "misses tol 1.0e-300" in err
+    # P12's rho is 1.9419
+    assert err.startswith("error: residual ")
+    assert err.endswith(" misses bound 1.942e-300\n")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -444,7 +448,7 @@ def test_verify_instance_flags_never_silently_ignored(capsys):
     (["build", "P5", "--n", "9", "--k", "3", "--parts", "4,4"],
      "spex: error: unrecognized arguments: --n 9 --k 3 --parts 4,4"),
     # a verdict is read off proven enclosures, which no tolerance moves:
-    # --tol belongs to rho alone
+    # no subcommand takes --tol
     *[(argv + ["--tol", "1e-12"],
        "spex: error: unrecognized arguments: --tol 1e-12") for argv in (
         ["verify", "lemma1", "--n", "40"],
@@ -675,13 +679,15 @@ def test_argparse_usage_errors_exit_two(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # rho takes no --tol (every solve is gated by spectral.TOL), so each
+    # value, valid or not, is an unrecognized argument
     ["rho", "P12", "--tol", "nan"],
     ["rho", "P12", "--tol", "inf"],
     ["rho", "P12", "--tol", "-1"],
     ["rho", "P12", "--tol", "0"],
     ["rho", "P12", "--tol", "abc"],
-    ["rho", "P12", "--tol", "1e-400"],  # underflows to 0
-    ["rho", "P12", "--tol", "1e999"],  # overflows to inf
+    ["rho", "P12", "--tol", "1e-400"],
+    ["rho", "P12", "--tol", "1e999"],
     ["spectrum", "K4", "--budget", "-5"],
     ["spectrum", "K4", "--budget", "0"],
     ["member", "K4", "--k", "0", "--budget", "1.5"],
@@ -689,8 +695,12 @@ def test_argparse_usage_errors_exit_two(capsys):
 def test_bad_tol_and_budget_exit_two_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith(f"spex {argv[0]}: error: argument {argv[-2]}: ")
-    assert f"got {argv[-1]!r}" in err
+    if argv[-2] == "--tol":
+        assert err == ("spex: error: unrecognized arguments: "
+                       f"--tol {argv[-1]}\n")
+    else:
+        assert err.startswith(f"spex {argv[0]}: error: argument {argv[-2]}: ")
+        assert f"got {argv[-1]!r}" in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -706,7 +716,7 @@ def test_cli_output_is_deterministic(capsys):
     assert a == b
     # the parser is built once per process: different commands in a row
     # print what each prints from a freshly built parser
-    calls = [("rho", "k2+[9,4,2]", "--tol", "1e-10"),
+    calls = [("rho", "k2+[9,4,2]", "--emit-vector"),
              ("member", "extremal(10,0)", "--k", "0"), ("rho", "K2,3")]
     warm = [run(capsys, *argv) for argv in calls]
     fresh = []

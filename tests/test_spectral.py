@@ -190,14 +190,16 @@ def test_spectral_radius_single_vertex():
     assert res.rho == 0.0 and res.vector[0] == 1.0
 
 
-def test_convergence_error_carries_state():
-    # a tol below the rounding floor: the dense solve cannot meet it
+def test_convergence_error_carries_state(monkeypatch):
+    # a gate below the rounding floor: the dense solve cannot meet it
+    monkeypatch.setattr(spectral, "TOL", 1e-300)
     with pytest.raises(ConvergenceError) as ei:
-        spectral_radius(path_graph(3), tol=1e-300)
-    assert ei.value.tol == 1e-300
+        spectral_radius(path_graph(3))
+    # P3's rho is sqrt(2)
+    assert ei.value.bound == pytest.approx(1e-300 * math.sqrt(2), rel=1e-15)
     assert ei.value.measure == "residual"
-    assert ei.value.value > 1e-300
-    assert "misses tol 1.0e-300" in str(ei.value)
+    assert ei.value.value > ei.value.bound
+    assert "misses bound 1.414e-300" in str(ei.value)
 
 
 def test_long_path_needs_no_iteration_cap():

@@ -462,7 +462,7 @@ def test_join_solves_build_and_recognize_nothing(monkeypatch, capsys):
     capsys.readouterr()
     # the vector stage solves from the part list, and verify encodes each
     # join's graph6 from its edge rows
-    hub_join_spectrum([9, 4, 2], False, TOL)
+    hub_join_spectrum([9, 4, 2], False)
     verify._join_graph6([9, 4, 2], False)
     verify.verify_lemma1(40, 2, 0, [30, 4, 4], [38])
     verify.lemma1_sweep(40)
@@ -520,10 +520,10 @@ def test_scalar_enclosure_matches_the_batch_bit_for_bit(monkeypatch, ulps):
     groups, cols = seeded_batch()
     for e in (0.0, 1.0):
         rho, _ = spectral._secular_root(cols, e, arrays)
-        lo, hi = spectral._enclose_root(cols, rho, e, TOL, arrays)
+        lo, hi = spectral._enclose_root(cols, rho, e, arrays)
         for i, grp in enumerate(groups):
             assert spectral._enclose_root(
-                grp, float(rho[i]), e, TOL, floats) == (
+                grp, float(rho[i]), e, floats) == (
                 lo[i], hi[i]), (grp, e)
         # rows that hold early keep their lo and hi while the others
         # double: the widths, in units of the first, take two or more values
@@ -552,12 +552,109 @@ def test_scalar_secular_bound_matches_the_batch_bit_for_bit():
                     grp, x, e, math.inf, floats) == lower[i], (grp, e, x)
 
 
-def test_an_enclosure_wider_than_tol_raises():
+def test_an_enclosure_wider_than_tol_raises(monkeypatch):
+    # the gate reads spectral.TOL at call time
+    monkeypatch.setattr(spectral, "TOL", 1e-16)
     for rows in (1, 2):
         with pytest.raises(ConvergenceError) as ei:
-            hub_join_radii([[150, 60, 47]] * rows, True, tol=1e-16)
+            hub_join_radii([[150, 60, 47]] * rows, True)
         assert ei.value.measure == "enclosure width"
+        assert ei.value.value > ei.value.bound > 1e-16
         assert "enclosure width" in str(ei.value)
+
+
+def _root_measure(rows):
+    # the row whose width is widest against max(1, rho): the one to miss
+    rho, lo, hi, _ = max(rows, key=lambda row: (row[2] - row[1]) / row[0])
+    return hi - lo, rho
+
+
+def _residual_measure(res):
+    return res.residual, res.rho
+
+
+# each route a solve checks: (solve, its gated value and rho, measure),
+# every rho above 1, so that a value between TOL and TOL * rho tells the
+# rho-relative gate from an absolute one
+GATE_ROUTES = {
+    "root-one-row": (lambda: hub_join_radii([[150, 60, 47]], True),
+                     _root_measure, "enclosure width"),
+    "root-two-rows": (lambda: hub_join_radii([[150, 60, 47], [200, 56, 1]],
+                                             True),
+                      _root_measure, "enclosure width"),
+    "vector": (lambda: hub_join_spectrum([150, 60, 47], True),
+               _residual_measure, "residual"),
+    # a triangle with a tail P4: one odd block, not regular, not a join
+    "dense-odd-block": (lambda: spectral_radius(from_edges(
+        6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])),
+        _residual_measure, "residual"),
+    "bipartite": (lambda: spectral_radius(path_graph(12)),
+                  _residual_measure, "residual"),
+    # K4 minus an edge: Collatz-Wielandt bounds, wider than its residual
+    "small-join": (lambda: hub_join_radii([[2]], False),
+                   _root_measure, "enclosure width"),
+}
+
+
+def _bits(out):
+    if isinstance(out, list):
+        return out
+    return (out.rho, out.residual, out.iterations, out.solver,
+            out.vector.tobytes())
+
+
+@pytest.mark.parametrize("route", GATE_ROUTES)
+def test_one_gate_on_every_route(monkeypatch, route):
+    # the gate reads spectral.TOL at call time: with the bound just above
+    # the route's gated value the solve returns the same bits, just below
+    # it raises on that value
+    solve, measure, name = GATE_ROUTES[route]
+    out = solve()
+    value, rho = measure(out)
+    assert rho > 1.0 and value > 0.0
+    monkeypatch.setattr(spectral, "TOL", value / rho * (1.0 + 1e-9))
+    assert value > spectral.TOL  # an absolute gate would refuse it
+    assert _bits(solve()) == _bits(out)
+    monkeypatch.setattr(spectral, "TOL", value / rho * (1.0 - 1e-9))
+    with pytest.raises(ConvergenceError) as ei:
+        solve()
+    assert (ei.value.measure, ei.value.value) == (name, value)
+    assert ei.value.bound == spectral.TOL * rho
+    assert "\n" not in str(ei.value)
+
+
+@pytest.mark.parametrize("route", GATE_ROUTES)
+def test_a_nan_misses_the_gate_on_every_route(monkeypatch, route):
+    # a NaN root, or NaN eigenvectors from the dense solve: NaN is not at
+    # most any bound
+    root, eigh = spectral._secular_root, np.linalg.eigh
+
+    def nan_root(groups, e, num):
+        rho, steps = root(groups, e, num)
+        return rho * math.nan, steps
+
+    def nan_eigh(a):
+        w, vec = eigh(a)
+        return w, vec * math.nan
+    monkeypatch.setattr(spectral, "_secular_root", nan_root)
+    monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+    with pytest.raises(ConvergenceError) as ei:
+        GATE_ROUTES[route][0]()
+    assert math.isnan(ei.value.value)
+
+
+def test_slices_give_the_rows_of_one_batch(monkeypatch):
+    # a row's bits do not depend on the slice it is solved in: slices of
+    # 7 rows, the last one short, against all rows in one slice
+    from spexplanar import verify
+    parts = verify._candidates(40, 0, 8)
+    assert 7 * 10 < len(parts) <= spectral.SLICE_ROWS
+    for hub_edge in (True, False):
+        whole = spectral.hub_join_radii_arrays(parts, hub_edge)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "SLICE_ROWS", 7)
+            sliced = spectral.hub_join_radii_arrays(parts, hub_edge)
+        assert [a.tobytes() for a in sliced] == [a.tobytes() for a in whole]
 
 
 def test_the_vector_stage_runs_no_enclosure(monkeypatch, capsys):

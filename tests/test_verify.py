@@ -374,9 +374,9 @@ def counting_vector_stage(monkeypatch):
     solved = []
     solve = spectral._hub_join_spectrum
 
-    def counting_solve(parts, hub_edge, rho, steps, tol):
+    def counting_solve(parts, hub_edge, rho, steps):
         solved.append((tuple(parts), hub_edge))
-        return solve(parts, hub_edge, rho, steps, tol)
+        return solve(parts, hub_edge, rho, steps)
 
     monkeypatch.setattr(spectral, "_hub_join_spectrum", counting_solve)
     return solved
