@@ -3,7 +3,7 @@
 Subcommands: build, rho, spectrum, member, verify, sweep.
 Exit codes: 0 success, an "indeterminate" verdict included; 1 when any
 check reports "violated" (or a solve misses its gate, a residual or
-enclosure width above `spectral.TOL` * max(1, rho), or a cycle search its
+enclosure width above `kernel.TOL` * max(1, rho), or a cycle search its
 budget); 2 for usage errors (a flag the chosen subcommand or mode would
 not read among them, such as --tol, which no subcommand takes), for
 inputs too large to fit in memory, above the size ceiling
@@ -21,6 +21,11 @@ Graph arguments accept, in this order of interpretation:
 
 All reporting is JSON / JSON-lines on stdout; `--csv FILE` writes a
 delimited margin table next to it. No plots: CSV is the boundary.
+
+The parser, the exit-code mapping of `main`, and `rho` and `member` on a
+join string of order >= `kernel.SECULAR_ORDER` run on the proof kernel
+and the pure-Python graph layers; the handlers that need `spectral` or
+`verify`, and so numpy, import them where they run.
 """
 
 from __future__ import annotations
@@ -42,9 +47,7 @@ from .families import (LinearForest, build_linear_forest, extremal_forest,
                        cycle_graph, path_graph, recognize_hub_join)
 from .graphs import (Graph, Graph6Error, from_graph6, parse_edge_list,
                      format_edge_list, to_graph6)
-from .spectral import (ConvergenceError, hub_join_radii, hub_join_spectrum,
-                       spectral_radius)
-from . import verify as V
+from .kernel import SECULAR_ORDER, ConvergenceError, join_radius
 
 
 class UsageError(ValueError):
@@ -159,11 +162,17 @@ def cmd_rho(a: argparse.Namespace) -> int:
         hub = recognize_hub_join(g)
         n, join = g.n, hub and ([len(p) for p in hub[2]], hub[3])
     if join and a.emit_vector is None:
-        # the root stage alone: rho and its proven enclosure
-        (rho, lo, hi, steps), = hub_join_radii([join[0]], join[1])
+        # the root stage alone: rho and its proven enclosure, from the
+        # kernel once the part list alone picks the secular equation
+        if n >= SECULAR_ORDER:
+            rho, lo, hi, steps = join_radius(*join)
+        else:
+            from .spectral import hub_join_radii
+            (rho, lo, hi, steps), = hub_join_radii([join[0]], join[1])
         _emit({"n": n, "rho": rho, "rho_lo": lo, "rho_hi": hi,
                "iterations": steps})
         return 0
+    from .spectral import hub_join_spectrum, spectral_radius
     res = spectral_radius(g) if g is not None else hub_join_spectrum(*join)
     if a.emit_vector is not None:
         lines = ["vertex,entry"]
@@ -208,6 +217,7 @@ def _exit_for(reports) -> int:
 
 
 def cmd_verify(a: argparse.Namespace) -> int:
+    from . import verify as V
     with _open_csv(a.csv) as csv:
         reports, witness_lines = _verify_reports(a)
         for rep in reports:
@@ -220,6 +230,7 @@ def cmd_verify(a: argparse.Namespace) -> int:
 
 
 def _verify_reports(a: argparse.Namespace) -> tuple[list, list]:
+    from . import verify as V
     reports = []
     witness_lines = []
     if a.n is None and not (a.check == "entry-bounds" and not a.parts):
@@ -272,6 +283,7 @@ def _verify_reports(a: argparse.Namespace) -> tuple[list, list]:
 def cmd_sweep(a: argparse.Namespace) -> int:
     if a.what != "argmax":
         raise UsageError(f"unknown sweep {a.what!r}; available: argmax")
+    from . import verify as V
     with _open_csv(a.csv) as csv:
         result = V.argmax_sweep(a.n, a.k, a.parts, force=a.force)
         if not a.summary_only:

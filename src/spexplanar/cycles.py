@@ -335,15 +335,6 @@ class CycleSpectrum:
                 f"cycle length must be in [3, {self.ell_max}], got {ell}")
         return self.records[ell - 3].status
 
-    def present_lengths(self) -> list[int]:
-        return [r.ell for r in self.records if r.status == "present"]
-
-    def first_absent(self) -> Optional[int]:
-        for r in self.records:
-            if r.status == "absent":
-                return r.ell
-        return None
-
 
 def cycle_spectrum(g: Graph, ell_max: Optional[int] = None,
                    budget: int = DEFAULT_BUDGET) -> CycleSpectrum:

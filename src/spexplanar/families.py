@@ -12,18 +12,21 @@ vertex of the j-th path" get stable indices:
 `k2_join` uses the canonical (non-increasing) part order; `join_with_paths`
 takes the block order given. Both build from `join_edges`, the one
 definition of the layout, whose sorted edge rows the verifier encodes as
-graph6 without building a Graph.
+graph6 without building a Graph. `join_edges` and `partitions`, the two
+array builders, import numpy where they run, so this module loads
+without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .graphs import Graph, check_size, from_edges
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -44,12 +47,6 @@ class LinearForest:
     @property
     def order(self) -> int:
         return sum(self.parts)
-
-    def two_largest(self) -> tuple[int, int]:
-        """(n1, n2); n2 is 0 for a single-path forest."""
-        n1 = self.parts[0]
-        n2 = self.parts[1] if len(self.parts) > 1 else 0
-        return n1, n2
 
 
 def path_graph(n: int) -> Graph:
@@ -91,6 +88,7 @@ def join_edges(parts: Sequence[int], hub_edge: bool) -> np.ndarray:
     the rows of an int64 array in sorted order: hub 0's rows, hub 1's, then
     each path vertex's edge to the next one in its block.
     """
+    import numpy as np
     m = join_order(parts, hub_edge)
     forest = np.arange(2, m + 2)
     last = np.zeros(m, bool)
@@ -197,27 +195,6 @@ def extremal_forest(n: int, k: int) -> LinearForest:
     return LinearForest((n - 2 * k - 4, k + 1, k + 1))
 
 
-def extremal_graph(n: int, k: int) -> Graph:
-    """The conjectured maximizer: hubs (adjacent) + `extremal_forest(n, k)`."""
-    return k2_join(extremal_forest(n, k))
-
-
-def enumerate_lna(n: int, a: int) -> Iterator[LinearForest]:
-    """All linear forests of order n-2 with exactly a+1 parts.
-
-    Equivalently the partitions of n-2 into exactly a+1 positive parts,
-    yielded with parts non-increasing, in reverse-lexicographic order
-    (so [m-a, 1, ..., 1] comes first and the most balanced split last):
-    the rows of `partitions`. Requires n >= a+3 so the family is nonempty.
-    """
-    if a < 0:
-        raise ValueError(f"a must be >= 0, got {a}")
-    if n < a + 3:
-        raise ValueError(f"need n >= a+3 = {a + 3}, got n={n}")
-    for parts in partitions(n - 2, a + 1, n - 2).tolist():
-        yield LinearForest(tuple(parts))
-
-
 def part_counts(total: int) -> Iterator[int]:
     """The number of partitions of `total` into exactly t parts, for
     t = 1, 2, ..., each in O(total) steps: such a partition, less 1 from
@@ -247,6 +224,7 @@ def partitions(total: int, k: int, cap: int) -> np.ndarray:
     step keeps only its new parts and the prefix each extends; the rows
     are read back through those links at the end.
     """
+    import numpy as np
     if k == 0:
         return np.zeros((int(total == 0), 0), np.int64)
     left = np.array([total], np.int64)

@@ -9,6 +9,9 @@ no part in equality, hashing or pickling: one depth-first pass gives the
 biconnected blocks with their parity, the connectivity and each vertex's
 depth parity (the colour classes of a bipartite graph); planarity is
 decided on those blocks; and the cycle lengths settled so far are kept.
+
+Only the array functions (`edge_array` and the graph6 codec) use numpy,
+and each imports it where it runs, so the graph layer loads without it.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class GraphConstructionError(ValueError):
@@ -70,9 +74,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
-
-    def edge_count(self) -> int:
-        return sum(len(row) for row in self.adj) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once, as (u, v) with u < v, in sorted order."""
@@ -268,6 +269,7 @@ def edge_array(g: Graph) -> np.ndarray:
     """g's edges (u, v), u < v, as the rows of an int64 array, in the
     sorted order of `Graph.edges`. Built per call; each reader (the graph6
     encoder, the dense adjacency matrix) reads it once per graph."""
+    import numpy as np
     rows = np.repeat(np.arange(g.n), np.fromiter(map(len, g.adj), np.int64, g.n))
     nbrs = np.fromiter(chain.from_iterable(g.adj), np.int64, len(rows))
     upper = rows < nbrs
@@ -311,6 +313,7 @@ def to_graph6(g: Graph) -> str:
 def graph6_from_edges(n: int, edges: np.ndarray) -> str:
     """The graph6 string of the graph on {0..n-1} whose edges are the rows
     (u, v), u < v, of the int64 array `edges`, in any row order."""
+    import numpy as np
     if n > _G6_MAX_N:
         raise GraphConstructionError(f"graph6 cannot encode n={n}")
     if n <= 62:
@@ -327,6 +330,7 @@ def graph6_from_edges(n: int, edges: np.ndarray) -> str:
 
 def from_graph6(text: str) -> Graph:
     """Decode one graph6 string; strict about length and zero padding."""
+    import numpy as np
     raw = text.strip()
     if raw.startswith(">>graph6<<"):
         raw = raw[len(">>graph6<<"):]

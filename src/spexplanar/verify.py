@@ -5,14 +5,14 @@ Every check returns a VerificationReport whose `holds` field is one of
 a report is a function of its check_id and params, and re-running the
 check with the recorded params reproduces it byte for byte.
 
-One rule decides `holds`: `spectral.enclosure_verdict(lo, hi)` on an
-interval [lo, hi] that holds the margin (`spectral` module docstring).
+One rule decides `holds`: `kernel.enclosure_verdict(lo, hi)` on an
+interval [lo, hi] that holds the margin (`kernel` module docstring).
 Every check starts from the root stage's proven enclosure lo < rho < hi
 (`hub_join_radii`) and reads no Perron vector. lemma1, lemma1_pair,
 lemma2 and argmax compare spectral radii: a strict inequality between
 two radii is certified when their enclosures are disjoint the right way
 round, not by a tolerance. claim33 and entry_bounds read a few Perron
-entries in closed form (`spectral._closed_forms`), each bounded over
+entries in closed form (`kernel._closed_forms`), each bounded over
 [lo, hi], and decide each margin on the outward-rounded sums of those
 bounds (`_margin`): certified, violated, or indeterminate when the
 enclosure holds 0. Each reported margin is its float at rho.
@@ -60,8 +60,8 @@ import numpy as np
 from .families import (LinearForest, join_edges, lna_sizes, part_counts,
                        partitions)
 from .graphs import MAX_CANDIDATES, check_size, graph6_from_edges
-from .spectral import (_closed_forms, _forms_toward, enclosure_verdict,
-                       hub_join_radii, hub_join_radii_arrays)
+from .kernel import _closed_forms, _forms_toward, enclosure_verdict
+from .spectral import hub_join_radii, hub_join_radii_arrays
 
 _WORST = {"certified": 0, "indeterminate": 1, "violated": 2}
 _RANK = ["certified", "indeterminate", "violated"]
@@ -359,7 +359,7 @@ def verify_claim33(n: int, k: int, n1: int, n2: int,
 
 def _margin(plus, minus=()) -> tuple[float, str]:
     """sum(plus) - sum(minus) over closed forms, each given as (float at
-    rho, lower bound, upper bound) (`spectral._closed_forms`): its float at
+    rho, lower bound, upper bound) (`kernel._closed_forms`): its float at
     rho, and `enclosure_verdict` on the enclosure that the bounds give it,
     summed with each result moved one ulp outward."""
     value = sum(a[0] for a in plus) - sum(a[0] for a in minus)
@@ -551,7 +551,7 @@ def verify_entry_bounds(n: int, parts: Sequence[int]) -> VerificationReport:
     """Forest entries of the hub join (no hub edge) sit in
     [2/rho, 2/rho + 8/rho^2]; hubs carry the max entry 1.
 
-    Reads the closed forms (`spectral._closed_forms`) of two entries at
+    Reads the closed forms (`kernel._closed_forms`) of two entries at
     the root stage's rho, with the hub entries 1: the largest forest entry,
     at the middle vertex of a longest path, and the smallest, at vertex 1
     of a shortest path. The lower bound needs no numerics once the hubs
@@ -622,17 +622,11 @@ def entry_bounds_sample(count: int, n_lo: int, n_hi: int,
 # --- argmax sweep -------------------------------------------------------------
 
 
-def admissible_forests(n: int, k: int, max_parts: int) -> list[tuple[int, ...]]:
-    """Forest part lists of order n-2 with <= max_parts parts whose two
-    largest parts sum to at most n-k-3 (so the join misses a cycle length
-    in [3, n-k]). Deterministic order: by part count, then reverse-lex.
-    The rows of `_candidates`, as tuples of ints."""
-    return list(map(tuple, _part_lists(_candidates(n, k, max_parts))))
-
-
 def _candidates(n: int, k: int, max_parts: int) -> np.ndarray:
-    """The admissible forests (`admissible_forests`) as the rows of a
-    zero-padded (C, P) int64 array, P = max_parts: the rows of
+    """The admissible forests: part lists of order n-2 with <= max_parts
+    parts whose two largest parts sum to at most n-k-3 (so the join misses
+    a cycle length in [3, n-k]), as the rows of a zero-padded (C, P) int64
+    array, P = max_parts, by part count, then reverse-lex: the rows of
     `families.partitions` for each part count, kept by the sum of their
     first two parts."""
     blocks = []

@@ -12,6 +12,11 @@ comparison of acceptance criterion 8, the constructive cycle of a
 canonical hub join that criterion 3 checks against the search, and the
 lemma1 family pair decided over every forest of both families). No
 verdict, sweep or CLI command reads them.
+
+The section before it holds what only the tests read of the package's
+objects: counts and views of a Graph, a LinearForest and a CycleSpectrum,
+the extremal join, and the enumerations of a forest family and of the
+argmax candidates.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ import pytest
 from hypothesis import strategies as st
 
 from spexplanar import (Graph, LinearForest, VerificationReport,
-                        enclosure_verdict, enumerate_lna, from_edges,
-                        hub_join_radii, k2_join, spectral_radius, to_graph6,
-                        validate_cycle)
-from spexplanar.cycles import hub_forest_cycle
+                        enclosure_verdict, from_edges, hub_join_radii,
+                        k2_join, spectral_radius, to_graph6, validate_cycle)
+from spexplanar.cycles import CycleSpectrum, hub_forest_cycle
+from spexplanar.families import extremal_forest, partitions
 from spexplanar.graphs import edge_array
 
 
@@ -382,7 +387,7 @@ def _connect_all(adj, pairs, spares):
 
 
 def has_k5_subdivision(g: Graph) -> bool:
-    if g.n < 5 or g.edge_count() < 10:
+    if g.n < 5 or edge_count(g) < 10:
         return False
     adj = [set(row) for row in g.adj]
     cand = [v for v in range(g.n) if len(adj[v]) >= 4]
@@ -397,7 +402,7 @@ def has_k5_subdivision(g: Graph) -> bool:
 
 
 def has_k33_subdivision(g: Graph) -> bool:
-    if g.n < 6 or g.edge_count() < 9:
+    if g.n < 6 or edge_count(g) < 9:
         return False
     adj = [set(row) for row in g.adj]
     cand = [v for v in range(g.n) if len(adj[v]) >= 3]
@@ -418,6 +423,62 @@ def has_k33_subdivision(g: Graph) -> bool:
 
 def planar_by_kuratowski(g: Graph) -> bool:
     return not (has_k5_subdivision(g) or has_k33_subdivision(g))
+
+
+# --- views and enumerations that only the tests read --------------------------
+
+
+def edge_count(g: Graph) -> int:
+    return sum(len(row) for row in g.adj) // 2
+
+
+def two_largest(lf: LinearForest) -> tuple[int, int]:
+    """(n1, n2); n2 is 0 for a single-path forest."""
+    n1 = lf.parts[0]
+    n2 = lf.parts[1] if len(lf.parts) > 1 else 0
+    return n1, n2
+
+
+def present_lengths(spec: CycleSpectrum) -> list[int]:
+    return [r.ell for r in spec.records if r.status == "present"]
+
+
+def first_absent(spec: CycleSpectrum):
+    for r in spec.records:
+        if r.status == "absent":
+            return r.ell
+    return None
+
+
+def extremal_graph(n: int, k: int) -> Graph:
+    """The conjectured maximizer: hubs (adjacent) + `extremal_forest(n, k)`."""
+    return k2_join(extremal_forest(n, k))
+
+
+def enumerate_lna(n: int, a: int):
+    """All linear forests of order n-2 with exactly a+1 parts.
+
+    Equivalently the partitions of n-2 into exactly a+1 positive parts,
+    yielded with parts non-increasing, in reverse-lexicographic order
+    (so [m-a, 1, ..., 1] comes first and the most balanced split last):
+    the rows of `families.partitions`. Requires n >= a+3 so the family is
+    nonempty.
+    """
+    if a < 0:
+        raise ValueError(f"a must be >= 0, got {a}")
+    if n < a + 3:
+        raise ValueError(f"need n >= a+3 = {a + 3}, got n={n}")
+    for parts in partitions(n - 2, a + 1, n - 2).tolist():
+        yield LinearForest(tuple(parts))
+
+
+def admissible_forests(n: int, k: int, max_parts: int) -> list[tuple[int, ...]]:
+    """Forest part lists of order n-2 with <= max_parts parts whose two
+    largest parts sum to at most n-k-3 (so the join misses a cycle length
+    in [3, n-k]). Deterministic order: by part count, then reverse-lex.
+    The rows of `verify._candidates`, as tuples of ints."""
+    from spexplanar.verify import _candidates, _part_lists
+    return list(map(tuple, _part_lists(_candidates(n, k, max_parts))))
 
 
 # --- comparisons made with the package's solvers ------------------------------

@@ -12,9 +12,9 @@ import time
 
 import conftest
 import oracles
-from oracles import join_cycle_certificate
+from oracles import enumerate_lna, join_cycle_certificate
 
-from spexplanar import (complete_bipartite, enumerate_lna, find_cycle,
+from spexplanar import (complete_bipartite, find_cycle,
                         from_edges, from_graph6, in_gnk, is_planar,
                         k2_join, lemma1_sweep,
                         lemma2_sweep, spectral_radius, to_graph6,
@@ -95,7 +95,7 @@ def test_criterion_3_cycle_threshold_exhaustive():
         for a in range(1, n - 2):
             for lf in enumerate_lna(n, a):
                 g = k2_join(lf)
-                n1, n2 = lf.two_largest()
+                n1, n2 = oracles.two_largest(lf)
                 # exact search, length by length: the spectrum must be
                 # exactly 3..n1+n2+2
                 for ell in range(3, n + 1):

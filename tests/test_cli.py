@@ -11,10 +11,13 @@ import pytest
 
 import spexplanar
 from spexplanar import (TOL, VerificationReport, build_linear_forest,
-                        complete_graph, cycle_graph, extremal_graph,
-                        from_edges, from_graph6, k2_join, path_graph,
-                        reports_to_csv, rerun, spectral, to_graph6)
+                        complete_graph, cycle_graph, from_edges, from_graph6,
+                        k2_join, kernel, path_graph, reports_to_csv, rerun,
+                        to_graph6)
 from spexplanar.cli import build_parser, main, parse_family
+
+import oracles
+from oracles import extremal_graph
 
 
 def run(capsys, *argv):
@@ -103,20 +106,55 @@ def test_build_reads_an_edge_list_on_stdin(capsys, monkeypatch):
 # --- rho ------------------------------------------------------------------------
 
 
-def test_cli_runs_without_importing_networkx():
-    # networkx is imported only for a left-right planarity test; the CLI's
-    # import, its parser and a join's solve never need one
-    code = ("import sys, spexplanar.cli\n"
-            "spexplanar.cli.build_parser()\n"
-            "assert spexplanar.cli.main(['rho', 'k2+[150,60,47]']) == 0\n"
-            "assert 'networkx' not in sys.modules, 'networkx was imported'\n")
+def fresh_python(code, *argv):
+    """Run `code` with `argv` in a fresh interpreter on this source tree."""
     src = str(Path(spexplanar.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_cli_runs_without_importing_networkx():
+    # networkx is imported only for a left-right planarity test, numpy
+    # only by the array code: the CLI's import and its parser need
+    # neither, and a join's solve no networkx
+    code = ("import sys, spexplanar.cli\n"
+            "spexplanar.cli.build_parser()\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+            "assert spexplanar.cli.main(['rho', 'k2+[150,60,47]']) == 0\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n")
+    proc = fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["rho"] > 0
+
+
+# with numpy unavailable: any `import numpy` raises ImportError
+WITHOUT_NUMPY = ("import sys\n"
+                 "sys.modules['numpy'] = None\n"
+                 "from spexplanar.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["rho", "k2+[150,60,47]"],
+    ["rho", "extremal(2051,3)"],
+    ["member", "k2+[150,60,47]", "--k", "0"],
+    ["member", "k2+[150,60,47]"],  # no --k: a usage error
+], ids=lambda argv: " ".join(argv))
+def test_join_commands_run_with_numpy_unavailable(capsys, argv):
+    # the parser, the exit-code mapping and rho and member on a join
+    # string run on the kernel: the same bytes as in this process, where
+    # numpy is loaded
+    code, out, err = run(capsys, *argv)
+    proc = fresh_python(WITHOUT_NUMPY, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    if argv == ["member", "k2+[150,60,47]"]:
+        assert code == 2 and len(err.splitlines()) == 1
+    else:
+        assert code == 0 and out and not err
 
 
 def test_rho_complete_bipartite(capsys):
@@ -267,7 +305,7 @@ def test_rho_rejects_non_ascii_graph6(capsys):
 
 def test_rho_tol_below_rounding_exits_one(monkeypatch, capsys):
     # a gate below the rounding floor: the dense solve cannot meet it
-    monkeypatch.setattr(spectral, "TOL", 1e-300)
+    monkeypatch.setattr(kernel, "TOL", 1e-300)
     code, out, err = run(capsys, "rho", "P12")
     assert code == 1
     assert out == ""
@@ -679,7 +717,7 @@ def test_argparse_usage_errors_exit_two(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # rho takes no --tol (every solve is gated by spectral.TOL), so each
+    # rho takes no --tol (every solve is gated by kernel.TOL), so each
     # value, valid or not, is an unrecognized argument
     ["rho", "P12", "--tol", "nan"],
     ["rho", "P12", "--tol", "inf"],
@@ -729,4 +767,4 @@ def test_cli_output_is_deterministic(capsys):
 def test_build_roundtrip_through_cli(capsys):
     code, out, _ = run(capsys, "build", "K2,7")
     assert code == 0
-    assert from_graph6(out.strip()).edge_count() == 14
+    assert oracles.edge_count(from_graph6(out.strip())) == 14

@@ -8,17 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from spexplanar import (Graph, SearchBudgetExceeded, complete_bipartite,
                         complete_graph, cycle_graph, cycle_spectrum,
-                        extremal_graph, find_cycle, from_edges, from_graph6,
+                        find_cycle, from_edges, from_graph6,
                         in_gnk, k2_join, path_graph,
                         recognize_hub_join, spectral_radius, to_graph6,
                         validate_cycle)
 from spexplanar import cycles
 from spexplanar.cycles import DEFAULT_BUDGET, hub_forest_cycle, hub_join_member
-from spexplanar.families import (LinearForest, enumerate_lna, extremal_forest,
-                                 join_with_paths)
+from spexplanar.families import LinearForest, extremal_forest, join_with_paths
 
 import oracles
-from oracles import join_cycle_certificate
+from oracles import enumerate_lna, extremal_graph, join_cycle_certificate
 
 
 def petersen():
@@ -80,7 +79,7 @@ def test_cycle_lengths_match_johnson_oracle():
         g = oracles.random_graph(rng, n, rng.choice([0.25, 0.4, 0.6]))
         want = oracles.cycle_lengths(g)
         spec = cycle_spectrum(g)
-        got = set(spec.present_lengths())
+        got = set(oracles.present_lengths(spec))
         assert got == want
         assert all(r.status in ("present", "absent") for r in spec.records)
 
@@ -89,7 +88,7 @@ def test_cycle_lengths_match_johnson_oracle():
 @given(oracles.glued_graphs(max_n=24))
 def test_cycle_lengths_match_johnson_oracle_on_glued_blocks(g):
     spec = cycle_spectrum(g)
-    assert set(spec.present_lengths()) == oracles.cycle_lengths(g)
+    assert set(oracles.present_lengths(spec)) == oracles.cycle_lengths(g)
     assert all(r.status in ("present", "absent") for r in spec.records)
 
 
@@ -117,14 +116,15 @@ def test_odd_lengths_in_a_bipartite_block_cost_no_budget():
                for ell in range(3, 36, 2))
     spec = cycle_spectrum(grid)
     assert all(r.status != "budget" for r in spec.records)
-    assert spec.present_lengths() == list(range(4, 37, 2))
+    assert oracles.present_lengths(spec) == list(range(4, 37, 2))
 
 
 def test_petersen_spectrum():
     spec = cycle_spectrum(petersen())
-    assert spec.present_lengths() == [5, 6, 8, 9]
-    assert spec.first_absent() == 3
-    assert set(spec.present_lengths()) == oracles.cycle_lengths(petersen())
+    assert oracles.present_lengths(spec) == [5, 6, 8, 9]
+    assert oracles.first_absent(spec) == 3
+    assert set(oracles.present_lengths(spec)) == oracles.cycle_lengths(
+        petersen())
 
 
 def test_budget_exhaustion_is_a_third_outcome():
@@ -136,7 +136,7 @@ def test_budget_exhaustion_is_a_third_outcome():
     # work); the long search runs out and must say so, not claim absence
     assert spec.status(3) == "absent"
     assert spec.status(30) == "budget"
-    assert spec.present_lengths() == []
+    assert oracles.present_lengths(spec) == []
 
 
 @settings(max_examples=60)
@@ -182,7 +182,7 @@ def test_in_gnk_after_cycle_spectrum_searches_nothing(monkeypatch):
                   if (u, v) not in ((0, 1), (2, 3), (4, 5))]
     g = from_edges(6, octahedron)
     spec = cycle_spectrum(g)
-    assert spec.present_lengths() == [3, 4, 5, 6]
+    assert oracles.present_lengths(spec) == [3, 4, 5, 6]
     assert searches == [[3, 4, 5, 6]]
     assert in_gnk(g, 0) == in_gnk(g, 2) == (False, None)
     assert find_cycle(g, 6) == list(spec.records[3].certificate)
@@ -199,7 +199,7 @@ def test_budget_outcomes_are_not_memoized():
     assert 30 not in g.settled_cycles
     spec = cycle_spectrum(g)
     assert spec.status(30) == "present"
-    assert spec.present_lengths() == [30]
+    assert oracles.present_lengths(spec) == [30]
 
 
 def test_spectrum_status_outside_its_lengths():
@@ -247,7 +247,7 @@ def test_a_forest_vertex_of_forest_degree_three_is_no_join(hub_edge):
     assert res.solver == "dense"
     assert abs(res.rho - oracles.dense_rho(g)) <= 1e-10
     spec = cycle_spectrum(g)
-    assert set(spec.present_lengths()) == oracles.cycle_lengths(g)
+    assert set(oracles.present_lengths(spec)) == oracles.cycle_lengths(g)
     assert all(r.status in ("present", "absent") for r in spec.records)
 
 
@@ -282,7 +282,7 @@ def test_certificates_agree_with_search():
             parts.append(p)
             m -= p
         g = k2_join(parts)
-        n1, n2 = LinearForest(tuple(parts)).two_largest()
+        n1, n2 = oracles.two_largest(LinearForest(tuple(parts)))
         for ell in range(3, g.n + 1):
             cert = join_cycle_certificate(parts, ell)
             assert (cert is not None) == (ell <= n1 + n2 + 2)
@@ -304,13 +304,13 @@ def test_joins_match_the_search_with_and_without_the_hub_edge():
     for n in range(5, 15):
         for a in range(n - 2):
             for lf in enumerate_lna(n, a):
-                n1, n2 = lf.two_largest()
+                n1, n2 = oracles.two_largest(lf)
                 for hub_edge in (True, False):
                     g = k2_join(lf, dominating_edge=hub_edge)
                     want = (list(range(3, n1 + n2 + 3))
                             if hub_edge or n1 >= 2 else [4])
                     spec = cycle_spectrum(g)
-                    assert spec.present_lengths() == want, lf.parts
+                    assert oracles.present_lengths(spec) == want, lf.parts
                     for rec in spec.records:
                         found = find_cycle(g, rec.ell) is not None
                         assert found == (rec.status == "present"), (lf, rec)
@@ -333,7 +333,7 @@ def test_certificates_of_relabelled_joins_are_cycles(parts):
         assert recognize_hub_join(g) is not None
         spec = cycle_spectrum(g)
         n1, n2 = sorted(parts)[-1], sorted(parts)[-2]
-        assert spec.present_lengths() == list(range(3, n1 + n2 + 3))
+        assert oracles.present_lengths(spec) == list(range(3, n1 + n2 + 3))
         for rec in spec.records:
             if rec.certificate is not None:
                 assert len(rec.certificate) == rec.ell
@@ -488,13 +488,13 @@ def test_join_pancyclicity_up_to_forced_bound():
     # joins are pancyclic up to n1+n2+2 and contain nothing longer
     for parts in [(8, 3, 1), (6, 6), (12,), (1, 1, 1, 1)]:
         g = k2_join(parts)
-        n1, n2 = LinearForest(parts).two_largest()
+        n1, n2 = oracles.two_largest(LinearForest(parts))
         spec = cycle_spectrum(g)
-        assert spec.present_lengths() == list(range(3, n1 + n2 + 3))
+        assert oracles.present_lengths(spec) == list(range(3, n1 + n2 + 3))
         if n1 + n2 + 2 < g.n:
-            assert spec.first_absent() == n1 + n2 + 3
+            assert oracles.first_absent(spec) == n1 + n2 + 3
         else:
-            assert spec.first_absent() is None
+            assert oracles.first_absent(spec) is None
 
 
 def test_disconnected_graphs_still_searchable():

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from spexplanar import (ConvergenceError, argmax_sweep, complete_bipartite,
-                        complete_graph, cycle_graph, enumerate_lna,
-                        from_edges, from_graph6, hub_join_radii,
-                        hub_join_spectrum, join_with_paths, path_graph,
+                        complete_graph, cycle_graph, from_edges,
+                        from_graph6, hub_join_radii, hub_join_spectrum,
+                        join_with_paths, path_graph,
                         recognize_hub_join, spectral_radius, to_graph6)
-from spexplanar import spectral
+from spexplanar import kernel, spectral
 from spexplanar.cli import main
 from spexplanar.verify import (entry_bounds_sample, lemma1_sweep,
                                lemma2_sweep, verify_claim33,
@@ -29,6 +29,7 @@ from spexplanar.verify import (entry_bounds_sample, lemma1_sweep,
 from spexplanar.spectral import adjacency_matrix
 
 import oracles
+from oracles import enumerate_lna
 
 TOL = 1e-12
 AGREE = 1e-10
@@ -176,7 +177,7 @@ def test_residual_miss_raises_from_every_entry_point(monkeypatch, capsys):
         # one kernel for both number types: a float rho gives the float
         # miss, an array of rho an array of it
         monkeypatch.setattr(
-            spectral, "_secular_bound",
+            kernel, "_secular_bound",
             lambda groups, rho, e, toward, num: rho * 0.0 + miss)
         for hub_edge in (True, False):
             assert_every_entry_point_raises((6, 3, 1), hub_edge, capsys)
@@ -186,7 +187,7 @@ def test_max_iterations_caps_the_root_finder_too(monkeypatch, capsys):
     g = join_with_paths([9, 4, 2], True)
     assert spectral_radius(g).iterations <= 8
     # a row stopped at the Newton cap misses tol and raises
-    monkeypatch.setattr(spectral, "NEWTON_CAP", 1)
+    monkeypatch.setattr(kernel, "NEWTON_CAP", 1)
     forbid_eigh(monkeypatch)
     assert_every_entry_point_raises((9, 4, 2), True, capsys)
 
@@ -325,7 +326,7 @@ def seeded_forests(rng, count):
 def seeded_batch():
     # each forest's groups, and the columns of the batch of all of them
     forests = list(seeded_forests(random.Random(20261020), 150))
-    return ([spectral._part_groups(parts) for parts in forests],
+    return ([kernel._part_groups(parts) for parts in forests],
             spectral._columns(spectral._parts_array(forests)))
 
 
@@ -345,7 +346,7 @@ def test_columns_are_the_part_groups_of_each_row():
                spectral._parts_array(singletons)]
     for parts in batches:
         rows = [[p for p in row if p] for row in parts.tolist()]
-        want = [spectral._part_groups(row) for row in rows]
+        want = [kernel._part_groups(row) for row in rows]
         cols = spectral._columns(parts)
         assert len(cols) == max(map(len, want))
         for i, groups in enumerate(want):
@@ -356,15 +357,15 @@ def test_columns_are_the_part_groups_of_each_row():
 @pytest.mark.parametrize("cap", [None, 1, 2])
 def test_scalar_root_matches_the_batch_bit_for_bit(monkeypatch, cap):
     if cap is not None:
-        monkeypatch.setattr(spectral, "NEWTON_CAP", cap)
+        monkeypatch.setattr(kernel, "NEWTON_CAP", cap)
     # the one Newton driver in Python floats per row against the same
     # driver in numpy arrays on the batch's columns
     groups, cols = seeded_batch()
     for e in (0.0, 1.0):
-        rho, steps = spectral._secular_root(cols, e, spectral._Arrays)
+        rho, steps = kernel._secular_root(cols, e, spectral._Arrays)
         for grp, want in zip(groups, zip(rho.tolist(), steps.tolist())):
-            assert spectral._secular_root(
-                grp, e, spectral._Floats) == want, (grp, e)
+            assert kernel._secular_root(
+                grp, e, kernel._Floats) == want, (grp, e)
         if cap is not None:
             assert steps.max() == cap
         else:
@@ -379,14 +380,14 @@ def test_scalar_secular_matches_the_batch_bit_for_bit():
     rng = random.Random(20261021)
     groups, cols = seeded_batch()
     for e in (0.0, 1.0):
-        root, _ = spectral._secular_root(cols, e, spectral._Arrays)
+        root, _ = kernel._secular_root(cols, e, spectral._Arrays)
         for scale in (0.5, 0.9, 1.0, 1.3):
             rho = 2.0 + (root - 2.0) * scale * np.array(
                 [rng.uniform(0.99, 1.01) for _ in groups])
-            f, df = spectral._secular(cols, rho, e, spectral._Arrays)
+            f, df = kernel._secular(cols, rho, e, spectral._Arrays)
             for i, grp in enumerate(groups):
-                assert spectral._secular(
-                    grp, float(rho[i]), e, spectral._Floats) == (
+                assert kernel._secular(
+                    grp, float(rho[i]), e, kernel._Floats) == (
                     f[i], df[i]), (grp, e, rho[i])
 
 
@@ -422,7 +423,7 @@ def test_entry_points_agree_bit_for_bit(capsys):
             if recognize_hub_join(from_graph6(g6)) is not None:
                 assert rho_cli(capsys, g6) == want, (parts, hub_edge)
             else:
-                assert total + 2 < spectral.SECULAR_ORDER
+                assert total + 2 < kernel.SECULAR_ORDER
             if hub_edge:
                 family = "k2+[" + ",".join(map(str, parts)) + "]"
                 assert rho_cli(capsys, family) == want, parts
@@ -475,9 +476,8 @@ def test_join_solves_build_and_recognize_nothing(monkeypatch, capsys):
 def test_lemma1_enumerates_no_family(monkeypatch, capsys):
     # each family is decided by its two extreme joins: the sweep, a rerun
     # of a pair and the CLI at n = 515 (|L_{515,7}| = 5.3e10) enumerate
-    # nothing
+    # nothing: `families.partitions` is the one forest generator
     from spexplanar import families, verify
-    forbid(monkeypatch, families.enumerate_lna)
     forbid(monkeypatch, families.partitions)
     rep = lemma1_sweep(80)[4]
     assert verify.rerun(rep).to_json() == rep.to_json()
@@ -515,14 +515,14 @@ def test_the_n2051_argmax_is_proven_by_disjoint_enclosures():
 @pytest.mark.parametrize("ulps", [1, 8])
 def test_scalar_enclosure_matches_the_batch_bit_for_bit(monkeypatch, ulps):
     # from one ulp out, most rows double a few times before they hold
-    monkeypatch.setattr(spectral, "ENCLOSE_ULPS", ulps)
-    arrays, floats = spectral._Arrays, spectral._Floats
+    monkeypatch.setattr(kernel, "ENCLOSE_ULPS", ulps)
+    arrays, floats = spectral._Arrays, kernel._Floats
     groups, cols = seeded_batch()
     for e in (0.0, 1.0):
-        rho, _ = spectral._secular_root(cols, e, arrays)
-        lo, hi = spectral._enclose_root(cols, rho, e, arrays)
+        rho, _ = kernel._secular_root(cols, e, arrays)
+        lo, hi = kernel._enclose_root(cols, rho, e, arrays)
         for i, grp in enumerate(groups):
-            assert spectral._enclose_root(
+            assert kernel._enclose_root(
                 grp, float(rho[i]), e, floats) == (
                 lo[i], hi[i]), (grp, e)
         # rows that hold early keep their lo and hi while the others
@@ -534,27 +534,27 @@ def test_scalar_enclosure_matches_the_batch_bit_for_bit(monkeypatch, ulps):
 def test_scalar_secular_bound_matches_the_batch_bit_for_bit():
     rng = random.Random(20261022)
     groups, cols = seeded_batch()
-    arrays, floats = spectral._Arrays, spectral._Floats
+    arrays, floats = spectral._Arrays, kernel._Floats
     for e in (0.0, 1.0):
-        root, _ = spectral._secular_root(cols, e, arrays)
+        root, _ = kernel._secular_root(cols, e, arrays)
         for scale in (0.5, 1.0, 1.3):
             rho = 2.0 + (root - 2.0) * scale * np.array(
                 [rng.uniform(0.99, 1.01) for _ in groups])
-            upper = spectral._secular_bound(cols, rho, e, -np.inf, arrays)
-            lower = spectral._secular_bound(cols, rho, e, np.inf, arrays)
-            f, _ = spectral._secular(cols, rho, e, arrays)
+            upper = kernel._secular_bound(cols, rho, e, -np.inf, arrays)
+            lower = kernel._secular_bound(cols, rho, e, np.inf, arrays)
+            f, _ = kernel._secular(cols, rho, e, arrays)
             assert np.all((lower <= f) & (f <= upper))
             for i, grp in enumerate(groups):
                 x = float(rho[i])
-                assert spectral._secular_bound(
+                assert kernel._secular_bound(
                     grp, x, e, -math.inf, floats) == upper[i], (grp, e, x)
-                assert spectral._secular_bound(
+                assert kernel._secular_bound(
                     grp, x, e, math.inf, floats) == lower[i], (grp, e, x)
 
 
 def test_an_enclosure_wider_than_tol_raises(monkeypatch):
-    # the gate reads spectral.TOL at call time
-    monkeypatch.setattr(spectral, "TOL", 1e-16)
+    # the gate reads kernel.TOL at call time
+    monkeypatch.setattr(kernel, "TOL", 1e-16)
     for rows in (1, 2):
         with pytest.raises(ConvergenceError) as ei:
             hub_join_radii([[150, 60, 47]] * rows, True)
@@ -605,21 +605,21 @@ def _bits(out):
 
 @pytest.mark.parametrize("route", GATE_ROUTES)
 def test_one_gate_on_every_route(monkeypatch, route):
-    # the gate reads spectral.TOL at call time: with the bound just above
+    # the gate reads kernel.TOL at call time: with the bound just above
     # the route's gated value the solve returns the same bits, just below
     # it raises on that value
     solve, measure, name = GATE_ROUTES[route]
     out = solve()
     value, rho = measure(out)
     assert rho > 1.0 and value > 0.0
-    monkeypatch.setattr(spectral, "TOL", value / rho * (1.0 + 1e-9))
-    assert value > spectral.TOL  # an absolute gate would refuse it
+    monkeypatch.setattr(kernel, "TOL", value / rho * (1.0 + 1e-9))
+    assert value > kernel.TOL  # an absolute gate would refuse it
     assert _bits(solve()) == _bits(out)
-    monkeypatch.setattr(spectral, "TOL", value / rho * (1.0 - 1e-9))
+    monkeypatch.setattr(kernel, "TOL", value / rho * (1.0 - 1e-9))
     with pytest.raises(ConvergenceError) as ei:
         solve()
     assert (ei.value.measure, ei.value.value) == (name, value)
-    assert ei.value.bound == spectral.TOL * rho
+    assert ei.value.bound == kernel.TOL * rho
     assert "\n" not in str(ei.value)
 
 
@@ -627,7 +627,7 @@ def test_one_gate_on_every_route(monkeypatch, route):
 def test_a_nan_misses_the_gate_on_every_route(monkeypatch, route):
     # a NaN root, or NaN eigenvectors from the dense solve: NaN is not at
     # most any bound
-    root, eigh = spectral._secular_root, np.linalg.eigh
+    root, eigh = kernel._secular_root, np.linalg.eigh
 
     def nan_root(groups, e, num):
         rho, steps = root(groups, e, num)
@@ -636,7 +636,9 @@ def test_a_nan_misses_the_gate_on_every_route(monkeypatch, route):
     def nan_eigh(a):
         w, vec = eigh(a)
         return w, vec * math.nan
-    monkeypatch.setattr(spectral, "_secular_root", nan_root)
+    # the root stage's binding, and the vector stage's
+    for mod in (kernel, spectral):
+        monkeypatch.setattr(mod, "_secular_root", nan_root)
     monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
     with pytest.raises(ConvergenceError) as ei:
         GATE_ROUTES[route][0]()
@@ -663,8 +665,8 @@ def test_the_vector_stage_runs_no_enclosure(monkeypatch, capsys):
     def enclosure(*args):
         raise AssertionError("an enclosure ran")
 
-    for name in ("_enclose_root", "_small_join_radius"):
-        monkeypatch.setattr(spectral, name, enclosure)
+    monkeypatch.setattr(kernel, "_enclose_root", enclosure)
+    monkeypatch.setattr(spectral, "_small_join_radius", enclosure)
     assert main(["rho", "k2+[150,60,47]", "--emit-vector"]) == 0
     assert main(["rho", "k2+[2,1]", "--emit-vector"]) == 0
     capsys.readouterr()
@@ -722,7 +724,7 @@ def test_closed_forms_match_the_vector_where_the_checks_read_it():
     worst = 0.0
     for parts, hub_edge in joins:
         # below order 7 the vector is the dense solve's, good to ~1e-15
-        agree = 1e-15 if sum(parts) + 2 >= spectral.SECULAR_ORDER else 1e-14
+        agree = 1e-15 if sum(parts) + 2 >= kernel.SECULAR_ORDER else 1e-14
         (rho, lo, hi, _), = hub_join_radii([parts], hub_edge)
         x = hub_join_spectrum(parts, hub_edge).vector
         y = x[2:] / x[0]
@@ -740,7 +742,7 @@ def test_closed_forms_match_the_vector_where_the_checks_read_it():
                     want.append(y[start + j] - y[start + j - 1])
             start += m
         for (value, low, high), entry in zip(
-                spectral._closed_forms(forms, rho, lo, hi), want):
+                kernel._closed_forms(forms, rho, lo, hi), want):
             worst = max(worst, abs(value - entry))
             assert abs(value - entry) <= agree, (parts, hub_edge)
             assert low <= value <= high and high - low <= 1e-13, (
@@ -794,7 +796,7 @@ def test_closed_form_bounds_hold_the_200_bit_values():
             forms += [(1.0, 0, 1, i, m1 - 2 * i, m1)
                       for i in (1, 2) if 2 * i <= m1]
             for form, (_, low, high) in zip(
-                    forms, spectral._closed_forms(forms, rho, lo, hi)):
+                    forms, kernel._closed_forms(forms, rho, lo, hi)):
                 for x in (lo, rho, hi):
                     assert low <= exact(form, mp.mpf(x)) <= high, (
                         parts, hub_edge, form)

@@ -8,9 +8,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from spexplanar import (admissible_forests, argmax_sweep, enumerate_lna,
-                        from_graph6, lemma1_sweep, lemma2_sweep,
-                        merge_threshold, recognize_hub_join,
+from spexplanar import (argmax_sweep, from_graph6, lemma1_sweep,
+                        lemma2_sweep, merge_threshold, recognize_hub_join,
                         reports_to_csv, rerun,
                         spectral_radius, verify_claim33,
                         verify_entry_bounds, verify_lemma1, verify_lemma2)
@@ -22,6 +21,7 @@ from spexplanar.graphs import MAX_CANDIDATES
 from spexplanar.verify import entry_bounds_sample
 
 import oracles
+from oracles import admissible_forests
 
 
 # --- lemma1 -------------------------------------------------------------------
@@ -409,10 +409,10 @@ def test_lemma2_encloses_its_two_joins_in_one_batch(monkeypatch):
 
 
 def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
-    from spexplanar import spectral, verify
+    from spexplanar import kernel, spectral, verify
     encoded, enclosed, rooted = [], [], []
     encode, radii = verify.graph6_from_edges, verify.hub_join_radii
-    root = spectral._secular_root
+    root = kernel._secular_root
 
     def counting_root(groups, e, num):
         rooted.append(num)
@@ -429,7 +429,7 @@ def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
     solved = counting_vector_stage(monkeypatch)
     monkeypatch.setattr(verify, "graph6_from_edges", counting_encode)
     monkeypatch.setattr(verify, "hub_join_radii", counting_radii)
-    monkeypatch.setattr(spectral, "_secular_root", counting_root)
+    monkeypatch.setattr(kernel, "_secular_root", counting_root)
     reports = lemma2_sweep(20, 0, force=True)
     # the 8 pre-merge joins and the one post-merge join (17, 1) they share
     # are encoded once each, and solved and enclosed in one batch: one
