@@ -327,9 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_budget(p):
         budget = _checked(int, lambda b: b >= 1, "an integer >= 1")
         p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET,
-                       help="search node budget per cycle length: each "
-                            "length gets the outcome of its own search "
-                            "with this budget")
+                       help="search budget per cycle length, in units of "
+                            "one per anchor, first step and expanded "
+                            "vertex: each length gets the outcome of its "
+                            "own search with this budget")
 
     p = sub.add_parser("build", help="construct a graph and print it")
     p.add_argument("graph", nargs="?", default="-")

@@ -4,25 +4,27 @@
 real cycle (a path over the adjacency lists whose last vertex is a
 neighbour of the first, so a cycle by construction; `validate_cycle`
 checks one from outside) and `None` means a completed proof of absence.
-Exhaustion of the node budget is a third outcome, raised as
-SearchBudgetExceeded, never folded into "absent".
+Exhaustion of the budget is a third outcome, raised as
+SearchBudgetExceeded, never folded into "absent". The budget counts one
+unit per anchor, per first step and per vertex expanded (`_search`).
 
 There is one search kernel, `_search`: a pass that settles a set of wanted
-lengths at once. At each anchor vertex it peels the 2-core and runs the
-BFS once, and one depth-first search there settles every wanted length
-that closes at that anchor. `find_cycle` runs it for one length,
-`cycle_spectrum` for 3..ell_max; a length the pass leaves open when its
-budget runs out goes through `find_cycle` with a budget of its own, so each
-length gets the outcome of its own search (the argument is in `_search`).
+lengths at once. `find_cycle` runs it for one length, `cycle_spectrum` for
+3..ell_max; a length the pass leaves open when its budget runs out goes
+through `find_cycle` with a budget of its own, so each length gets the
+outcome of its own search (the argument is in `_search`).
 
-Every cycle lies inside one biconnected block, so the search runs only over
-the blocks with at least `ell` vertices (`Graph.blocks`, computed once per
-graph), for odd `ell` the non-bipartite ones (`Graph.odd_blocks`): a length
-above the largest such block is absent at no search cost, and vertices
-outside those blocks are never anchors or path vertices. This pruning
-leaves every certificate as the unpruned search would find it. `in_gnk`
-asks for planarity through `is_planar`, which is also computed once per
-graph, block by block.
+Every cycle lies inside one biconnected block, so the pass searches each
+block on its own sorted labels (`Graph.local_blocks`, built once per graph
+with the Tarjan pass that planarity reads too). At an anchor, the least
+vertex of the cycles it looks for, a block wants only the lengths that fit
+in its part from the anchor up, and only even ones if it is bipartite: a
+length above the largest such block is absent at no search cost. Each
+cycle is enumerated once, in the orientation that leaves the anchor by
+the smaller of its two cycle-neighbours, which is the orientation of its
+certificate, the least such vertex sequence. `in_gnk` asks for planarity
+through `is_planar`, which is also computed once per graph, block by
+block.
 
 Settled lengths are memoized per graph (`Graph.settled_cycles`): a length
 maps to its certificate tuple, which the records of `cycle_spectrum` share,
@@ -55,7 +57,7 @@ class SearchBudgetExceeded(RuntimeError):
     def __init__(self, ell: int, budget: int):
         super().__init__(
             f"cycle search for length {ell} exhausted its budget of "
-            f"{budget} node expansions")
+            f"{budget} search units")
         self.ell = ell
         self.budget = budget
 
@@ -84,7 +86,7 @@ def find_cycle(g: Graph, ell: int,
     none exists: the search pass `_search` with the one wanted length
     `ell`, whose certificate is a cycle by construction and is not
     re-checked at run time (`validate_cycle` checks one from outside).
-    Raises SearchBudgetExceeded when its node budget runs out before
+    Raises SearchBudgetExceeded when its budget runs out before
     either outcome is proven. A settled length is kept in the graph's memo
     (`Graph.settled_cycles`) and answered from it on later calls, whatever
     their budget, as a fresh list; a budget outcome is not kept.
@@ -105,160 +107,164 @@ def _search(g: Graph, lengths: Iterable[int],
     """One search pass for every length in `lengths`: a dict that maps each
     length it settles to its certificate, or to None when the length is
     absent. The lengths missing from it were still open when the budget of
-    `budget` node expansions, shared by the whole pass, ran out.
+    `budget` units, shared by the whole pass, ran out.
 
-    The pass anchors at each vertex s in turn as the smallest cycle vertex.
-    A cycle lies inside one biconnected block, an odd one inside a
-    non-bipartite block, so the lengths wanted at s are the open ones with
-    ell <= n - s for which s lies in such a block with at least ell
-    vertices; the kept vertices are those of the blocks that some wanted
-    length admits. The anchor restricts to the 2-core of the kept vertices
-    from s up and to its BFS component (a wanted length above the
-    component's order is dropped), and runs one depth-first search in the
-    order of the adjacency lists that prunes a vertex w at path length p
-    unless dist(w, s) <= max(wanted) - p. It costs one budget unit, and each
-    vertex it expands one more. A path of k vertices whose last vertex is a
-    neighbour of s closes a k-cycle; when k is wanted, that cycle is its
-    certificate and k is no longer wanted. The anchor ends when nothing is
-    wanted. A length still open after the last anchor is absent.
+    The pass anchors at each vertex s in turn as the smallest cycle vertex,
+    and searches each biconnected block B that holds s on B's own labels
+    (`Graph.local_blocks`), where vertices above s are labels above s's. A
+    cycle lies inside one block, an odd one inside a non-bipartite block,
+    so B wants the open lengths ell <= |B ∩ [s, n)|, even ones only if B
+    is bipartite, and only if s has two or more neighbours above s in B.
+    Each cycle is enumerated once, in the orientation that leaves s by the
+    smaller of its two cycle-neighbours: the first steps v1 are s's
+    neighbours above s in the blocks that want something, taken in s's
+    adjacency order, each block's largest one left out. Under (s, v1) the
+    search stays in B ∩ (s, n) and closes only at a closer, a neighbour of s
+    in B above v1. dist(w) is w's BFS distance to the closers in
+    B ∩ (s, n) without v1, so the cycles through (s, v1) have at most
+    reach + 2 vertices (reach: the vertices at a finite distance), and the
+    lengths above that are not wanted there. One depth-first search in
+    adjacency order then prunes a vertex w that would be the k-th path
+    vertex unless dist(w) <= max(wanted) - k. A path of k vertices that
+    ends at a closer closes a k-cycle; when k is wanted, that cycle is its
+    certificate and k is no longer wanted. A length still open after the
+    last anchor is absent. Nothing is peeled and no adjacency is rebuilt:
+    the block labels are built once per graph.
+
+    The certificate of a length is the least sequence (s, v1, ...,
+    v_(ell-1)) in lexicographic order among its cycles, s the cycle's least
+    vertex. That sequence leaves s by the smaller cycle-neighbour (its
+    reverse is larger), so it is the first ell-cycle the pass meets: the
+    anchors rise, the first steps at s rise, and a depth-first search in
+    sorted adjacency order meets the paths under one first step in
+    lexicographic order.
+
+    The budget unit: one per anchor at which a block wants a length, one
+    per first step taken (its BFS included), and one per vertex expanded.
+    A closing expansion counts only within the budget.
 
     `find_cycle(g, ell)` is this pass with `lengths = (ell,)`. A length
-    that a pass over more lengths settles, that search settles too, with the
-    same outcome and within the same budget. Take an anchor s where the
-    one-length search runs. While ell is open, the pass wants ell at s as
-    well and keeps a superset of the vertices; its 2-core and BFS component
-    are then supersets too, its distances are no longer, and max(wanted) >=
-    ell. So each vertex that the one-length search expands on a path passes
-    the pass's pruning on the same path: the one-length expansions are a
-    prefix-closed subset of the pass's, met in the same relative order,
-    since both take neighbours in adjacency order. Every ell-cycle with
-    smallest vertex s survives both prunings (its vertices lie in a kept
-    block and in the 2-core, each no further from s than the steps left
-    along the cycle), so both searches meet the same ell-cycles at s, in the
-    same order, and the first anchor that has one is the same: the
-    certificate is unchanged. By the time the pass settles ell it has spent
-    a unit on each anchor and expansion that the one-length search spends
-    on before its outcome, so that search stays within any budget the pass
-    stayed within. The block pruning of either search is the same argument
-    with the unpruned search in the role of the pass: a vertex removed lies
-    on no wanted cycle, so removing it removes failing branches only and
-    keeps the order of the rest.
+    that a pass over more lengths settles, that search settles too, with
+    the same outcome and within the same budget. While ell is open, every
+    block that wants ell in the one-length search wants it in the pass as
+    well, so each anchor and first step it pays for, the pass pays for
+    too, in the same order. Under one first step the distances and the
+    reach do not depend on what is wanted, and the pass's max(wanted) is at
+    least ell, so each vertex the one-length search expands on a path passes
+    the pass's pruning on the same path: its expansions are a prefix-closed
+    subset of the pass's, met in the same relative order. Each vertex of an
+    ell-cycle through (s, v1) is within the steps left along the cycle of a
+    closer, so both searches meet the same ell-cycles, in the same order,
+    and close ell at the same one. By the time the pass settles ell, it has
+    spent a unit on each anchor, first step and expansion that the
+    one-length search spends on before its outcome, so that search stays
+    within any budget the pass stayed within.
     """
-    n = g.n
-    # the order of the largest block, and of the largest non-bipartite
-    # block, that holds each vertex
-    span, odd_span = [0] * n, [0] * n
-    for blocks, out in ((g.blocks, span), (g.odd_blocks, odd_span)):
-        for block in blocks:
-            for v in block:
-                out[v] = max(out[v], len(block))
+    blocks = g.local_blocks
+    # each vertex's blocks, as (block, the vertex's local label)
+    member: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for b, (verts, _, _) in enumerate(blocks):
+        for i, v in enumerate(verts):
+            member[v].append((b, i))
     open_ = set(lengths)
-    settled = {}
+    settled: dict[int, Optional[tuple[int, ...]]] = {}
     left = budget
-    for s in range(n):
+
+    def wanted(b: int, a: int) -> set[int]:
+        """The open lengths that block b wants at its local anchor a."""
+        verts, _, bipartite = blocks[b]
+        room = len(verts) - a
+        return {ell for ell in open_
+                if ell <= room and not (bipartite and ell % 2)}
+
+    for s, mine in enumerate(member):
         if not open_:
             break
-        want = {ell for ell in open_ if ell <= n - s
-                and ell <= (odd_span[s] if ell % 2 else span[s])}
-        if not want:
+        steps = []
+        for b, a in mine:
+            verts, adj, _ = blocks[b]
+            up = [w for w in adj[a] if w > a]
+            if len(up) > 1 and wanted(b, a):
+                steps += [(verts[v1], b, a, v1) for v1 in up[:-1]]
+        if not steps:
             continue
-        even = min((ell for ell in want if ell % 2 == 0), default=n + 1)
-        odd = min((ell for ell in want if ell % 2), default=n + 1)
-        alive = bytearray(n)
-        for v in range(s, n):
-            if span[v] >= even or odd_span[v] >= odd:
-                alive[v] = 1
-        left = _search_anchor(g, alive, s, want, settled, left)
+        left -= 1  # the anchor
         if left < 0:
-            break
-        open_.difference_update(settled)
-    else:
-        settled.update(dict.fromkeys(open_))
-    return settled
-
-
-def _search_anchor(g: Graph, alive: bytearray, s: int, want: set[int],
-                   settled: dict[int, Optional[tuple[int, ...]]],
-                   left: int) -> int:
-    """The anchor-s step of `_search` over the kept vertices `alive`: puts
-    each wanted length it closes at s into `settled`, and returns the budget
-    left, negative when it ran out."""
-    n = g.n
-    deg = [0] * n
-    for v in range(s, n):
-        if alive[v]:
-            deg[v] = sum(1 for w in g.adj[v] if alive[w])
-    # prune to the 2-core: cycle vertices need two live neighbors
-    queue = [v for v in range(s, n) if alive[v] and deg[v] < 2]
-    while queue:
-        v = queue.pop()
-        if not alive[v]:
-            continue
-        alive[v] = 0
-        for w in g.adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] < 2:
-                    queue.append(w)
-    if not alive[s]:
-        return left
-    adj = [[w for w in g.adj[v] if alive[w]] if alive[v] else []
-           for v in range(n)]
-    # BFS distance to the anchor: a lower bound on steps needed to close
-    dist = [n + 1] * n
-    dist[s] = 0
-    frontier = [s]
-    reach = 1
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if dist[w] > dist[v] + 1:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-                    reach += 1
-        frontier = nxt
-    want = {ell for ell in want if ell <= reach}
-    if not want:
-        return left
-
-    # depth-first over an explicit stack of neighbour iterators, one per
-    # path vertex below the current one; each vertex expanded costs one
-    # budget unit, and the loop ends when the stack runs out, nothing is
-    # wanted, or `left` goes negative
-    top = max(want)
-    visited = bytearray(n)
-    visited[s] = 1
-    path = [s]
-    stack = []
-    it = iter(adj[s])
-    left -= 1
-    while left >= 0:
-        cap = top - len(path)
-        for w in it:
-            if not visited[w] and dist[w] <= cap:
-                break
-        else:
-            if not stack:
-                break
-            visited[path.pop()] = 0
-            it = stack.pop()
-            continue
-        left -= 1
-        k = len(path) + 1  # vertices on the path through w
-        if k in want and dist[w] == 1 and left >= 0:
-            settled[k] = (*path, w)
-            want.discard(k)
+            return settled
+        steps.sort()
+        for _, b, a, v1 in steps:
+            want = wanted(b, a)
             if not want:
-                break
+                continue
+            left -= 1  # the first step
+            if left < 0:
+                return settled
+            verts, adj, _ = blocks[b]
+            # BFS from the closers over B ∩ (s, n) without v1; -1 marks
+            # the labels the search may not enter, len(verts) the ones it
+            # has not reached
+            dist = [-1] * (a + 1) + [len(verts)] * (len(verts) - a - 1)
+            dist[v1] = -1
+            frontier = [c for c in adj[a] if c > v1]
+            for c in frontier:
+                dist[c] = 0
+            reach = len(frontier)
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    d = dist[v] + 1
+                    for w in adj[v]:
+                        if dist[w] > d:
+                            dist[w] = d
+                            nxt.append(w)
+                reach += len(nxt)
+                frontier = nxt
+            want = {ell for ell in want if ell <= reach + 2}
+            if not want:
+                continue
+            # depth-first over an explicit stack of neighbour iterators, one
+            # per path vertex below the current one. `path` holds v1 on, and
+            # a vertex on it has its distance stored as ~dist (negative), so
+            # one test refuses path vertices and the labels outside the
+            # region. `cap` is top - k, k the cycle vertices with the next w.
             top = max(want)
-        if k >= top:
-            continue
-        visited[w] = 1
-        path.append(w)
-        stack.append(it)
-        it = iter(adj[w])
-    return left
+            path = [v1]
+            stack = []
+            it = iter(adj[v1])
+            cap = top - 3
+            while left >= 0:
+                for w in it:
+                    if 0 <= dist[w] <= cap:
+                        break
+                else:
+                    if not stack:
+                        break
+                    v = path.pop()
+                    dist[v] = ~dist[v]
+                    it = stack.pop()
+                    cap += 1
+                    continue
+                left -= 1
+                if not dist[w] and top - cap in want and left >= 0:
+                    k = top - cap
+                    settled[k] = (s, *[verts[v] for v in path], verts[w])
+                    want.discard(k)
+                    open_.discard(k)
+                    if not want:
+                        break
+                    top = max(want)
+                    cap = top - k
+                if cap <= 0:
+                    continue
+                dist[w] = ~dist[w]
+                path.append(w)
+                stack.append(it)
+                it = iter(adj[w])
+                cap -= 1
+        if left < 0:
+            return settled
+    settled.update(dict.fromkeys(open_))
+    return settled
 
 
 # --- constructive certificates for hub joins ---------------------------------
@@ -344,13 +350,15 @@ def cycle_spectrum(g: Graph, ell_max: Optional[int] = None,
     Uses the constructive hub-join path when `recognize_hub_join` accepts
     g (no search, no budget outcomes, and no run-time re-check of the
     construction, which `hub_forest_cycle` proves). Otherwise one search
-    pass (`_search`) with `budget` node expansions settles the lengths not
-    yet in the graph's memo, and each length it leaves open when that
-    budget runs out
-    goes through `find_cycle` with a budget of its own; "budget" is recorded
-    for the lengths that search cannot settle either. So every record is
-    the one a separate `find_cycle(g, ell, budget)` per length gives on a
-    fresh graph (the argument is in `_search`). The records share their
+    pass (`_search`) settles the lengths not yet in the graph's memo: it
+    searches each biconnected block on its own labels and meets each cycle
+    once, in its certificate's orientation, spending at most `budget`
+    units (one per anchor, per first step and per vertex expanded). Each
+    length it leaves open when that budget runs out goes through
+    `find_cycle` with a budget of its own; "budget" is recorded for the
+    lengths that search cannot settle either. So every record is the one
+    a separate `find_cycle(g, ell, budget)` per length gives on a fresh
+    graph (the argument is in `_search`). The records share their
     certificate tuples with the memo.
     """
     if ell_max is None:

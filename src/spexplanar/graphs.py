@@ -6,9 +6,10 @@ validates, after that nothing mutates, so they can be hashed, compared and
 used as dict keys by the layers above. Derived structure that several
 layers need is computed on first use and cached on the instance, and takes
 no part in equality, hashing or pickling: one depth-first pass gives the
-biconnected blocks with their parity, the connectivity and each vertex's
-depth parity (the colour classes of a bipartite graph); planarity is
-decided on those blocks; and the cycle lengths settled so far are kept.
+biconnected blocks, each on its own sorted labels with its parity, the
+connectivity and each vertex's depth parity (the colour classes of a
+bipartite graph); planarity and the cycle search read those blocks; and
+the cycle lengths settled so far are kept.
 
 Only the array functions (`edge_array` and the graph6 codec) use numpy,
 and each imports it where it runs, so the graph layer loads without it.
@@ -88,23 +89,26 @@ class Graph:
         return self._tarjan_pass[1] <= 1
 
     @cached_property
-    def _tarjan_pass(self) -> tuple[tuple[tuple[frozenset[int], int, bool],
-                                          ...], int, bytes]:
+    def _tarjan_pass(self) -> tuple[tuple[tuple[tuple[int, ...],
+                                                tuple[tuple[int, ...], ...],
+                                                bool], ...], int, bytes]:
         """(blocks, trees, parity) of one Tarjan low-point pass in
         O(n + m), over an explicit stack (no recursion): the one walk of
-        the graph, read by `blocks`, `odd_blocks`, `planar`,
-        `is_connected` and the dense solve's bipartite route.
+        the graph, read by `local_blocks` (and through it `blocks`,
+        `odd_blocks` and `planar`), `is_connected` and the dense solve's
+        bipartite route.
 
-        `blocks` holds (vertices, edge count, bipartite) per block with >= 3
-        vertices. Every cycle lies inside one block (Hopcroft & Tarjan,
-        CACM 16(6), 1973); bridges and isolated vertices belong to none.
-        The pass stacks tree and back edges: a child v of u whose subtree
-        reaches no higher than u closes the block made of the edges stacked
-        since the tree edge (u, v). `trees` counts the DFS trees, one per
-        component. `parity` is each vertex's DFS depth mod 2, one byte per
-        vertex, with vertex 0 a root. A block's tree edges span it, so it
-        is bipartite iff no edge of it joins two vertices of one parity;
-        on a connected bipartite graph the parities are its 2-colouring.
+        `blocks` holds each block with >= 3 vertices on its own labels
+        (`_local_block`). Every cycle lies inside one block (Hopcroft &
+        Tarjan, CACM 16(6), 1973); bridges and isolated vertices belong to
+        none. The pass stacks tree and back edges: a child v of u whose
+        subtree reaches no higher than u closes the block made of the edges
+        stacked since the tree edge (u, v). `trees` counts the DFS trees,
+        one per component. `parity` is each vertex's DFS depth mod 2, one
+        byte per vertex, with vertex 0 a root. A block's tree edges span it,
+        so it is bipartite iff no edge of it joins two vertices of one
+        parity; on a connected bipartite graph the parities are its
+        2-colouring.
         """
         adj = self.adj
         disc = [0] * self.n  # discovery time, 0 = unvisited
@@ -146,23 +150,34 @@ class Graph:
                         block = edges[mark:]
                         del edges[mark:]
                         if len(block) > 1:  # one edge is a bridge
-                            out.append((frozenset(chain.from_iterable(block)),
-                                        len(block),
-                                        all(parity[a] ^ parity[b]
-                                            for a, b in block)))
+                            out.append(_local_block(block, parity))
         return tuple(out), trees, bytes(parity)
 
-    @cached_property
+    @property
+    def local_blocks(self) -> tuple[tuple[tuple[int, ...],
+                                          tuple[tuple[int, ...], ...], bool],
+                                    ...]:
+        """Each block with >= 3 vertices on labels of its own, in the order
+        the Tarjan pass (`_tarjan_pass`) closes them: (vertices, adjacency,
+        bipartite). `vertices` is sorted, so local label i names vertex
+        vertices[i] and local order is global order; adjacency[i] holds the
+        local labels of i's neighbours in the block, sorted. Built once per
+        graph, with the pass, and read by `planar` and by the cycle search
+        (`cycles._search`)."""
+        return self._tarjan_pass[0]
+
+    @property
     def blocks(self) -> tuple[frozenset[int], ...]:
         """Vertex sets of the biconnected blocks with at least 3 vertices,
         in the order the Tarjan pass (`_tarjan_pass`) closes them."""
-        return tuple(b for b, _, _ in self._tarjan_pass[0])
+        return tuple(frozenset(verts) for verts, _, _ in self.local_blocks)
 
-    @cached_property
+    @property
     def odd_blocks(self) -> tuple[frozenset[int], ...]:
         """The non-bipartite blocks: an odd cycle lies inside one block, and
         a bipartite block has none."""
-        return tuple(b for b, _, bip in self._tarjan_pass[0] if not bip)
+        return tuple(frozenset(verts) for verts, _, bipartite
+                     in self.local_blocks if not bipartite)
 
     @cached_property
     def planar(self) -> bool:
@@ -171,9 +186,9 @@ class Graph:
         A graph is planar iff each of its blocks is, and by Kuratowski a
         non-planar block contains a subdivision of K5 or K3,3, so its cycle
         rank m - n + 1 is at least 4 (6 for K5, 4 for K3,3; subdividing
-        keeps the rank; m is the Tarjan pass's). A block of rank >= 4 is
-        reduced to its kernel (`_kernel`) of the adjacency restricted to it
-        (`_block_adjacency`), planar iff the block is, and the kernel is
+        keeps the rank). A block of rank >= 4 is reduced to its kernel
+        (`_kernel`) of its local adjacency (`local_blocks`), planar iff the
+        block is, and the kernel is
         decided: one with <= 4 vertices is a subgraph of K4, so planar; one
         with m > 3n - 6 edges breaks Euler's bound, so non-planar; one with
         5 vertices is then planar, since K5 (10 > 9 edges) is the only
@@ -182,10 +197,10 @@ class Graph:
         first because 3n - 6 <= 0 below 3 vertices: the kernel K2 of a
         theta graph would break the bound.
         """
-        ranked = [b for b, m, _ in self._tarjan_pass[0]
-                  if m - len(b) + 1 >= 4]
-        for nbrs in _block_adjacency(self.adj, ranked):
-            kernel = _kernel(nbrs)
+        for verts, adj, _ in self.local_blocks:
+            if sum(map(len, adj)) // 2 - len(verts) + 1 < 4:
+                continue
+            kernel = _kernel({v: set(around) for v, around in enumerate(adj)})
             n = len(kernel)
             if n <= 4:
                 continue
@@ -212,23 +227,28 @@ class Graph:
         return {"n": self.n, "adj": self.adj}
 
 
-def _block_adjacency(adj, blocks: list[frozenset[int]]
-                     ) -> list[dict[int, set[int]]]:
-    """Each block's neighbour sets: `adj` restricted to it. Two blocks
-    share at most one vertex, so an edge is the one block's that holds
-    both its ends. Each vertex's neighbours are read once, not once per
-    block that holds it: O(n + m) in all."""
-    owner: dict[int, set[int]] = {}
-    for i, block in enumerate(blocks):
-        for v in block:
-            owner.setdefault(v, set()).add(i)
-    out: list[dict[int, set[int]]] = [{} for _ in blocks]
-    for v, mine in owner.items():
-        for w in adj[v]:
-            if w in owner:
-                for i in mine & owner[w]:
-                    out[i].setdefault(v, set()).add(w)
-    return out
+def _local_block(edges: list[tuple[int, int]], parity: bytearray
+                 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                            bool]:
+    """The `Graph.local_blocks` record of the block with these edges: its
+    sorted vertices, its adjacency on local labels and whether it is
+    bipartite (no edge joins two vertices of one DFS parity). The edges are
+    listed by their ends, and that list is transposed, which puts each
+    neighbour list in order without a sort: O(edges) past sorting the
+    vertex set."""
+    verts = sorted(set(chain.from_iterable(edges)))
+    label = {v: i for i, v in enumerate(verts)}
+    ends: list[list[int]] = [[] for _ in verts]
+    for a, b in edges:
+        a, b = label[a], label[b]
+        ends[a].append(b)
+        ends[b].append(a)
+    adj: list[list[int]] = [[] for _ in verts]
+    for v, around in enumerate(ends):
+        for w in around:
+            adj[w].append(v)
+    return (tuple(verts), tuple(map(tuple, adj)),
+            all(parity[a] ^ parity[b] for a, b in edges))
 
 
 def _kernel(nbrs: dict[int, set[int]]) -> dict[int, set[int]]:

@@ -40,11 +40,14 @@ The checks, by what they establish:
              leave room for the forced cycle length): the conjectured
              head-plus-two-tails forest maximizes rho.
 
-Interval-check indices are guarded by chain length: a difference interval
-at index i is derived from the eigenvalue recurrence at interior vertices,
-so it is only asserted when the chain extends past i+1 (and the cross
-difference only when the second chain has at least 2i vertices). The
-report counts any indices skipped by these guards.
+Interval-check indices are guarded by chain length, so that every entry
+read lies in the first half of its path: a step x[c_{i+1}] - x[c_i] is
+asserted only when the chain has at least 2i+1 vertices, so the step lies
+before the middle pair (on 2i vertices it is the middle pair of a
+symmetric path, and exactly 0), and an entry x[c_i] only when the chain
+has at least 2i vertices (the cross difference, and the other chain's
+head in the interleaving checks). The report counts any indices skipped
+by these guards.
 """
 
 from __future__ import annotations
@@ -346,9 +349,9 @@ def verify_claim33(n: int, k: int, n1: int, n2: int,
 
     plus the strict monotonicity consequences (entry steps beat an explicit
     positive bound; chain heads interleave). Index guards: part (i) on a
-    chain of order m is checked for i <= min(floor((k+2)/2), m-2); part (ii)
-    for i <= min(floor((k+3)/2), floor(n2/2)). Skipped indices are counted
-    in params["skipped"].
+    chain of order m is checked for i <= min(floor((k+2)/2),
+    floor((m-1)/2)); part (ii) for i <= min(floor((k+3)/2), floor(n2/2)).
+    Skipped indices are counted in params["skipped"].
     """
     outside = _validate_merge(n, k, n1, n2, l_parts, force)
     parts = (n1, n2, *l_parts)
@@ -447,7 +450,7 @@ def _claim33(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
         half = 8.0 * (2.0 ** i) / rho ** 2
         lead, eight = at["lead", i], at["eight", i]
         for c, (label, order) in enumerate((("chain1", n1), ("chain2", n2))):
-            if order < i + 2:
+            if order < 2 * i + 1:
                 skipped += 1
                 continue
             step = at["step", i, c]
@@ -470,10 +473,10 @@ def _claim33(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
         # 16 2^i/rho^(i+2), each bound twice eight's: doubling is exact
         lead, sixteen = at["lead", i], [2.0 * e for e in at["eight", i]]
         for name, guard, a, b in (
-                ("chain1_step", n1 >= i + 2, 0, None),
-                ("chain1_over_chain2", n1 >= i + 2 and n2 >= 2 * i, 0, 1),
-                ("chain2_step", n2 >= i + 2, 1, None),
-                ("chain2_over_chain1", n2 >= i + 2 and n2 >= 2 * i, 1, 0)):
+                ("chain1_step", n1 > 2 * i, 0, None),
+                ("chain1_over_chain2", n1 > 2 * i and n2 >= 2 * i, 0, 1),
+                ("chain2_step", n2 > 2 * i, 1, None),
+                ("chain2_over_chain1", n2 > 2 * i, 1, 0)):
             if not guard:
                 skipped += 1
                 continue

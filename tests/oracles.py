@@ -119,59 +119,72 @@ def mp_secular_root(parts, hub_edge: bool, rho0, prec: int = 200):
 
 def per_length_search(g: Graph, ell: int, budget: int):
     """A cycle of exactly `ell` vertices by one search of its own, as
-    `find_cycle` has searched since the block pruning: the certificate
-    list, None when absent, or "budget" when more than `budget` node
-    expansions are needed. Blocks come from networkx.
+    `find_cycle` searches on block labels: the certificate list, None when
+    absent, or "budget" when more than `budget` units are needed. Blocks
+    and distances come from networkx.
 
-    The search anchors at each vertex s of a block with at least `ell`
-    vertices (a non-bipartite one for odd `ell`), s <= n - ell, as the
-    smallest cycle vertex; it keeps the 2-core of those blocks' vertices
-    from s up, and stops unless s lies in it with `ell` or more vertices in
-    its component. Such an anchor costs one unit, and so does each path
-    extension it tries by a neighbour w, in adjacency order, that is off the
-    path and no further from s than the steps left to reach `ell`
-    vertices; a try that reaches `ell` vertices closes when w is a
-    neighbour of s, and extends nothing.
+    The search anchors at each vertex s in turn as the smallest cycle
+    vertex. A block B holding s takes part at s when |B ∩ [s, n)| >= ell,
+    B is non-bipartite for odd `ell`, and s has at least two neighbours
+    above s in B. If some block takes part, the anchor costs one unit. Its
+    first steps are s's neighbours v1 above s in those blocks, in
+    increasing order, each block's largest left out; each costs one unit.
+    The closers are s's neighbours in B above v1, and dist is the distance
+    to them in B ∩ (s, n) without v1; the step goes on only if `ell` is at
+    most the number of vertices at a finite distance plus 2. Then each
+    path extension by a neighbour w of the last vertex, in adjacency order,
+    that is off the path, at a finite distance and within the steps left to
+    reach `ell` vertices costs one unit; a try that reaches `ell` vertices
+    closes when w is a closer, and extends nothing.
     """
     h = to_nx(g)
-    keep = set()
-    for block in nx.biconnected_components(h):
-        if len(block) >= ell and not (ell % 2 and
-                                      nx.is_bipartite(h.subgraph(block))):
-            keep |= block
+    blocks = [b for b in map(frozenset, nx.biconnected_components(h))
+              if len(b) >= 3 and not (ell % 2 and
+                                      nx.is_bipartite(h.subgraph(b)))]
     used = 0
 
-    def dfs(path, alive, dist):
+    def spend():
         nonlocal used
+        used += 1
+        return used > budget
+
+    def dfs(path, closers, dist):
         for w in g.adj[path[-1]]:
-            if w not in alive or w in path or dist[w] > ell - len(path):
+            if w in path or w not in dist or dist[w] > ell - len(path) - 1:
                 continue
-            used += 1
-            if used > budget:
+            if spend():
                 return "budget"
             if len(path) == ell - 1:
-                if g.has_edge(w, path[0]):
+                if w in closers:
                     return path + [w]
                 continue
-            found = dfs(path + [w], alive, dist)
+            found = dfs(path + [w], closers, dist)
             if found is not None:
                 return found
         return None
 
-    for s in sorted(v for v in keep if v <= g.n - ell):
-        alive = {v for v in keep if v >= s}
-        core = nx.k_core(h.subgraph(alive), 2)
-        if s not in core:
+    for s in range(g.n):
+        steps = []
+        for b in blocks:
+            up = sorted(v for v in g.adj[s] if v in b and v > s)
+            if s in b and len([v for v in b if v >= s]) >= ell \
+                    and len(up) >= 2:
+                steps += [(v1, b, up) for v1 in up[:-1]]
+        if not steps:
             continue
-        dist = nx.single_source_shortest_path_length(core, s)
-        if len(dist) < ell:
-            continue
-        used += 1
-        if used > budget:
+        if spend():
             return "budget"
-        found = dfs([s], set(dist), dist)
-        if found is not None:
-            return found
+        for v1, b, up in sorted(steps, key=lambda step: step[0]):
+            if spend():
+                return "budget"
+            closers = {c for c in up if c > v1}
+            region = h.subgraph(v for v in b if v > s and v != v1)
+            dist = nx.multi_source_dijkstra_path_length(region, closers)
+            if ell > len(dist) + 2:
+                continue
+            found = dfs([s, v1], closers, dist)
+            if found is not None:
+                return found
     return None
 
 

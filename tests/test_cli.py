@@ -511,6 +511,27 @@ def test_verify_claim33_emits_witnesses(capsys):
     assert all(w["contained"] for w in wits)
 
 
+@pytest.mark.parametrize("n, k, n1, n2, verdict", [
+    (1027, 2, 1021, 4, (0, "certified", 11, 3)),
+    (1027, 2, 1020, 5, (0, "certified", 14, 0)),
+    (4099, 4, 4091, 6, (0, "certified", 18, 3)),
+    (4099, 4, 4090, 7, (0, "certified", 21, 0))])
+def test_claim33_reads_no_step_at_the_middle_of_a_path(capsys, n, k, n1, n2,
+                                                       verdict):
+    # at even k the last step index is i = (k + 2)/2, and on n2 = k + 2
+    # = 2i vertices that step is the middle pair of a symmetric path,
+    # exactly 0: it and the interleaving checks that read it are skipped,
+    # three in all. On n2 = k + 3 the step lies before the middle and every
+    # index is checked, as before.
+    code, out, _ = run(capsys, "verify", "claim33", "--n", str(n), "--k",
+                       str(k), "--n1", str(n1), "--n2", str(n2))
+    report = json.loads(out.split("\n", 1)[0])
+    assert (code, report["holds"], report["params"]["checked"],
+            report["params"]["skipped"]) == verdict
+    assert (f"chain2_step_i{(k + 2) // 2}" in report["margins"]) == (
+        n2 > k + 2)
+
+
 def test_verify_claim33_needs_split(capsys):
     code, _, err = run(capsys, "verify", "claim33", "--n", "260")
     assert code == 2

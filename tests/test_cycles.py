@@ -4,7 +4,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spexplanar import (Graph, SearchBudgetExceeded, complete_bipartite,
                         complete_graph, cycle_graph, cycle_spectrum,
@@ -132,8 +132,9 @@ def test_budget_exhaustion_is_a_third_outcome():
         find_cycle(cycle_graph(30), 30, budget=3)
     assert ei.value.ell == 30 and ei.value.budget == 3
     spec = cycle_spectrum(cycle_graph(30), budget=3)
-    # short lengths finish inside 3 expansions (the 2-core peel does the
-    # work); the long search runs out and must say so, not claim absence
+    # C30 is one bipartite block, so odd lengths cost nothing; an even
+    # length pays an anchor and a first step at each of its anchors and
+    # runs out, and must say so, not claim absence
     assert spec.status(3) == "absent"
     assert spec.status(30) == "budget"
     assert oracles.present_lengths(spec) == []
@@ -142,6 +143,10 @@ def test_budget_exhaustion_is_a_third_outcome():
 @settings(max_examples=60)
 @given(oracles.glued_graphs(max_n=24),
        st.sampled_from([1, 3, 10, 100, DEFAULT_BUDGET]))
+# absence of length 6 is proven in 10 units only if each cycle is met in
+# one orientation
+@example(from_edges(6, [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (2, 3),
+                        (3, 5)]), 10)
 def test_one_pass_spectrum_matches_per_length_searches(g, budget):
     # the pass over every length, with its fallback to find_cycle for what
     # it leaves open, gives each length the outcome and certificate of a
@@ -165,6 +170,43 @@ def test_one_pass_spectrum_matches_per_length_searches(g, budget):
             # whatever the budget now
             assert g.settled_cycles[rec.ell] is rec.certificate
             assert find_cycle(g, rec.ell, budget=1) == want
+
+
+def _least_canonical_cycles(g):
+    """Per length, the least of g's cycles from networkx's enumeration
+    alone, each written from its least vertex toward the smaller of that
+    vertex's two cycle-neighbours."""
+    least = {}
+    for cyc in nx.simple_cycles(oracles.to_nx(g)):
+        i = cyc.index(min(cyc))
+        cyc = cyc[i:] + cyc[:i]
+        if cyc[1] > cyc[-1]:
+            cyc = cyc[:1] + cyc[:0:-1]
+        cyc = tuple(cyc)
+        if len(cyc) not in least or cyc < least[len(cyc)]:
+            least[len(cyc)] = cyc
+    return least
+
+
+@settings(max_examples=150)
+@given(oracles.glued_graphs(max_n=14))
+# two blocks at vertex 0, the first closed by the Tarjan pass holding its
+# neighbours 1, 5 and 6: the least triangle (0, 2, 3) lies in the second,
+# so first steps must follow 0's adjacency order across its blocks
+@example(from_edges(8, [(0, 1), (1, 7), (6, 7), (0, 6), (0, 5), (5, 6),
+                        (0, 2), (0, 3), (2, 3)]))
+def test_certificates_are_the_least_canonical_cycles(g):
+    # the certificate contract, held against an enumeration of every cycle:
+    # a present length's certificate is its least canonical cycle, and an
+    # absent length has no cycle at all
+    least = _least_canonical_cycles(g)
+    for ell in range(3, g.n + 1):
+        cyc = find_cycle(g, ell)
+        assert (None if cyc is None else tuple(cyc)) == least.get(ell)
+    if recognize_hub_join(g) is None:
+        spec = cycle_spectrum(Graph(g.n, g.adj))
+        assert [r.certificate for r in spec.records] == [
+            least.get(ell) for ell in range(3, g.n + 1)]
 
 
 def test_in_gnk_after_cycle_spectrum_searches_nothing(monkeypatch):

@@ -17,7 +17,7 @@ from spexplanar import (Graph, Graph6Error, GraphConstructionError,
 from spexplanar.families import (complete_bipartite, complete_graph,
                                  cycle_graph, join_with_paths, path_graph)
 from spexplanar.cycles import cycle_spectrum
-from spexplanar.graphs import _block_adjacency, _kernel
+from spexplanar.graphs import _kernel
 
 import oracles
 
@@ -272,16 +272,17 @@ def test_blocks_match_networkx(g, chords):
     assert sorted(g.blocks, key=sorted) == sorted(want, key=sorted)
     odd = [c for c in want if not nx.is_bipartite(h.subgraph(c))]
     assert sorted(g.odd_blocks, key=sorted) == sorted(odd, key=sorted)
-    # the recorded edge counts, and the restricted adjacency that planarity
-    # reads, against networkx's block edges
-    for (block, m, _), nbrs in zip(g._tarjan_pass[0],
-                                   _block_adjacency(g.adj, g.blocks)):
+    # the local labels that planarity and the cycle search read, against
+    # networkx's block edges: sorted vertices, sorted symmetric neighbour
+    # lists, and the block's own edges only
+    for (verts, adj, bipartite), block in zip(g.local_blocks, g.blocks):
         want = {frozenset(e) for e in h.subgraph(block).edges()}
-        assert m == len(want)
-        assert set(nbrs) == block
-        assert {frozenset((v, w)) for v, ws in nbrs.items()
+        assert list(verts) == sorted(block) and len(adj) == len(verts)
+        assert all(list(ws) == sorted(ws) for ws in adj)
+        assert {frozenset((verts[v], verts[w])) for v, ws in enumerate(adj)
                 for w in ws} == want
-        assert all(v in nbrs[w] for v, ws in nbrs.items() for w in ws)
+        assert all(v in adj[w] for v, ws in enumerate(adj) for w in ws)
+        assert bipartite == nx.is_bipartite(h.subgraph(block))
 
 
 @pytest.mark.parametrize("first_planarity", [True, False])
@@ -485,7 +486,8 @@ def test_theta_graph_needs_no_left_right_test(monkeypatch):
         edges += zip(path, path[1:])
     g = from_edges(inner, edges)
     assert len(g.blocks) == 1 and oracles.edge_count(g) - g.n + 1 == 4
-    assert _kernel(_block_adjacency(g.adj, g.blocks)[0]) == {}
+    _, adj, _ = g.local_blocks[0]
+    assert _kernel({v: set(ws) for v, ws in enumerate(adj)}) == {}
     assert is_planar(g) and tested == []
 
 
