@@ -335,12 +335,6 @@ class CycleSpectrum:
     ell_max: int
     records: tuple[CycleRecord, ...]
 
-    def status(self, ell: int) -> str:
-        if not 3 <= ell <= self.ell_max:
-            raise ValueError(
-                f"cycle length must be in [3, {self.ell_max}], got {ell}")
-        return self.records[ell - 3].status
-
 
 def cycle_spectrum(g: Graph, ell_max: Optional[int] = None,
                    budget: int = DEFAULT_BUDGET) -> CycleSpectrum:

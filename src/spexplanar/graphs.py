@@ -67,12 +67,6 @@ class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
@@ -94,9 +88,9 @@ class Graph:
                                                 bool], ...], int, bytes]:
         """(blocks, trees, parity) of one Tarjan low-point pass in
         O(n + m), over an explicit stack (no recursion): the one walk of
-        the graph, read by `local_blocks` (and through it `blocks`,
-        `odd_blocks` and `planar`), `is_connected` and the dense solve's
-        bipartite route.
+        the graph, read by `local_blocks` (and through it `bipartite`,
+        `planar` and the cycle search), `is_connected` and the dense
+        solve's bipartite route.
 
         `blocks` holds each block with >= 3 vertices on its own labels
         (`_local_block`). Every cycle lies inside one block (Hopcroft &
@@ -162,22 +156,15 @@ class Graph:
         bipartite). `vertices` is sorted, so local label i names vertex
         vertices[i] and local order is global order; adjacency[i] holds the
         local labels of i's neighbours in the block, sorted. Built once per
-        graph, with the pass, and read by `planar` and by the cycle search
-        (`cycles._search`)."""
+        graph, with the pass, and read by `planar`, `bipartite` and the
+        cycle search (`cycles._search`)."""
         return self._tarjan_pass[0]
 
     @property
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        """Vertex sets of the biconnected blocks with at least 3 vertices,
-        in the order the Tarjan pass (`_tarjan_pass`) closes them."""
-        return tuple(frozenset(verts) for verts, _, _ in self.local_blocks)
-
-    @property
-    def odd_blocks(self) -> tuple[frozenset[int], ...]:
-        """The non-bipartite blocks: an odd cycle lies inside one block, and
-        a bipartite block has none."""
-        return tuple(frozenset(verts) for verts, _, bipartite
-                     in self.local_blocks if not bipartite)
+    def bipartite(self) -> bool:
+        """Every block is bipartite, so the graph is: an odd cycle would lie
+        inside one block. Read by the dense solve."""
+        return all(flag for _, _, flag in self.local_blocks)
 
     @cached_property
     def planar(self) -> bool:

@@ -14,7 +14,7 @@ Each graph gets exactly one of two engines, chosen before any solve:
   gets rho = d and the all-ones vector, an exact eigenvector, residual 0
   and no matrix. Any other graph takes one dense symmetric solve: the top
   eigenvector of `numpy.linalg.eigh`, max-normalized. A bipartite graph
-  (no odd block, `Graph.odd_blocks`) with colour classes X, the smaller,
+  (`Graph.bipartite`: every block is) with colour classes X, the smaller,
   and Y, read off the same pass's DFS depth parities, has
   A = [[0, B], [B', 0]] for B = A[X, Y], so rho^2 is the top eigenvalue
   of B B' (Brouwer & Haemers, "Spectra of Graphs", 2012): `eigh` runs at
@@ -36,13 +36,13 @@ A hub join is solved from its part list in one or two stages:
   of SLICE_ROWS). Both run the kernel's drivers, generic in their number
   type (`kernel._Floats`, `_Arrays` here), so a join gets the same rho,
   Newton steps, lo and hi bit for bit alone and in any batch.
-* The vector stage (`_hub_join_spectrum`), at a Newton root it is
-  handed (the scalar `kernel._secular_root`, or a batch row: the same
-  bits): the Perron entries in closed form per path block and their
-  residual ||Ax - rho x||_inf from the join's structure, in 1-D arrays
-  with the paths longest first, then scattered once into block order. It
-  costs O(n) and encloses nothing. Only `spectral_radius` of a recognized
-  join (so `spex rho --emit-vector`) and `_small_join_radius` run it.
+* The vector stage (`_hub_join_spectrum`), at the scalar Newton root
+  (`kernel._secular_root`, the bits of the join's batch row): the Perron
+  entries in closed form per path block and their residual
+  ||Ax - rho x||_inf from the join's structure, in 1-D arrays with the
+  paths longest first, then scattered once into block order. It costs
+  O(n) and encloses nothing. Only `spectral_radius` of a recognized join
+  and `hub_join_spectrum` run it (so `spex rho --emit-vector`).
 
 Every solve passes the kernel's one gate (`kernel._gate`): a root
 enclosure's width, or a Perron vector's residual, is at most
@@ -72,8 +72,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .families import (join_edges, join_order, join_with_paths,
-                       recognize_hub_join)
+from .families import join_order, join_with_paths, recognize_hub_join
 from .graphs import Graph, edge_array
 from .kernel import (SECULAR_ORDER, _Floats, _gate, _part_groups,
                      _root_stage, _secular_root, join_radius)
@@ -129,14 +128,10 @@ def spectral_radius(g: Graph) -> SpectralResult:
     if hub is None:
         return _dense_solve(g)
     hub1, hub2, paths, hub_edge = hub
-    parts = [len(p) for p in paths]
-    res = _hub_join_spectrum(parts, hub_edge, *_secular_root(
-        _part_groups(parts), float(hub_edge), _Floats))
+    res = _hub_join_spectrum([len(p) for p in paths], hub_edge)
     # res.vector has the recognized paths as its blocks, in order
     x = np.empty(g.n)
-    x[[hub1, hub2]] = res.vector[:2]
-    x[np.fromiter(chain.from_iterable(paths), np.int64, g.n - 2)] = \
-        res.vector[2:]
+    x[[hub1, hub2, *chain.from_iterable(paths)]] = res.vector
     return replace(res, vector=x)
 
 
@@ -153,13 +148,13 @@ def _dense_solve(g: Graph) -> SpectralResult:
     degree = len(g.adj[0])
     if all(len(row) == degree for row in g.adj):
         return SpectralResult(float(degree), np.ones(g.n), 0.0, 1, "dense")
-    if g.odd_blocks:
+    if g.bipartite:
+        x, z = _bipartite_perron(g)
+    else:
         a = adjacency_matrix(g)
         x = np.abs(np.linalg.eigh(a)[1][:, -1])
         x = x / x.max()
         z = a @ x
-    else:
-        x, z = _bipartite_perron(g)
     rho = float(x @ z) / float(x @ x)
     resid = float(np.max(np.abs(z - rho * x)))
     _gate(resid, rho, "residual", _Floats)
@@ -257,12 +252,13 @@ class _Arrays:
         return out
 
 
-def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool, rho: float,
-                       steps: int) -> SpectralResult:
-    """The vector stage of join_with_paths(parts, hub_edge) at the Newton
-    root `rho` it is handed, reached in `steps` steps: the Perron vector in
-    that layout, its residual through `_gate`."""
+def _hub_join_spectrum(parts: Sequence[int], hub_edge: bool
+                       ) -> SpectralResult:
+    """The vector stage of join_with_paths(parts, hub_edge) at its scalar
+    Newton root (`kernel._secular_root`): the Perron vector in that layout,
+    its residual through `_gate`."""
     e = float(hub_edge)
+    rho, steps = _secular_root(_part_groups(parts), e, _Floats)
     # paths longest first: the residual's sums round in this order
     p = np.asarray(parts, dtype=np.int64)
     order = np.argsort(-p, kind="stable")
@@ -315,8 +311,7 @@ def hub_join_spectrum(parts: Sequence[int], hub_edge: bool) -> SpectralResult:
     """
     if join_order(parts, hub_edge) + 2 < SECULAR_ORDER:
         return spectral_radius(join_with_paths(parts, hub_edge))
-    return _hub_join_spectrum(parts, hub_edge, *_secular_root(
-        _part_groups(parts), float(hub_edge), _Floats))
+    return _hub_join_spectrum(parts, hub_edge)
 
 
 def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool
@@ -325,27 +320,24 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool
     root stage alone, with lo < rho < hi proven for the join's spectral
     radius rho (module docstring).
 
-    All forests must have the same order. From SECULAR_ORDER on, both
-    drivers run once, in Python floats for one forest
-    (`kernel.join_radius`) and, for more, in numpy arrays over the
-    batch's columns (`hub_join_radii_arrays`), and
-    no graph is built; below it each forest is `_small_join_radius`, in
-    the layout given. rho and the steps are those of `hub_join_spectrum`.
-    Raises ConvergenceError once an enclosure misses the gate (`_gate`).
+    All forests must have the same order. One forest from SECULAR_ORDER
+    on runs both drivers in Python floats (`kernel.join_radius`); every
+    other call is `hub_join_radii_arrays` of the forests' part array, so
+    no graph is built from SECULAR_ORDER on. rho and the steps are those
+    of `hub_join_spectrum`. Raises ConvergenceError once an enclosure
+    misses the gate (`_gate`).
     """
     if len({sum(parts) for parts in forests}) > 1:
         raise ValueError("hub_join_radii needs forests of a single order")
     if not forests:
         return []
-    if sum(forests[0]) + 2 < SECULAR_ORDER:
-        return [_small_join_radius(parts, hub_edge) for parts in forests]
     for p in chain.from_iterable(forests):
         if p < 1:
             raise ValueError(f"path order must be >= 1, got {p}")
-    if len(forests) > 1:
-        return list(zip(*(x.tolist() for x in hub_join_radii_arrays(
-            _parts_array(forests), hub_edge))))
-    return [join_radius(forests[0], hub_edge)]
+    if len(forests) == 1 and sum(forests[0]) + 2 >= SECULAR_ORDER:
+        return [join_radius(forests[0], hub_edge)]
+    return list(zip(*(x.tolist() for x in hub_join_radii_arrays(
+        _parts_array(forests), hub_edge))))
 
 
 def hub_join_radii_arrays(parts: np.ndarray, hub_edge: bool
@@ -370,20 +362,17 @@ def hub_join_radii_arrays(parts: np.ndarray, hub_edge: bool
 
 def _small_join_radius(parts: Sequence[int], hub_edge: bool
                        ) -> tuple[float, float, float, int]:
-    """The root stage below SECULAR_ORDER: `hub_join_spectrum` of the built
-    join, its rho enclosed by Collatz-Wielandt bounds on its Perron vector
-    x > 0 (for a connected graph, min_v (Ax)_v / x_v <= rho <= max_v
-    (Ax)_v / x_v), in exact rationals, rounded outward."""
+    """The root stage below SECULAR_ORDER: `spectral_radius` of the join
+    built once, its rho enclosed by Collatz-Wielandt bounds on its Perron
+    vector x > 0 (for a connected graph, min_v (Ax)_v / x_v <= rho <=
+    max_v (Ax)_v / x_v), in exact rationals, rounded outward."""
     from fractions import Fraction  # only these few joins need it
-    res = hub_join_spectrum(parts, hub_edge)
+    g = join_with_paths(parts, hub_edge)
+    res = spectral_radius(g)
     x = [Fraction(v) for v in res.vector.tolist()]
-    ax = [Fraction(0)] * len(x)
-    for u, v in join_edges(parts, hub_edge).tolist():
-        ax[u] += x[v]
-        ax[v] += x[u]
     if min(x) <= 0:  # bounds nothing: an infinite width
         _gate(math.inf, res.rho, "enclosure width", _Floats)
-    ratios = [a / b for a, b in zip(ax, x)]
+    ratios = [sum(x[w] for w in around) / xv for around, xv in zip(g.adj, x)]
     lo = math.nextafter(float(min(ratios)), -math.inf)
     hi = math.nextafter(float(max(ratios)), math.inf)
     _gate(hi - lo, res.rho, "enclosure width", _Floats)

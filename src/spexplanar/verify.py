@@ -66,28 +66,27 @@ from .graphs import MAX_CANDIDATES, check_size, graph6_from_edges
 from .kernel import _closed_forms, _forms_toward, enclosure_verdict
 from .spectral import hub_join_radii, hub_join_radii_arrays
 
+TIES_SHOWN = 8  # tied candidates an argmax report lists; it counts them all
 _WORST = {"certified": 0, "indeterminate": 1, "violated": 2}
 _RANK = ["certified", "indeterminate", "violated"]
 
 
 @dataclass(frozen=True)
 class IntervalWitness:
-    """One scaled entry-difference and the interval that must contain it."""
+    """One scaled entry-difference and the interval that must contain it,
+    its fields in the key order of the witness line that `spex verify
+    claim33` prints (`as_dict`)."""
 
     i: int
+    label: str  # "chain1" | "chain2" | "cross"
+    kind: str   # "A" (positive band) or "B" (symmetric band)
     value: float
     lo: float
     hi: float
-    kind: str   # "A" (positive band) or "B" (symmetric band)
-    label: str  # "chain1" | "chain2" | "cross"
     contained: bool
 
     def as_dict(self) -> dict:
-        return {
-            "i": self.i, "label": self.label, "kind": self.kind,
-            "value": self.value, "lo": self.lo, "hi": self.hi,
-            "contained": self.contained,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -442,7 +441,7 @@ def _claim33(n: int, k: int, n1: int, n2: int, l_parts: Sequence[int],
         st = _combine(below, above)
         states.append(st)
         witnesses.append(IntervalWitness(
-            i, value, lo_b, hi_b, kind, label, st != "violated"))
+            i, label, kind, value, lo_b, hi_b, st != "violated"))
 
     steps = {}  # (i, chain): the step's margin against its lower bound
     for i in range(1, i_max_step + 1):
@@ -684,13 +683,6 @@ class ArgmaxSweepResult:
         return zip(_part_lists(self.parts), self.rho.tolist(),
                    self.lo.tolist(), self.hi.tolist(), self.steps.tolist())
 
-    @property
-    def rows(self) -> tuple[tuple, ...]:
-        """(parts, rho, lo, hi, iterations) per candidate, in Python ints
-        and floats, built on each call."""
-        return tuple((tuple(parts), *rest)
-                     for parts, *rest in self._row_values())
-
     def rows_jsonl(self) -> str:
         """One compact JSON object per candidate. A float's repr is json's
         own format for it, so each line is `json.dumps(row, separators=(",",
@@ -718,11 +710,13 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
     (`hub_join_radii_arrays`, no graph built); rows stay in enumeration
     order. The leader has the largest rho, the first on a tie. Its ties
     are the candidates whose upper end reaches the leader's lower end,
-    the leader included. holds is `enclosure_verdict` on the float
-    differences of the ends of the leader's and its rivals' enclosures:
-    certified (the leader ties alone, or is the lone candidate) or
-    indeterminate. The argmax join's artifact is encoded from its part
-    list. The report carries Python ints and floats only.
+    the leader included: the report lists the first TIES_SHOWN of them,
+    in candidate order, and counts them all. holds is
+    `enclosure_verdict` on the float differences of the ends of the
+    leader's and its rivals' enclosures: certified (the leader ties
+    alone, or is the lone candidate) or indeterminate. The argmax join's
+    artifact is encoded from its part list. The report carries Python
+    ints and floats only.
     """
     if max_parts < 3:
         raise ValueError(f"max_parts must be >= 3, got {max_parts}")
@@ -744,12 +738,13 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
     best = int(np.argmax(rho))  # the first maximum, as max() picks
     lead, lead_lo, lead_hi = rho[best].item(), lo[best].item(), hi[best].item()
     argmax, = _part_lists(cands[best:best + 1])
+    tied = np.flatnonzero(hi >= lead_lo)
     expected = [n - 2 * k - 4, k + 1, k + 1]
     params = {"n": n, "k": k, "max_parts": max_parts,
               "candidates": len(cands), "argmax": argmax,
               "expected": expected, "matches_expected": argmax == expected,
-              "ties": _part_lists(cands[hi >= lead_lo]),
-              "dominating_edge": True}
+              "ties": _part_lists(cands[tied[:TIES_SHOWN]]),
+              "tie_count": len(tied), "dominating_edge": True}
     if outside:
         params["outside_hypothesis"] = True
     margins = {"rho_max": lead}

@@ -624,6 +624,14 @@ def lemma1_pair_by_enumeration(n: int, a1: int, a2: int, fam1,
     )
 
 
+def sweep_rows(result) -> list[tuple]:
+    """(parts, rho, lo, hi, iterations) per candidate of an argmax sweep,
+    read off its arrays: parts as a tuple without the zero padding."""
+    return [(tuple(p for p in parts if p), *rest) for parts, *rest in zip(
+        result.parts.tolist(), result.rho.tolist(), result.lo.tolist(),
+        result.hi.tolist(), result.steps.tolist())]
+
+
 def argmax_leader(rows) -> tuple[list, list, dict, str]:
     """(argmax, ties, margins, holds) of an argmax sweep from its rows
     (parts, rho, lo, hi, iterations), by `max` and list scans: the

@@ -29,8 +29,8 @@ def test_from_edges_basic():
     g = from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
     assert g.n == 4
     assert oracles.edge_count(g) == 4
-    assert g.degree(0) == 3
-    assert g.neighbors(2) == (0, 1)
+    assert len(g.adj[0]) == 3
+    assert g.adj[2] == (0, 1)
     assert g.has_edge(3, 0) and not g.has_edge(3, 1)
     assert list(g.edges()) == [(0, 1), (0, 2), (0, 3), (1, 2)]
 
@@ -63,12 +63,12 @@ def test_cached_properties_leave_value_semantics_alone():
                      [None, 4, None], isolated=1)
     fresh = from_edges(g.n, list(g.edges()))
     pickled = pickle.dumps(g)
-    assert len(g.blocks) == 2 and not is_planar(g)
+    assert len(g.local_blocks) == 2 and not is_planar(g)
     assert pickle.dumps(g) == pickled
     assert g == fresh and hash(g) == hash(fresh)
     for back in (pickle.loads(pickled), copy.deepcopy(g)):
         assert back == g and hash(back) == hash(g)
-        assert back.blocks == g.blocks and not back.planar
+        assert back.local_blocks == g.local_blocks and not back.planar
 
 
 def test_connectivity_and_components():
@@ -268,21 +268,22 @@ def test_blocks_match_networkx(g, chords):
                                if g.n and u % g.n != v % g.n]
     g = from_edges(g.n, edges)
     h = oracles.to_nx(g)
-    want = [frozenset(c) for c in nx.biconnected_components(h) if len(c) >= 3]
-    assert sorted(g.blocks, key=sorted) == sorted(want, key=sorted)
-    odd = [c for c in want if not nx.is_bipartite(h.subgraph(c))]
-    assert sorted(g.odd_blocks, key=sorted) == sorted(odd, key=sorted)
+    want = sorted(sorted(c) for c in nx.biconnected_components(h)
+                  if len(c) >= 3)
+    assert sorted(list(verts) for verts, _, _ in g.local_blocks) == want
+    assert g.bipartite == nx.is_bipartite(h)
     # the local labels that planarity and the cycle search read, against
     # networkx's block edges: sorted vertices, sorted symmetric neighbour
     # lists, and the block's own edges only
-    for (verts, adj, bipartite), block in zip(g.local_blocks, g.blocks):
-        want = {frozenset(e) for e in h.subgraph(block).edges()}
-        assert list(verts) == sorted(block) and len(adj) == len(verts)
+    for verts, adj, bipartite in g.local_blocks:
+        block = h.subgraph(verts)
+        want = {frozenset(e) for e in block.edges()}
+        assert list(verts) == sorted(verts) and len(adj) == len(verts)
         assert all(list(ws) == sorted(ws) for ws in adj)
         assert {frozenset((verts[v], verts[w])) for v, ws in enumerate(adj)
                 for w in ws} == want
         assert all(v in adj[w] for v, ws in enumerate(adj) for w in ws)
-        assert bipartite == nx.is_bipartite(h.subgraph(block))
+        assert bipartite == nx.is_bipartite(block)
 
 
 @pytest.mark.parametrize("first_planarity", [True, False])
@@ -301,7 +302,7 @@ def test_planarity_and_cycle_search_share_one_tarjan_pass(
     # a 12-cycle with four chords: one block of rank 5, so planarity reads
     # its edges, and one pendant edge; neither a hub join nor regular, so
     # the radius takes the dense route, which reads the pass for
-    # connectivity and odd blocks. Chord (0, 6) closes an odd cycle (eigh
+    # connectivity and block parity. Chord (0, 6) closes an odd cycle (eigh
     # of A); with (0, 7) instead the graph is bipartite and its colour
     # classes are the pass's parities.
     steps = [is_planar, spectral_radius, cycle_spectrum]
@@ -316,7 +317,7 @@ def test_planarity_and_cycle_search_share_one_tarjan_pass(
             for step in order:
                 step(g)
             assert g.planar and passes == [g]
-            assert bool(g.odd_blocks) == (chord == (0, 6))
+            assert g.bipartite == (chord == (0, 7))
 
 
 def test_connectivity_and_parity_match_networkx():
@@ -359,14 +360,16 @@ def test_windmill_blocks_parity_and_planarity_match_networkx():
                                for e in ((0, t), (0, t + 1), (t, t + 1))])
     h = oracles.to_nx(g)
     want = sorted(map(sorted, nx.biconnected_components(h)))
-    assert sorted(map(sorted, g.blocks)) == want
-    assert sorted(map(sorted, g.odd_blocks)) == want
+    assert sorted(list(verts) for verts, _, _ in g.local_blocks) == want
+    assert all(not bipartite for _, _, bipartite in g.local_blocks)
+    assert not g.bipartite and not nx.is_bipartite(h)
     assert g.planar and nx.check_planarity(h)[0]
 
 
 def test_blocks_do_not_recurse():
-    assert cycle_graph(3000).blocks == (frozenset(range(3000)),)
-    assert path_graph(3000).blocks == ()
+    assert [verts for verts, _, _ in cycle_graph(3000).local_blocks] == [
+        tuple(range(3000))]
+    assert path_graph(3000).local_blocks == ()
     assert is_planar(cycle_graph(3000))
 
 
@@ -470,7 +473,7 @@ def test_planarity_of_glued_kuratowski_graphs(k, base):
         g = oracles.glue([planar, kuratowski, tree],
                          [None, rng.randrange(6),
                           6 + rng.randrange(kuratowski[0] - 1)])
-        assert len(g.blocks) == 2
+        assert len(g.local_blocks) == 2
         assert not _agrees(_shuffled(g.n, list(g.edges()), rng))
 
 
@@ -485,7 +488,7 @@ def test_theta_graph_needs_no_left_right_test(monkeypatch):
         inner += length - 1
         edges += zip(path, path[1:])
     g = from_edges(inner, edges)
-    assert len(g.blocks) == 1 and oracles.edge_count(g) - g.n + 1 == 4
+    assert len(g.local_blocks) == 1 and oracles.edge_count(g) - g.n + 1 == 4
     _, adj, _ = g.local_blocks[0]
     assert _kernel({v: set(ws) for v, ws in enumerate(adj)}) == {}
     assert is_planar(g) and tested == []

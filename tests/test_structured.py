@@ -411,6 +411,8 @@ def test_entry_points_agree_bit_for_bit(capsys):
             rho, lo, hi, steps = want
             assert lo <= rho <= hi, (parts, hub_edge)
             assert hub_join_radii([parts], hub_edge) == [want]
+            # the root stage reads the forest, not the layout it is given in
+            assert hub_join_radii([parts[::-1]], hub_edge) == [want]
             from_parts = hub_join_spectrum(parts, hub_edge)
             assert (from_parts.rho, from_parts.iterations) == (rho, steps)
             # the vector in join_with_paths layout, parts in any order
@@ -649,7 +651,7 @@ def test_slices_give_the_rows_of_one_batch(monkeypatch):
     # a row's bits do not depend on the slice it is solved in: slices of
     # 7 rows, the last one short, against all rows in one slice
     from spexplanar import verify
-    parts = verify._candidates(40, 0, 8)
+    parts = verify._candidates(24, 0, 6)
     assert 7 * 10 < len(parts) <= spectral.SLICE_ROWS
     for hub_edge in (True, False):
         whole = spectral.hub_join_radii_arrays(parts, hub_edge)

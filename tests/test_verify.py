@@ -84,7 +84,8 @@ def test_radius_comparisons_are_decided_on_enclosures(monkeypatch):
     assert wide[2].margins["rho_max"] == base[2].margins["rho_max"]
     for i in (0, 1, 3, 4):
         assert wide[i].margins == base[i].margins
-    assert len(wide[2].params["ties"]) == wide[2].params["candidates"]
+    assert wide[2].params["tie_count"] == wide[2].params["candidates"]
+    assert len(wide[2].params["ties"]) == verify.TIES_SHOWN
     monkeypatch.undo()
     # the family with fewer parts pushed below the other one
     shifted_radii(monkeypatch, lambda parts: (-1.0, -1.0) if len(parts) <= 2
@@ -337,7 +338,7 @@ def test_claim33_forced_equal_tail_entries():
 def test_claim33_witness_dict_shape():
     _, wits = verify_claim33(300, 0, 200, 98)
     d = wits[0].as_dict()
-    assert set(d) == {"i", "label", "kind", "value", "lo", "hi", "contained"}
+    assert list(d) == ["i", "label", "kind", "value", "lo", "hi", "contained"]
     json.dumps(d)  # must be serializable as-is
 
 
@@ -374,9 +375,9 @@ def counting_vector_stage(monkeypatch):
     solved = []
     solve = spectral._hub_join_spectrum
 
-    def counting_solve(parts, hub_edge, rho, steps):
+    def counting_solve(parts, hub_edge):
         solved.append((tuple(parts), hub_edge))
-        return solve(parts, hub_edge, rho, steps)
+        return solve(parts, hub_edge)
 
     monkeypatch.setattr(spectral, "_hub_join_spectrum", counting_solve)
     return solved
@@ -600,41 +601,42 @@ def test_admissible_forests_at_the_sweep_point():
 
 def test_argmax_sweep_small_forced():
     result = argmax_sweep(30, 0, 3, force=True)
+    rows = oracles.sweep_rows(result)
     rep = result.report
     assert rep.check_id == "argmax"
     assert rep.params["outside_hypothesis"] is True
-    assert rep.params["candidates"] == len(result.rows)
-    assert [r[0] for r in result.rows] == admissible_forests(30, 0, 3)
-    assert tuple(rep.params["argmax"]) == max(
-        result.rows, key=lambda r: r[1])[0]
+    assert rep.params["candidates"] == len(rows)
+    assert [r[0] for r in rows] == admissible_forests(30, 0, 3)
+    assert tuple(rep.params["argmax"]) == max(rows, key=lambda r: r[1])[0]
     assert rep.margins["runner_up_gap"] > 0
     assert from_graph6(rep.artifacts["argmax_join"]) == oracles.from_nx(
         oracles.join_nx(rep.params["argmax"], True))
     jsonl = result.rows_jsonl().strip().split("\n")
-    assert len(jsonl) == len(result.rows)
-    assert json.loads(jsonl[0])["parts"] == list(result.rows[0][0])
+    assert len(jsonl) == len(rows)
+    assert json.loads(jsonl[0])["parts"] == list(rows[0][0])
     csv = result.rows_csv().strip().split("\n")
     assert csv[0] == "parts,rho,rho_lo,rho_hi,iterations"
-    assert len(csv) == len(result.rows) + 1
+    assert len(csv) == len(rows) + 1
 
 
 @pytest.mark.parametrize("n, k, max_parts", [
     (5, 0, 3), (9, 0, 3), (30, 0, 3), (40, 11, 3), (20, 0, 6)])
 def test_sweep_rows_are_the_single_solves(n, k, max_parts):
     # each row of the one batch is its forest solved alone, bit for bit
-    # (below order 7, the built join's); the leader, its ties and its gaps
-    # are those of max() and list scans over the rows; the JSONL rows are
-    # one json.dumps per row and the CSV one formatted line per row
+    # (below order 7, the built join's); the leader, its first ties, their
+    # count and its gaps are those of max() and list scans over the rows;
+    # the JSONL rows are one json.dumps per row and the CSV one formatted
+    # line per row
     result = argmax_sweep(n, k, max_parts, force=True)
-    rows = result.rows
+    rows = oracles.sweep_rows(result)
     assert [r[0] for r in rows] == admissible_forests(n, k, max_parts)
     for parts, *got in rows:
         want = hub_join_radii([parts], True)[0]
         assert list(map(repr, got)) == list(map(repr, want)), parts
     rep = result.report
     argmax, ties, margins, holds = oracles.argmax_leader(rows)
-    assert (rep.params["argmax"], rep.params["ties"], rep.holds) == (
-        argmax, ties, holds)
+    assert (rep.params["argmax"], rep.params["ties"], rep.params["tie_count"],
+            rep.holds) == (argmax, ties[:verify.TIES_SHOWN], len(ties), holds)
     assert json.dumps(rep.margins) == json.dumps(margins)
     assert result.rows_jsonl() == oracles.argmax_rows_jsonl(rows)
     assert result.rows_csv() == oracles.argmax_rows_csv(rows)
@@ -643,7 +645,19 @@ def test_sweep_rows_are_the_single_solves(n, k, max_parts):
 def test_the_n40_k11_argmax_is_a_two_way_tie():
     rep = argmax_sweep(40, 11, force=True).report
     assert rep.params["ties"] == [[14, 12, 12], [13, 13, 12]]
+    assert rep.params["tie_count"] == 2
     assert rep.holds == "indeterminate"
+
+
+def test_argmax_lists_at_most_its_first_ties_and_counts_them_all(
+        monkeypatch):
+    # the cap keeps the first tied candidates in candidate order, and
+    # tie_count, right after ties, still counts every one
+    monkeypatch.setattr(verify, "TIES_SHOWN", 1)
+    params = argmax_sweep(40, 11, force=True).report.params
+    assert params["ties"] == [[14, 12, 12]] and params["tie_count"] == 2
+    keys = list(params)
+    assert keys[keys.index("ties") + 1] == "tie_count"
 
 
 def test_a_sweep_carries_python_scalars_only():
@@ -663,8 +677,8 @@ def test_a_sweep_carries_python_scalars_only():
     rep = result.report
     json.dumps([rep.check_id, rep.params, rep.holds, rep.margins,
                 rep.artifacts])
-    walk([rep.params, rep.margins, rep.artifacts, result.rows,
-          admissible_forests(20, 0, 6)])
+    walk([rep.params, rep.margins, rep.artifacts,
+          list(result._row_values()), admissible_forests(20, 0, 6)])
 
 
 def test_candidates_are_counted_from_the_part_counts():
