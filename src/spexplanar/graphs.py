@@ -11,8 +11,12 @@ connectivity and each vertex's depth parity (the colour classes of a
 bipartite graph); planarity and the cycle search read those blocks; and
 the cycle lengths settled so far are kept.
 
-Only the array functions (`edge_array` and the graph6 codec) use numpy,
-and each imports it where it runs, so the graph layer loads without it.
+Planarity is decided here on each block's kernel, by the package's own
+left-right test (`planarity.lr_planar`, after U. Brandes, "The Left-Right
+Planarity Test", 2009) where a kernel needs it, with no third-party graph
+library. Only the array functions (`edge_array` and the graph6 codec) use
+numpy, and each imports it where it runs, so the graph layer loads
+without it.
 """
 
 from __future__ import annotations
@@ -175,14 +179,14 @@ class Graph:
         rank m - n + 1 is at least 4 (6 for K5, 4 for K3,3; subdividing
         keeps the rank). A block of rank >= 4 is reduced to its kernel
         (`_kernel`) of its local adjacency (`local_blocks`), planar iff the
-        block is, and the kernel is
-        decided: one with <= 4 vertices is a subgraph of K4, so planar; one
-        with m > 3n - 6 edges breaks Euler's bound, so non-planar; one with
-        5 vertices is then planar, since K5 (10 > 9 edges) is the only
-        non-planar graph on 5 vertices; only the rest go to networkx's
-        left-right test, the one place it is imported. The K4 test comes
-        first because 3n - 6 <= 0 below 3 vertices: the kernel K2 of a
-        theta graph would break the bound.
+        block is, and the kernel is decided: one with <= 4 vertices is a
+        subgraph of K4, so planar; one with m > 3n - 6 edges breaks Euler's
+        bound, so non-planar; one with 5 vertices is then planar, since K5
+        (10 > 9 edges) is the only non-planar graph on 5 vertices; only the
+        rest go to the left-right test (`planarity.lr_planar`; Brandes
+        2009), imported there, so a process that never needs it never
+        compiles it. The K4 test comes first because 3n - 6 <= 0 below 3
+        vertices: the kernel K2 of a theta graph would break the bound.
         """
         for verts, adj, _ in self.local_blocks:
             if sum(map(len, adj)) // 2 - len(verts) + 1 < 4:
@@ -196,9 +200,8 @@ class Graph:
                 return False
             if n == 5:
                 continue
-            import networkx as nx
-            if not nx.check_planarity(nx.from_dict_of_lists(kernel),
-                                      counterexample=False)[0]:
+            from .planarity import lr_planar
+            if not lr_planar(kernel):
                 return False
         return True
 

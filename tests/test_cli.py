@@ -116,18 +116,26 @@ def fresh_python(code, *argv):
 
 
 def test_cli_runs_without_importing_networkx():
-    # networkx is imported only for a left-right planarity test, numpy
-    # only by the array code: the CLI's import and its parser need
-    # neither, and a join's solve no networkx
-    code = ("import sys, spexplanar.cli\n"
+    # numpy is imported only by the array code, networkx by nothing: the
+    # CLI's import and its parser need neither, and neither a join's solve
+    # nor the membership of the 6x6 grid, whose 32-vertex kernel goes to
+    # the left-right planarity test, imports networkx
+    grid = "36\n" + "".join(f"{v} {w}\n" for v in range(36)
+                            for w in (v + 1, v + 6)
+                            if w < 36 and (w == v + 6 or v % 6 < 5))
+    code = ("import io, sys, spexplanar.cli\n"
             "spexplanar.cli.build_parser()\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
             "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
             "assert spexplanar.cli.main(['rho', 'k2+[150,60,47]']) == 0\n"
+            "sys.stdin = io.StringIO(sys.argv[1])\n"
+            "assert spexplanar.cli.main(['member', '-', '--k', '0']) == 0\n"
             "assert 'networkx' not in sys.modules, 'networkx was imported'\n")
-    proc = fresh_python(code)
+    proc = fresh_python(code, grid)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["rho"] > 0
+    rho, member = proc.stdout.splitlines()
+    assert json.loads(rho)["rho"] > 0
+    assert member == '{"member":true,"witness":3}'
 
 
 # with numpy unavailable: any `import numpy` raises ImportError

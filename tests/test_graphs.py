@@ -17,7 +17,9 @@ from spexplanar import (Graph, Graph6Error, GraphConstructionError,
 from spexplanar.families import (complete_bipartite, complete_graph,
                                  cycle_graph, join_with_paths, path_graph)
 from spexplanar.cycles import cycle_spectrum
+from spexplanar import planarity
 from spexplanar.graphs import _kernel
+from spexplanar.planarity import lr_planar
 
 import oracles
 
@@ -380,16 +382,16 @@ def test_planarity_agrees_with_networkx_on_glued_blocks(g):
 
 
 def _count_lr_tests(monkeypatch) -> list[int]:
-    """Patch networkx's left-right test to record the order of each graph
-    it is given; returns the record."""
+    """Patch the left-right test (`planarity.lr_planar`) to record the
+    order of each kernel it is given; returns the record."""
     tested = []
-    check = nx.check_planarity
+    check = planarity.lr_planar
 
-    def counting(h, counterexample=False):
-        tested.append(h.number_of_nodes())
-        return check(h, counterexample=counterexample)
+    def counting(nbrs):
+        tested.append(len(nbrs))
+        return check(nbrs)
 
-    monkeypatch.setattr(nx, "check_planarity", counting)
+    monkeypatch.setattr(planarity, "lr_planar", counting)
     return tested
 
 
@@ -499,6 +501,87 @@ def test_theta_graph_needs_no_left_right_test(monkeypatch):
 def test_planarity_matches_networkx_on_random_graphs(n, p, rng):
     g = oracles.random_graph(rng, n, p)
     assert is_planar(g) == nx.check_planarity(oracles.to_nx(g))[0]
+
+
+def _lr_agrees(g) -> bool:
+    """is_planar(g), after checking it and the left-right test on all of
+    g (no kernel, no filter) against networkx."""
+    want = nx.check_planarity(oracles.to_nx(g))[0]
+    assert is_planar(g) == want, to_graph6(g)
+    assert lr_planar({v: set(ws) for v, ws in enumerate(g.adj)}) == want
+    return want
+
+
+def _crossing(a, b) -> bool:
+    """Chords a and b of a circle whose points are numbered in order cross."""
+    (p, q), (r, s) = sorted(a), sorted(b)
+    return p < r < q < s or r < p < s < q
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_left_right_test_on_trees_with_chords(seed):
+    # a random tree numbered in preorder, with vertices in that order
+    # round a circle, is drawn without crossings; chords crossing no edge
+    # keep it planar, and free chords then make it non-planar
+    rng = random.Random(seed)
+    verdicts = set()
+    for n in (20, 60, 120, 200):
+        parent = [None] + [rng.randrange(v) for v in range(1, n)]
+        kids = [[] for _ in range(n)]
+        for v in range(1, n):
+            kids[parent[v]].append(v)
+        label, stack = [0] * n, [0]
+        for i in range(n):
+            v = stack.pop()
+            label[v] = i
+            stack.extend(reversed(kids[v]))
+        edges = [(label[parent[v]], label[v]) for v in range(1, n)]
+        for _ in range(4 * n):
+            chord = tuple(rng.sample(range(n), 2))
+            if not any(_crossing(chord, e) for e in edges):
+                edges.append(chord)
+        assert _lr_agrees(from_edges(n, edges))
+        for free in (1, 2, 4, 8):
+            edges += (tuple(rng.sample(range(n), 2)) for _ in range(free))
+            verdicts.add(_lr_agrees(from_edges(n, edges)))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("k", [5, 6, 11, 23, 42, 60])
+def test_left_right_test_on_triangulated_grids(k):
+    # the k x k grid with one diagonal per square is planar, with every
+    # inner face a triangle: an edge joining two corners of the outer face
+    # keeps it planar, one joining two inner vertices does not
+    def v(i, j):
+        return i * k + j
+    edges = [(v(i, j), v(i, j + 1)) for i in range(k) for j in range(k - 1)]
+    edges += [(v(i, j), v(i + 1, j)) for i in range(k - 1) for j in range(k)]
+    edges += [(v(i, j), v(i + 1, j + 1)) for i in range(k - 1)
+              for j in range(k - 1)]
+    assert _lr_agrees(from_edges(k * k, edges))
+    assert _lr_agrees(from_edges(k * k, edges + [(v(0, 0), v(k - 1, k - 1))]))
+    assert not _lr_agrees(from_edges(k * k,
+                                     edges + [(v(1, 1), v(k - 2, k - 2))]))
+
+
+def test_left_right_test_does_not_recurse():
+    # a 2 x 5,000 ladder with both diagonals of each square (a chain of
+    # K4s glued along their rungs) has minimum degree 3, so it is its own
+    # kernel, and its DFS runs down the rails; with one diagonal a square
+    # it would be series-parallel, with an empty kernel
+    n = 5000
+    edges = ([(i, i + 1) for i in range(n - 1)]
+             + [(n + i, n + i + 1) for i in range(n - 1)]
+             + [(i, n + i) for i in range(n)]
+             + [(i, n + i + 1) for i in range(n - 1)]
+             + [(n + i, i + 1) for i in range(n - 1)])
+    ladder = from_edges(2 * n, edges)
+    kernel = _kernel({v: set(ws) for v, ws in enumerate(ladder.adj)})
+    assert len(kernel) == 2 * n
+    assert _lr_agrees(ladder)
+    # one chord joining the far corners of the two end squares makes it
+    # non-planar
+    assert not _lr_agrees(from_edges(2 * n, edges + [(0, 2 * n - 1)]))
 
 
 def test_planarity_known_graphs():
