@@ -344,10 +344,11 @@ def cycle_spectrum(g: Graph, ell_max: Optional[int] = None,
     Uses the constructive hub-join path when `recognize_hub_join` accepts
     g (no search, no budget outcomes, and no run-time re-check of the
     construction, which `hub_forest_cycle` proves). Otherwise one search
-    pass (`_search`) settles the lengths not yet in the graph's memo: it
-    searches each biconnected block on its own labels and meets each cycle
-    once, in its certificate's orientation, spending at most `budget`
-    units (one per anchor, per first step and per vertex expanded). Each
+    pass (`_search`) settles the lengths not yet in the graph's memo, and
+    none runs when every length is there. The pass searches each
+    biconnected block on its own labels and meets each cycle once, in its
+    certificate's orientation, spending at most `budget` units (one per
+    anchor, per first step and per vertex expanded). Each
     length it leaves open when that budget runs out goes through
     `find_cycle` with a budget of its own; "budget" is recorded for the
     lengths that search cannot settle either. So every record is the one
@@ -364,8 +365,10 @@ def cycle_spectrum(g: Graph, ell_max: Optional[int] = None,
     hub = recognize_hub_join(g)
     if hub is None:
         memo = g.settled_cycles
-        memo.update(_search(g, [ell for ell in range(3, ell_max + 1)
-                                if ell not in memo], budget))
+        open_lengths = [ell for ell in range(3, ell_max + 1)
+                        if ell not in memo]
+        if open_lengths:
+            memo.update(_search(g, open_lengths, budget))
     return CycleSpectrum(g.n, ell_max, tuple(
         _cycle_records(g, ell_max, budget, hub)))
 

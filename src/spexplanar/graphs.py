@@ -14,13 +14,14 @@ the cycle lengths settled so far are kept.
 Planarity is decided here on each block's kernel, by the package's own
 left-right test (`planarity.lr_planar`, after U. Brandes, "The Left-Right
 Planarity Test", 2009) where a kernel needs it, with no third-party graph
-library. Only the array functions (`edge_array` and the graph6 codec) use
-numpy, and each imports it where it runs, so the graph layer loads
-without it.
+library. Only the array functions (`edge_array` and the graph6 encoder)
+use numpy, and each imports it where it runs, so the graph layer loads
+without it, and a graph6 string decodes straight into adjacency rows.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -275,17 +276,6 @@ def _kernel(nbrs: dict[int, set[int]]) -> dict[int, set[int]]:
     return nbrs
 
 
-def edge_array(g: Graph) -> np.ndarray:
-    """g's edges (u, v), u < v, as the rows of an int64 array, in the
-    sorted order of `Graph.edges`. Built per call; each reader (the graph6
-    encoder, the dense adjacency matrix) reads it once per graph."""
-    import numpy as np
-    rows = np.repeat(np.arange(g.n), np.fromiter(map(len, g.adj), np.int64, g.n))
-    nbrs = np.fromiter(chain.from_iterable(g.adj), np.int64, len(rows))
-    upper = rows < nbrs
-    return np.stack((rows[upper], nbrs[upper]), axis=1)
-
-
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph on {0..n-1} from an edge list.
 
@@ -316,6 +306,17 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 _G6_MAX_N = (1 << 36) - 1
 
 
+def edge_array(g: Graph) -> np.ndarray:
+    """g's edges (u, v), u < v, as the rows of an int64 array, in the
+    sorted order of `Graph.edges`. Built per call, for the graph6
+    encoder."""
+    import numpy as np
+    rows = np.repeat(np.arange(g.n), np.fromiter(map(len, g.adj), np.int64, g.n))
+    nbrs = np.fromiter(chain.from_iterable(g.adj), np.int64, len(rows))
+    upper = rows < nbrs
+    return np.stack((rows[upper], nbrs[upper]), axis=1)
+
+
 def to_graph6(g: Graph) -> str:
     return graph6_from_edges(g.n, edge_array(g))
 
@@ -338,9 +339,18 @@ def graph6_from_edges(n: int, edges: np.ndarray) -> str:
     return (bytes(head) + (body + 63).tobytes()).decode("ascii")
 
 
+# the bytes 63..126 of graph6, a body byte c as its 6-bit group c - 63,
+# and the positions t of a group's set bits, bit k = 6p + t of group p
+_G6_ALPHABET = bytes(range(63, 127))
+_G6_VALUE = bytes((c - 63) % 256 for c in range(256))
+_G6_BITS = [tuple(t for t in range(6) if c >> 5 - t & 1) for c in range(64)]
+
+
 def from_graph6(text: str) -> Graph:
-    """Decode one graph6 string; strict about length and zero padding."""
-    import numpy as np
+    """Decode one graph6 string; strict about length and zero padding.
+
+    The body lists the upper triangle column by column, so its set bits,
+    read in order, append to each adjacency row in increasing order."""
     raw = text.strip()
     if raw.startswith(">>graph6<<"):
         raw = raw[len(">>graph6<<"):]
@@ -351,10 +361,9 @@ def from_graph6(text: str) -> Graph:
                           exc.start) from None
     if not data:
         raise Graph6Error("empty graph6 input", 0)
-    codes = np.frombuffer(data, np.uint8)
-    bad = np.flatnonzero((codes < 63) | (codes > 126))
-    if len(bad):
-        pos = int(bad[0])
+    bad = data.translate(None, _G6_ALPHABET)
+    if bad:  # the first byte outside it is the first of its value
+        pos = data.index(bad[0])
         raise Graph6Error(f"byte {data[pos]!r} outside graph6 range", pos)
     if data[0] != 126:
         n = data[0] - 63
@@ -378,19 +387,28 @@ def from_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"expected {need} body bytes for n={n}, got {len(data) - body}",
             min(len(data), body + need))
-    # the set bits k of the 6-bit groups (the top 2 of each byte are 0),
-    # unpacked only from the groups that have one
-    groups = np.flatnonzero(codes[body:] != 63)
-    row, col = np.nonzero(np.unpackbits(codes[body + groups] - 63)
-                          .reshape(-1, 8)[:, 2:])
-    k = 6 * groups[row] + col
-    if len(k) and k[-1] >= nbits:
-        raise Graph6Error("nonzero padding bits", body + int(k[-1]) // 6)
-    j = np.searchsorted(np.arange(n + 1) * np.arange(-1, n) // 2, k,
-                        side="right") - 1
-    i = k - j * (j - 1) // 2
-    check_size(n, len(k), lambda msg: Graph6Error(msg, body))
-    return from_edges(n, zip(i.tolist(), j.tolist()))
+    # group p holds bits 6p .. 6p + 5, as a number 0..63 (`_G6_BITS`)
+    groups = data[body:].translate(_G6_VALUE)
+    if groups and groups[-1] & ((1 << (6 * need - nbits)) - 1):
+        raise Graph6Error("nonzero padding bits", len(data) - 1)
+    check_size(n, int.from_bytes(groups, "big").bit_count(),
+               lambda msg: Graph6Error(msg, body))
+    rows: list[list[int]] = [[] for _ in range(n)]
+    j = end = 1  # column j holds the bits k < end = j(j+1)/2, from end - j
+    # each match skips a run of zero groups at C speed and ends at a set
+    # one; with the zero tail stripped no match fails, which would cost
+    # the rest of the tail at each of its bytes
+    for group in re.finditer(rb"\0*[^\0]", groups.rstrip(b"\0")):
+        p = group.end() - 1
+        for t in _G6_BITS[groups[p]]:
+            k = 6 * p + t
+            while k >= end:
+                j += 1
+                end += j
+            i = k - end + j
+            rows[i].append(j)
+            rows[j].append(i)
+    return Graph(n, tuple(map(tuple, rows)))
 
 
 # --- plain-text edge list ---------------------------------------------------

@@ -73,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from .families import join_order, join_with_paths, recognize_hub_join
-from .graphs import Graph, edge_array
+from .graphs import Graph
 from .kernel import (SECULAR_ORDER, _Floats, _gate, _part_groups,
                      _root_stage, _secular_root, join_radius)
 
@@ -104,9 +104,11 @@ class SpectralResult:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    u, v = edge_array(g).T
-    a = np.zeros((g.n, g.n))
-    a[u, v] = a[v, u] = 1.0
+    """The n x n adjacency matrix, filled from g's adjacency rows with one
+    `put` of the flat indices u * n + v."""
+    n = g.n
+    a = np.zeros((n, n))
+    a.put([u * n + v for u, row in enumerate(g.adj) for v in row], 1.0)
     return a
 
 
@@ -161,23 +163,31 @@ def _dense_solve(g: Graph) -> SpectralResult:
     return SpectralResult(rho, x, resid, 1, "dense")
 
 
+def _bipartite_matrix(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The colour classes X and Y of the connected bipartite graph g, each
+    in vertex order, and B = A[X, Y]. The classes are the DFS depth
+    parities of the Tarjan pass (`Graph._tarjan_pass`), X the smaller
+    (vertex 0's, parity 0, on a tie). Every edge has one end in each
+    class, so X's adjacency rows fill B with one `put`."""
+    parity = g._tarjan_pass[2]
+    y = int(2 * parity.count(1) >= g.n)  # Y's parity: X is the smaller
+    in_y = np.frombuffer(parity, np.uint8) == y
+    cx, cy = np.flatnonzero(~in_y), np.flatnonzero(in_y)
+    col = np.empty(g.n, np.int64)
+    col[cy] = np.arange(len(cy))
+    col = col.tolist()
+    b = np.zeros((len(cx), len(cy)))
+    b.put([r * len(cy) + col[v]
+           for r, u in enumerate(cx.tolist()) for v in g.adj[u]], 1.0)
+    return cx, cy, b
+
+
 def _bipartite_perron(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The max-normalized Perron vector x of the connected bipartite graph
-    g, and Ax, with no n x n matrix: its colour classes are the DFS depth
-    parities of the Tarjan pass (`Graph._tarjan_pass`), X the smaller
-    (vertex 0's, parity 0, on a tie) and Y, and B = A[X, Y] is laid out
-    from the edge rows. rho^2 is the top eigenvalue of B B' with
+    g, and Ax, with no n x n matrix, from B = A[X, Y]
+    (`_bipartite_matrix`): rho^2 is the top eigenvalue of B B' with
     eigenvector x_X, x_Y = B' x_X / rho, and Ax = (B x_Y, B' x_X)."""
-    in_y = np.frombuffer(g._tarjan_pass[2], np.uint8).astype(bool)
-    if 2 * int(in_y.sum()) < g.n:
-        in_y = ~in_y
-    cx, cy = np.flatnonzero(~in_y), np.flatnonzero(in_y)
-    pos = np.empty(g.n, np.int64)
-    pos[cx], pos[cy] = np.arange(len(cx)), np.arange(len(cy))
-    u, v = edge_array(g).T
-    u_in_y = in_y[u]  # every edge has one end in each class
-    b = np.zeros((len(cx), len(cy)))
-    b[pos[np.where(u_in_y, v, u)], pos[np.where(u_in_y, u, v)]] = 1.0
+    cx, cy, b = _bipartite_matrix(g)
     w, vec = np.linalg.eigh(b @ b.T)
     x = np.empty(g.n)
     x[cx] = np.abs(vec[:, -1])

@@ -38,7 +38,7 @@ from spexplanar import (Graph, LinearForest, VerificationReport,
                         k2_join, spectral_radius, to_graph6, validate_cycle)
 from spexplanar.cycles import CycleSpectrum, hub_forest_cycle
 from spexplanar.families import extremal_forest, partitions
-from spexplanar.graphs import edge_array
+from spexplanar.graphs import Graph6Error, check_size, edge_array
 
 
 def dense_rho(g: Graph) -> float:
@@ -529,6 +529,94 @@ def rayleigh_quotient(g: Graph, x) -> float:
     edges = edge_array(g)
     terms = np.concatenate(([0.0], x[edges[:, 0]] * x[edges[:, 1]]))
     return 2.0 * float(np.cumsum(terms)[-1]) / denom
+
+
+def from_graph6_numpy(text: str) -> Graph:
+    """The graph6 decoder in numpy arrays, through `from_edges`: each set
+    bit k of the body unpacked and mapped to its column j by a search of
+    the triangular numbers. The same checks, messages and offsets as
+    `from_graph6`, in the same order."""
+    raw = text.strip()
+    if raw.startswith(">>graph6<<"):
+        raw = raw[len(">>graph6<<"):]
+    try:
+        data = raw.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"non-ASCII character {raw[exc.start]!r}",
+                          exc.start) from None
+    if not data:
+        raise Graph6Error("empty graph6 input", 0)
+    codes = np.frombuffer(data, np.uint8)
+    bad = np.flatnonzero((codes < 63) | (codes > 126))
+    if len(bad):
+        pos = int(bad[0])
+        raise Graph6Error(f"byte {data[pos]!r} outside graph6 range", pos)
+    if data[0] != 126:
+        n = data[0] - 63
+        body = 1
+    elif len(data) >= 2 and data[1] != 126:
+        if len(data) < 4:
+            raise Graph6Error("truncated long-form vertex count", len(data))
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = 4
+    else:
+        if len(data) < 8:
+            raise Graph6Error("truncated very-long-form vertex count", len(data))
+        n = 0
+        for b in data[2:8]:
+            n = (n << 6) | (b - 63)
+        body = 8
+    check_size(n, error=lambda msg: Graph6Error(msg, 0))
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(data) - body != need:
+        raise Graph6Error(
+            f"expected {need} body bytes for n={n}, got {len(data) - body}",
+            min(len(data), body + need))
+    groups = np.flatnonzero(codes[body:] != 63)
+    row, col = np.nonzero(np.unpackbits(codes[body + groups] - 63)
+                          .reshape(-1, 8)[:, 2:])
+    k = 6 * groups[row] + col
+    if len(k) and k[-1] >= nbits:
+        raise Graph6Error("nonzero padding bits", body + int(k[-1]) // 6)
+    j = np.searchsorted(np.arange(n + 1) * np.arange(-1, n) // 2, k,
+                        side="right") - 1
+    i = k - j * (j - 1) // 2
+    check_size(n, len(k), lambda msg: Graph6Error(msg, body))
+    return from_edges(n, zip(i.tolist(), j.tolist()))
+
+
+def decode_outcome(decode, text: str):
+    """`decode(text)`, or the message and offset of its Graph6Error."""
+    try:
+        return decode(text)
+    except Graph6Error as exc:
+        return str(exc), exc.offset
+
+
+def adjacency_from_edge_array(g: Graph) -> np.ndarray:
+    """The n x n adjacency matrix assigned from the rows of `edge_array`."""
+    u, v = edge_array(g).T
+    a = np.zeros((g.n, g.n))
+    a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def bipartite_matrix_from_edge_array(g: Graph):
+    """The colour classes X and Y of the connected bipartite graph g (X the
+    smaller, vertex 0's on a tie) and B = A[X, Y], laid out from the rows
+    of `edge_array` with the DFS depth parities as a boolean mask."""
+    in_y = np.frombuffer(g._tarjan_pass[2], np.uint8).astype(bool)
+    if 2 * int(in_y.sum()) < g.n:
+        in_y = ~in_y
+    cx, cy = np.flatnonzero(~in_y), np.flatnonzero(in_y)
+    pos = np.empty(g.n, np.int64)
+    pos[cx], pos[cy] = np.arange(len(cx)), np.arange(len(cy))
+    u, v = edge_array(g).T
+    u_in_y = in_y[u]  # every edge has one end in each class
+    b = np.zeros((len(cx), len(cy)))
+    b[pos[np.where(u_in_y, v, u)], pos[np.where(u_in_y, u, v)]] = 1.0
+    return cx, cy, b
 
 
 def join_cycle_certificate(forest, ell: int):

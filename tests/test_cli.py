@@ -165,6 +165,34 @@ def test_join_commands_run_with_numpy_unavailable(capsys, argv):
         assert code == 0 and out and not err
 
 
+GRID6_G6 = to_graph6(from_edges(36, [(v, w) for v in range(36)
+                                     for w in (v + 1, v + 6)
+                                     if w < 36 and (w == v + 6 or v % 6 < 5)]))
+JOIN_G6 = to_graph6(k2_join([150, 60, 47]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "IheA@GUAo"],
+    ["member", GRID6_G6, "--k", "0"],
+    ["rho", JOIN_G6],
+    ["build", JOIN_G6, "--out", "edges"],
+], ids=["spectrum petersen", "member grid6x6", "rho k2+[150,60,47]",
+        "build k2+[150,60,47] edges"])
+def test_graph6_commands_run_with_numpy_unavailable(capsys, argv):
+    # graph6 decodes into adjacency rows with no numpy, so these run on
+    # the pure-Python graph layers and the kernel: the same bytes as in
+    # this process, where numpy is loaded
+    code, out, err = run(capsys, *argv)
+    proc = fresh_python(WITHOUT_NUMPY, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert code == 0 and out and not err
+    if argv[0] == "spectrum":
+        assert [r["ell"] for r in json.loads(out)
+                if r["status"] == "present"] == [5, 6, 8, 9]
+    if argv[0] == "member":
+        assert out == '{"member":true,"witness":3}\n'
+
+
 def test_rho_complete_bipartite(capsys):
     # K2,18 is a hub join (hubs not adjacent, 18 singleton paths): the root
     # stage alone, whose enclosure holds the exact radius 6
@@ -214,6 +242,10 @@ def spex_capped(argv, stdin=None):
     (["rho", "extremal(100000000,0)", "--emit-vector"], None),
     (["rho", "-"], "1000000000\n0 1\n"),
     (["member", "-", "--k", "0"], "~~??C???\n"),  # graph6 header n = 2^20
+    # K1415: n + m = 1,001,820, counted from the body's set bits before
+    # any adjacency row is allocated
+    pytest.param(["member", "-", "--k", "0"], "~?UF" + "~" * 166734 + "_\n",
+                 id="member-K1415-graph6"),
 ])
 def test_inputs_above_the_size_ceiling_exit_two_at_once(argv, stdin):
     code, out, err, seconds = spex_capped(argv, stdin)

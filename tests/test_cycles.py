@@ -230,10 +230,10 @@ def test_in_gnk_after_cycle_spectrum_searches_nothing(monkeypatch):
     assert in_gnk(g, 0) == in_gnk(g, 2) == (False, None)
     assert find_cycle(g, 6) == list(spec.records[3].certificate)
     assert cycle_spectrum(g).records == spec.records
-    assert searches == [[3, 4, 5, 6], []]
+    assert searches == [[3, 4, 5, 6]]
     # an equal graph without the memo searches length by length
     assert in_gnk(from_edges(6, octahedron), 0) == (False, None)
-    assert searches[2:] == [[3], [4], [5], [6]]
+    assert searches[1:] == [[3], [4], [5], [6]]
 
 
 def test_budget_outcomes_are_not_memoized():

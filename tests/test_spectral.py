@@ -109,6 +109,40 @@ def test_bipartite_route_builds_no_adjacency_matrix(monkeypatch):
     assert np.max(np.abs(res.vector - want)) < 1e-8
 
 
+def test_a_and_b_are_the_edge_array_layouts():
+    # A and the bipartite route's B are filled from the adjacency rows:
+    # the same matrices as assigned from the rows of `edge_array`, so eigh
+    # returns the same values and every rho, residual and vector is
+    # unchanged. The graphs: random trees with chords at n = 12..24, paths
+    # and caterpillars relabelled at random (the long thin shapes of the
+    # benchmark's general-graphs workload), and P4000
+    rng = random.Random(35)
+    graphs = [oracles.random_connected(rng, rng.randint(12, 24),
+                                       rng.choice([0, 3, 6, 12]))
+              for _ in range(200)]
+    for i in range(6):
+        spine, d = 112 + i, (2, 4, 5)[i % 3]
+        legs = range(0, spine, d)
+        edges = [(v, v + 1) for v in range(spine - 1)]
+        edges += [(v, spine + j) for j, v in enumerate(legs)]
+        for n, es in ((146 + i, [(v, v + 1) for v in range(145 + i)]),
+                      (spine + len(legs), edges)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs.append(from_edges(n, [(perm[u], perm[v]) for u, v in es]))
+    graphs.append(path_graph(4000))
+    bipartite = 0
+    for g in graphs:
+        assert np.array_equal(adjacency_matrix(g),
+                              oracles.adjacency_from_edge_array(g))
+        if g.bipartite:
+            bipartite += 1
+            for got, want in zip(spectral._bipartite_matrix(g),
+                                 oracles.bipartite_matrix_from_edge_array(g)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert bipartite > 50
+
+
 def test_regular_graphs_are_answered_from_their_degree(monkeypatch):
     def refuse(*args):
         raise AssertionError("a regular graph built or decomposed a matrix")
