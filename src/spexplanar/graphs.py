@@ -16,7 +16,8 @@ left-right test (`planarity.lr_planar`, after U. Brandes, "The Left-Right
 Planarity Test", 2009) where a kernel needs it, with no third-party graph
 library. Only the array functions (`edge_array` and the graph6 encoder)
 use numpy, and each imports it where it runs, so the graph layer loads
-without it, and a graph6 string decodes straight into adjacency rows.
+without it, and a graph6 string or an edge list decodes straight into
+adjacency rows.
 """
 
 from __future__ import annotations
@@ -415,11 +416,16 @@ def from_graph6(text: str) -> Graph:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the "n\\nu v\\n..." format; blank lines and #-comments skipped."""
-    lines = [
-        ln.strip() for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    """Parse the "n\\nu v\\n..." format; blank lines and #-comments skipped.
+
+    Each line is stripped once and the edge fields are read by one `int`
+    map over the joined lines; only input that fails there is read line
+    by line, to name its first bad line. The edges go straight into
+    adjacency rows, which are then transposed: reading the rows in vertex
+    order appends each neighbour in increasing order, and a repeated edge
+    side by side, where it collapses. A bad line is reported first, then
+    the errors of `from_edges`, in its order."""
+    lines = [s for ln in text.splitlines() if (s := ln.strip()) and s[0] != "#"]
     if not lines:
         raise GraphConstructionError("empty edge-list input")
     try:
@@ -427,16 +433,41 @@ def parse_edge_list(text: str) -> Graph:
     except ValueError:
         raise GraphConstructionError(
             f"first line must be the vertex count, got {lines[0]!r}") from None
-    check_size(n, len(lines) - 1)
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        try:
-            u, v = map(int, parts)
-        except ValueError:  # not two fields, or one is not an integer
-            raise GraphConstructionError(f"bad edge line {ln!r}") from None
-        edges.append((u, v))
-    return from_edges(n, edges)
+    body = lines[1:]
+    check_size(n, len(body))
+    try:
+        ends = list(map(int, " ".join(body).split()))
+    except ValueError:
+        ends = []
+    # two fields a line: twice as many fields as lines, and none alone on
+    # a line (a stripped line with a space holds at least two)
+    if len(ends) != 2 * len(body) or not all(" " in ln for ln in body):
+        ends = []
+        for ln in body:
+            try:
+                u, v = map(int, ln.split())
+            except ValueError:  # not two fields, or one is not an integer
+                raise GraphConstructionError(f"bad edge line {ln!r}") from None
+            ends += (u, v)
+    if n < 0:
+        raise GraphConstructionError(f"vertex count must be >= 0, got {n}")
+    around: list[list[int]] = [[] for _ in range(n)]
+    it = iter(ends)
+    for u, v in zip(it, it):
+        if u == v:
+            raise GraphConstructionError(f"self-loop ({u}, {v}) not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphConstructionError(
+                f"edge ({u}, {v}) out of range for n={n}")
+        around[u].append(v)
+        around[v].append(u)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for v, ws in enumerate(around):
+        for w in ws:
+            row = rows[w]
+            if not row or row[-1] != v:
+                row.append(v)
+    return Graph(n, tuple(map(tuple, rows)))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -75,7 +75,7 @@ import numpy as np
 from .families import join_order, join_with_paths, recognize_hub_join
 from .graphs import Graph
 from .kernel import (SECULAR_ORDER, _Floats, _gate, _part_groups,
-                     _root_stage, _secular_root, join_radius)
+                     _root_stage, _secular_root, check_order, join_radius)
 
 SLICE_ROWS = 16384    # rows per batch solve: its temporaries stay in cache
 # Checked on n for every graph. A non-bipartite graph of order 5000 peaks
@@ -335,7 +335,8 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool
     other call is `hub_join_radii_arrays` of the forests' part array, so
     no graph is built from SECULAR_ORDER on. rho and the steps are those
     of `hub_join_spectrum`. Raises ConvergenceError once an enclosure
-    misses the gate (`_gate`).
+    misses the gate (`_gate`), and ValueError on a forest order above
+    `kernel.EXACT_ORDER`.
     """
     if len({sum(parts) for parts in forests}) > 1:
         raise ValueError("hub_join_radii needs forests of a single order")
@@ -346,6 +347,7 @@ def hub_join_radii(forests: Sequence[Sequence[int]], hub_edge: bool
             raise ValueError(f"path order must be >= 1, got {p}")
     if len(forests) == 1 and sum(forests[0]) + 2 >= SECULAR_ORDER:
         return [join_radius(forests[0], hub_edge)]
+    check_order(sum(forests[0]))
     return list(zip(*(x.tolist() for x in hub_join_radii_arrays(
         _parts_array(forests), hub_edge))))
 

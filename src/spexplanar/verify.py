@@ -127,6 +127,14 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_join_size(n: int, parts: int, hub_edge: bool) -> None:
+    """Refuse a check at order n, before anything is listed or solved, when
+    its join with `parts` paths (at most n - 2) lies above the size
+    ceiling, where its graph6 artifact could not be encoded
+    (`families.join_order`)."""
+    check_size(n, 3 * (n - 2) - min(parts, n - 2) + hub_edge)
+
+
 def _join_graph6(parts: Sequence[int], hub_edge: bool) -> str:
     """The graph6 of the hub join of `parts`, encoded from its edge rows
     (`families.join_edges`): every join artifact of a report is this
@@ -165,6 +173,7 @@ def verify_lemma1(n: int, a1: int, a2: int, l1: Sequence[int],
         raise ValueError(f"need n >= 4, got {n}")
     if not 0 <= a2 < a1:
         raise ValueError(f"need 0 <= a2 < a1, got a1={a1}, a2={a2}")
+    _check_join_size(n, a2 + 1, False)
     if a1 > _a_limit(n):
         raise ValueError(
             f"need a1 <= sqrt(2n-4)/4 = {_a_limit(n):.4f}, got a1={a1}")
@@ -204,6 +213,7 @@ def lemma1_sweep(n: int) -> list[VerificationReport]:
     """
     if n < 10:  # below 10, sqrt(2n-4)/4 < 1 admits no a1 >= 1
         raise ValueError(f"need n >= 10 for a family pair, got n={n}")
+    _check_join_size(n, 1, False)
     a_max = int(_a_limit(n))
     return list(_lemma1_pairs(n, [(a1, a2) for a1 in range(1, a_max + 1)
                                   for a2 in range(a1)]))
@@ -260,6 +270,7 @@ def _validate_merge(n: int, k: int, n1: int, n2: int,
     """Shared precondition checks; returns outside_hypothesis."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    _check_join_size(n, 2 + len(l_parts), True)
     if not n1 >= n2 >= k + 2:
         raise ValueError(f"need n1 >= n2 >= k+2 = {k + 2}, "
                          f"got n1={n1}, n2={n2}")
@@ -524,10 +535,12 @@ def lemma2_sweep(n: int, k: int, force: bool = False
     forms over the pre-merge join's batch row, which is its scalar root
     and enclosure bit for bit. Each join is encoded once. Returns the
     lemma2 and claim33 reports interleaved per split.
-    An n with no split, a negative k, or an n below the order threshold
-    without `force` is refused before anything is solved: the first
-    split's checks stand for all of them.
+    An n above the size ceiling is refused before any split is listed, and
+    an n with no split, a negative k, or an n below the order threshold
+    without `force` before anything is solved: the first split's checks
+    stand for all of them.
     """
+    _check_join_size(n, 2, True)
     if n - 2 < 2 * (k + 2):
         raise ValueError(f"no split n1 >= n2 >= k+2 = {k + 2} of "
                          f"n-2 = {n - 2}")
@@ -566,6 +579,7 @@ def verify_entry_bounds(n: int, parts: Sequence[int]) -> VerificationReport:
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
+    _check_join_size(n, len(parts), False)
     lf = LinearForest(tuple(parts))
     if lf.order != n - 2:
         raise ValueError(f"forest order {lf.order} != n-2 = {n - 2}")
@@ -657,7 +671,7 @@ def _count_candidates(n: int, max_parts: int) -> int:
     O(n) per part count and no more part counts than the ceiling takes.
     Every candidate join has n vertices and at least 3(n-2) - max_parts + 1
     edges, so an n above `graphs.MAX_SIZE` is refused first, by its size."""
-    check_size(n, 3 * (n - 2) - min(max_parts, n - 2) + 1)
+    _check_join_size(n, max_parts, True)
     total = 0
     for size in islice(part_counts(n - 2), max_parts):
         total += size

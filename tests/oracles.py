@@ -38,7 +38,8 @@ from spexplanar import (Graph, LinearForest, VerificationReport,
                         k2_join, spectral_radius, to_graph6, validate_cycle)
 from spexplanar.cycles import CycleSpectrum, hub_forest_cycle
 from spexplanar.families import extremal_forest, partitions
-from spexplanar.graphs import Graph6Error, check_size, edge_array
+from spexplanar.graphs import (Graph6Error, GraphConstructionError,
+                               check_size, edge_array)
 
 
 def dense_rho(g: Graph) -> float:
@@ -584,6 +585,31 @@ def from_graph6_numpy(text: str) -> Graph:
     i = k - j * (j - 1) // 2
     check_size(n, len(k), lambda msg: Graph6Error(msg, body))
     return from_edges(n, zip(i.tolist(), j.tolist()))
+
+
+def parse_edge_list_per_line(text: str) -> Graph:
+    """The edge-list parser line by line, through `from_edges`: each line
+    stripped and split on its own, the edges collected and handed over
+    whole. The same checks and messages as `parse_edge_list`, in the same
+    order."""
+    lines = [ln.strip() for ln in text.splitlines()
+             if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise GraphConstructionError("empty edge-list input")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise GraphConstructionError(
+            f"first line must be the vertex count, got {lines[0]!r}") from None
+    check_size(n, len(lines) - 1)
+    edges = []
+    for ln in lines[1:]:
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise GraphConstructionError(f"bad edge line {ln!r}") from None
+        edges.append((u, v))
+    return from_edges(n, edges)
 
 
 def decode_outcome(decode, text: str):

@@ -214,6 +214,9 @@ def test_rho_of_a_non_join_reports_its_residual(capsys):
     assert "rho_lo" not in blob
 
 
+BIG = 10 ** 400  # no float holds it
+
+
 def spex_capped(argv, stdin=None):
     """`spex argv` in a fresh interpreter whose address space is capped at
     4 GB, so that a missing size ceiling fails the test, not the machine.
@@ -246,11 +249,42 @@ def spex_capped(argv, stdin=None):
     # any adjacency row is allocated
     pytest.param(["member", "-", "--k", "0"], "~?UF" + "~" * 166734 + "_\n",
                  id="member-K1415-graph6"),
+    # a check's join is sized before anything is listed or solved: at
+    # n = 10^400 its float overflowed, and at 10^30 every lemma2 split was
+    # listed first
+    *(pytest.param(["verify", *argv], None, id=f"verify-{argv[0]}-{label}")
+      for label, argv in [
+          ("1e400", ["entry-bounds", "--n", str(BIG), "--parts",
+                     str(BIG - 2)]),
+          ("1e400", ["claim33", "--n", str(BIG), "--n1", str(BIG // 2 - 1),
+                     "--n2", str(BIG // 2 - 1)]),
+          ("1e400", ["lemma2", "--n", str(BIG), "--n1", str(BIG // 2 - 1),
+                     "--n2", str(BIG // 2 - 1)]),
+          ("1e400", ["lemma1", "--n", str(BIG)]),
+          ("1e400-pair", ["lemma1", "--n", str(BIG), "--a1", "2", "--a2",
+                          "1", "--l1", f"{BIG - 4},1,1", "--l2",
+                          f"{BIG - 3},1"]),
+          ("1e30", ["lemma2", "--n", str(10 ** 30)])]),
 ])
 def test_inputs_above_the_size_ceiling_exit_two_at_once(argv, stdin):
     code, out, err, seconds = spex_capped(argv, stdin)
     assert (code, out) == (2, ""), err
     assert len(err) == 1 and "exceeds the size ceiling" in err[0], err
+    assert seconds < 0.5
+
+
+@pytest.mark.parametrize("join", ["k2+[" + "1" * 400 + "]",
+                                  f"extremal({BIG},0)",
+                                  f"k2+[{2 ** 53 - 1},2]"],
+                         ids=["k2-400-digits", "extremal-1e400",
+                              "k2-2^53-plus-1"])
+def test_rho_of_a_join_above_exact_floats_exits_two(join):
+    # the root stage reads the forest order as an exact float
+    code, out, err, seconds = spex_capped(["rho", join])
+    assert (code, out) == (2, ""), err
+    assert err == ["error: a hub join's forest order must be at most "
+                   "2**53 = 9007199254740992, where floats hold it "
+                   "exactly"]
     assert seconds < 0.5
 
 

@@ -281,11 +281,37 @@ def test_edge_list_parser_fuzz(text):
         assume(int(header[0]) <= 64)
     except (IndexError, ValueError):  # no header, or not a number
         pass
+    # the same Graph, or the same message, as the per-line parser
+    assert edge_list_outcome(parse_edge_list, text) == edge_list_outcome(
+        oracles.parse_edge_list_per_line, text)
+
+
+def edge_list_outcome(parse, text):
     try:
-        g = parse_edge_list(text)
-    except GraphConstructionError:
-        return
-    assert isinstance(g, Graph)
+        return parse(text)
+    except GraphConstructionError as exc:
+        return str(exc)
+
+
+def test_edge_list_collapses_repeated_edges():
+    # in either direction, and with the rows sorted whatever the line order
+    g = parse_edge_list("4\n2 3\n1 2\n0 1\n2 1\n1 0\n0 1\n3 2\n")
+    assert g == path_graph(4)
+    assert g.adj == ((1,), (0, 2), (1, 3), (2,))
+
+
+def test_edge_list_errors_come_in_the_order_of_the_lines():
+    # a bad line anywhere comes before an edge error on an earlier line;
+    # a tab-separated line takes the per-line route to the same graph
+    with pytest.raises(GraphConstructionError, match=r"bad edge line '0 1 2'"):
+        parse_edge_list("3\n1 1\n0 1 2\n5\n")
+    with pytest.raises(GraphConstructionError, match=r"self-loop \(1, 1\)"):
+        parse_edge_list("3\n0 1\n1 1\n0 9\n")
+    with pytest.raises(GraphConstructionError, match=r"edge \(0, 9\) out"):
+        parse_edge_list("3\n0 9\n1 1\n")
+    with pytest.raises(GraphConstructionError, match="vertex count must"):
+        parse_edge_list("-1\n0 1\n")
+    assert parse_edge_list("3\n0\t1\n1  2\n") == path_graph(3)
 
 
 def test_edge_list_errors():

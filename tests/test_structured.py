@@ -271,13 +271,13 @@ def test_secular_roots_keep_their_bits(capsys):
     # step's floating-point operations shows here. One Newton driver runs
     # a single join in Python floats and a batch of two rows in numpy
     # arrays.
-    assert rho_cli(capsys, "k2+[150,60,47]")[::3] == (24.165636165113284, 5)
-    assert rho_cli(capsys, "extremal(2051,3)")[::3] == (65.51612262518913, 4)
+    assert rho_cli(capsys, "k2+[150,60,47]")[::3] == (24.165636165113284, 3)
+    assert rho_cli(capsys, "extremal(2051,3)")[::3] == (65.51612262518911, 3)
     for rows in (1, 2):
         assert hub_join_radii([[1] * 2000] * rows, False)[0][::3] == (
             63.24555320336759, 1)
         assert hub_join_radii([[3, 2, 1] * 333] * rows, True)[0][::3] == (
-            64.21651837311305, 4)
+            64.21651837311305, 3)
     assert spectral_radius(join_with_paths([9, 4, 2], False)).rho == \
         float.fromhex("0x1.96f3bb4f840b7p+2")
 
@@ -502,6 +502,43 @@ def test_enclosures_hold_the_200_bit_root():
             root = oracles.mp_secular_root(parts, hub_edge, rho)
             assert lo < root < hi, (parts, hub_edge)
             assert hi - lo <= TOL * rho
+
+
+def test_the_quotient_start_lies_below_the_root(monkeypatch):
+    # Newton starts at the top eigenvalue of the hub/forest quotient
+    # matrix: at least the all-singleton root, at most rho by interlacing
+    # (a float start may round a few ulps past it), and rho itself on the
+    # equitable forests, all parts 1 or all parts 2. With no Newton step
+    # allowed, the driver returns its start
+    monkeypatch.setattr(kernel, "NEWTON_CAP", 0)
+    rng = random.Random(20261024)
+    equitable = [[1] * 5, [1] * 2000, [2] * 3, [2] * 1000]
+    for parts in [*seeded_forests(rng, 12), [4087, 5, 5], *equitable]:
+        order = sum(parts)
+        for hub_edge in (True, False):
+            e = float(hub_edge)
+            start, steps = kernel._secular_root(
+                kernel._part_groups(parts), e, kernel._Floats)
+            assert steps == 0
+            assert start >= (e + math.sqrt(e * e + 8.0 * order)) / 2.0
+            root = oracles.mp_secular_root(parts, hub_edge, start)
+            assert start - root <= 4 * math.ulp(start), (parts, hub_edge)
+            if parts in equitable:
+                assert abs(start - root) <= 2 * math.ulp(start), parts
+
+
+def test_hub_joins_take_three_newton_steps():
+    # from the quotient start every argmax candidate at n = 259, 1027 and
+    # 2051 takes 3 steps, and no seeded join more than 5
+    for n, k in ((259, 0), (1027, 2), (2051, 3)):
+        assert set(argmax_sweep(n, k).steps.tolist()) == {3}, n
+    rng = random.Random(20261025)
+    steps = [kernel.join_radius(parts, hub_edge)[3]
+             for parts in seeded_forests(rng, 400)
+             for hub_edge in (True, False)]
+    assert max(steps) <= 5
+    for parts in ([1] * 2000, [2] * 1000):  # the start is the root
+        assert kernel.join_radius(parts, True)[3] == 1
 
 
 def test_the_n2051_argmax_is_proven_by_disjoint_enclosures():

@@ -133,12 +133,13 @@ def test_lemma1_sweep_certifies_every_family_pair():
 
 # the 198 pair reports at these orders are checked against the enumeration
 LEMMA1_ORDERS = [*range(10, 81), 100, 120]
-# the 12 of them, as (n, a1, a2), where the enumeration's float minimum over
+# the 14 of them, as (n, a1, a2), where the enumeration's float minimum over
 # L_{n,a2} is not the most balanced forest B_a2 but another forest, whose
-# float rho lies 1-2 ulps below B_a2's
-FLOAT_TIES = [(68, 2, 1), (69, 2, 1), (70, 2, 1), (75, 3, 2), (76, 3, 2),
-              (77, 2, 1), (77, 3, 1), (77, 3, 2), (100, 3, 2), (120, 2, 1),
-              (120, 3, 1), (120, 3, 2)]
+# float rho lies 1 ulp below B_a2's; the list is what
+# test_lemma1_pairs_match_the_enumeration finds, not picked by hand
+FLOAT_TIES = [(41, 2, 1), (51, 2, 1), (57, 2, 1), (59, 2, 1), (61, 2, 1),
+              (68, 2, 1), (74, 3, 2), (76, 3, 2), (78, 2, 1), (78, 3, 1),
+              (80, 2, 1), (80, 3, 1), (120, 2, 1), (120, 3, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +192,8 @@ def test_lemma1_pairs_match_the_enumeration(lemma1_families):
 
 def test_balanced_forests_lie_below_their_float_ties():
     # the true order of each tie in FLOAT_TIES: B_a2's root lies below the
-    # enumeration's pick by 4.5e-27 down to 1.1e-70 (at n = 120), which
-    # 200 bits cannot resolve
+    # enumeration's pick by 3.0e-17 (at n = 80) down to 2.1e-63 (at
+    # n = 120), which 200 bits cannot resolve
     for n, _, a2 in FLOAT_TIES:
         fam = oracles.lna_radii(n, a2)
         rho, pick, _, _ = min(fam)
