@@ -10,11 +10,11 @@ vertex of the j-th path" get stable indices:
     next block         second path, and so on
 
 `k2_join` uses the canonical (non-increasing) part order; `join_with_paths`
-takes the block order given. Both build from `join_edges`, the one
-definition of the layout, whose sorted edge rows the verifier encodes as
-graph6 without building a Graph. `join_edges` and `partitions`, the two
-array builders, import numpy where they run, so this module loads
-without it.
+takes the block order given. Both, and `build_linear_forest`, write the
+adjacency rows of the layout directly (`_forest_rows`); the verifier
+encodes a join's graph6 from its part list with no Graph built
+(`verify._join_graph6`). Only `partitions`, the one array builder, uses
+numpy, and imports it where it runs, so this module loads without it.
 """
 
 from __future__ import annotations
@@ -74,30 +74,28 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 def build_linear_forest(parts: Sequence[int]) -> Graph:
-    """Disjoint union of paths, blocks in non-increasing part order. It is
-    cut from its join's rows, so it takes its join's size ceiling."""
+    """Disjoint union of paths, blocks in non-increasing part order."""
     lf = LinearForest(tuple(parts))
-    # the join layout's path rows (after its 2m hub rows), relabeled from 0
-    paths = join_edges(lf.parts, False)[2 * lf.order:] - 2
-    return from_edges(lf.order, zip(*paths.T.tolist()))
+    join_order(lf.parts, False)  # its join's size ceiling
+    return Graph(lf.order, tuple(_forest_rows(lf.parts, ())))
 
 
-def join_edges(parts: Sequence[int], hub_edge: bool) -> np.ndarray:
-    """The edges (u, v), u < v, of the join of two hubs with path blocks
-    laid out in the order given (block j starts at 2 + sum(parts[:j])), as
-    the rows of an int64 array in sorted order: hub 0's rows, hub 1's, then
-    each path vertex's edge to the next one in its block.
-    """
-    import numpy as np
-    m = join_order(parts, hub_edge)
-    forest = np.arange(2, m + 2)
-    last = np.zeros(m, bool)
-    last[np.cumsum(parts, dtype=np.int64) - 1] = True
-    tails = forest[~last]
-    u = np.concatenate((np.zeros(m + hub_edge, np.int64),
-                        np.ones(m, np.int64), tails))
-    v = np.concatenate((np.arange(2 - hub_edge, m + 2), forest, tails + 1))
-    return np.stack((u, v), axis=1)
+def _forest_rows(parts: Sequence[int], hubs: tuple[int, ...]
+                 ) -> list[tuple[int, ...]]:
+    """The adjacency rows of a linear forest's vertices, its path blocks
+    laid out in the order given and labelled from len(hubs): each row is
+    `hubs`, then the vertex's neighbours in its path, in order."""
+    rows = []
+    v = len(hubs)
+    for p in parts:
+        if p == 1:
+            rows.append(hubs)
+        else:
+            rows.append((*hubs, v + 1))
+            rows += [(*hubs, w - 1, w + 1) for w in range(v + 1, v + p - 1)]
+            rows.append((*hubs, v + p - 2))
+        v += p
+    return rows
 
 
 def join_order(parts: Sequence[int], hub_edge: bool) -> int:
@@ -115,10 +113,12 @@ def join_with_paths(parts: Sequence[int], dominating_edge: bool = True) -> Graph
     """Two hubs joined to path blocks laid out in the order given.
 
     This is the raw builder: `parts` is taken as the block layout, not
-    sorted; the layout is `join_edges`.
+    sorted. Block j starts at vertex 2 + sum(parts[:j]).
     """
-    edges = join_edges(parts, dominating_edge)
-    return from_edges(int(sum(parts)) + 2, zip(*edges.T.tolist()))
+    m = join_order(parts, dominating_edge)
+    forest = tuple(range(2, m + 2))
+    hubs = ((1, *forest), (0, *forest)) if dominating_edge else (forest,) * 2
+    return Graph(m + 2, (*hubs, *_forest_rows(parts, (0, 1))))
 
 
 def k2_join(forest: LinearForest | Sequence[int],

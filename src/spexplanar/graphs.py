@@ -14,10 +14,10 @@ the cycle lengths settled so far are kept.
 Planarity is decided here on each block's kernel, by the package's own
 left-right test (`planarity.lr_planar`, after U. Brandes, "The Left-Right
 Planarity Test", 2009) where a kernel needs it, with no third-party graph
-library. Only the array functions (`edge_array` and the graph6 encoder)
-use numpy, and each imports it where it runs, so the graph layer loads
-without it, and a graph6 string or an edge list decodes straight into
-adjacency rows.
+library. The layer uses no numpy: a graph6 string or an edge list
+decodes straight into adjacency rows, and one graph6 packer
+(`pack_graph6`) writes every graph6 string, from a Graph's rows
+(`to_graph6`) or from a hub join's part list (`verify._join_graph6`).
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, Iterator
 
 
 class GraphConstructionError(ValueError):
@@ -305,46 +302,46 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 # edge (i, j), i < j, is bit k = j(j-1)/2 + i: bit 5 - k % 6 of group k // 6.
 
 _G6_MAX_N = (1 << 36) - 1
+# the bytes 63..126 of graph6, a 6-bit group g as its byte g + 63 and a
+# body byte c as its group c - 63, and the positions t of a group's set
+# bits, bit k = 6p + t of group p
+_G6_ALPHABET = bytes(range(63, 127))
+_G6_CHAR = bytes((g + 63) % 256 for g in range(256))
+_G6_VALUE = bytes((c - 63) % 256 for c in range(256))
+_G6_BITS = [tuple(t for t in range(6) if c >> 5 - t & 1) for c in range(64)]
 
 
-def edge_array(g: Graph) -> np.ndarray:
-    """g's edges (u, v), u < v, as the rows of an int64 array, in the
-    sorted order of `Graph.edges`. Built per call, for the graph6
-    encoder."""
-    import numpy as np
-    rows = np.repeat(np.arange(g.n), np.fromiter(map(len, g.adj), np.int64, g.n))
-    nbrs = np.fromiter(chain.from_iterable(g.adj), np.int64, len(rows))
-    upper = rows < nbrs
-    return np.stack((rows[upper], nbrs[upper]), axis=1)
-
-
-def to_graph6(g: Graph) -> str:
-    return graph6_from_edges(g.n, edge_array(g))
-
-
-def graph6_from_edges(n: int, edges: np.ndarray) -> str:
-    """The graph6 string of the graph on {0..n-1} whose edges are the rows
-    (u, v), u < v, of the int64 array `edges`, in any row order."""
-    import numpy as np
+def graph6_header(n: int) -> bytes:
+    """graph6's vertex count N(n): 1, 4 or 8 bytes."""
     if n > _G6_MAX_N:
         raise GraphConstructionError(f"graph6 cannot encode n={n}")
     if n <= 62:
-        head = [n + 63]
-    elif n <= 258047:
-        head = [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
-    else:
-        head = [126, 126] + [63 + ((n >> s) & 63) for s in (30, 24, 18, 12, 6, 0)]
-    k = edges[:, 1] * (edges[:, 1] - 1) // 2 + edges[:, 0]
-    body = np.zeros((n * (n - 1) // 2 + 5) // 6, np.uint8)
-    np.bitwise_or.at(body, k // 6, (32 >> k % 6).astype(np.uint8))
-    return (bytes(head) + (body + 63).tobytes()).decode("ascii")
+        return bytes((n + 63,))
+    if n <= 258047:
+        return bytes((126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)))
+    return bytes([126, 126] + [63 + ((n >> s) & 63) for s in (30, 24, 18, 12, 6, 0)])
 
 
-# the bytes 63..126 of graph6, a body byte c as its 6-bit group c - 63,
-# and the positions t of a group's set bits, bit k = 6p + t of group p
-_G6_ALPHABET = bytes(range(63, 127))
-_G6_VALUE = bytes((c - 63) % 256 for c in range(256))
-_G6_BITS = [tuple(t for t in range(6) if c >> 5 - t & 1) for c in range(64)]
+def pack_graph6(n: int, groups: bytearray) -> bytes:
+    """The graph6 bytes of the graph on {0..n-1} whose upper-triangle
+    bits are `groups`, one 6-bit group (0..63) per byte: the header N(n),
+    then the groups moved into 63..126 by one `bytes.translate`."""
+    return graph6_header(n) + groups.translate(_G6_CHAR)
+
+
+def to_graph6(g: Graph) -> str:
+    """g's graph6 string: each edge (i, j), i < j, read from row j, whose
+    sorted neighbours below j come first, sets its bit in the groups."""
+    groups = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
+    t = 0  # j(j-1)/2
+    for j, row in enumerate(g.adj):
+        for i in row:
+            if i >= j:
+                break
+            k = t + i
+            groups[k // 6] |= 32 >> k % 6
+        t += j
+    return pack_graph6(g.n, groups).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:

@@ -60,9 +60,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .families import (LinearForest, join_edges, lna_sizes, part_counts,
-                       partitions)
-from .graphs import MAX_CANDIDATES, check_size, graph6_from_edges
+from .families import LinearForest, lna_sizes, part_counts, partitions
+from .graphs import MAX_CANDIDATES, check_size, graph6_header, pack_graph6
 from .kernel import _closed_forms, _forms_toward, enclosure_verdict
 from .spectral import hub_join_radii, hub_join_radii_arrays
 
@@ -135,11 +134,51 @@ def _check_join_size(n: int, parts: int, hub_edge: bool) -> None:
     check_size(n, 3 * (n - 2) - min(parts, n - 2) + hub_edge)
 
 
+# (N, graph6 body) of K2 v P_{N-2} without the hub edge, for the largest
+# order N encoded so far (`_join_graph6`)
+_template: tuple[int, bytes] = (0, b"")
+
+
 def _join_graph6(parts: Sequence[int], hub_edge: bool) -> str:
-    """The graph6 of the hub join of `parts`, encoded from its edge rows
-    (`families.join_edges`): every join artifact of a report is this
-    string, and no graph is built."""
-    return graph6_from_edges(sum(parts) + 2, join_edges(parts, hub_edge))
+    """The graph6 of the hub join of `parts`, in the block layout given
+    (`families.join_with_paths`), written from the part list with no
+    graph built: every join artifact of a report is this string.
+
+    It is K2 v P_{n-2} with the hub edge's bit 0 set when present and,
+    at each block start b but the first, the path edge (b - 1, b)'s bit
+    T(b) + b - 1 cleared, T(b) = b(b-1)/2. graph6 lists the triangle
+    column by column, so that body is the first T(n) bits of the
+    template's (`_template`), padding cleared. The bits are edited in its
+    bytes, group g as the byte g + 63: a clear bit is added, a set one
+    subtracted. A larger order writes a new template, column j holding
+    the hub bits T(j), T(j) + 1 and the path bit T(j) + j - 1."""
+    global _template
+    n = sum(parts) + 2
+    top, body = _template  # one read: a call sees one template throughout
+    if n > top:
+        groups = bytearray((n * (n - 1) // 2 + 5) // 6)
+        t = 1  # T(j)
+        for j in range(2, n):  # at j = 2 the path bit is the second hub bit
+            groups[t // 6] |= 32 >> t % 6
+            groups[(t + 1) // 6] |= 32 >> (t + 1) % 6
+            groups[(t + j - 1) // 6] |= 32 >> (t + j - 1) % 6
+            t += j
+        body = pack_graph6(n, groups)[-len(groups):]
+        _template = n, body
+    bits = n * (n - 1) // 2
+    size = (bits + 5) // 6
+    out = bytearray(graph6_header(n))
+    head = len(out)
+    out += memoryview(body)[:size]
+    pad = 6 * size - bits
+    out[-1] = 63 + ((out[-1] - 63) >> pad << pad)
+    out[head] += 32 * hub_edge
+    b = 2
+    for p in parts[:-1]:
+        b += p
+        k = b * (b + 1) // 2 - 1  # T(b) + b - 1
+        out[head + k // 6] -= 32 >> k % 6
+    return out.decode("ascii")
 
 
 # --- lemma1: family ordering under the part count ---------------------------
@@ -255,12 +294,15 @@ def merge_threshold(k: int) -> int:
 
 
 def _outside_hypothesis(n: int, k: int, force: bool) -> bool:
-    """True below the order threshold 2^(k+8)+3, where only `force` runs."""
-    if n >= merge_threshold(k):
+    """True below the order threshold 2^(k+8)+3, where only `force` runs.
+    n is compared by its bit length first, so a k far above n builds no
+    2^(k+8), and the message shows the threshold only below 2^64."""
+    if n.bit_length() > k + 8 and n >= merge_threshold(k):
         return False
     if not force:
+        value = f" = {merge_threshold(k)}" if k < 56 else ""
         raise ValueError(
-            f"need n >= 2^(k+8)+3 = {merge_threshold(k)}, got n={n} "
+            f"need n >= 2^(k+8)+3{value}, got n={n} "
             f"(pass force=True to explore outside the hypothesis)")
     return True
 
@@ -736,6 +778,9 @@ def argmax_sweep(n: int, k: int, max_parts: int = 3,
         raise ValueError(f"max_parts must be >= 3, got {max_parts}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    if k > n - 4:  # a forest's two largest parts sum to at least 1
+        raise ValueError(f"no admissible forests for n={n}: need "
+                         f"k <= n-4 = {n - 4}")
     outside = _outside_hypothesis(n, k, force)
     count = _count_candidates(n, max_parts)
     if count > MAX_CANDIDATES:

@@ -38,8 +38,7 @@ from spexplanar import (Graph, LinearForest, VerificationReport,
                         k2_join, spectral_radius, to_graph6, validate_cycle)
 from spexplanar.cycles import CycleSpectrum, hub_forest_cycle
 from spexplanar.families import extremal_forest, partitions
-from spexplanar.graphs import (Graph6Error, GraphConstructionError,
-                               check_size, edge_array)
+from spexplanar.graphs import Graph6Error, GraphConstructionError, check_size
 
 
 def dense_rho(g: Graph) -> float:
@@ -85,6 +84,48 @@ def join_nx(parts, hub_edge: bool) -> nx.Graph:
     hubs = nx.complete_graph(2) if hub_edge else nx.empty_graph(2)
     forest = nx.disjoint_union_all([nx.path_graph(p) for p in parts])
     return nx.full_join(hubs, forest, rename=("h", "f"))
+
+
+def join_edges(parts, hub_edge: bool) -> np.ndarray:
+    """The edges (u, v), u < v, of the join of two hubs with path blocks
+    laid out in the order given (block j starts at 2 + sum(parts[:j])), as
+    the rows of an int64 array in sorted order: hub 0's rows, hub 1's, then
+    each path vertex's edge to the next one in its block."""
+    m = int(sum(parts))
+    forest = np.arange(2, m + 2)
+    last = np.zeros(m, bool)
+    last[np.cumsum(parts, dtype=np.int64) - 1] = True
+    tails = forest[~last]
+    u = np.concatenate((np.zeros(m + hub_edge, np.int64),
+                        np.ones(m, np.int64), tails))
+    v = np.concatenate((np.arange(2 - hub_edge, m + 2), forest, tails + 1))
+    return np.stack((u, v), axis=1)
+
+
+def edge_array(g: Graph) -> np.ndarray:
+    """g's edges (u, v), u < v, as the rows of an int64 array, in the
+    sorted order of `Graph.edges`."""
+    rows = np.repeat(np.arange(g.n), np.fromiter(map(len, g.adj), np.int64, g.n))
+    nbrs = np.fromiter((v for row in g.adj for v in row), np.int64, len(rows))
+    upper = rows < nbrs
+    return np.stack((rows[upper], nbrs[upper]), axis=1)
+
+
+def graph6_from_edges(n: int, edges: np.ndarray) -> str:
+    """The graph6 string of the graph on {0..n-1} whose edges are the rows
+    (u, v), u < v, of the int64 array `edges`, in any row order: each
+    edge's bit k = v(v-1)/2 + u set in numpy, in a second route to the
+    package's packer."""
+    if n <= 62:
+        head = [n + 63]
+    elif n <= 258047:
+        head = [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
+    else:
+        head = [126, 126] + [63 + ((n >> s) & 63) for s in (30, 24, 18, 12, 6, 0)]
+    k = edges[:, 1] * (edges[:, 1] - 1) // 2 + edges[:, 0]
+    body = np.zeros((n * (n - 1) // 2 + 5) // 6, np.uint8)
+    np.bitwise_or.at(body, k // 6, (32 >> k % 6).astype(np.uint8))
+    return (bytes(head) + (body + 63).tobytes()).decode("ascii")
 
 
 def cycle_lengths(g: Graph) -> set[int]:

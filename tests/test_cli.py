@@ -151,6 +151,10 @@ WITHOUT_NUMPY = ("import sys\n"
     ["rho", "extremal(2051,3)"],
     ["member", "k2+[150,60,47]", "--k", "0"],
     ["member", "k2+[150,60,47]"],  # no --k: a usage error
+    # a join's rows are written in Python, and its graph6 packed in Python
+    ["build", "k2+[150,60,47]"],
+    ["build", "k2+[150,60,47]", "--out", "edges"],
+    ["spectrum", "k2+[6,6,2]"],
 ], ids=lambda argv: " ".join(argv))
 def test_join_commands_run_with_numpy_unavailable(capsys, argv):
     # the parser, the exit-code mapping and rho and member on a join
@@ -176,8 +180,9 @@ JOIN_G6 = to_graph6(k2_join([150, 60, 47]))
     ["member", GRID6_G6, "--k", "0"],
     ["rho", JOIN_G6],
     ["build", JOIN_G6, "--out", "edges"],
+    ["build", GRID6_G6],
 ], ids=["spectrum petersen", "member grid6x6", "rho k2+[150,60,47]",
-        "build k2+[150,60,47] edges"])
+        "build k2+[150,60,47] edges", "build grid6x6"])
 def test_graph6_commands_run_with_numpy_unavailable(capsys, argv):
     # graph6 decodes into adjacency rows with no numpy, so these run on
     # the pure-Python graph layers and the kernel: the same bytes as in
@@ -265,11 +270,18 @@ def spex_capped(argv, stdin=None):
                           "1", "--l1", f"{BIG - 4},1,1", "--l2",
                           f"{BIG - 3},1"]),
           ("1e30", ["lemma2", "--n", str(10 ** 30)])]),
+    # an argmax k that admits no forest is refused before 2^(k+8) is
+    # built: at 10^400 that overflowed, at 10^7 it took a 10^7-bit integer
+    *(pytest.param(["sweep", "argmax", "--n", "300", "--k", str(k)], None,
+                   id=f"sweep-argmax-k-{label}")
+      for label, k in [("1e400", BIG), ("1e7", 10 ** 7)]),
 ])
 def test_inputs_above_the_size_ceiling_exit_two_at_once(argv, stdin):
     code, out, err, seconds = spex_capped(argv, stdin)
     assert (code, out) == (2, ""), err
-    assert len(err) == 1 and "exceeds the size ceiling" in err[0], err
+    says = ("no admissible forests for n=300: need k <= n-4 = 296"
+            if argv[0] == "sweep" else "exceeds the size ceiling")
+    assert len(err) == 1 and says in err[0], err
     assert seconds < 0.5
 
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from spexplanar import (LinearForest, build_linear_forest, complete_bipartite,
-                        is_planar, join_with_paths, k2_join, path_graph)
-from spexplanar.families import join_edges, lna_sizes, partitions
-from spexplanar.graphs import graph6_from_edges
+                        from_edges, is_planar, join_with_paths, k2_join,
+                        path_graph)
+from spexplanar.families import lna_sizes, partitions
 
 import oracles
 from oracles import enumerate_lna, extremal_graph
@@ -51,11 +51,13 @@ def test_join_with_paths_rejects_empty_part():
     with pytest.raises(ValueError, match=">= 1"):
         join_with_paths([3, 0])
     with pytest.raises(ValueError, match=">= 1"):
-        join_edges([2, -1, 4], hub_edge=False)
+        join_with_paths([2, -1, 4], False)
 
 
 def test_join_edges_and_graph6_match_a_networkx_join():
-    # unsorted part lists, on both sides of graph6's 62/63 header switch
+    # unsorted part lists, on both sides of graph6's 62/63 header switch;
+    # the package's joins and forests, written as rows in Python, are the
+    # graphs of the oracle's numpy edge rows
     rng = random.Random(2405)
     orders = [3, 4, 9, 61, 62, 63, 64, 65, 128, 259, 300]
     orders += [rng.randint(3, 300) for _ in range(6)]
@@ -69,12 +71,18 @@ def test_join_edges_and_graph6_match_a_networkx_join():
         n = sum(p) + 2
         for hub_edge in (True, False):
             h = oracles.join_nx(p, hub_edge)
-            rows = join_edges(p, hub_edge)
+            rows = oracles.join_edges(p, hub_edge)
             ref = nx.convert_node_labels_to_integers(h)
             assert rows.dtype == np.int64
             assert rows.tolist() == sorted(sorted(e) for e in ref.edges())
-            assert graph6_from_edges(n, rows) == nx.to_graph6_bytes(
+            assert oracles.graph6_from_edges(n, rows) == nx.to_graph6_bytes(
                 h, header=False).decode().strip(), (p, hub_edge)
+            assert join_with_paths(p, hub_edge) == from_edges(
+                n, rows.tolist()), (p, hub_edge)
+        # the forest is the join's path rows, relabelled from 0
+        lf = LinearForest(tuple(p))
+        paths = oracles.join_edges(lf.parts, False)[2 * lf.order:] - 2
+        assert build_linear_forest(p) == from_edges(lf.order, paths.tolist())
 
 
 def test_k2_join_matches_generic_join():

@@ -413,15 +413,15 @@ def test_lemma2_encloses_its_two_joins_in_one_batch(monkeypatch):
 def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
     from spexplanar import kernel, spectral, verify
     encoded, enclosed, rooted = [], [], []
-    encode, radii = verify.graph6_from_edges, verify.hub_join_radii
+    encode, radii = verify._join_graph6, verify.hub_join_radii
     root = kernel._secular_root
 
     def counting_root(groups, e, num):
         rooted.append(num)
         return root(groups, e, num)
 
-    def counting_encode(n, edges):
-        encoded.append(encode(n, edges))
+    def counting_encode(parts, hub_edge):
+        encoded.append(encode(parts, hub_edge))
         return encoded[-1]
 
     def counting_radii(forests, hub_edge):
@@ -429,7 +429,7 @@ def test_lemma2_sweep_solves_and_encodes_each_join_once(monkeypatch):
         return radii(forests, hub_edge)
 
     solved = counting_vector_stage(monkeypatch)
-    monkeypatch.setattr(verify, "graph6_from_edges", counting_encode)
+    monkeypatch.setattr(verify, "_join_graph6", counting_encode)
     monkeypatch.setattr(verify, "hub_join_radii", counting_radii)
     monkeypatch.setattr(kernel, "_secular_root", counting_root)
     reports = lemma2_sweep(20, 0, force=True)
@@ -714,6 +714,63 @@ def test_argmax_sweep_preconditions():
         argmax_sweep(30, 0, 3)
     with pytest.raises(ValueError, match="no admissible forests"):
         argmax_sweep(4, 0, 3, force=True)
+    # a k that admits no forest is refused first, and any other is
+    # compared with n by bit length before 2^(k+8) is built: at these
+    # sizes the power overflows
+    with pytest.raises(ValueError, match="need k <= n-4 = 296"):
+        argmax_sweep(300, 10 ** 400, 3, force=True)
+    with pytest.raises(ValueError, match=r"2\^\(k\+8\)\+3, got n=10{400} "):
+        argmax_sweep(10 ** 400, 10 ** 399, 3)
+
+
+# --- join artifacts ----------------------------------------------------------
+
+
+def numpy_join_graph6(parts, hub_edge):
+    """The join's graph6 from the oracle's numpy edge rows and encoder."""
+    return oracles.graph6_from_edges(sum(parts) + 2,
+                                     oracles.join_edges(parts, hub_edge))
+
+
+def test_join_graph6_matches_the_numpy_encoder():
+    # one seeded part list per order 3..300, in unsorted layout order;
+    # orders 62 and 63 straddle graph6's header switch, 2051 and 4099 are
+    # the paper's large orders
+    rng = random.Random(3712)
+    cases = []
+    for n in range(3, 301):
+        m = n - 2
+        cuts = sorted(rng.sample(range(1, m), rng.randint(0, min(m - 1, 12))))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [m])]
+        rng.shuffle(parts)
+        cases.append(parts)
+    cases += [[1] * 60, [60], [7, 40, 1, 12], [1] * 61, [61], [3, 1, 57],
+              [1, 2047, 1], [1020, 1, 1028], [4097], [4, 4000, 93]]
+    for parts in cases:
+        for hub_edge in (True, False):
+            assert verify._join_graph6(parts, hub_edge) == numpy_join_graph6(
+                parts, hub_edge), (parts, hub_edge)
+
+
+def test_join_graph6_reads_smaller_orders_from_the_largest_template(
+        monkeypatch):
+    # calls that alternate order and hub state from an empty template:
+    # each larger order writes a new template, each smaller one reads a
+    # prefix of it, and no edit of a copy reaches it. Orders 3..11 give
+    # T(n) = n(n-1)/2 every residue mod 6 it takes (0, 1, 3, 4); all but
+    # 0 leave padding bits in the last group, and a larger template sets
+    # the first of them, the hub bit of (0, n)
+    monkeypatch.setattr(verify, "_template", (0, b""))
+    calls = [([5, 3], True), ([5, 3], False), ([3, 5], True),
+             ([40, 1, 20], False), ([3, 5], False), ([61], True),
+             ([30, 31], False), ([1], True), ([2], False), ([1, 2], True),
+             ([2, 2], False), ([1, 4], True), ([60], False), ([1] * 61, True),
+             ([8], True), ([1] * 8, False), ([4, 5], True), ([7, 2], False),
+             ([200, 100], True), ([1], False)]
+    for parts, hub_edge in calls * 2:
+        assert verify._join_graph6(parts, hub_edge) == numpy_join_graph6(
+            parts, hub_edge), (parts, hub_edge)
+    assert verify._template[0] == 302
 
 
 # --- report plumbing -------------------------------------------------------------
